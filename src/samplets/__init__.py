@@ -63,7 +63,6 @@ from .io import (
     save_basis,
     serialize_basis,
 )
-from .kernels import HAS_NUMBA, get_backend, set_backend
 from .measures import (
     Atom,
     Functional,
@@ -109,7 +108,6 @@ __all__ = [
     "frame_bounds", "gram_green_1d", "gram_kernel", "gram_mass_p1",
     "BasisContainer", "deserialize_basis", "ingest_functionals", "load_basis",
     "read_container", "save_basis", "serialize_basis",
-    "HAS_NUMBA", "get_backend", "set_backend",
     "generate_example", "test_function",
     "RunConfig", "run_pipeline",
     "ConditionNumberError", "EigenSolverError", "InputError",

@@ -159,7 +159,7 @@ class SampletBasis:
     samplet_box_lo: np.ndarray = field(repr=False)
     samplet_box_hi: np.ndarray = field(repr=False)
     node_out: np.ndarray = field(repr=False)
-    plan: kernels.CascadePlan = field(repr=False)
+    cascade: kernels.Cascade = field(repr=False)
 
     @property
     def n(self):
@@ -178,10 +178,10 @@ class SampletBasis:
         return np.linalg.norm(self.samplet_box_hi - self.samplet_box_lo, axis=1)
 
     def forward(self, x):
-        return kernels.cascade_forward(self.plan, x)
+        return self.cascade.forward(x)
 
     def inverse(self, c):
-        return kernels.cascade_inverse(self.plan, c)
+        return self.cascade.inverse(c)
 
     def to_dense(self):
         """The full orthogonal matrix, rows ordered as the coefficients."""
@@ -229,65 +229,6 @@ class SampletBasis:
             idx = i[order]
             rows.append(v[order])
         return idx, np.array(rows)
-
-
-def _build_plan(tree, filters, node_out, n, order):
-    nn = len(order)
-    is_leaf = np.zeros(nn, dtype=np.int64)
-    nin = np.zeros(nn, dtype=np.int64)
-    mphi = np.zeros(nn, dtype=np.int64)
-    qoff = np.zeros(nn, dtype=np.int64)
-    loff = np.zeros(nn, dtype=np.int64)
-    c1slot = np.zeros(nn, dtype=np.int64)
-    c1len = np.zeros(nn, dtype=np.int64)
-    c2slot = np.zeros(nn, dtype=np.int64)
-    c2len = np.zeros(nn, dtype=np.int64)
-    slot = np.zeros(nn, dtype=np.int64)
-    outoff = np.zeros(nn, dtype=np.int64)
-    slot_of = {}
-    pos_of = {}
-    qparts = []
-    leafparts = []
-    srun = 0
-    qrun = 0
-    lrun = 0
-    for t, i in enumerate(order):
-        nd = tree.nodes[i]
-        flt = filters[i]
-        pos_of[i] = t
-        k = flt.q.shape[0]
-        nin[t] = k
-        mphi[t] = flt.m_phi
-        qoff[t] = qrun
-        qparts.append(np.ascontiguousarray(flt.q).ravel())
-        qrun += k * k
-        slot_of[i] = srun
-        slot[t] = srun
-        srun += flt.m_phi
-        outoff[t] = node_out[i]
-        if nd.is_leaf:
-            is_leaf[t] = 1
-            loff[t] = lrun
-            leafparts.append(nd.indices)
-            lrun += nd.indices.size
-        else:
-            c1, c2 = nd.children
-            c1slot[t] = slot_of[c1.node_id]
-            c1len[t] = filters[c1.node_id].m_phi
-            c2slot[t] = slot_of[c2.node_id]
-            c2len[t] = filters[c2.node_id].m_phi
-    root_pos = pos_of[tree.root.node_id]
-    assert root_pos == nn - 1, "root must be processed last"
-    n_samplets = n - filters[tree.root.node_id].m_phi
-    return kernels.CascadePlan(
-        is_leaf=is_leaf, nin=nin, mphi=mphi, qoff=qoff, loff=loff,
-        c1slot=c1slot, c1len=c1len, c2slot=c2slot, c2len=c2len, slot=slot,
-        outoff=outoff,
-        leafidx=np.concatenate(leafparts) if leafparts else np.zeros(0, dtype=np.int64),
-        qbuf=np.concatenate(qparts),
-        n_samplets=int(n_samplets), n_total=int(n),
-        work_rows=int(srun), max_nin=int(nin.max()),
-    )
 
 
 def build_samplet_basis(functionals, tree, degree):
@@ -351,41 +292,61 @@ def assemble_basis(tree, filters, dimension, degree):
     """Assemble a SampletBasis from a tree and its per-node filters.
 
     Fixes the coefficient ordering (level ascending, preorder within a level,
-    QR column within a node, root scaling rows last) and builds the cascade
-    plan. Used by the builder and by deserialization.
+    QR column within a node, root scaling rows last) and builds the batched
+    cascade. Used by the builder and by deserialization, so filters that do
+    not chain into one orthogonal transform raise InputError.
     """
     nodes = tree.nodes
     nn = len(nodes)
     n = tree.n
     d = int(dimension)
-    order = sorted(range(nn), key=lambda i: (-nodes[i].level, i))
+    m_p = moment_dimension(d, degree)
+    if len(filters) != nn:
+        raise InputError(f"{len(filters)} filters for {nn} cluster nodes")
+    leaf_rows = [nd.indices if nd.is_leaf else None for nd in nodes]
+    covered = np.concatenate([r for r in leaf_rows if r is not None])
+    if covered.size != n or not np.array_equal(np.sort(covered), np.arange(n)):
+        raise InputError("leaf clusters do not partition the functional positions")
+    m_phi = np.zeros(nn, dtype=np.int64)
+    height = np.zeros(nn, dtype=np.int64)
+    children = np.full((nn, 2), -1, dtype=np.int64)
+    for nd in reversed(nodes):  # preorder reversed: children before parents
+        i = nd.node_id
+        q = filters[i].q
+        if q.ndim != 2 or q.shape[0] != q.shape[1]:
+            raise InputError(f"filter of node {i} is {q.shape}, not square")
+        if nd.is_leaf:
+            nin = nd.size
+        else:
+            c1, c2 = (c.node_id for c in nd.children)
+            children[i] = c1, c2
+            nin = int(m_phi[c1] + m_phi[c2])
+            height[i] = 1 + max(height[c1], height[c2])
+        if q.shape[0] != nin:
+            raise InputError(f"filter of node {i} has {q.shape[0]} inputs, expected {nin}")
+        if filters[i].m_phi != min(nin, m_p):
+            raise InputError(
+                f"filter of node {i} has m_phi {filters[i].m_phi}, expected {min(nin, m_p)}"
+            )
+        m_phi[i] = filters[i].m_phi
     # samplet ordering: coarse to fine, preorder inside a level, QR column inside a node
+    level = np.array([nd.level for nd in nodes], dtype=np.int64)
+    by_level = np.lexsort((np.arange(nn), level))
+    counts = np.array([f.q.shape[0] for f in filters], dtype=np.int64) - m_phi
     node_out = np.zeros(nn, dtype=np.int64)
-    levels = []
-    owners = []
-    run = 0
-    for i in sorted(range(nn), key=lambda i: (nodes[i].level, i)):
-        node_out[i] = run
-        cnt = filters[i].n_samplets
-        levels.extend([nodes[i].level] * cnt)
-        owners.extend([i] * cnt)
-        run += cnt
-    assert run == n - filters[tree.root.node_id].m_phi
-    owners = np.asarray(owners, dtype=np.int64)
-    levels = np.asarray(levels, dtype=np.int64)
-    box_lo = np.empty((run, d))
-    box_hi = np.empty((run, d))
-    for s in range(run):
-        nd = nodes[owners[s]]
-        box_lo[s] = nd.box.lower
-        box_hi[s] = nd.box.upper
-    plan = _build_plan(tree, filters, node_out, n, order)
-    prim = primitive_basis(d, degree, tree.root.box)
+    node_out[by_level] = np.cumsum(counts[by_level]) - counts[by_level]
+    owners = np.repeat(by_level, counts[by_level])
+    lower = np.array([nd.box.lower for nd in nodes], dtype=np.float64).reshape(nn, d)
+    upper = np.array([nd.box.upper for nd in nodes], dtype=np.float64).reshape(nn, d)
+    cascade = kernels.Cascade(
+        [f.q for f in filters], m_phi, children, height, leaf_rows, node_out
+    )
     return SampletBasis(
-        tree=tree, degree=degree, dimension=d,
-        moment_dim=moment_dimension(d, degree), primitives=prim,
-        filters=filters, samplet_levels=levels, samplet_clusters=owners,
-        samplet_box_lo=box_lo, samplet_box_hi=box_hi, node_out=node_out, plan=plan,
+        tree=tree, degree=degree, dimension=d, moment_dim=m_p,
+        primitives=primitive_basis(d, degree, tree.root.box),
+        filters=filters, samplet_levels=level[owners], samplet_clusters=owners,
+        samplet_box_lo=lower[owners], samplet_box_hi=upper[owners],
+        node_out=node_out, cascade=cascade,
     )
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import kernels
 from .basis import (
     build_samplet_basis,
     threshold_compress,
@@ -60,7 +59,6 @@ class RunConfig:
     test_function: str = None
     out: str = "."
     basis: str = None
-    backend: str = None
 
 
 _INT_KEYS = {"n", "dimension", "seed", "leaf_max", "degree"}
@@ -175,8 +173,6 @@ def _fmt(v):
 
 def run_pipeline(cfg):
     """Ingest, build, verify, save, and report; returns a summary dict."""
-    if cfg.backend:
-        kernels.set_backend(cfg.backend)
     functionals, example_model = _load_functionals(cfg)
     d = functionals[0].dimension
     scheme = _make_scheme(cfg)
@@ -279,8 +275,6 @@ def _cmd_build(cfg):
 def _require_basis(cfg):
     if not cfg.basis:
         raise InputError("--basis basis.bin required")
-    if cfg.backend:
-        kernels.set_backend(cfg.backend)
     return load_basis(cfg.basis)
 
 
@@ -398,7 +392,6 @@ def _add_common(p):
                    choices=("exp", "kink", "runge", "sine"), help="decay study function")
     p.add_argument("--out", help="output directory (default .)")
     p.add_argument("--basis", help="path to a saved basis container")
-    p.add_argument("--backend", choices=("auto", "numba", "numpy"), help="kernel backend")
 
 
 def main(argv=None):

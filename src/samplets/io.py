@@ -169,7 +169,6 @@ def write_values_csv(path, values, indexed=True):
 _HEADER = struct.Struct("<8sIQIIQQI")  # magic, version, n, d, degree, nodes, samplets, depth
 _NODE = struct.Struct("<IBQ")  # level, has_children, index count
 _FILTER = struct.Struct("<QI")  # input count, m_phi
-_SAMPLET = struct.Struct("<IQ")  # level, owning node
 
 
 @dataclass
@@ -182,6 +181,11 @@ class BasisContainer:
     degree: int
     checksum: str
     basis: SampletBasis
+
+
+def _samplet_record(d):
+    """Packed samplet record: level, owning node, box lower and upper corner."""
+    return np.dtype([("level", "<u4"), ("owner", "<u8"), ("lo", "<f8", (d,)), ("hi", "<f8", (d,))])
 
 
 def _f8(arr):
@@ -211,10 +215,12 @@ def serialize_basis(basis):
         parts.append(_FILTER.pack(flt.q.shape[0], flt.m_phi))
         parts.append(_f8(flt.q))
         parts.append(_f8(flt.r))
-    for s in range(basis.n_samplets):
-        parts.append(_SAMPLET.pack(int(basis.samplet_levels[s]), int(basis.samplet_clusters[s])))
-        parts.append(_f8(basis.samplet_box_lo[s]))
-        parts.append(_f8(basis.samplet_box_hi[s]))
+    rec = np.empty(basis.n_samplets, _samplet_record(basis.dimension))
+    rec["level"] = basis.samplet_levels
+    rec["owner"] = basis.samplet_clusters
+    rec["lo"] = basis.samplet_box_lo
+    rec["hi"] = basis.samplet_box_hi
+    parts.append(rec.tobytes())
     payload = b"".join(parts)
     return payload + hashlib.sha256(payload).digest()
 
@@ -286,17 +292,15 @@ def deserialize_basis(blob):
     basis = assemble_basis(tree, filters, d, int(degree))
     if basis.n_samplets != n_samplets:
         raise InputError("container samplet count does not match its filters")
-    for s in range(n_samplets):
-        level, owner = cur.unpack(_SAMPLET, "samplet record")
-        lo = cur.f8(d, "samplet box")
-        hi = cur.f8(d, "samplet box")
-        if (
-            level != basis.samplet_levels[s]
-            or owner != basis.samplet_clusters[s]
-            or not np.array_equal(lo, basis.samplet_box_lo[s])
-            or not np.array_equal(hi, basis.samplet_box_hi[s])
-        ):
-            raise InputError("container samplet metadata is inconsistent")
+    rec_type = _samplet_record(d)
+    rec = np.frombuffer(cur.take(n_samplets * rec_type.itemsize, "samplet records"), rec_type)
+    if not (
+        np.array_equal(rec["level"], basis.samplet_levels)
+        and np.array_equal(rec["owner"], basis.samplet_clusters)
+        and np.array_equal(rec["lo"], basis.samplet_box_lo)
+        and np.array_equal(rec["hi"], basis.samplet_box_hi)
+    ):
+        raise InputError("container samplet metadata is inconsistent")
     if cur.pos != len(payload):
         raise InputError("container has trailing bytes")
     return basis

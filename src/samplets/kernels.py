@@ -1,57 +1,14 @@
-"""Hot numeric kernels: numba fast path plus a pure-numpy fallback.
+"""Hot numeric kernels in numpy: evaluation tables, box distances and the cascade.
 
-The backend is picked at import time from the SAMPLETS_BACKEND environment
-variable ("auto", "numba", "numpy"; default "auto" which means numba when it
-imports) and can be changed at runtime with set_backend(). Every kernel is a
-pure function of packed arrays so both paths produce the same values up to
-floating point summation order.
+Every kernel is a function of packed arrays, so the loops over functionals,
+boxes and cluster nodes run inside numpy rather than in Python.
 """
 
-import os
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAS_NUMBA = False
-
-_BACKENDS = ("auto", "numba", "numpy")
-_requested = os.environ.get("SAMPLETS_BACKEND", "auto").strip().lower()
-if _requested not in _BACKENDS:
-    raise InputError(
-        f"SAMPLETS_BACKEND must be one of {_BACKENDS}, got {_requested!r}"
-    )
-if _requested == "numba" and not HAS_NUMBA:
-    raise InputError("SAMPLETS_BACKEND=numba but numba is not importable")
-_backend = _requested
-
-
-def set_backend(name):
-    """Select the kernel backend: "auto", "numba" or "numpy"."""
-    global _backend
-    name = str(name).strip().lower()
-    if name not in _BACKENDS:
-        raise InputError(f"unknown backend {name!r}, expected one of {_BACKENDS}")
-    if name == "numba" and not HAS_NUMBA:
-        raise InputError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-def get_backend():
-    """Return the effective backend name, "numba" or "numpy"."""
-    if _backend == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return _backend
-
-
-def _use_numba():
-    return get_backend() == "numba"
 
 
 def falling_factorial_table(max_degree):
@@ -69,34 +26,19 @@ def falling_factorial_table(max_degree):
 # evaluation tables: rows are monomials on a scaled box, columns functionals
 
 
-def _eval_table_loop(points, weights, derivs, offsets, sel, exps, center, scale, ff, out):
-    m = exps.shape[0]
-    d = exps.shape[1]
-    for j in range(sel.shape[0]):
-        fi = sel[j]
-        for t in range(offsets[fi], offsets[fi + 1]):
-            w = weights[t]
-            for a in range(m):
-                prod = w
-                for k in range(d):
-                    e = exps[a, k]
-                    nu = derivs[t, k]
-                    if nu > e:
-                        prod = 0.0
-                        break
-                    u = (points[t, k] - center[k]) / scale[k]
-                    fac = ff[e, nu]
-                    for _ in range(nu):
-                        fac /= scale[k]
-                    for _ in range(e - nu):
-                        fac *= u
-                    prod *= fac
-                out[a, j] += prod
+def eval_table(points, weights, derivs, offsets, sel, exps, center, scale):
+    """Pairings of monomials with functionals.
 
-
-def _eval_table_numpy(points, weights, derivs, offsets, sel, exps, center, scale, ff, out):
+    Entry [a, j] is functional sel[j] applied to the monomial with exponent
+    row exps[a] in the coordinates (x - center) / scale. Functional atoms are
+    packed: rows offsets[i]:offsets[i+1] of points/weights/derivs belong to
+    functional i.
+    """
+    sel = np.ascontiguousarray(sel, dtype=np.int64)
+    out = np.zeros((exps.shape[0], sel.shape[0]))
     if sel.shape[0] == 0:
-        return
+        return out
+    ff = falling_factorial_table(int(exps.max()) if exps.size else 0)
     counts = offsets[sel + 1] - offsets[sel]
     total = int(counts.sum())
     cum = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)))
@@ -113,27 +55,6 @@ def _eval_table_numpy(points, weights, derivs, offsets, sel, exps, center, scale
             nu = np.minimum(dv[:, k], ek)
             term = term * ff[ek, nu] * u[:, k] ** (ek - nu) / scale[k] ** nu
         out[a] = np.add.reduceat(term, cum[:-1])
-
-
-if HAS_NUMBA:
-    _eval_table_numba = numba.njit(cache=True)(_eval_table_loop)
-
-
-def eval_table(points, weights, derivs, offsets, sel, exps, center, scale):
-    """Pairings of monomials with functionals.
-
-    Entry [a, j] is functional sel[j] applied to the monomial with exponent
-    row exps[a] in the coordinates (x - center) / scale. Functional atoms are
-    packed: rows offsets[i]:offsets[i+1] of points/weights/derivs belong to
-    functional i.
-    """
-    sel = np.ascontiguousarray(sel, dtype=np.int64)
-    out = np.zeros((exps.shape[0], sel.shape[0]))
-    ff = falling_factorial_table(int(exps.max()) if exps.size else 0)
-    if _use_numba():
-        _eval_table_numba(points, weights, derivs, offsets, sel, exps, center, scale, ff, out)
-    else:
-        _eval_table_numpy(points, weights, derivs, offsets, sel, exps, center, scale, ff, out)
     return out
 
 
@@ -141,48 +62,18 @@ def eval_table(points, weights, derivs, offsets, sel, exps, center, scale):
 # pairwise distances between axis-aligned boxes (0 when boxes intersect)
 
 
-def _box_dist_loop(lo, hi, out):
+def box_distance_matrix(lo, hi):
+    """Dense matrix of Euclidean distances between boxes [lo[i], hi[i]]."""
+    lo = np.ascontiguousarray(lo, dtype=np.float64)
+    hi = np.ascontiguousarray(hi, dtype=np.float64)
     n = lo.shape[0]
-    d = lo.shape[1]
-    for i in range(n):
-        out[i, i] = 0.0
-        for j in range(i + 1, n):
-            s = 0.0
-            for k in range(d):
-                g = lo[i, k] - hi[j, k]
-                g2 = lo[j, k] - hi[i, k]
-                if g2 > g:
-                    g = g2
-                if g > 0.0:
-                    s += g * g
-            v = np.sqrt(s)
-            out[i, j] = v
-            out[j, i] = v
-
-
-def _box_dist_numpy(lo, hi, out):
-    n = lo.shape[0]
+    out = np.empty((n, n))
     step = max(1, (1 << 22) // max(1, n))
     for s in range(0, n, step):
         e = min(n, s + step)
         g = np.maximum(lo[s:e, None, :] - hi[None, :, :], lo[None, :, :] - hi[s:e, None, :])
         np.maximum(g, 0.0, out=g)
         out[s:e] = np.sqrt(np.einsum("ijk,ijk->ij", g, g))
-
-
-if HAS_NUMBA:
-    _box_dist_numba = numba.njit(cache=True)(_box_dist_loop)
-
-
-def box_distance_matrix(lo, hi):
-    """Dense matrix of Euclidean distances between boxes [lo[i], hi[i]]."""
-    lo = np.ascontiguousarray(lo, dtype=np.float64)
-    hi = np.ascontiguousarray(hi, dtype=np.float64)
-    out = np.empty((lo.shape[0], lo.shape[0]))
-    if _use_numba():
-        _box_dist_numba(lo, hi, out)
-    else:
-        _box_dist_numpy(lo, hi, out)
     return out
 
 
@@ -196,203 +87,126 @@ def box_gap_pairs(lo, hi, ii, jj):
 # ---------------------------------------------------------------------------
 # two-scale cascade transforms
 #
-# Nodes appear in processing order (children before parents, root last).
-# qbuf holds each node's full n x n orthogonal factor row-major at qoff.
-# work holds one slot block of m_phi rows per node; leaves read input rows
-# through leafidx, internal nodes read their children's slot blocks.
+# Nodes are grouped into buckets of equal (height, filter size n, m_phi); a
+# leaf has height 0 and a parent one more than its taller child, so a bucket
+# only reads outputs of lower ones. The forward cascade runs the buckets by
+# ascending height, each as one gather, one stacked matmul and one scatter;
+# the inverse runs them in reverse. The work buffer holds the m_phi scaling
+# rows of every node, bucket after bucket, so the root's come last.
+
+# Doubles gathered per matmul (256 KiB): wide blocks are cut into runs of
+# nodes whose inputs and outputs stay in cache.
+_CHUNK = 1 << 15
 
 
-class CascadePlan:
-    """Flattened per-node arrays driving the forward/inverse cascades."""
-
-    __slots__ = (
-        "is_leaf", "nin", "mphi", "qoff", "loff", "c1slot", "c1len",
-        "c2slot", "c2len", "slot", "outoff", "leafidx", "qbuf",
-        "n_samplets", "n_total", "work_rows", "max_nin",
-    )
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
+@dataclass(frozen=True)
+class _Bucket:
+    q: np.ndarray  # (k, n, n) orthogonal factors of the bucket's k nodes
+    m_phi: int
+    leaf: bool  # src indexes data rows (leaves) or work rows (children's outputs)
+    src: np.ndarray  # (k, n) input rows of each node
+    phi: int  # first work row of the k * m_phi scaling outputs
+    psi: np.ndarray  # (k, n - m_phi) coefficient rows of the samplet outputs
 
 
-def _cascade_forward_loop(x, is_leaf, nin, mphi, qoff, loff, c1slot, c1len,
-                          c2slot, c2len, slot, outoff, leafidx, qbuf, nsamp,
-                          out, work, scratch):
-    nn = nin.shape[0]
-    m = x.shape[1]
-    for t in range(nn):
-        n = nin[t]
-        mp = mphi[t]
-        if is_leaf[t] == 1:
-            base = loff[t]
-            for r in range(n):
-                src = leafidx[base + r]
-                for c in range(m):
-                    scratch[r, c] = x[src, c]
-        else:
-            a = c1slot[t]
-            la = c1len[t]
-            for r in range(la):
-                for c in range(m):
-                    scratch[r, c] = work[a + r, c]
-            b = c2slot[t]
-            lb = c2len[t]
-            for r in range(lb):
-                for c in range(m):
-                    scratch[la + r, c] = work[b + r, c]
-        q0 = qoff[t]
-        for k in range(n):
-            if k < mp:
-                dst = slot[t] + k
-                for c in range(m):
-                    acc = 0.0
-                    for l in range(n):
-                        acc += qbuf[q0 + l * n + k] * scratch[l, c]
-                    work[dst, c] = acc
+class Cascade:
+    """Linear-time orthogonal transform chained from per-node QR factors.
+
+    q[i] is node i's nin x nin factor and m_phi[i] its scaling output count.
+    children[i] holds node i's two child ids, or -1 twice for a leaf, whose
+    inputs are the data rows leaf_rows[i]. An internal node's inputs are its
+    first child's scaling outputs followed by its second child's. height[i]
+    is 0 for a leaf and 1 + the larger child height otherwise, so the root
+    is the one node of largest height. The samplet outputs of node i fill
+    coefficient rows psi_start[i] onwards, and the root's scaling outputs
+    the last rows. Consistency of these arrays is the caller's to check.
+    """
+
+    def __init__(self, q, m_phi, children, height, leaf_rows, psi_start):
+        nin = np.array([f.shape[0] for f in q], dtype=np.int64)
+        m_phi = np.asarray(m_phi, dtype=np.int64)
+        self.root_rows = int(m_phi[np.argmax(height)])
+        # every node's samplets plus the root's scaling rows
+        self.n = int(nin.sum() - m_phi.sum()) + self.root_rows
+        order = np.lexsort((m_phi, nin, height))
+        key = np.stack((height, nin, m_phi), axis=1)[order]
+        cuts = np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1
+        slot = np.empty(len(nin), dtype=np.int64)
+        self.buckets = []
+        phi = 0
+        for ids in np.split(order, cuts):
+            n, mp = int(nin[ids[0]]), int(m_phi[ids[0]])
+            leaf = bool(children[ids[0], 0] < 0)
+            slot[ids] = phi + mp * np.arange(ids.size)
+            if leaf:
+                src = np.stack([leaf_rows[i] for i in ids])
             else:
-                dst = outoff[t] + (k - mp)
-                for c in range(m):
-                    acc = 0.0
-                    for l in range(n):
-                        acc += qbuf[q0 + l * n + k] * scratch[l, c]
-                    out[dst, c] = acc
-    rs = slot[nn - 1]
-    mr = mphi[nn - 1]
-    for k in range(mr):
-        for c in range(m):
-            out[nsamp + k, c] = work[rs + k, c]
+                c1, c2 = children[ids, 0], children[ids, 1]
+                r = np.arange(n)
+                first = r < m_phi[c1][:, None]
+                src = np.where(first, slot[c1][:, None] + r,
+                               slot[c2][:, None] + r - m_phi[c1][:, None])
+            self.buckets.append(_Bucket(
+                q=np.stack([q[i] for i in ids]), m_phi=mp, leaf=leaf, src=src, phi=phi,
+                psi=psi_start[ids][:, None] + np.arange(n - mp),
+            ))
+            phi += mp * ids.size
+        self.work_rows = phi
 
+    def _chunks(self, b, cols):
+        k = b.q.shape[0]
+        step = max(1, _CHUNK // max(1, b.q.shape[1] * cols))
+        for s in range(0, k, step):
+            yield s, min(k, s + step)
 
-def _cascade_inverse_loop(cvec, is_leaf, nin, mphi, qoff, loff, c1slot, c1len,
-                          c2slot, c2len, slot, outoff, leafidx, qbuf, nsamp,
-                          out, work, scratch):
-    nn = nin.shape[0]
-    m = cvec.shape[1]
-    rs = slot[nn - 1]
-    mr = mphi[nn - 1]
-    for k in range(mr):
-        for c in range(m):
-            work[rs + k, c] = cvec[nsamp + k, c]
-    for t in range(nn - 1, -1, -1):
-        n = nin[t]
-        mp = mphi[t]
-        q0 = qoff[t]
-        s0 = slot[t]
-        o0 = outoff[t]
-        for l in range(n):
-            for c in range(m):
-                acc = 0.0
-                for k in range(mp):
-                    acc += qbuf[q0 + l * n + k] * work[s0 + k, c]
-                for k in range(mp, n):
-                    acc += qbuf[q0 + l * n + k] * cvec[o0 + (k - mp), c]
-                scratch[l, c] = acc
-        if is_leaf[t] == 1:
-            base = loff[t]
-            for r in range(n):
-                dst = leafidx[base + r]
-                for c in range(m):
-                    out[dst, c] = scratch[r, c]
-        else:
-            a = c1slot[t]
-            la = c1len[t]
-            for r in range(la):
-                for c in range(m):
-                    work[a + r, c] = scratch[r, c]
-            b = c2slot[t]
-            lb = c2len[t]
-            for r in range(lb):
-                for c in range(m):
-                    work[b + r, c] = scratch[la + r, c]
+    def forward(self, x):
+        """Apply the analysis cascade to a vector or to the columns of a matrix."""
+        xm, was_vec = _as_matrix(x, self.n)
+        cols = xm.shape[1]
+        out = np.empty((self.n, cols))
+        work = np.empty((self.work_rows, cols))
+        for b in self.buckets:
+            data = xm if b.leaf else work
+            mp = b.m_phi
+            for s, e in self._chunks(b, cols):
+                y = np.matmul(b.q[s:e].transpose(0, 2, 1), data[b.src[s:e]])
+                work[b.phi + s * mp:b.phi + e * mp].reshape(e - s, mp, cols)[...] = y[:, :mp]
+                out[b.psi[s:e]] = y[:, mp:]
+        out[self.n - self.root_rows:] = work[self.work_rows - self.root_rows:]
+        return out[:, 0] if was_vec else out
 
-
-if HAS_NUMBA:
-    _cascade_forward_numba = numba.njit(cache=True)(_cascade_forward_loop)
-    _cascade_inverse_numba = numba.njit(cache=True)(_cascade_inverse_loop)
-
-
-def _cascade_forward_numpy(x, p, out):
-    work = np.empty((p.work_rows, x.shape[1]))
-    for t in range(p.nin.shape[0]):
-        n = p.nin[t]
-        mp = p.mphi[t]
-        if p.is_leaf[t] == 1:
-            g = x[p.leafidx[p.loff[t]:p.loff[t] + n]]
-        else:
-            a, la = p.c1slot[t], p.c1len[t]
-            b, lb = p.c2slot[t], p.c2len[t]
-            g = np.concatenate((work[a:a + la], work[b:b + lb]))
-        q = p.qbuf[p.qoff[t]:p.qoff[t] + n * n].reshape(n, n)
-        y = q.T @ g
-        work[p.slot[t]:p.slot[t] + mp] = y[:mp]
-        out[p.outoff[t]:p.outoff[t] + (n - mp)] = y[mp:]
-    rs = p.slot[-1]
-    out[p.n_samplets:] = work[rs:rs + p.mphi[-1]]
-
-
-def _cascade_inverse_numpy(cvec, p, out):
-    work = np.empty((p.work_rows, cvec.shape[1]))
-    rs = p.slot[-1]
-    work[rs:rs + p.mphi[-1]] = cvec[p.n_samplets:]
-    for t in range(p.nin.shape[0] - 1, -1, -1):
-        n = p.nin[t]
-        mp = p.mphi[t]
-        y = np.concatenate((
-            work[p.slot[t]:p.slot[t] + mp],
-            cvec[p.outoff[t]:p.outoff[t] + (n - mp)],
-        ))
-        q = p.qbuf[p.qoff[t]:p.qoff[t] + n * n].reshape(n, n)
-        g = q @ y
-        if p.is_leaf[t] == 1:
-            out[p.leafidx[p.loff[t]:p.loff[t] + n]] = g
-        else:
-            a, la = p.c1slot[t], p.c1len[t]
-            b, lb = p.c2slot[t], p.c2len[t]
-            work[a:a + la] = g[:la]
-            work[b:b + lb] = g[la:]
+    def inverse(self, c):
+        """Apply the transpose (inverse) cascade to a vector or to the columns of a matrix."""
+        cm, was_vec = _as_matrix(c, self.n)
+        cols = cm.shape[1]
+        out = np.empty((self.n, cols))
+        work = np.empty((self.work_rows, cols))
+        work[self.work_rows - self.root_rows:] = cm[self.n - self.root_rows:]
+        for b in reversed(self.buckets):
+            dest = out if b.leaf else work
+            mp = b.m_phi
+            for s, e in self._chunks(b, cols):
+                y = np.empty((e - s, b.q.shape[1], cols))
+                y[:, :mp] = work[b.phi + s * mp:b.phi + e * mp].reshape(e - s, mp, cols)
+                y[:, mp:] = cm[b.psi[s:e]]
+                dest[b.src[s:e]] = np.matmul(b.q[s:e], y)
+        return out[:, 0] if was_vec else out
 
 
 def _as_matrix(x, n):
-    x = np.asarray(x, dtype=np.float64)
+    try:
+        x = np.asarray(x)
+    except ValueError as exc:
+        raise InputError(f"expected a numeric array: {exc}") from None
+    if x.dtype.kind not in "biuf":
+        raise InputError(f"expected real numbers, got dtype {x.dtype}")
+    x = x.astype(np.float64, copy=False)
     if x.ndim == 1:
         if x.shape[0] != n:
             raise InputError(f"expected a vector of length {n}, got {x.shape[0]}")
-        return np.ascontiguousarray(x[:, None]), True
+        return x[:, None], True
     if x.ndim == 2:
         if x.shape[0] != n:
             raise InputError(f"expected {n} rows, got {x.shape[0]}")
-        return np.ascontiguousarray(x), False
+        return x, False
     raise InputError("expected a 1d or 2d array")
-
-
-def cascade_forward(plan, x):
-    """Apply the orthogonal analysis cascade to a vector or to columns of a matrix."""
-    xm, was_vec = _as_matrix(x, plan.n_total)
-    out = np.empty_like(xm)
-    if _use_numba():
-        work = np.empty((plan.work_rows, xm.shape[1]))
-        scratch = np.empty((plan.max_nin, xm.shape[1]))
-        _cascade_forward_numba(xm, plan.is_leaf, plan.nin, plan.mphi, plan.qoff,
-                               plan.loff, plan.c1slot, plan.c1len, plan.c2slot,
-                               plan.c2len, plan.slot, plan.outoff, plan.leafidx,
-                               plan.qbuf, plan.n_samplets, out, work, scratch)
-    else:
-        _cascade_forward_numpy(xm, plan, out)
-    return out[:, 0] if was_vec else out
-
-
-def cascade_inverse(plan, c):
-    """Apply the transpose (inverse) cascade to a vector or matrix of coefficients."""
-    cm, was_vec = _as_matrix(c, plan.n_total)
-    out = np.empty_like(cm)
-    if _use_numba():
-        work = np.empty((plan.work_rows, cm.shape[1]))
-        scratch = np.empty((plan.max_nin, cm.shape[1]))
-        _cascade_inverse_numba(cm, plan.is_leaf, plan.nin, plan.mphi, plan.qoff,
-                               plan.loff, plan.c1slot, plan.c1len, plan.c2slot,
-                               plan.c2len, plan.slot, plan.outoff, plan.leafidx,
-                               plan.qbuf, plan.n_samplets, out, work, scratch)
-    else:
-        _cascade_inverse_numpy(cm, plan, out)
-    return out[:, 0] if was_vec else out

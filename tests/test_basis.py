@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from samplets import (
+    ClusterFilters,
+    EpsilonNeighborhood,
     GaussianSimilarity,
     InputError,
     SupportBox,
+    assemble_basis,
     build_cluster_tree,
+    build_graph,
     build_samplet_basis,
     cluster_filters,
     dirac,
@@ -340,30 +345,124 @@ class TestThresholdCompress:
             threshold_compress(np.ones(3), -0.1)
 
 
-class TestBackends:
-    def test_numpy_and_numba_agree(self, small_case):
-        from samplets import kernels
+def _dense_from_rows(basis):
+    """The transform assembled row by row from the recursive expansion."""
+    dense = np.zeros((basis.n, basis.n))
+    for i in range(basis.n_samplets):
+        idx, vals = basis.samplet_row(i)
+        dense[i, idx] = vals
+    idx, rows = basis.scaling_rows(basis.tree.root.node_id)
+    dense[basis.n_samplets:, idx] = rows
+    return dense
 
-        if not kernels.HAS_NUMBA:
-            pytest.skip("numba is not installed")
+
+def _component_case(dimension, degree):
+    """Random Diracs whose epsilon graph falls into many components."""
+    m_p = moment_dimension(dimension, degree)
+    n = 160 if dimension == 1 else 200
+    functionals, _ = generate_example("random-diracs", n, dimension, seed=10 + degree)
+    scheme = EpsilonNeighborhood(0.012 if dimension == 1 else 0.07)
+    graph = build_graph(functionals, scheme)
+    tree = build_cluster_tree(functionals, scheme, 2 * m_p + 2, moment_dim=m_p, graph=graph)
+    return graph, tree, build_samplet_basis(functionals, tree, degree)
+
+
+class TestCascadeReference:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_cascade_matches_the_recursive_rows(self, dimension, degree):
+        graph, tree, basis = _component_case(dimension, degree)
+        assert csgraph.connected_components(graph.weights, directed=False)[0] >= 20
+        assert len({nd.size for nd in tree.leaves()}) >= 4
+        assert len(basis.cascade.buckets) >= 10
+        dense = _dense_from_rows(basis)
+        eye = np.eye(basis.n)
+        assert np.abs(basis.forward(eye) - dense).max() <= 1e-13
+        assert np.abs(basis.inverse(eye) - dense.T).max() <= 1e-13
+        x = np.random.default_rng(degree).normal(size=basis.n)
+        assert np.abs(basis.forward(x) - dense @ x).max() <= 1e-13
+
+    def test_wide_blocks_match_column_by_column(self, small_case):
         _, _, basis = small_case
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=basis.n)
-        try:
-            kernels.set_backend("numpy")
-            fwd_np = basis.forward(x)
-            inv_np = basis.inverse(x)
-            kernels.set_backend("numba")
-            fwd_nb = basis.forward(x)
-            inv_nb = basis.inverse(x)
-        finally:
-            kernels.set_backend("auto")
-        assert np.allclose(fwd_np, fwd_nb, atol=1e-13)
-        assert np.allclose(inv_np, inv_nb, atol=1e-13)
+        x = np.random.default_rng(12).normal(size=(basis.n, 3000))
+        c = basis.forward(x)
+        for j in (0, 1234, 2999):
+            assert np.abs(c[:, j] - basis.forward(x[:, j])).max() <= 1e-13
+        assert np.abs(basis.inverse(c) - x).max() <= 1e-12
 
-    def test_unknown_backend_rejected(self):
-        from samplets import kernels
 
+class TestEdgeShapes:
+    def test_zero_columns(self, small_case):
+        _, _, basis = small_case
+        empty = np.zeros((basis.n, 0))
+        assert basis.forward(empty).shape == (basis.n, 0)
+        assert basis.inverse(empty).shape == (basis.n, 0)
+
+    def test_single_leaf_tree(self):
+        functionals, _ = generate_example("random-diracs", 10, 1, seed=4)
+        tree = build_cluster_tree(functionals, GaussianSimilarity(0.3), 16, moment_dim=3)
+        assert len(tree.nodes) == 1
+        basis = build_samplet_basis(functionals, tree, 2)
+        assert basis.n_samplets == 7
+        u = basis.to_dense()
+        assert np.allclose(u @ u.T, np.eye(10), atol=1e-13)
+        assert np.abs(u - _dense_from_rows(basis)).max() <= 1e-13
+        x = np.random.default_rng(4).normal(size=10)
+        assert np.allclose(basis.inverse(basis.forward(x)), x, atol=1e-13)
+
+    def test_strided_and_fortran_input(self, small_case):
+        _, _, basis = small_case
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(basis.n, 6))
+        expect = basis.forward(np.ascontiguousarray(x))
+        assert np.array_equal(basis.forward(np.asfortranarray(x)), expect)
+        wide = rng.normal(size=(basis.n, 12))
+        wide[:, ::2] = x
+        assert np.array_equal(basis.forward(wide[:, ::2]), expect)
+        assert np.array_equal(basis.inverse(np.asfortranarray(expect)), basis.inverse(expect))
+        strided = wide[:, 0]
+        assert np.array_equal(basis.forward(strided), basis.forward(strided.copy()))
+        assert np.array_equal(basis.inverse(strided), basis.inverse(strided.copy()))
+
+    @pytest.mark.parametrize("bad", [
+        lambda n: np.ones(n, dtype=complex),
+        lambda n: np.array(["1.0"] * n),
+        lambda n: [[1.0, 2.0]] * (n - 1) + [[1.0]],
+        lambda n: np.ones((n, 2, 2)),
+        lambda n: np.ones(n + 1),
+    ], ids=["complex", "strings", "ragged", "3d", "length"])
+    def test_bad_input_is_an_input_error(self, small_case, bad):
+        _, _, basis = small_case
         with pytest.raises(InputError):
-            kernels.set_backend("fortran")
-        assert kernels.get_backend() in ("auto", "numba", "numpy")
+            basis.forward(bad(basis.n))
+        with pytest.raises(InputError):
+            basis.inverse(bad(basis.n))
+
+
+class TestAssembleChecks:
+    @pytest.mark.parametrize("change, message", [
+        (lambda f: ClusterFilters(f.q[:-1, :-1], f.r, f.m_phi), "inputs"),
+        (lambda f: ClusterFilters(f.q[:, :-1], f.r, f.m_phi), "square"),
+        (lambda f: ClusterFilters(f.q, f.r, f.m_phi - 1), "m_phi"),
+    ], ids=["size", "square", "m_phi"])
+    def test_inconsistent_leaf_filter_rejected(self, small_case, change, message):
+        _, tree, basis = small_case
+        leaf = tree.leaves()[0].node_id
+        filters = list(basis.filters)
+        filters[leaf] = change(filters[leaf])
+        with pytest.raises(InputError, match=message):
+            assemble_basis(tree, filters, basis.dimension, basis.degree)
+
+    def test_filter_count_must_match_the_tree(self, small_case):
+        _, tree, basis = small_case
+        with pytest.raises(InputError, match="filters"):
+            assemble_basis(tree, basis.filters[:-1], basis.dimension, basis.degree)
+
+    def test_leaves_must_partition_the_positions(self):
+        functionals, _ = generate_example("random-diracs", 40, 1, seed=3)
+        tree = build_cluster_tree(functionals, GaussianSimilarity(0.2), 8, moment_dim=2)
+        basis = build_samplet_basis(functionals, tree, 1)
+        first, second = tree.leaves()[:2]
+        second.indices = first.indices.copy()
+        with pytest.raises(InputError, match="partition"):
+            assemble_basis(tree, basis.filters, 1, 1)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -24,12 +25,34 @@ from samplets import (
 )
 from samplets.cli import RunConfig, main, parse_config_file, run_pipeline
 from samplets.datasets import test_function as named_function
-from samplets.io import read_values_csv, write_functionals_csv, write_values_csv
+from samplets.io import (
+    _FILTER,
+    _HEADER,
+    _NODE,
+    read_values_csv,
+    write_functionals_csv,
+    write_values_csv,
+)
 
 
 def _resign(payload):
     """Append a fresh checksum so tampered payloads pass the integrity check."""
     return payload + hashlib.sha256(payload).digest()
+
+
+def _with_leaf_m_phi_lowered(basis):
+    """Container bytes with the first leaf's m_phi one below min(size, m_P), re-signed."""
+    payload = bytearray(serialize_basis(basis)[:-32])
+    nodes = basis.tree.nodes
+    pos = _HEADER.size + sum(_NODE.size + 16 * basis.dimension + 8 * nd.size for nd in nodes)
+    leaf = next(nd for nd in nodes if nd.is_leaf)
+    for nd in nodes[: leaf.node_id]:
+        flt = basis.filters[nd.node_id]
+        pos += _FILTER.size + 8 * (flt.q.size + flt.r.size)
+    nin, m_phi = _FILTER.unpack_from(payload, pos)
+    assert (nin, m_phi) == (leaf.size, basis.moment_dim)
+    struct.pack_into("<I", payload, pos + 8, m_phi - 1)
+    return _resign(bytes(payload))
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +189,17 @@ class TestContainer:
         blob = serialize_basis(small_basis)
         with pytest.raises(InputError):
             deserialize_basis(blob + b"\x00")
+
+    def test_inconsistent_filters_rejected(self, tmp_path, small_basis):
+        path = tmp_path / "basis.bin"
+        path.write_bytes(_with_leaf_m_phi_lowered(small_basis))
+        with pytest.raises(InputError, match="m_phi"):
+            load_basis(path)
+        data = tmp_path / "values.csv"
+        write_values_csv(data, np.ones(small_basis.n))
+        code = main(["transform", "--basis", str(path), "--data", str(data),
+                     "--out", str(tmp_path)])
+        assert code == 2
 
 
 class TestExamples:

@@ -1,13 +1,9 @@
-"""Numeric kernels: both backends must agree with slow reference computations."""
-
-import os
-import subprocess
-import sys
+"""Numeric kernels must agree with slow reference computations."""
 
 import numpy as np
 import pytest
 
-from samplets import InputError, kernels, primitive_basis
+from samplets import primitive_basis
 from samplets.kernels import (
     box_distance_matrix,
     box_gap_pairs,
@@ -15,16 +11,6 @@ from samplets.kernels import (
     falling_factorial_table,
 )
 from samplets.measures import Atom, Functional, evaluate, pack_functionals
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
-
-
-@pytest.fixture
-def backend(request):
-    kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend("auto")
-
 
 def _random_functionals(rng, n, d, max_deriv=2):
     out = []
@@ -57,9 +43,8 @@ class TestFallingFactorial:
         assert ff[0, 3] == 0.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 class TestEvalTable:
-    def test_matches_per_functional_evaluation(self, backend):
+    def test_matches_per_functional_evaluation(self):
         rng = np.random.default_rng(31)
         functionals = _random_functionals(rng, 12, 2)
         packed = pack_functionals(functionals)
@@ -76,7 +61,7 @@ class TestEvalTable:
                     evaluate(functionals[fi], poly), abs=1e-12
                 )
 
-    def test_empty_selection(self, backend):
+    def test_empty_selection(self):
         rng = np.random.default_rng(5)
         packed = pack_functionals(_random_functionals(rng, 3, 1))
         prim = primitive_basis(1, 2)
@@ -87,9 +72,8 @@ class TestEvalTable:
         assert table.shape == (3, 0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 class TestBoxDistance:
-    def test_matches_reference_gaps(self, backend):
+    def test_matches_reference_gaps(self):
         rng = np.random.default_rng(17)
         n, d = 25, 3
         lo = rng.random((n, d))
@@ -103,7 +87,7 @@ class TestBoxDistance:
                 gap = np.maximum(np.maximum(lo[i] - hi[j], lo[j] - hi[i]), 0.0)
                 assert dist[i, j] == pytest.approx(np.linalg.norm(gap), abs=1e-14)
 
-    def test_overlapping_boxes_have_zero_distance(self, backend):
+    def test_overlapping_boxes_have_zero_distance(self):
         lo = np.array([[0.0, 0.0], [0.5, 0.5]])
         hi = np.array([[1.0, 1.0], [2.0, 2.0]])
         assert not box_distance_matrix(lo, hi).any()
@@ -117,38 +101,3 @@ def test_box_gap_pairs_matches_the_dense_matrix():
     ii = np.array([0, 1, 4, 9, 3])
     jj = np.array([5, 1, 2, 0, 8])
     assert np.allclose(box_gap_pairs(lo, hi, ii, jj), dense[ii, jj], atol=1e-14)
-
-
-class TestBackendSelection:
-    def test_numpy_is_always_available(self):
-        kernels.set_backend("numpy")
-        try:
-            assert kernels.get_backend() == "numpy"
-        finally:
-            kernels.set_backend("auto")
-
-    def test_auto_prefers_numba_when_importable(self):
-        expected = "numba" if kernels.HAS_NUMBA else "numpy"
-        assert kernels.get_backend() == expected
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(InputError):
-            kernels.set_backend("fortran")
-
-    def test_environment_variable_selects_the_backend(self):
-        env = dict(os.environ, SAMPLETS_BACKEND="numpy")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import samplets; print(samplets.get_backend())"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_invalid_environment_variable_fails_the_import(self):
-        env = dict(os.environ, SAMPLETS_BACKEND="cuda")
-        out = subprocess.run(
-            [sys.executable, "-c", "import samplets"],
-            env=env, capture_output=True, text=True,
-        )
-        assert out.returncode != 0
-        assert "SAMPLETS_BACKEND" in out.stderr
