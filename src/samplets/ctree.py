@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh as dense_eigh
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -84,8 +83,6 @@ class ClusterTree:
 
 
 def _gershgorin(lap):
-    if sparse.issparse(lap):
-        return float(np.abs(lap).sum(axis=1).max())
     return float(np.abs(lap).sum(axis=1).max())
 
 
@@ -106,11 +103,9 @@ def _fiedler_pair(lap, rtol=1e-8, cluster=None):
         dense = lap.toarray() if sparse.issparse(lap) else np.asarray(lap, dtype=np.float64)
         w, vecs = np.linalg.eigh(dense)
         lam, v = float(w[1]), vecs[:, 1]
-    elif sparse.issparse(lap):
-        lam, v = _fiedler_arpack(lap.tocsc(), scale, cluster)
     else:
-        w, vecs = dense_eigh(np.asarray(lap, dtype=np.float64), subset_by_index=[0, 1])
-        lam, v = float(w[1]), vecs[:, 1]
+        lap = lap.tocsc() if sparse.issparse(lap) else np.asarray(lap, dtype=np.float64)
+        lam, v = _fiedler_arpack(lap, scale, cluster)
     v = np.ascontiguousarray(v, dtype=np.float64)
     v /= np.linalg.norm(v)
     res = np.linalg.norm(lap @ v - lam * v)
@@ -123,7 +118,8 @@ def _fiedler_pair(lap, rtol=1e-8, cluster=None):
 
 def _fiedler_arpack(lap, scale, cluster):
     # shift-invert around a small negative shift keeps L - sigma I positive
-    # definite and maps the two smallest eigenvalues to the two largest
+    # definite and maps the two smallest eigenvalues to the two largest; a
+    # dense L is factored by a dense LU, a sparse one by a sparse LU
     sigma = -1e-8 * scale
     rng = np.random.default_rng(_FIEDLER_SEED)
     v0 = rng.standard_normal(lap.shape[0])
@@ -188,12 +184,11 @@ def spectral_bisection(cluster, graph, rtol=1e-8):
     if not isinstance(graph, SimilarityGraph):
         raise InputError("graph must be a SimilarityGraph")
     w = graph.subgraph_weights(idx)
-    if sparse.issparse(w):
+    ncomp = 1
+    # a dense weight matrix without zeros is connected; scanning it for
+    # components would cost more than its Fiedler solve
+    if sparse.issparse(w) or w.min() == 0.0:
         ncomp, labels = connected_components(w, directed=False)
-    elif w.min() > 0.0:
-        ncomp, labels = 1, None
-    else:
-        ncomp, labels = connected_components(sparse.csr_matrix(w > 0.0), directed=False)
     if ncomp > 1:
         return _component_split(labels, ncomp, idx)
     lap = laplacian_from_weights(w)
@@ -208,7 +203,7 @@ def spectral_bisection(cluster, graph, rtol=1e-8):
     return np.sort(idx[mask]), np.sort(idx[~mask])
 
 
-def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None, method="auto"):
+def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
     """Cluster tree over the functionals by recursive spectral bisection.
 
     Parameters
@@ -221,7 +216,6 @@ def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None, 
         is rolled back when a child would not exceed it, so every leaf keeps
         more functionals than moment_dim
     graph : optional prebuilt SimilarityGraph over the same functionals
-    method : graph build path, see build_graph
 
     Returns
     -------
@@ -242,7 +236,7 @@ def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None, 
     lo, hi = functional_boxes(functionals)
     if graph is None:
         if n > leaf_max:
-            graph = build_graph(functionals, scheme, method=method)
+            graph = build_graph(functionals, scheme)
     elif graph.n != n:
         raise InputError("prebuilt graph size does not match the functionals")
 

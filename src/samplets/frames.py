@@ -10,15 +10,12 @@ measures how samplet coefficients of smooth data shrink with cluster size.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve, eigh as dense_eigh
-from scipy.sparse.linalg import eigsh
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from .errors import ConditionNumberError, InputError, NumericalError
 from .measures import Atom, Functional
 
-_DENSE_BOUNDS_LIMIT = 2048
 _COND_CAP = 1e12
 _SQRT3 = np.sqrt(3.0)
 
@@ -54,9 +51,17 @@ class GramModel:
     mu: float = 0.0
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        try:
+            matrix = np.asarray(self.matrix)
+        except ValueError as exc:
+            raise InputError(f"Gram matrix is not an array: {exc}") from None
+        if matrix.dtype.kind not in "biuf":
+            raise InputError(f"Gram matrix must be a dense real array, not {matrix.dtype}")
+        self.matrix = matrix.astype(np.float64, copy=False)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise InputError("Gram matrix must be square")
+        if not np.isfinite(self.matrix).all():
+            raise InputError("Gram matrix entries must be finite")
         if self.mu < 0.0:
             raise InputError("regularization shift must be nonnegative")
 
@@ -157,19 +162,12 @@ def gram_green_1d(points):
     return GramModel(g, Green("dirichlet laplacian on (0, 1)"))
 
 
-def _spd_extremes(model):
-    g = model.effective()
-    n = g.shape[0]
-    if sparse.issparse(g):
-        lo = float(eigsh(g, k=1, which="SA", return_eigenvectors=False)[0])
-        hi = float(eigsh(g, k=1, which="LA", return_eigenvectors=False)[0])
-        return lo, hi
-    if n <= _DENSE_BOUNDS_LIMIT:
-        w = np.linalg.eigvalsh(g)
-        return float(w[0]), float(w[-1])
-    lo = float(dense_eigh(g, subset_by_index=[0, 0], eigvals_only=True)[0])
-    hi = float(dense_eigh(g, subset_by_index=[n - 1, n - 1], eigvals_only=True)[0])
-    return lo, hi
+def _spd_extremes(g):
+    """Smallest and largest eigenvalue of a symmetric positive definite matrix."""
+    w = np.linalg.eigvalsh(g)
+    if not w[0] > 0.0:
+        raise NumericalError(f"Gram matrix is not positive definite (lambda_min = {w[0]:.3e})")
+    return float(w[0]), float(w[-1])
 
 
 @dataclass(frozen=True)
@@ -186,20 +184,13 @@ class FrameBounds:
 
 def frame_bounds(model):
     """Frame bounds of the Gram model; rejects non positive definite input."""
-    lo, hi = _spd_extremes(model)
-    if lo <= 0.0:
-        raise NumericalError(f"Gram matrix is not positive definite (lambda_min = {lo:.3e})")
-    return FrameBounds(lo, hi)
+    return FrameBounds(*_spd_extremes(model.effective()))
 
 
 def _spd_solve(model, rhs, cond_cap=_COND_CAP):
     g = model.effective()
-    w = np.linalg.eigvalsh(g)
-    if w[0] <= 0.0:
-        raise NumericalError(
-            f"Gram matrix is not positive definite (lambda_min = {w[0]:.3e})"
-        )
-    cond = float(w[-1] / w[0])
+    lo, hi = _spd_extremes(g)
+    cond = hi / lo
     if cond > cond_cap:
         raise ConditionNumberError(
             f"Gram condition estimate {cond:.3e} above cap {cond_cap:.1e}",

@@ -420,11 +420,6 @@ def pack_functionals(functionals):
 def functional_boxes(functionals):
     """Per-functional support box corners as (lo, hi) arrays of shape (n, d)."""
     packed = pack_functionals(functionals)
-    n = packed.count
-    lo = np.empty((n, packed.dimension))
-    hi = np.empty((n, packed.dimension))
-    for i in range(n):
-        pts = packed.points[packed.offsets[i]:packed.offsets[i + 1]]
-        lo[i] = pts.min(axis=0)
-        hi[i] = pts.max(axis=0)
-    return lo, hi
+    starts = packed.offsets[:-1]  # every functional has at least one atom
+    return (np.minimum.reduceat(packed.points, starts, axis=0),
+            np.maximum.reduceat(packed.points, starts, axis=0))

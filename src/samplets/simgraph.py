@@ -4,9 +4,11 @@ Vertices are functionals, edge weights come from the Euclidean distance
 between their support boxes (zero once the boxes intersect). Three schemes
 are provided: a hard epsilon neighborhood, mutual k nearest neighbors
 (symmetrized with OR, ties broken by ascending functional index), and a
-Gaussian weight. The graph Laplacian L = D - W drives the spectral splits
-of the cluster tree; it never depends on self-similarity entries because
-the diagonal cancels in D - W.
+Gaussian weight. Epsilon and kNN graphs are sparse CSR matrices found by a
+KD tree candidate search with exact box distances; Gaussian weights are all
+positive, so that graph is a dense matrix. The graph Laplacian L = D - W
+drives the spectral splits of the cluster tree; it never depends on
+self-similarity entries because the diagonal cancels in D - W.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,6 @@ from . import kernels
 from .errors import InputError
 from .measures import functional_boxes, support_box
 
-_DENSE_LIMIT = 4096
 _GAUSSIAN_LIMIT = 16384
 
 
@@ -134,12 +135,6 @@ class SimilarityGraph:
         return self.weights.sum(axis=1)
 
     @property
-    def degree_matrix(self):
-        if sparse.issparse(self.weights):
-            return sparse.diags(self.degrees).tocsr()
-        return np.diag(self.degrees)
-
-    @property
     def laplacian(self):
         if self._lap is None:
             self._lap = laplacian_from_weights(self.weights)
@@ -153,18 +148,9 @@ class SimilarityGraph:
         return self.weights[np.ix_(idx, idx)]
 
 
-def _build_dense(lo, hi, scheme):
+def _build_gaussian(lo, hi, scheme):
     dist = kernels.box_distance_matrix(lo, hi)
-    if isinstance(scheme, GaussianSimilarity):
-        return np.exp(-(dist**2) / (2.0 * scheme.length_scale**2))
-    if isinstance(scheme, EpsilonNeighborhood):
-        return (dist < scheme.eps).astype(np.float64)
-    nbrs = _knn_neighbor_sets(lo, hi, scheme.k)
-    n = lo.shape[0]
-    w = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), nbrs.shape[1])
-    w[rows, nbrs.ravel()] = 1.0
-    return np.maximum(w, w.T)
+    return np.exp(-(dist**2) / (2.0 * scheme.length_scale**2))
 
 
 def _build_sparse_epsilon(lo, hi, centers, radii, scheme):
@@ -185,68 +171,49 @@ def _build_sparse_epsilon(lo, hi, centers, radii, scheme):
 def _build_sparse_knn(lo, hi, centers, radii, scheme):
     n = lo.shape[0]
     k = min(scheme.k, n - 1)
+    if k == 0:
+        return sparse.csr_matrix((n, n))
     tree = cKDTree(centers)
     rmax = float(radii.max(initial=0.0))
+    rows = np.arange(n)[:, None]
     kq = min(n, k + 17)
     while True:
-        dd, ii = tree.query(centers, k=kq)
-        rows = []
-        cols = []
-        safe = True
-        for i in range(n):
-            cand = ii[i][ii[i] != i]
-            gaps = kernels.box_gap_pairs(lo, hi, np.full(cand.size, i), cand)
-            order = np.lexsort((cand, gaps))
-            take = order[:k]
-            # candidate set is complete once the kth box distance cannot be
-            # undercut by any center outside the query radius
-            if kq < n and gaps[take[-1]] > dd[i, -1] - 2.0 * rmax:
-                safe = False
-                break
-            rows.append(np.full(take.size, i))
-            cols.append(cand[take])
-        if safe:
+        dd, cand = tree.query(centers, k=kq)
+        gaps = kernels.box_gap_pairs(lo, hi, np.repeat(rows, kq), cand.ravel()).reshape(n, kq)
+        gaps[cand == rows] = np.inf
+        take = np.lexsort((cand, gaps), axis=1)[:, :k]
+        kth = np.take_along_axis(gaps, take[:, -1:], axis=1)[:, 0]
+        # a candidate set is complete once no center outside the query radius
+        # can reach or tie the kth box distance (ties go to the lower index);
+        # the margin covers rounding between KD tree and box distances
+        if kq == n or np.all(kth < dd[:, -1] * (1.0 - 1e-9) - 2.0 * rmax):
             break
         kq = min(n, kq * 2)
-    ii = np.concatenate(rows)
-    jj = np.concatenate(cols)
-    mat = sparse.coo_matrix((np.ones(ii.size), (ii, jj)), shape=(n, n)).tocsr()
-    both = mat.maximum(mat.T)
-    both.setdiag(0.0)
-    both.eliminate_zeros()
-    return both
+    cols = np.take_along_axis(cand, take, axis=1).ravel()
+    mat = sparse.csr_matrix((np.ones(cols.size), (np.repeat(rows, k), cols)), shape=(n, n))
+    return mat.maximum(mat.T)
 
 
-def build_graph(functionals, scheme, method="auto"):
+def build_graph(functionals, scheme):
     """Similarity graph over the functional set.
 
-    method "auto" picks a dense weight matrix up to 4096 functionals and a
-    sparse one (KD tree candidate search, exact box distances) above, except
-    for the Gaussian scheme whose weights are all positive and therefore stay
-    dense; "dense" and "sparse" force a path.
+    Epsilon and kNN weights are sparse CSR matrices; Gaussian weights are a
+    dense array, which limits that scheme to 16384 functionals.
     """
-    if method not in ("auto", "dense", "sparse"):
-        raise InputError("method must be auto, dense or sparse")
     lo, hi = functional_boxes(functionals)
-    n = lo.shape[0]
     if isinstance(scheme, GaussianSimilarity):
-        if n > _GAUSSIAN_LIMIT:
+        if lo.shape[0] > _GAUSSIAN_LIMIT:
             raise InputError(
                 "gaussian scheme builds a dense graph; use epsilon or knn beyond "
                 f"{_GAUSSIAN_LIMIT} functionals"
             )
-        if method == "sparse":
-            raise InputError("gaussian weights are dense by nature")
-        return SimilarityGraph(scheme, _build_dense(lo, hi, scheme))
-    if not isinstance(scheme, (EpsilonNeighborhood, MutualKNN)):
-        raise InputError(f"unknown similarity scheme {scheme!r}")
-    dense = method == "dense" or (method == "auto" and n <= _DENSE_LIMIT)
-    if dense:
-        return SimilarityGraph(scheme, _build_dense(lo, hi, scheme))
+        return SimilarityGraph(scheme, _build_gaussian(lo, hi, scheme))
     centers = 0.5 * (lo + hi)
     radii = 0.5 * np.linalg.norm(hi - lo, axis=1)
     if isinstance(scheme, EpsilonNeighborhood):
         w = _build_sparse_epsilon(lo, hi, centers, radii, scheme)
-    else:
+    elif isinstance(scheme, MutualKNN):
         w = _build_sparse_knn(lo, hi, centers, radii, scheme)
+    else:
+        raise InputError(f"unknown similarity scheme {scheme!r}")
     return SimilarityGraph(scheme, w)

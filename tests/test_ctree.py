@@ -95,16 +95,16 @@ class TestFiedlerVector:
             assert v[np.argmax(np.abs(v))] > 0.0
 
     def test_iterative_path_matches_dense(self):
-        # 600 vertices forces the sparse iterative eigensolver; weights are
-        # made irregular so the eigenvector has no magnitude tie at the ends
+        # 600 vertices send the dense and the sparse Laplacian through the
+        # iterative eigensolver; weights are made irregular so the
+        # eigenvector has no magnitude tie at the ends
         rng = np.random.default_rng(4)
         weights = 1.0 + rng.random(599)
         lap_dense = _path_laplacian(600, weights)
-        lap_sparse = sparse.csr_matrix(lap_dense)
-        vd = fiedler_vector(lap_dense)
-        vs = fiedler_vector(lap_sparse)
-        aligned = min(np.abs(vd - vs).max(), np.abs(vd + vs).max())
-        assert aligned <= 1e-6
+        expect = np.linalg.eigh(lap_dense)[1][:, 1]
+        for lap in (lap_dense, sparse.csr_matrix(lap_dense)):
+            v = fiedler_vector(lap)
+            assert min(np.abs(v - expect).max(), np.abs(v + expect).max()) <= 1e-6
 
     def test_too_small_rejected(self):
         with pytest.raises(InputError):
@@ -209,10 +209,10 @@ class TestBuildClusterTree:
             assert_tree_invariants(tree, 3)
 
     def test_sparse_graph_input(self):
-        # epsilon scheme on a fine 1d grid exercises the sparse graph path
+        # epsilon scheme on a fine 1d grid: a sparse graph with ARPACK splits
         functionals, _ = generate_example("uniform-diracs", 1200)
         tree = build_cluster_tree(functionals, EpsilonNeighborhood(2.5 / 1199), 32,
-                                  moment_dim=4, method="sparse")
+                                  moment_dim=4)
         assert_tree_invariants(tree, 4)
 
     def test_preorder_node_ids(self):

@@ -135,6 +135,37 @@ class TestGramGreen:
             gram_green_1d(np.array([0.4, 0.4]))
 
 
+class TestGramModel:
+    def test_sparse_matrix_rejected(self):
+        with pytest.raises(InputError):
+            GramModel(sparse.eye(3), "test")
+
+    def test_string_matrix_rejected(self):
+        with pytest.raises(InputError):
+            GramModel([["1", "0"], ["0", "1"]], "test")
+
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(InputError):
+            GramModel([[1.0, 0.0], [0.0]], "test")
+
+    def test_complex_matrix_rejected(self):
+        with pytest.raises(InputError):
+            GramModel(np.eye(2) + 1e-3j, "test")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        g = np.eye(3)
+        g[0, 2] = g[2, 0] = bad
+        with pytest.raises(InputError):
+            GramModel(g, "test")
+
+    def test_integer_matrix_is_stored_as_float(self):
+        model = GramModel(np.eye(3, dtype=np.int64), "test")
+        assert model.matrix.dtype == np.float64
+        fb = frame_bounds(model)
+        assert (fb.lower, fb.upper) == (1.0, 1.0)
+
+
 class TestDualCoefficients:
     def test_identity_gram_is_self_dual(self):
         model = GramModel(np.eye(5), "test")
@@ -190,11 +221,6 @@ class TestFrameBounds:
         fb = frame_bounds(GramModel(np.diag(diag), "test"))
         assert fb.lower == pytest.approx(1.0, abs=1e-9)
         assert fb.upper == pytest.approx(3.0, abs=1e-9)
-        sp_model = GramModel(np.eye(2), "test")
-        sp_model.matrix = sparse.diags(diag).tocsr()
-        fb2 = frame_bounds(sp_model)
-        assert fb2.lower == pytest.approx(1.0, abs=1e-6)
-        assert fb2.upper == pytest.approx(3.0, abs=1e-6)
 
     def test_semidefinite_rejected(self):
         w = np.zeros((3, 3))

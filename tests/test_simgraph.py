@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.spatial import cKDTree
 
 from samplets import (
     Atom,
@@ -18,6 +19,9 @@ from samplets import (
     similarity,
     support_distance,
 )
+from samplets import simgraph
+from samplets.kernels import box_distance_matrix
+from samplets.measures import functional_boxes
 from samplets.simgraph import _knn_neighbor_sets, laplacian_from_weights
 
 
@@ -151,6 +155,51 @@ class TestLaplacian:
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
 
 
+def _dense(w):
+    return w.toarray() if sparse.issparse(w) else np.asarray(w)
+
+
+def _reference_weights(functionals, scheme):
+    """Weights straight from the scheme definitions on all box distances."""
+    lo, hi = functional_boxes(functionals)
+    if isinstance(scheme, EpsilonNeighborhood):
+        return (box_distance_matrix(lo, hi) < scheme.eps).astype(np.float64)
+    n = len(functionals)
+    nbrs = _knn_neighbor_sets(lo, hi, scheme.k)
+    w = np.zeros((n, n))
+    w[np.repeat(np.arange(n), nbrs.shape[1]), nbrs.ravel()] = 1.0
+    return np.maximum(w, w.T)
+
+
+def _line_diracs(xs):
+    return [dirac(i, [x, 0.0]) for i, x in enumerate(xs)]
+
+
+def _wide_boxes(n, d, seed):
+    """Functionals whose support boxes are wide next to their spacing."""
+    rng = np.random.default_rng(seed)
+    centers = rng.random((n, d))
+    half = 0.1 * rng.random((n, d))
+    return [_box_functional(i, c - h, c + h) for i, (c, h) in enumerate(zip(centers, half))]
+
+
+def _coincident_diracs(n, seed):
+    """Random 2d Diracs where every fifth one sits on the same point."""
+    pts = np.random.default_rng(seed).random((n, 2))
+    pts[::5] = 0.5
+    return [dirac(i, p) for i, p in enumerate(pts)]
+
+
+class _CountingKDTree(cKDTree):
+    """KD tree that records the neighbour counts it is queried with."""
+
+    query_ks = []
+
+    def query(self, x, k=1, **kwargs):
+        self.query_ks.append(k)
+        return super().query(x, k=k, **kwargs)
+
+
 class TestBuildGraph:
     def _random_diracs(self, n, d, seed):
         rng = np.random.default_rng(seed)
@@ -160,34 +209,75 @@ class TestBuildGraph:
         functionals = self._random_diracs(60, 2, 0)
         for scheme in (GaussianSimilarity(0.2), EpsilonNeighborhood(0.2), MutualKNN(4)):
             graph = build_graph(functionals, scheme)
-            w = np.asarray(graph.weights)
+            w = _dense(graph.weights)
             assert np.array_equal(w, w.T)
             assert w.min() >= 0.0
-            lap = graph.laplacian
-            assert np.abs(np.asarray(lap).sum(axis=1)).max() <= 1e-10
+            lap = _dense(graph.laplacian)
+            assert np.abs(lap.sum(axis=1)).max() <= 1e-10
             assert np.allclose(graph.degrees, w.sum(axis=1))
 
-    def test_dense_matches_pairwise_similarity(self):
+    @pytest.mark.parametrize(
+        "scheme",
+        [GaussianSimilarity(0.3), EpsilonNeighborhood(0.3), MutualKNN(4)],
+        ids=["gaussian", "epsilon", "knn"],
+    )
+    def test_weights_match_pairwise_similarity(self, scheme):
         functionals = self._random_diracs(25, 2, 1)
-        scheme = GaussianSimilarity(0.3)
-        graph = build_graph(functionals, scheme, method="dense")
+        w = _dense(build_graph(functionals, scheme).weights)
         for i in range(25):
             for j in range(25):
                 expect = similarity(functionals[i], functionals[j], scheme, functionals)
-                assert graph.weights[i, j] == pytest.approx(expect, rel=1e-14)
+                assert w[i, j] == pytest.approx(expect, rel=1e-14)
 
-    @pytest.mark.parametrize("scheme", [EpsilonNeighborhood(0.12), MutualKNN(6)])
-    def test_sparse_path_equals_dense_path(self, scheme):
-        functionals = self._random_diracs(300, 2, 5)
-        dense = build_graph(functionals, scheme, method="dense").weights
-        sparse_w = build_graph(functionals, scheme, method="sparse").weights
-        assert sparse.issparse(sparse_w)
-        assert np.array_equal(dense, sparse_w.toarray())
-
-    def test_sparse_gaussian_is_rejected(self):
+    def test_gaussian_weights_are_dense(self):
         functionals = self._random_diracs(10, 1, 2)
-        with pytest.raises(InputError):
-            build_graph(functionals, GaussianSimilarity(0.1), method="sparse")
+        w = build_graph(functionals, GaussianSimilarity(0.1)).weights
+        assert isinstance(w, np.ndarray) and w.shape == (10, 10)
+
+    @pytest.mark.parametrize(
+        "scheme", [EpsilonNeighborhood(0.12), MutualKNN(6)], ids=["epsilon", "knn"]
+    )
+    def test_sparse_weights_match_reference(self, scheme):
+        functionals = self._random_diracs(300, 2, 5)
+        w = build_graph(functionals, scheme).weights
+        assert sparse.issparse(w) and w.format == "csr"
+        assert np.array_equal(w.toarray(), _reference_weights(functionals, scheme))
+
+    @pytest.mark.parametrize(
+        "functionals, scheme",
+        [
+            pytest.param(_line_diracs([0.3]), EpsilonNeighborhood(0.1), id="eps-n1"),
+            pytest.param(_line_diracs([0.3]), MutualKNN(3), id="knn-n1"),
+            pytest.param(_line_diracs([0.0, 0.05]), EpsilonNeighborhood(0.1), id="eps-n2"),
+            pytest.param(_line_diracs([0.0, 5.0]), MutualKNN(3), id="knn-n2"),
+            pytest.param(_line_diracs([0.0, 0.1, 0.4, 0.9, 1.6]), MutualKNN(6),
+                         id="knn-n-below-k"),
+            pytest.param(_line_diracs([0.0, 0.1, 0.4, 0.9, 1.6, 2.5, 3.6]), MutualKNN(6),
+                         id="knn-n-is-k-plus-1"),
+            pytest.param(_coincident_diracs(200, 0), EpsilonNeighborhood(0.05),
+                         id="eps-coincident"),
+            pytest.param(_coincident_diracs(200, 0), MutualKNN(3), id="knn3-coincident"),
+            pytest.param(_coincident_diracs(200, 1), MutualKNN(6), id="knn6-coincident"),
+            pytest.param(_coincident_diracs(200, 2), MutualKNN(30), id="knn30-coincident"),
+            pytest.param(_wide_boxes(300, 2, 3), EpsilonNeighborhood(0.02),
+                         id="eps-wide-boxes"),
+        ],
+    )
+    def test_sparse_edge_inputs_match_reference(self, functionals, scheme):
+        w = build_graph(functionals, scheme).weights
+        assert sparse.issparse(w)
+        assert np.array_equal(w.toarray(), _reference_weights(functionals, scheme))
+
+    def test_wide_boxes_widen_the_knn_candidate_search(self, monkeypatch):
+        # box half-widths up to 0.1 next to a point spacing of ~0.06: the 23
+        # nearest centres cannot bound the 6th box distance, so the search
+        # doubles its candidate count until the sets are provably complete
+        monkeypatch.setattr(_CountingKDTree, "query_ks", [])
+        monkeypatch.setattr(simgraph, "cKDTree", _CountingKDTree)
+        functionals = _wide_boxes(300, 2, 3)
+        w = build_graph(functionals, MutualKNN(6)).weights
+        assert _CountingKDTree.query_ks[0] == 23 and len(_CountingKDTree.query_ks) > 1
+        assert np.array_equal(w.toarray(), _reference_weights(functionals, MutualKNN(6)))
 
     def test_subgraph_weights_restrict_rows_and_columns(self):
         functionals = self._random_diracs(40, 1, 3)
