@@ -366,10 +366,33 @@ def transform_matrix(basis, a):
     n = basis.n
     if a.shape != (n, n):
         raise InputError(f"matrix must be {n} x {n}")
-    scale = np.abs(a).max()
-    if not np.allclose(a, a.T, atol=1e-8 * max(scale, 1.0)):
-        raise InputError("matrix must be symmetric")
+    _check_symmetric(a)
     return basis.forward(basis.forward(a).T)
+
+
+# Entries of a compared per tile in the symmetry check (512 KiB of doubles).
+_SYM_TILE = 1 << 16
+
+
+def _check_symmetric(a):
+    """Reject a square matrix unless np.allclose(a, a.T, atol=1e-8 * max(max|a|, 1)).
+
+    The pair (i, j), (j, i) passes both allclose tests exactly when
+    |a_ij - a_ji| <= atol + 1e-5 * min(|a_ij|, |a_ji|), so only the upper
+    triangle is compared, one tile of rows against the matching tile of
+    columns at a time, without N x N temporaries.
+    """
+    hi, lo = a.max(), a.min()
+    if not (np.isfinite(hi) and np.isfinite(lo)):
+        raise InputError("matrix entries must be finite")
+    atol = 1e-8 * max(hi, -lo, 1.0)
+    n = a.shape[0]
+    step = max(1, _SYM_TILE // n)
+    for s in range(0, n, step):
+        e = min(n, s + step)
+        x, y = a[s:e, s:], a[s:, s:e].T
+        if not (np.abs(x - y) <= atol + 1e-5 * np.minimum(np.abs(x), np.abs(y))).all():
+            raise InputError("matrix must be symmetric")
 
 
 def _vanishing_scan(basis, functionals, primitives):
@@ -377,35 +400,69 @@ def _vanishing_scan(basis, functionals, primitives):
         raise InputError("functional count does not match the basis")
     if primitives is None:
         primitives = basis.primitives
+    if primitives.dimension != basis.dimension:
+        raise InputError(
+            f"primitives of dimension {primitives.dimension} for a basis of dimension {basis.dimension}"
+        )
     packed = pack_functionals(functionals)
     if packed.dimension != basis.dimension:
         raise InputError("functional dimension does not match the basis")
-    sel = np.arange(basis.n, dtype=np.int64)
-    for nd in basis.tree.nodes:
-        start, stop = basis.cluster_samplet_range(nd.node_id)
-        if stop == start:
-            continue
-        center, scale = box_affine(nd.box)
-        table = kernels.eval_table(
+    exps = primitives.exponents
+    owners = [nd for nd in basis.tree.nodes if basis.filters[nd.node_id].n_samplets]
+    by_level = {}
+    for nd in owners:
+        by_level.setdefault(nd.level, []).append(nd)
+    root = box_affine(basis.tree.root.box)
+    table_root = kernels.eval_table(
+        packed.points, packed.weights, packed.derivs, packed.offsets,
+        np.arange(basis.n, dtype=np.int64), exps, *root,
+    )
+    gram = table_root @ table_root.T
+    resid = {}
+    for group in by_level.values():
+        # clusters on one level are disjoint and a cluster's samplet rows only
+        # read inputs inside it, so one forward checks the whole level
+        affine = [box_affine(nd.box) for nd in group]
+        rows = np.concatenate([nd.indices for nd in group])
+        sizes = [nd.size for nd in group]
+        center = np.repeat([c for c, _ in affine], sizes, axis=0)
+        scale = np.repeat([s for _, s in affine], sizes, axis=0)
+        block = np.zeros((basis.n, exps.shape[0]))
+        block[rows] = kernels.eval_table(
             packed.points, packed.weights, packed.derivs, packed.offsets,
-            sel, primitives.exponents, center, scale,
-        )
-        norms = np.linalg.norm(table, axis=1)
-        coeff = basis.forward(np.ascontiguousarray(table.T))
-        block = np.abs(coeff[start:stop])
-        alive = norms > 1e-300
-        resid = float((block[:, alive] / norms[alive]).max()) if alive.any() else 0.0
-        yield nd, stop - start, resid
+            rows, exps, center, scale,
+        ).T
+        coeff = basis.forward(block)
+        for nd, box in zip(group, affine):
+            # norms over all N functionals of the primitives scaled to this
+            # box, from the root-box Gram through the exact change of basis
+            trans = _monomial_transfer(exps, root, box)
+            norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", trans @ gram, trans), 0.0))
+            start, stop = basis.cluster_samplet_range(nd.node_id)
+            part = np.abs(coeff[start:stop])
+            alive = norms > 1e-300
+            worst = float((part[:, alive] / norms[alive]).max()) if alive.any() else 0.0
+            resid[nd.node_id] = stop - start, worst
+    for nd in owners:
+        yield nd, *resid[nd.node_id]
 
 
 def verify_vanishing_moments(basis, functionals, primitives=None):
     """Largest normalized pairing of any samplet with any primitive monomial.
 
     For every cluster owning samplets, each primitive is rescaled to the
-    cluster box, applied to all functionals, pushed through the forward
-    transform, and the cluster's samplet coefficients are compared against
-    the global norm of the evaluation vector. The maximum over all clusters,
-    samplets and primitives is returned; it is zero in exact arithmetic.
+    cluster box and applied to the cluster's functionals. The clusters of one
+    level are disjoint, so their evaluations fill one N x m_P block (zero
+    outside the level's clusters) that is pushed through the real forward
+    transform once per level. A cluster's samplet coefficients are divided by
+    the norm, over all N functionals, of its rescaled primitive; these norms
+    come from the m_P x m_P Gram matrix of the root-box table and the exact
+    monomial change of basis to the cluster box. The maximum over all
+    clusters, samplets and primitives is returned; it is zero in exact
+    arithmetic. The cost is one forward transform per tree level.
+
+    primitives defaults to the basis's own; their dimension must match the
+    basis.
     """
     worst = 0.0
     for _, _, resid in _vanishing_scan(basis, functionals, primitives):
@@ -417,7 +474,10 @@ def vanishing_moment_table(basis, functionals, primitives=None):
     """Per-cluster vanishing moment residuals.
 
     Rows are (cluster_id, level, size, samplet_count, residual) for every
-    cluster that owns samplets, in preorder.
+    cluster that owns samplets, in preorder. Each residual is computed as in
+    verify_vanishing_moments: one forward transform per level checks every
+    cluster of that level, normalized by Gram-matrix norms of the primitives
+    rescaled to the cluster box.
     """
     rows = []
     for nd, cnt, resid in _vanishing_scan(basis, functionals, primitives):

@@ -7,6 +7,7 @@ matrix, frame bounds are its extreme eigenvalues, and the decay report
 measures how samplet coefficients of smooth data shrink with cluster size.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ class GramModel:
             raise InputError("Gram matrix must be square")
         if not np.isfinite(self.matrix).all():
             raise InputError("Gram matrix entries must be finite")
-        if self.mu < 0.0:
-            raise InputError("regularization shift must be nonnegative")
+        if not (math.isfinite(self.mu) and self.mu >= 0.0):
+            raise InputError(f"regularization shift must be finite and nonnegative, not {self.mu}")
 
     @property
     def n(self):

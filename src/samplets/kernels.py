@@ -30,11 +30,20 @@ def eval_table(points, weights, derivs, offsets, sel, exps, center, scale):
     """Pairings of monomials with functionals.
 
     Entry [a, j] is functional sel[j] applied to the monomial with exponent
-    row exps[a] in the coordinates (x - center) / scale. Functional atoms are
+    row exps[a] in the coordinates (x - center) / scale. center and scale
+    are one affine map of shape (d,) for all functionals, or one per
+    selected functional of shape (len(sel), d). Functional atoms are
     packed: rows offsets[i]:offsets[i+1] of points/weights/derivs belong to
     functional i.
     """
     sel = np.ascontiguousarray(sel, dtype=np.int64)
+    center = np.asarray(center, dtype=np.float64)
+    scale = np.asarray(scale, dtype=np.float64)
+    shapes = ((exps.shape[1],), (sel.shape[0], exps.shape[1]))
+    if center.shape not in shapes or scale.shape not in shapes:
+        raise InputError(
+            f"center {center.shape} and scale {scale.shape} must be {shapes[0]} or {shapes[1]}"
+        )
     out = np.zeros((exps.shape[0], sel.shape[0]))
     if sel.shape[0] == 0:
         return out
@@ -44,6 +53,10 @@ def eval_table(points, weights, derivs, offsets, sel, exps, center, scale):
     cum = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)))
     idx = np.arange(total, dtype=np.int64)
     idx += np.repeat(offsets[sel] - cum[:-1], counts)
+    if center.ndim == 2:
+        center = np.repeat(center, counts, axis=0)
+    if scale.ndim == 2:
+        scale = np.repeat(scale, counts, axis=0)
     u = (points[idx] - center) / scale
     dv = derivs[idx]
     wts = weights[idx]
@@ -53,7 +66,7 @@ def eval_table(points, weights, derivs, offsets, sel, exps, center, scale):
         for k in range(exps.shape[1]):
             ek = int(e[k])
             nu = np.minimum(dv[:, k], ek)
-            term = term * ff[ek, nu] * u[:, k] ** (ek - nu) / scale[k] ** nu
+            term = term * ff[ek, nu] * u[:, k] ** (ek - nu) / scale[..., k] ** nu
         out[a] = np.add.reduceat(term, cum[:-1])
     return out
 

@@ -9,7 +9,10 @@ from samplets import (
     ClusterFilters,
     EpsilonNeighborhood,
     GaussianSimilarity,
+    Atom,
+    Functional,
     InputError,
+    SampletBasis,
     SupportBox,
     assemble_basis,
     build_cluster_tree,
@@ -26,10 +29,12 @@ from samplets import (
     primitive_basis,
     threshold_compress,
     transform_matrix,
+    vanishing_moment_table,
     verify_vanishing_moments,
 )
 from samplets.ctree import ClusterNode, ClusterTree
-from samplets.measures import Polynomial, analysis_vector
+from samplets.kernels import eval_table
+from samplets.measures import Polynomial, analysis_vector, box_affine, pack_functionals
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +240,104 @@ class TestVanishingMoments:
                 assert np.abs(direct @ flt.q_psi).max() <= 1e-10 * scale
 
 
+def _per_cluster_scan(basis, functionals, primitives):
+    """Reference vanishing-moment rows: one full evaluation and forward per cluster."""
+    packed = pack_functionals(functionals)
+    sel = np.arange(basis.n, dtype=np.int64)
+    rows = []
+    for nd in basis.tree.nodes:
+        start, stop = basis.cluster_samplet_range(nd.node_id)
+        if stop == start:
+            continue
+        center, scale = box_affine(nd.box)
+        table = eval_table(
+            packed.points, packed.weights, packed.derivs, packed.offsets,
+            sel, primitives.exponents, center, scale,
+        )
+        norms = np.linalg.norm(table, axis=1)
+        coeff = basis.forward(np.ascontiguousarray(table.T))
+        block = np.abs(coeff[start:stop])
+        alive = norms > 1e-300
+        resid = float((block[:, alive] / norms[alive]).max()) if alive.any() else 0.0
+        rows.append((nd.node_id, nd.level, nd.size, stop - start, resid))
+    return rows
+
+
+def _derivative_functionals(n, seed):
+    """Planar Diracs, d/dx and d/dy evaluations at random points, in turn."""
+    pts = np.random.default_rng(seed).random((n, 2))
+    derivs = ([0, 0], [1, 0], [0, 1])
+    return [Functional(i, (Atom(p, 1.0, derivs[i % 3]),)) for i, p in enumerate(pts)]
+
+
+def _coincident_diracs(n, seed):
+    """Line Diracs of which half sit on four points, so some clusters have zero width."""
+    pts = np.random.default_rng(seed).random(n)
+    pts[: n // 2] = np.repeat([0.1, 0.35, 0.6, 0.85], n // 8)
+    return [dirac(i, [x]) for i, x in enumerate(pts)]
+
+
+def _scan_case(name):
+    if name == "diracs-3d":
+        functionals, _ = generate_example("random-diracs", 200, 3, seed=5)
+        scheme, leaf_max, degree = GaussianSimilarity(0.3), 16, 1
+    elif name == "p1-mass":
+        functionals, _ = generate_example("p1-mass", 128)
+        scheme, leaf_max, degree = EpsilonNeighborhood(1e-3), 16, 2
+    elif name == "derivatives-2d":
+        functionals = _derivative_functionals(150, 6)
+        scheme, leaf_max, degree = GaussianSimilarity(0.2), 16, 1
+    else:
+        functionals = _coincident_diracs(160, 7)
+        scheme, leaf_max, degree = EpsilonNeighborhood(0.01), 12, 2
+    d = functionals[0].dimension
+    tree = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=moment_dimension(d, degree))
+    return functionals, build_samplet_basis(functionals, tree, degree)
+
+
+class TestVanishingScan:
+    @pytest.fixture(scope="class", params=[
+        "small", "diracs-3d", "p1-mass", "derivatives-2d", "coincident",
+    ])
+    def scan_case(self, request, small_case):
+        if request.param == "small":
+            functionals, _, basis = small_case
+            return functionals, basis
+        return _scan_case(request.param)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["degree-q", "degree-q+1"])
+    def test_matches_the_per_cluster_scan(self, scan_case, extra, monkeypatch):
+        functionals, basis = scan_case
+        prim = primitive_basis(basis.dimension, basis.degree + extra, basis.tree.root.box)
+        expect = _per_cluster_scan(basis, functionals, prim)
+        calls = []
+        forward = SampletBasis.forward
+        monkeypatch.setattr(SampletBasis, "forward", lambda b, x: calls.append(x.shape) or forward(b, x))
+        rows = vanishing_moment_table(basis, functionals, prim)
+        levels = {basis.tree.nodes[int(c)].level for c in basis.samplet_clusters}
+        assert len(calls) == len(levels) >= 3
+        assert [r[:4] for r in rows] == [r[:4] for r in expect]
+        for got, ref in zip(rows, expect):
+            assert abs(got[4] - ref[4]) <= 1e-15 + 1e-12 * abs(ref[4])
+        worst = max(r[4] for r in rows)
+        assert worst <= 1e-9 if extra == 0 else worst >= 1e-6
+
+    def test_coincident_case_has_zero_width_clusters(self):
+        functionals, basis = _scan_case("coincident")
+        flat = [nd for nd in basis.tree.nodes
+                if basis.filters[nd.node_id].n_samplets and nd.box.diameter == 0.0]
+        assert flat
+
+    @pytest.mark.parametrize("dimension", [1, 3], ids=["d-1", "d+1"])
+    def test_primitive_dimension_must_match(self, small_case, dimension):
+        functionals, tree, basis = small_case
+        prim = primitive_basis(dimension, 1)
+        with pytest.raises(InputError, match="dimension"):
+            verify_vanishing_moments(basis, functionals, prim)
+        with pytest.raises(InputError, match="dimension"):
+            vanishing_moment_table(basis, functionals, prim)
+
+
 class TestRowAccessAndMetadata:
     def test_samplet_rows_match_the_dense_matrix(self, small_case):
         _, _, basis = small_case
@@ -302,6 +405,30 @@ class TestTransformMatrix:
         out = transform_matrix(basis, np.outer(x, x))
         ux = basis.forward(x)
         assert np.allclose(out, np.outer(ux, ux), atol=1e-10)
+
+    def test_small_off_diagonal_change_rejected(self, small_case):
+        _, _, basis = small_case
+        a = np.eye(basis.n)
+        a[3, 17] = 1e-3
+        with pytest.raises(InputError, match="symmetric"):
+            transform_matrix(basis, a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, small_case, bad):
+        _, _, basis = small_case
+        a = np.eye(basis.n)
+        a[5, 9] = a[9, 5] = bad
+        with pytest.raises(InputError, match="finite"):
+            transform_matrix(basis, a)
+
+    def test_rounding_level_asymmetry_accepted(self, small_case):
+        _, _, basis = small_case
+        b = np.random.default_rng(8).normal(size=(basis.n, basis.n))
+        gram = b @ b.T
+        gram[np.triu_indices(basis.n, 1)] *= 1 + 4e-16
+        assert not np.array_equal(gram, gram.T)
+        out = transform_matrix(basis, gram)
+        assert np.allclose(out, basis.forward(basis.forward(gram).T), atol=1e-12)
 
     def test_symmetry_required_and_preserved(self, small_case):
         _, _, basis = small_case

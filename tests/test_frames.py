@@ -159,6 +159,11 @@ class TestGramModel:
         with pytest.raises(InputError):
             GramModel(g, "test")
 
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -1e-12])
+    def test_bad_shift_rejected(self, mu):
+        with pytest.raises(InputError, match="regularization shift"):
+            GramModel(np.eye(2), "test", mu=mu)
+
     def test_integer_matrix_is_stored_as_float(self):
         model = GramModel(np.eye(3, dtype=np.int64), "test")
         assert model.matrix.dtype == np.float64

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from samplets import primitive_basis
+from samplets import InputError, primitive_basis
 from samplets.kernels import (
     box_distance_matrix,
     box_gap_pairs,
@@ -60,6 +60,40 @@ class TestEvalTable:
                 assert table[a, j] == pytest.approx(
                     evaluate(functionals[fi], poly), abs=1e-12
                 )
+
+    def test_one_affine_map_per_functional(self):
+        rng = np.random.default_rng(8)
+        packed = pack_functionals(_random_functionals(rng, 9, 2))
+        exps = primitive_basis(2, 3).exponents
+        sel = np.array([8, 0, 4, 5])
+        center = rng.normal(size=(sel.size, 2))
+        scale = rng.random((sel.size, 2)) + 0.1
+        table = eval_table(
+            packed.points, packed.weights, packed.derivs, packed.offsets,
+            sel, exps, center, scale,
+        )
+        for j, fi in enumerate(sel):
+            one = eval_table(
+                packed.points, packed.weights, packed.derivs, packed.offsets,
+                sel[j:j + 1], exps, center[j], scale[j],
+            )
+            assert np.array_equal(table[:, j], one[:, 0])
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (4, 2), (2, 2, 1), ()])
+    def test_bad_affine_shape_rejected(self, shape):
+        rng = np.random.default_rng(9)
+        packed = pack_functionals(_random_functionals(rng, 3, 2))
+        prim = primitive_basis(2, 1)
+        with pytest.raises(InputError, match="center"):
+            eval_table(
+                packed.points, packed.weights, packed.derivs, packed.offsets,
+                np.arange(3), prim.exponents, np.zeros(shape), prim.scale,
+            )
+        with pytest.raises(InputError, match="scale"):
+            eval_table(
+                packed.points, packed.weights, packed.derivs, packed.offsets,
+                np.arange(3), prim.exponents, prim.center, np.ones(shape),
+            )
 
     def test_empty_selection(self):
         rng = np.random.default_rng(5)
