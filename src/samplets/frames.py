@@ -45,11 +45,21 @@ class Green:
 
 @dataclass
 class GramModel:
-    """Symmetric positive definite pairing of a functional set with itself."""
+    """Symmetric positive definite pairing of a functional set with itself.
+
+    The extreme eigenvalues of the effective matrix are computed once and
+    kept until matrix or mu is reassigned; changing matrix entries in place
+    is not detected.
+    """
 
     matrix: np.ndarray
     provenance: object
     mu: float = 0.0
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name in ("matrix", "mu"):
+            super().__setattr__("_extremes", None)
 
     def __post_init__(self):
         try:
@@ -163,12 +173,17 @@ def gram_green_1d(points):
     return GramModel(g, Green("dirichlet laplacian on (0, 1)"))
 
 
-def _spd_extremes(g):
-    """Smallest and largest eigenvalue of a symmetric positive definite matrix."""
-    w = np.linalg.eigvalsh(g)
-    if not w[0] > 0.0:
-        raise NumericalError(f"Gram matrix is not positive definite (lambda_min = {w[0]:.3e})")
-    return float(w[0]), float(w[-1])
+def _spd_extremes(model):
+    """Smallest and largest eigenvalue of the model's effective matrix.
+
+    Raises NumericalError unless it is positive definite.
+    """
+    if model._extremes is None:
+        w = np.linalg.eigvalsh(model.effective())
+        if not w[0] > 0.0:
+            raise NumericalError(f"Gram matrix is not positive definite (lambda_min = {w[0]:.3e})")
+        model._extremes = (float(w[0]), float(w[-1]))
+    return model._extremes
 
 
 @dataclass(frozen=True)
@@ -185,19 +200,18 @@ class FrameBounds:
 
 def frame_bounds(model):
     """Frame bounds of the Gram model; rejects non positive definite input."""
-    return FrameBounds(*_spd_extremes(model.effective()))
+    return FrameBounds(*_spd_extremes(model))
 
 
 def _spd_solve(model, rhs, cond_cap=_COND_CAP):
-    g = model.effective()
-    lo, hi = _spd_extremes(g)
+    lo, hi = _spd_extremes(model)
     cond = hi / lo
     if cond > cond_cap:
         raise ConditionNumberError(
             f"Gram condition estimate {cond:.3e} above cap {cond_cap:.1e}",
             estimate=cond,
         )
-    return cho_solve(cho_factor(g), rhs)
+    return cho_solve(cho_factor(model.effective()), rhs)
 
 
 def dual_coefficients(model, cond_cap=_COND_CAP):

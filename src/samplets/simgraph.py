@@ -22,6 +22,7 @@ from .errors import InputError
 from .measures import functional_boxes, support_box
 
 _GAUSSIAN_LIMIT = 16384
+_WIDE_MAX = 32  # wide-box outliers searched exhaustively by the kNN graph
 
 
 @dataclass(frozen=True)
@@ -63,17 +64,19 @@ def support_distance(f, g):
     return support_box(f).distance(support_box(g))
 
 
-def _knn_neighbor_sets(lo, hi, k):
-    """Dense k nearest neighbor sets by box distance, self excluded.
+def _knn_neighbor_sets(lo, hi, k, rows=None):
+    """k nearest neighbors by box distance of the given rows (all by default).
 
-    Ties are resolved toward the smaller functional index by the stable sort.
+    The functional itself is excluded, and ties are resolved toward the
+    smaller functional index by the stable sort.
     """
     n = lo.shape[0]
     k = min(k, n - 1)
-    dist = kernels.box_distance_matrix(lo, hi)
-    np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")
-    return order[:, :k]
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    every = np.tile(np.arange(n), rows.size)
+    dist = kernels.box_gap_pairs(lo, hi, np.repeat(rows, n), every).reshape(rows.size, n)
+    dist[np.arange(rows.size), rows] = np.inf
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
 
 
 def similarity(f, g, scheme, functionals=None):
@@ -98,8 +101,8 @@ def similarity(f, g, scheme, functionals=None):
         if i == j:
             return 0.0
         lo, hi = functional_boxes(functionals)
-        nbrs = _knn_neighbor_sets(lo, hi, scheme.k)
-        return 1.0 if (j in nbrs[i]) or (i in nbrs[j]) else 0.0
+        nbr_i, nbr_j = _knn_neighbor_sets(lo, hi, scheme.k, rows=[i, j])
+        return 1.0 if (j in nbr_i) or (i in nbr_j) else 0.0
     raise InputError(f"unknown similarity scheme {scheme!r}")
 
 
@@ -168,29 +171,63 @@ def _build_sparse_epsilon(lo, hi, centers, radii, scheme):
     return sparse.coo_matrix((vals, (ii, jj)), shape=(n, n)).tocsr()
 
 
+def _nearest(gaps, cand, k):
+    """Per row, the k candidates of smallest gap (ties: lower index first)."""
+    take = np.lexsort((cand, gaps), axis=1)[:, :k]
+    return np.take_along_axis(cand, take, axis=1), np.take_along_axis(gaps, take[:, -1:], axis=1)[:, 0]
+
+
+def _wide_outliers(radii):
+    """The few functionals whose box radius is far above the rest.
+
+    At most _WIDE_MAX of those with a radius above twice the 90th percentile,
+    largest first (lower index on ties), sorted.
+    """
+    if radii.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    big = np.flatnonzero(radii > 2.0 * np.quantile(radii, 0.9))
+    big = big[np.lexsort((big, -radii[big]))][:_WIDE_MAX]
+    return np.sort(big)
+
+
 def _build_sparse_knn(lo, hi, centers, radii, scheme):
+    # Narrow rows take candidates from a KD tree over the narrow centres plus
+    # every wide outlier, so the completeness bound only needs the narrow
+    # radii; the wide rows compare against all functionals.
     n = lo.shape[0]
     k = min(scheme.k, n - 1)
     if k == 0:
         return sparse.csr_matrix((n, n))
-    tree = cKDTree(centers)
-    rmax = float(radii.max(initial=0.0))
-    rows = np.arange(n)[:, None]
-    kq = min(n, k + 17)
+    wide = _wide_outliers(radii)
+    narrow = np.setdiff1d(np.arange(n), wide)
+    tree = cKDTree(centers[narrow])
+    rmax = float(radii[narrow].max(initial=0.0))
+    rows = narrow[:, None]
+    kq = min(narrow.size, k + 17)
     while True:
-        dd, cand = tree.query(centers, k=kq)
-        gaps = kernels.box_gap_pairs(lo, hi, np.repeat(rows, kq), cand.ravel()).reshape(n, kq)
+        dd, cand = tree.query(centers[narrow], k=kq)
+        dd, cand = dd.reshape(narrow.size, kq), narrow[cand.reshape(narrow.size, kq)]
+        cand = np.hstack((cand, np.broadcast_to(wide, (narrow.size, wide.size))))
+        gaps = kernels.box_gap_pairs(lo, hi, np.repeat(narrow, cand.shape[1]), cand.ravel())
+        gaps = gaps.reshape(cand.shape)
         gaps[cand == rows] = np.inf
-        take = np.lexsort((cand, gaps), axis=1)[:, :k]
-        kth = np.take_along_axis(gaps, take[:, -1:], axis=1)[:, 0]
-        # a candidate set is complete once no center outside the query radius
-        # can reach or tie the kth box distance (ties go to the lower index);
-        # the margin covers rounding between KD tree and box distances
-        if kq == n or np.all(kth < dd[:, -1] * (1.0 - 1e-9) - 2.0 * rmax):
+        nbrs, kth = _nearest(gaps, cand, k)
+        # a candidate set is complete once no narrow centre outside the query
+        # radius can reach or tie the kth box distance (ties go to the lower
+        # index); the margin covers rounding between KD tree and box distances
+        if kq == narrow.size or np.all(kth < dd[:, -1] * (1.0 - 1e-9) - 2.0 * rmax):
             break
-        kq = min(n, kq * 2)
-    cols = np.take_along_axis(cand, take, axis=1).ravel()
-    mat = sparse.csr_matrix((np.ones(cols.size), (np.repeat(rows, k), cols)), shape=(n, n))
+        kq = min(narrow.size, kq * 2)
+    src = [np.repeat(narrow, k)]
+    dst = [nbrs.ravel()]
+    if wide.size:
+        every = np.broadcast_to(np.arange(n), (wide.size, n))
+        gaps = kernels.box_gap_pairs(lo, hi, np.repeat(wide, n), every.ravel()).reshape(wide.size, n)
+        gaps[np.arange(wide.size), wide] = np.inf
+        src.append(np.repeat(wide, k))
+        dst.append(_nearest(gaps, every, k)[0].ravel())
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    mat = sparse.csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
     return mat.maximum(mat.T)
 
 

@@ -3,20 +3,26 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import eigsh
 
 from samplets import (
     EpsilonNeighborhood,
     GaussianSimilarity,
     InputError,
+    MutualKNN,
     build_cluster_tree,
     build_graph,
     dirac,
     fiedler_vector,
     generate_example,
+    moment_dimension,
     spectral_bisection,
 )
-from samplets.ctree import ClusterNode, ClusterTree
+from samplets import ctree
+from samplets.ctree import ClusterNode, ClusterTree, _balanced_sides
 from samplets.simgraph import laplacian_from_weights
+from test_acceptance import _check_tree
 
 
 def _path_laplacian(n, weights=None):
@@ -237,3 +243,231 @@ def _unit_box():
     from samplets import SupportBox
 
     return SupportBox([0.0], [1.0])
+
+
+# -- the recursive per-cluster bisection that the level solver replaced ------
+
+
+def _ref_fiedler(lap):
+    """Fiedler vector by dense eigh up to 512 vertices, else shift-invert ARPACK."""
+    n = lap.shape[0]
+    scale = max(float(np.asarray(abs(lap).sum(axis=1)).max()), 1e-30)
+    if n <= 512:
+        dense = lap.toarray() if sparse.issparse(lap) else lap
+        w, vecs = np.linalg.eigh(dense)
+        lam, v = w[1], vecs[:, 1]
+    else:
+        v0 = np.random.default_rng(0x5EED).standard_normal(n)
+        vals, vecs = eigsh(lap.tocsc() if sparse.issparse(lap) else lap, k=2,
+                           sigma=-1e-8 * scale, which="LM", v0=v0, tol=0)
+        order = np.argsort(vals)
+        lam, v = vals[order[1]], vecs[:, order[1]]
+    v = v / np.linalg.norm(v)
+    assert np.linalg.norm(lap @ v - lam * v) <= 1e-8 * scale
+    return -v if v[np.argmax(np.abs(v))] < 0.0 else v
+
+
+def _ref_component_split(labels, ncomp, idx):
+    """Whole components, largest first, each onto the lighter side."""
+    sizes = np.bincount(labels, minlength=ncomp)
+    first = np.full(ncomp, labels.size, dtype=np.int64)
+    for pos in range(labels.size - 1, -1, -1):
+        first[labels[pos]] = pos
+    order = sorted(range(ncomp), key=lambda c: (-int(sizes[c]), int(first[c])))
+    side = np.zeros(ncomp, dtype=np.int64)
+    tally = [0, 0]
+    for c in order:
+        s = 0 if tally[0] <= tally[1] else 1
+        side[c] = s
+        tally[s] += int(sizes[c])
+    mask = side[labels] == 0
+    return idx[mask], idx[~mask]
+
+
+def _reference_tree(graph, leaf_max, moment_dim):
+    """Children of every cluster of the recursive bisection, keyed by
+    (level, indices), and the clusters whose component split it rolled back."""
+    n = graph.n
+    children = {}
+    rolled = set()
+    stack = [(np.arange(n), 0)]
+    while stack:
+        idx, level = stack.pop()
+        key = (level, tuple(idx.tolist()))
+        children[key] = ()
+        if idx.size <= leaf_max:
+            continue
+        w = graph.subgraph_weights(idx)
+        ncomp = 1
+        if sparse.issparse(w) or w.min() == 0.0:
+            ncomp, labels = connected_components(w, directed=False)
+        if ncomp > 1:
+            part1, part2 = _ref_component_split(labels, ncomp, idx)
+        else:
+            v = _ref_fiedler(laplacian_from_weights(w))
+            part1, part2 = idx[v >= 0.0], idx[v < 0.0]
+        if min(part1.size, part2.size) <= moment_dim:
+            if ncomp > 1:
+                rolled.add(key)
+            continue
+        children[key] = tuple((level + 1, tuple(p.tolist())) for p in (part1, part2))
+        stack.extend((p, level + 1) for p in (part1, part2))
+    return children, rolled
+
+
+def _fiedler_gap(graph, idx):
+    """(lambda_3 - lambda_2) over the Gershgorin bound of a cluster's Laplacian."""
+    lap = laplacian_from_weights(graph.subgraph_weights(idx))
+    lap = lap.toarray() if sparse.issparse(lap) else lap
+    w = np.linalg.eigvalsh(lap)
+    return (w[2] - w[1]) / np.abs(lap).sum(axis=1).max()
+
+
+def _assert_matches_reference(tree, graph, leaf_max, moment_dim):
+    """Walk both trees from the root; where a shared cluster is split
+    differently, the reference must have rolled back its component split,
+    or the cluster's Fiedler vector must be ambiguous (lambda_2 = lambda_3).
+    Returns those clusters as (key, reason)."""
+    ref, rolled = _reference_tree(graph, leaf_max, moment_dim)
+    kids = {(nd.level, tuple(nd.indices.tolist())):
+            tuple((c.level, tuple(c.indices.tolist())) for c in nd.children)
+            for nd in tree.nodes}
+    differing = []
+    stack = [(0, tuple(range(graph.n)))]
+    while stack:
+        key = stack.pop()
+        if set(kids[key]) == set(ref[key]):
+            stack.extend(kids[key])
+        elif key in rolled:
+            differing.append((key, "rolled back"))
+        else:
+            gap = _fiedler_gap(graph, np.array(key[1]))
+            assert gap <= 1e-9, f"split of a {len(key[1])}-cluster differs, gap {gap:.2e}"
+            differing.append((key, "lambda_2 = lambda_3"))
+    return differing
+
+
+def _coincident_knn_case():
+    pts = np.random.default_rng(8).random((800, 2))
+    pts[::5] = 0.5
+    return [dirac(i, p) for i, p in enumerate(pts)], MutualKNN(6), 24, 3
+
+
+_REFERENCE_CASES = {
+    # small versions of the three bench inputs
+    "build-1d": lambda: (generate_example("random-diracs", 2048, 1, 3)[0],
+                         EpsilonNeighborhood(8 / 2047), 32, moment_dimension(1, 2)),
+    "kernel-2d": lambda: (generate_example("random-diracs", 1536, 2, 3)[0],
+                          MutualKNN(8), 32, moment_dimension(2, 2)),
+    # hundreds of components
+    "apply-1d": lambda: (generate_example("random-diracs", 2048, 1, 3)[0],
+                         EpsilonNeighborhood(2.5 / 2047), 32, moment_dimension(1, 2)),
+    "gaussian": lambda: (generate_example("random-diracs", 600, 2, 1)[0],
+                         GaussianSimilarity(0.15), 16, moment_dimension(2, 1)),
+    "knn-coincident": _coincident_knn_case,
+}
+
+
+def _internal(tree):
+    return sum(1 for nd in tree.nodes if not nd.is_leaf)
+
+
+def _path_total(stats):
+    return stats["dense"] + stats["level_lu"] + stats["fallback"] + stats["components"]
+
+
+class TestLevelSolver:
+    @pytest.mark.parametrize("key", sorted(_REFERENCE_CASES))
+    def test_tree_matches_recursive_reference(self, key):
+        functionals, scheme, leaf_max, mdim = _REFERENCE_CASES[key]()
+        graph = build_graph(functionals, scheme)
+        tree = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=mdim, graph=graph)
+        differing = _assert_matches_reference(tree, graph, leaf_max, mdim)
+        # 160 functionals on one point give a cluster with lambda_2 = lambda_3
+        allowed = {"rolled back", "lambda_2 = lambda_3"} if key == "knn-coincident" else {
+            "rolled back"}
+        assert {reason for _, reason in differing} <= allowed
+        assert_tree_invariants(tree, mdim)
+        assert _path_total(tree.stats) == _internal(tree) + tree.stats["rolled_back"]
+
+    def test_component_collapse_bisects_the_largest_component(self):
+        # one giant epsilon component and a few isolated functionals: the
+        # balanced component split is 2995 | 5, which the recursive build
+        # rolled back into a single 3000-functional leaf
+        functionals, _ = generate_example("random-diracs", 3000, 2, 4)
+        scheme, mdim = EpsilonNeighborhood(0.03), moment_dimension(2, 2)
+        graph = build_graph(functionals, scheme)
+        tree = build_cluster_tree(functionals, scheme, 32, moment_dim=mdim, graph=graph)
+        differing = _assert_matches_reference(tree, graph, 32, mdim)
+        assert differing == [((0, tuple(range(3000))), "rolled back")]
+        assert tree.depth >= 5 and len(tree.leaves()) >= 3000 // 64
+        assert tree.stats["component_bisections"] >= 1
+        # the isolated functionals join the smaller half of the giant component
+        ncomp, labels = connected_components(graph.weights, directed=False)
+        giant = labels == np.argmax(np.bincount(labels))
+        halves = [nd.indices[giant[nd.indices]] for nd in tree.root.children]
+        with_rest = [i for i, nd in enumerate(tree.root.children) if not giant[nd.indices].all()]
+        assert ncomp > 1 and len(with_rest) == 1
+        assert halves[with_rest[0]].size <= halves[1 - with_rest[0]].size
+        _check_tree(tree, mdim)
+
+    def test_unconverged_clusters_fall_back_to_arpack(self, monkeypatch):
+        # one iteration never settles a cluster, so every large cluster
+        # takes the counted per-cluster fallback and the tree is unchanged
+        monkeypatch.setattr(ctree, "_MAX_ITER", 1)
+        functionals, scheme, leaf_max, mdim = _REFERENCE_CASES["build-1d"]()
+        graph = build_graph(functionals, scheme)
+        tree = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=mdim, graph=graph)
+        assert _assert_matches_reference(tree, graph, leaf_max, mdim) == []
+        assert tree.stats["level_lu"] == 0 and tree.stats["fallback"] > 0
+        assert tree.stats["max_fiedler_residual"] <= 1e-8
+
+    def test_stats_count_every_split_attempt(self):
+        functionals, _ = generate_example("random-diracs", 3000, 2, 4)
+        tree = build_cluster_tree(functionals, EpsilonNeighborhood(0.03), 32, moment_dim=6)
+        stats = tree.stats
+        assert set(stats) == {"dense", "level_lu", "fallback", "components",
+                              "component_bisections", "rolled_back", "lu_factorizations",
+                              "max_fiedler_residual"}
+        assert _path_total(stats) == _internal(tree) + stats["rolled_back"]
+        assert stats["dense"] > 0 and stats["level_lu"] > 0 and stats["lu_factorizations"] > 0
+        assert 0.0 < stats["max_fiedler_residual"] <= 1e-8
+
+    def test_single_leaf_tree_has_zero_counts(self):
+        functionals, _ = generate_example("uniform-diracs", 8)
+        tree = build_cluster_tree(functionals, GaussianSimilarity(0.5), 8, moment_dim=1)
+        assert _path_total(tree.stats) == 0 and tree.stats["rolled_back"] == 0
+        assert ClusterTree.finalize(tree.root).stats == {}
+
+    def test_level_split_equals_one_cluster_splits(self):
+        # clusters bisected together in one level pass split as they do alone
+        functionals, _ = generate_example("random-diracs", 1200, 1, 5)
+        graph = build_graph(functionals, EpsilonNeighborhood(8 / 1199))
+        tree = build_cluster_tree(functionals, None, 32, moment_dim=3, graph=graph)
+        for nd in tree.nodes:
+            if nd.is_leaf:
+                continue
+            parts = spectral_bisection(nd.indices, graph)
+            assert {tuple(p) for p in parts} == {tuple(c.indices) for c in nd.children}
+
+    def test_balanced_sides_match_the_greedy_loop(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            nclusters = int(rng.integers(1, 6))
+            counts = rng.integers(1, 12, size=nclusters)
+            cluster = np.repeat(np.arange(nclusters), counts)
+            size = rng.choice([1, 1, 1, 2, 3, 5, 8, 40], size=cluster.size)
+            low = rng.permutation(cluster.size * 3)[:cluster.size]
+            side, lead = _balanced_sides(cluster, size, low, nclusters)
+            for c in range(nclusters):
+                comps = np.flatnonzero(cluster == c)
+                # the loop's positions: each component's vertices in index order
+                labels = np.repeat(np.arange(comps.size), size[comps])
+                labels = labels[np.argsort(np.repeat(low[comps], size[comps]), kind="stable")]
+                idx = np.arange(labels.size)
+                part1, _ = _ref_component_split(labels, comps.size, idx)
+                expect = np.zeros(comps.size, dtype=np.int64)
+                expect[np.unique(labels[np.isin(idx, part1, invert=True)])] = 1
+                assert np.array_equal(side[comps], expect)
+                big = comps[np.lexsort((low[comps], -size[comps]))[0]]
+                assert lead[c] == big

@@ -25,7 +25,7 @@ from samplets import (
     gram_mass_p1,
     verify_vanishing_moments,
 )
-from samplets.frames import GramModel
+from samplets.frames import FrameBounds, GramModel
 from samplets.measures import Polynomial, evaluate, primitive_basis
 
 
@@ -241,6 +241,42 @@ def kernel_basis_64():
     tree = build_cluster_tree(functionals, EpsilonNeighborhood(2.5 / 63), 8, moment_dim=3)
     basis = build_samplet_basis(functionals, tree, 2)
     return functionals, model, basis
+
+
+class TestSpectrumCache:
+    def test_one_eigvalsh_for_bounds_and_dual_samplets(self, kernel_basis_64, monkeypatch):
+        _, model, basis = kernel_basis_64
+        model = GramModel(model.matrix, model.provenance)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        fb = frame_bounds(model)
+        d = dual_samplet_coefficients(basis, model)
+        assert calls == [(basis.n, basis.n)]
+        assert fb == frame_bounds(model)
+        assert np.abs(basis.forward(model.matrix @ d) - np.eye(basis.n)).max() <= 1e-8
+
+    def test_reassigned_matrix_or_shift_is_not_stale(self):
+        model = GramModel(np.diag([2.0, 0.5]), "test")
+        assert frame_bounds(model) == FrameBounds(0.5, 2.0)
+        model.mu = 1.0
+        assert frame_bounds(model) == FrameBounds(1.5, 3.0)
+        model.matrix = np.diag([4.0, 1.0])
+        assert frame_bounds(model) == FrameBounds(2.0, 5.0)
+        model.matrix = -np.eye(2)
+        with pytest.raises(NumericalError):
+            frame_bounds(model)
+
+    def test_failed_spectrum_is_not_cached(self):
+        model = GramModel(-np.eye(2), "test")
+        for _ in range(2):
+            with pytest.raises(NumericalError):
+                dual_coefficients(model)
 
 
 class TestDualSamplets:

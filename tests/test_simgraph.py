@@ -190,6 +190,18 @@ def _coincident_diracs(n, seed):
     return [dirac(i, p) for i, p in enumerate(pts)]
 
 
+def _wide_outliers(n, wide, seed):
+    """Random 2d Diracs, every fifth on one point, then wide functionals
+    spanning the unit square or most of it."""
+    functionals = _coincident_diracs(n, seed)
+    rng = np.random.default_rng(seed)
+    for t in range(wide):
+        lower = 0.2 * rng.random(2) if t else np.zeros(2)
+        upper = 1.0 - 0.2 * rng.random(2) if t else np.ones(2)
+        functionals.append(_box_functional(n + t, lower, upper))
+    return functionals
+
+
 class _CountingKDTree(cKDTree):
     """KD tree that records the neighbour counts it is queried with."""
 
@@ -261,6 +273,10 @@ class TestBuildGraph:
             pytest.param(_coincident_diracs(200, 2), MutualKNN(30), id="knn30-coincident"),
             pytest.param(_wide_boxes(300, 2, 3), EpsilonNeighborhood(0.02),
                          id="eps-wide-boxes"),
+            pytest.param(_wide_outliers(300, 1, 4), MutualKNN(3), id="knn3-one-wide"),
+            pytest.param(_wide_outliers(300, 3, 5), MutualKNN(8), id="knn8-three-wide"),
+            pytest.param(_wide_outliers(300, 40, 6), MutualKNN(5), id="knn5-forty-wide"),
+            pytest.param(_wide_outliers(5, 2, 7), MutualKNN(6), id="knn-mostly-wide"),
         ],
     )
     def test_sparse_edge_inputs_match_reference(self, functionals, scheme):
@@ -278,6 +294,17 @@ class TestBuildGraph:
         w = build_graph(functionals, MutualKNN(6)).weights
         assert _CountingKDTree.query_ks[0] == 23 and len(_CountingKDTree.query_ks) > 1
         assert np.array_equal(w.toarray(), _reference_weights(functionals, MutualKNN(6)))
+
+    def test_wide_outliers_keep_the_knn_search_narrow(self, monkeypatch):
+        # one functional spanning the unit square next to 1500 Diracs: it is
+        # searched exhaustively, so the KD queries stay at the first size
+        # instead of widening to every functional
+        monkeypatch.setattr(_CountingKDTree, "query_ks", [])
+        monkeypatch.setattr(simgraph, "cKDTree", _CountingKDTree)
+        functionals = self._random_diracs(1500, 2, 9) + [_box_functional(1500, [0, 0], [1, 1])]
+        w = build_graph(functionals, MutualKNN(8)).weights
+        assert _CountingKDTree.query_ks == [25]
+        assert np.array_equal(w.toarray(), _reference_weights(functionals, MutualKNN(8)))
 
     def test_subgraph_weights_restrict_rows_and_columns(self):
         functionals = self._random_diracs(40, 1, 3)
