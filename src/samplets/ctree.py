@@ -12,14 +12,18 @@ The tree is built one level at a time. For all clusters of a level at once:
 - one `connected_components` call over the intra-cluster edges labels the
   components of every cluster, and the balanced component assignment runs
   as array operations; a component split whose smaller side could carry no
-  samplet bisects the largest component instead;
+  samplet bisects the largest component instead, when that component has
+  more than moment_dim + 1 functionals;
 - clusters of at most 128 functionals get their Fiedler pair from a LAPACK
   subset solve (`dsyevr`) of their dense Laplacian;
-- larger clusters share one sparse LU of their block-diagonal Laplacian,
-  shifted by 1e-8 times each cluster's Gershgorin bound, and a block inverse
-  subspace iteration with one Rayleigh-Ritz step per cluster and iteration,
-  started from the previous level's last iterate; a cluster it cannot
-  resolve falls back to shift-invert ARPACK.
+- larger clusters of a sparse graph share one sparse LU of their
+  block-diagonal Laplacian, shifted by 1e-8 times each cluster's Gershgorin
+  bound, and a block inverse subspace iteration with one Rayleigh-Ritz step
+  per cluster and iteration, started from the previous level's last
+  iterate; a cluster it cannot resolve falls back to shift-invert ARPACK;
+- larger clusters of a dense (Gaussian) graph go to shift-invert ARPACK
+  directly: their lambda_3, lambda_4, ... lie within a few percent of each
+  other, so the subspace iteration would stall on them.
 Every Fiedler pair must pass the residual check ||L v - lambda v|| <= rtol
 times the cluster's Gershgorin bound. `spectral_bisection` and
 `fiedler_vector` are one-cluster calls of the same solver. A 2^16-point
@@ -31,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lapack, lu_factor, lu_solve
+from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
 from .errors import EigenSolverError, InputError
 from .measures import SupportBox, functional_boxes
@@ -116,7 +120,7 @@ def _new_stats():
     return {
         "dense": 0,  # Fiedler pair from the dense subset solve
         "level_lu": 0,  # Fiedler pair from the level LU iteration
-        "fallback": 0,  # Fiedler pair from per-cluster ARPACK
+        "arpack": 0,  # Fiedler pair from per-cluster shift-invert ARPACK
         "components": 0,  # split into groups of whole components
         "component_bisections": 0,  # component splits that bisected the largest component
         "rolled_back": 0,
@@ -156,17 +160,15 @@ def _dense_pair(lap):
     return float(w[1]), z[:, 1]
 
 
-def _arpack_pair(lap, scale, inverse=None):
+def _arpack_pair(lap, scale):
     # shift-invert around a small negative shift keeps L - sigma I positive
-    # definite and maps the two smallest eigenvalues to the two largest;
-    # inverse, when given, already applies (L - sigma I)^-1
+    # definite and maps the two smallest eigenvalues to the two largest
     rng = np.random.default_rng(_FIEDLER_SEED)
     v0 = rng.standard_normal(lap.shape[0])
     last = None
     for ncv in (None, 64, 128):
         try:
-            vals, vecs = eigsh(lap, k=2, sigma=-1e-8 * scale, which="LM", v0=v0, ncv=ncv, tol=0,
-                               OPinv=inverse)
+            vals, vecs = eigsh(lap, k=2, sigma=-1e-8 * scale, which="LM", v0=v0, ncv=ncv, tol=0)
         except (ArpackNoConvergence, RuntimeError) as exc:
             last = exc
             continue
@@ -188,33 +190,26 @@ def _checked(lap, lam, v, rtol, stats):
 
 
 def _subspace_pairs(lap, starts, x0, rtol):
-    """Fiedler pairs of the diagonal blocks of a block-diagonal Laplacian.
+    """Fiedler pairs of the diagonal blocks of a sparse block-diagonal Laplacian.
 
     One LU of A = L + 1e-8 diag(scale) serves every block (scale is the
     block's Gershgorin bound). Each iteration solves A Y = X for the whole
     (n, K) block at once, removes each block's constant, and replaces each
     block's X by its Ritz vectors from a K x K Rayleigh-Ritz step on Y. A
     block is done once its lowest Ritz pair passes the residual check and
-    its unit vector moved by at most _CONVERGED in the last iteration. A
-    block whose measured rate of convergence cannot get it there within
-    _MAX_ITER iterations (lambda_2 close to lambda_K+2) is given up early.
-    Returns the concatenated unit vectors, the residuals over scale, the
-    done mask and the solve with A; the caller handles blocks not done. x0
-    is overwritten with the last iterate.
+    its unit vector moved by at most _CONVERGED in the last iteration.
+    Returns the concatenated unit vectors, the residuals over scale and the
+    done mask; the caller handles blocks not done. x0 is overwritten with
+    the last iterate.
     """
     sizes = np.diff(starts)
     first = starts[:-1]
     seg = np.repeat(np.arange(sizes.size), sizes)
     scale = np.maximum(np.maximum.reduceat(_row_abs_sums(lap), first), 1e-30)
-    shift = 1e-8 * scale[seg]
-    if sparse.issparse(lap):
-        # L + shift is symmetric positive definite: a symmetric fill-reducing
-        # order and no pivoting
-        solve = splu((lap + sparse.diags(shift)).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options={"SymmetricMode": True}).solve
-    else:
-        factors = lu_factor(lap + np.diag(shift))
-        solve = lambda b: lu_solve(factors, b)  # noqa: E731
+    # L + shift is symmetric positive definite: a symmetric fill-reducing
+    # order and no pivoting
+    solve = splu((lap + sparse.diags(1e-8 * scale[seg])).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                 diag_pivot_thresh=0.0, options={"SymmetricMode": True}).solve
 
     def blocksum(a):
         return np.add.reduceat(a, first, axis=0)
@@ -230,9 +225,9 @@ def _subspace_pairs(lap, starts, x0, rtol):
     done = np.zeros(sizes.size, dtype=bool)
     gram = np.empty((sizes.size, k, k))
     proj = np.empty((sizes.size, k, k))
-    prev_v = prev_step = None
+    prev_v = None
     x = deflate(x0)
-    for it in range(1, _MAX_ITER + 1):
+    for _ in range(_MAX_ITER):
         y = deflate(solve(x))
         ly = lap @ y
         blocks = np.flatnonzero(active)
@@ -266,51 +261,47 @@ def _subspace_pairs(lap, starts, x0, rtol):
         rel[finished] = res[finished]
         done |= finished
         active &= ~finished
-        if it >= 3:
-            # iterations still needed at the rate of the last step
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rate = step / prev_step
-                need = np.log(_CONVERGED / step) / np.log(rate)
-            active &= (rate < 1.0) & (need <= _MAX_ITER - it)
         if not active.any():
             break
-        prev_v, prev_step = v, step
+        prev_v = v
     x0[:] = x
-    return vec, rel, done, solve
+    return vec, rel, done
 
 
-def _fiedler_vectors(small, groups, rtol, stats):
+def _arpack_vector(lap, rtol, stats):
+    """Fiedler vector of one Laplacian by shift-invert ARPACK (one LU)."""
+    stats["arpack"] += 1
+    stats["lu_factorizations"] += 1
+    scale = max(float(_row_abs_sums(lap).max()), 1e-30)
+    return _checked(lap, *_arpack_pair(lap, scale), rtol, stats)
+
+
+def _fiedler_vectors(small, large, group, rtol, stats):
     """Unit Fiedler vectors (canonical sign) of a batch of Laplacians.
 
     small: dense Laplacians of at most _DENSE_CUTOFF vertices, each solved
-    by dsyevr. groups: (lap, starts, x0) triples; lap is block diagonal over
-    starts and gets one LU and one subspace iteration. Returns the vectors
-    of small, then those of every block of every group.
+    by dsyevr. large: larger dense Laplacians, each solved by shift-invert
+    ARPACK. group: None or (lap, starts, x0); lap is sparse and block
+    diagonal over starts and gets one LU and one subspace iteration, and a
+    block it leaves unresolved goes to ARPACK. Returns the vectors of small,
+    then of large, then of every block of group.
     """
     vecs = []
     for lap in small:
         stats["dense"] += 1
         vecs.append(_checked(lap, *_dense_pair(lap), rtol, stats))
-    for lap, starts, x0 in groups:
+    vecs.extend(_arpack_vector(lap, rtol, stats) for lap in large)
+    if group is not None:
+        lap, starts, x0 = group
         stats["lu_factorizations"] += 1
-        vec, rel, done, solve = _subspace_pairs(lap, starts, x0, rtol)
+        vec, rel, done = _subspace_pairs(lap, starts, x0, rtol)
         for c, (s, e) in enumerate(zip(starts[:-1], starts[1:])):
-            if done[c]:
-                stats["level_lu"] += 1
-                stats["max_fiedler_residual"] = max(stats["max_fiedler_residual"], rel[c])
-                vecs.append(_canonical_sign(vec[s:e]))
+            if not done[c]:
+                vecs.append(_arpack_vector(lap[s:e, s:e], rtol, stats))
                 continue
-            stats["fallback"] += 1
-            block = lap[s:e, s:e]
-            scale = max(float(_row_abs_sums(block).max()), 1e-30)
-            # a group of one block hands ARPACK its factorization; a block
-            # of a larger group is factored on its own
-            inverse = None
-            if starts.size == 2:
-                inverse = LinearOperator(block.shape, matvec=solve, dtype=np.float64)
-            else:
-                stats["lu_factorizations"] += 1
-            vecs.append(_checked(block, *_arpack_pair(block, scale, inverse), rtol, stats))
+            stats["level_lu"] += 1
+            stats["max_fiedler_residual"] = max(stats["max_fiedler_residual"], rel[c])
+            vecs.append(_canonical_sign(vec[s:e]))
     return vecs
 
 
@@ -325,12 +316,14 @@ def fiedler_vector(lap, rtol=1e-8):
     n = lap.shape[0]
     if n < 2:
         raise InputError("Fiedler vector needs at least two vertices")
+    stats = _new_stats()
+    if sparse.issparse(lap) and n > _DENSE_CUTOFF:
+        x0 = np.random.default_rng(_FIEDLER_SEED).standard_normal((n, _BLOCK))
+        return _fiedler_vectors([], [], (lap.tocsr(), np.array([0, n]), x0), rtol, stats)[0]
+    dense = lap.toarray() if sparse.issparse(lap) else np.asarray(lap, dtype=np.float64)
     if n <= _DENSE_CUTOFF:
-        dense = lap.toarray() if sparse.issparse(lap) else np.asarray(lap, dtype=np.float64)
-        return _fiedler_vectors([dense], [], rtol, _new_stats())[0]
-    lap = lap.tocsr() if sparse.issparse(lap) else np.asarray(lap, dtype=np.float64)
-    x0 = np.random.default_rng(_FIEDLER_SEED).standard_normal((n, _BLOCK))
-    return _fiedler_vectors([], [(lap, np.array([0, n]), x0)], rtol, _new_stats())[0]
+        return _fiedler_vectors([dense], [], None, rtol, stats)[0]
+    return _fiedler_vectors([], [dense], None, rtol, stats)[0]
 
 
 def _sign_split(v):
@@ -408,9 +401,9 @@ class _LevelSplitter:
         self.moment_dim = moment_dim
         self.stats = stats
         self.rtol = rtol
-        self.x0 = np.random.default_rng(_FIEDLER_SEED).standard_normal((graph.n, _BLOCK))
-        self.edges = None
+        self.x0 = self.edges = None
         if sparse.issparse(graph.weights):
+            self.x0 = np.random.default_rng(_FIEDLER_SEED).standard_normal((graph.n, _BLOCK))
             coo = sparse.triu(graph.weights, k=1, format="coo")
             keep = coo.data != 0.0
             self.edges = (coo.row[keep].astype(np.int64), coo.col[keep].astype(np.int64),
@@ -447,8 +440,9 @@ class _LevelSplitter:
         return connected_components(g, directed=False)[1], (pr, pc, vals)
 
     def _laplacians(self, verts, in_job, jstarts, edges):
-        """Dense Laplacians of the small jobs, and one (lap, starts, x0) group
-        per LU: all large jobs together, or each large job of dense weights."""
+        """Dense Laplacians of the small jobs; the dense Laplacians of the
+        large jobs if the weights are dense, else one (lap, starts, x0) group
+        of all large jobs (None if there are none)."""
         jverts = verts[in_job]
         jsizes = np.diff(jstarts)
         small = jsizes <= _DENSE_CUTOFF
@@ -456,8 +450,7 @@ class _LevelSplitter:
             laps = [laplacian_from_weights(self.graph.subgraph_weights(jverts[s:e]))
                     for s, e in zip(jstarts[:-1], jstarts[1:])]
             return ([laps[j] for j in np.flatnonzero(small)],
-                    [(laps[j], np.array([0, jsizes[j]]), self.x0[jverts[jstarts[j]:jstarts[j + 1]]])
-                     for j in np.flatnonzero(~small)])
+                    [laps[j] for j in np.flatnonzero(~small)], None)
         jloc = np.full(in_job.size + 1, -1, dtype=np.int64)
         jloc[np.flatnonzero(in_job)] = np.arange(jverts.size)
         r, c = jloc[edges[0]], jloc[edges[1]]
@@ -479,7 +472,7 @@ class _LevelSplitter:
             buf[off[jd] + (dv - jstarts[jd]) * (jsizes[jd] + 1)] = deg[dv]
             laps = [buf[off[j]:off[j + 1]].reshape(jsizes[j], jsizes[j])
                     for j in np.flatnonzero(small)]
-        groups = []
+        group = None
         if not small.all():
             big = ~small[job]
             renum = np.cumsum(big) - 1
@@ -491,8 +484,8 @@ class _LevelSplitter:
                  (np.concatenate((re, ce, diag)), np.concatenate((ce, re, diag)))),
                 shape=(nb, nb),
             )
-            groups.append((lap, _bounds(jsizes[~small]), self.x0[jverts[big]]))
-        return laps, groups
+            group = (lap, _bounds(jsizes[~small]), self.x0[jverts[big]])
+        return laps, [], group
 
     def split(self, clusters):
         """(part1, part2) for each cluster, a sorted array of at least two positions."""
@@ -510,21 +503,23 @@ class _LevelSplitter:
         side = side[inv]
         n1 = np.bincount(cid, weights=side, minlength=sizes.size)
         # a component split whose smaller side could carry no samplet
-        # bisects the cluster's largest component instead
-        collapse = multi & (np.minimum(sizes - n1, n1) <= self.moment_dim)
+        # bisects the cluster's largest component instead; the other side
+        # is then a half of that component, so it must exceed moment_dim + 1
+        collapse = (multi & (np.minimum(sizes - n1, n1) <= self.moment_dim)
+                    & (csize[lead] > self.moment_dim + 1))
         in_job = ~multi[cid] | (collapse[cid] & (inv == lead[cid]))
         jclusters = np.flatnonzero(~multi | collapse)
         jstarts = _bounds(np.bincount(cid[in_job], minlength=sizes.size)[jclusters])
-        small, groups = self._laplacians(verts, in_job, jstarts, edges)
+        small, large, group = self._laplacians(verts, in_job, jstarts, edges)
         jsizes = np.diff(jstarts)
         order = np.concatenate((np.flatnonzero(jsizes <= _DENSE_CUTOFF),
                                 np.flatnonzero(jsizes > _DENSE_CUTOFF)))
         job_vec = dict(zip(jclusters[order].tolist(),
-                           _fiedler_vectors(small, groups, self.rtol, self.stats)))
-        # the last iterates restricted to the children start the next level
-        big = np.flatnonzero(np.repeat(jsizes > _DENSE_CUTOFF, jsizes))
-        if big.size:
-            self.x0[verts[in_job][big]] = np.concatenate([g[2] for g in groups])
+                           _fiedler_vectors(small, large, group, self.rtol, self.stats)))
+        if group is not None:
+            # the last iterates restricted to the children start the next level
+            big = np.flatnonzero(np.repeat(jsizes > _DENSE_CUTOFF, jsizes))
+            self.x0[verts[in_job][big]] = group[2]
         self.stats["components"] += int((multi & ~collapse).sum())
         self.stats["component_bisections"] += int(collapse.sum())
         parts = []
@@ -567,11 +562,16 @@ def spectral_bisection(cluster, graph, rtol=1e-8):
         cid = None
     if idx.size < 2:
         raise InputError("cannot bisect a cluster with fewer than two functionals")
+    if not isinstance(graph, SimilarityGraph):
+        raise InputError("graph must be a SimilarityGraph")
+    # the solver sees only the cluster's own subgraph
+    sub = SimilarityGraph(graph.scheme, graph.subgraph_weights(idx))
     try:
-        return _LevelSplitter(graph, 0, _new_stats(), rtol).split([idx])[0]
+        part1, part2 = _LevelSplitter(sub, 0, _new_stats(), rtol).split([np.arange(idx.size)])[0]
     except EigenSolverError as exc:
         exc.cluster = cid
         raise
+    return idx[part1], idx[part2]
 
 
 def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
@@ -586,7 +586,8 @@ def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
     moment_dim : dimension of the primitive space the basis will use; a split
         is rolled back when a child would not exceed it, so every leaf keeps
         more functionals than moment_dim. A component split whose smaller
-        side would not exceed it bisects the largest component instead.
+        side would not exceed it bisects the largest component instead, if
+        that component has more than moment_dim + 1 functionals.
     graph : optional prebuilt SimilarityGraph over the same functionals
 
     Returns

@@ -22,7 +22,6 @@ from .errors import InputError
 from .measures import functional_boxes, support_box
 
 _GAUSSIAN_LIMIT = 16384
-_WIDE_MAX = 32  # wide-box outliers searched exhaustively by the kNN graph
 
 
 @dataclass(frozen=True)
@@ -174,60 +173,52 @@ def _build_sparse_epsilon(lo, hi, centers, radii, scheme):
 def _nearest(gaps, cand, k):
     """Per row, the k candidates of smallest gap (ties: lower index first)."""
     take = np.lexsort((cand, gaps), axis=1)[:, :k]
-    return np.take_along_axis(cand, take, axis=1), np.take_along_axis(gaps, take[:, -1:], axis=1)[:, 0]
-
-
-def _wide_outliers(radii):
-    """The few functionals whose box radius is far above the rest.
-
-    At most _WIDE_MAX of those with a radius above twice the 90th percentile,
-    largest first (lower index on ties), sorted.
-    """
-    if radii.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    big = np.flatnonzero(radii > 2.0 * np.quantile(radii, 0.9))
-    big = big[np.lexsort((big, -radii[big]))][:_WIDE_MAX]
-    return np.sort(big)
+    kth = np.take_along_axis(gaps, take[:, -1:], axis=1)[:, 0]
+    return np.take_along_axis(cand, take, axis=1), kth
 
 
 def _build_sparse_knn(lo, hi, centers, radii, scheme):
-    # Narrow rows take candidates from a KD tree over the narrow centres plus
-    # every wide outlier, so the completeness bound only needs the narrow
-    # radii; the wide rows compare against all functionals.
+    # Functionals are grouped by the binary exponent of their box radius,
+    # with one KD tree per group. A row's candidates are its kq nearest
+    # centres in each group (the whole group if it has at most kq members).
+    # Box gaps are at least the centre distance minus both radii, so the row
+    # is done once no centre of any group beyond its query radius can reach
+    # or tie the kth box gap (ties go to the lower index); only the rows not
+    # done are queried again, with kq doubled. A few wide boxes thus form
+    # small groups taken whole, and only the wide rows themselves widen.
     n = lo.shape[0]
     k = min(scheme.k, n - 1)
     if k == 0:
         return sparse.csr_matrix((n, n))
-    wide = _wide_outliers(radii)
-    narrow = np.setdiff1d(np.arange(n), wide)
-    tree = cKDTree(centers[narrow])
-    rmax = float(radii[narrow].max(initial=0.0))
-    rows = narrow[:, None]
-    kq = min(narrow.size, k + 17)
-    while True:
-        dd, cand = tree.query(centers[narrow], k=kq)
-        dd, cand = dd.reshape(narrow.size, kq), narrow[cand.reshape(narrow.size, kq)]
-        cand = np.hstack((cand, np.broadcast_to(wide, (narrow.size, wide.size))))
-        gaps = kernels.box_gap_pairs(lo, hi, np.repeat(narrow, cand.shape[1]), cand.ravel())
+    expo = np.where(radii > 0.0, np.frexp(radii)[1], np.iinfo(np.int32).min)
+    groups = [np.flatnonzero(expo == e) for e in np.unique(expo)]
+    kq = k + 17
+    trees = [cKDTree(centers[g]) if g.size > kq else None for g in groups]
+    nbrs = np.empty((n, k), dtype=np.int64)
+    todo = np.arange(n)
+    while todo.size:
+        cand, reach = [], []
+        for g, tree in zip(groups, trees):
+            if g.size <= kq:
+                cand.append(np.broadcast_to(g, (todo.size, g.size)))
+                continue
+            dd, pos = tree.query(centers[todo], k=kq)
+            cand.append(g[pos])
+            # the margin covers rounding between KD tree and box distances
+            reach.append(dd[:, -1] * (1.0 - 1e-9) - float(radii[g].max()))
+        cand = np.hstack(cand)
+        gaps = kernels.box_gap_pairs(lo, hi, np.repeat(todo, cand.shape[1]), cand.ravel())
         gaps = gaps.reshape(cand.shape)
-        gaps[cand == rows] = np.inf
-        nbrs, kth = _nearest(gaps, cand, k)
-        # a candidate set is complete once no narrow centre outside the query
-        # radius can reach or tie the kth box distance (ties go to the lower
-        # index); the margin covers rounding between KD tree and box distances
-        if kq == narrow.size or np.all(kth < dd[:, -1] * (1.0 - 1e-9) - 2.0 * rmax):
-            break
-        kq = min(narrow.size, kq * 2)
-    src = [np.repeat(narrow, k)]
-    dst = [nbrs.ravel()]
-    if wide.size:
-        every = np.broadcast_to(np.arange(n), (wide.size, n))
-        gaps = kernels.box_gap_pairs(lo, hi, np.repeat(wide, n), every.ravel()).reshape(wide.size, n)
-        gaps[np.arange(wide.size), wide] = np.inf
-        src.append(np.repeat(wide, k))
-        dst.append(_nearest(gaps, every, k)[0].ravel())
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    mat = sparse.csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+        gaps[cand == todo[:, None]] = np.inf
+        near, kth = _nearest(gaps, cand, k)
+        done = np.ones(todo.size, dtype=bool)
+        for r in reach:
+            done &= kth < r - radii[todo]
+        nbrs[todo[done]] = near[done]
+        todo = todo[~done]
+        kq *= 2
+    mat = sparse.csr_matrix((np.ones(n * k), (np.repeat(np.arange(n), k), nbrs.ravel())),
+                            shape=(n, n))
     return mat.maximum(mat.T)
 
 

@@ -373,7 +373,7 @@ def _internal(tree):
 
 
 def _path_total(stats):
-    return stats["dense"] + stats["level_lu"] + stats["fallback"] + stats["components"]
+    return stats["dense"] + stats["level_lu"] + stats["arpack"] + stats["components"]
 
 
 class TestLevelSolver:
@@ -411,6 +411,27 @@ class TestLevelSolver:
         assert halves[with_rest[0]].size <= halves[1 - with_rest[0]].size
         _check_tree(tree, mdim)
 
+    @pytest.mark.parametrize("scheme", [EpsilonNeighborhood(1e-6), GaussianSimilarity(1e-3)],
+                             ids=["epsilon", "gaussian-underflow"])
+    def test_split_into_singletons_is_rolled_back(self, scheme):
+        # ten isolated functionals: every component is a singleton, so no
+        # component can be bisected and the 5 | 5 split is rolled back
+        pts = np.random.default_rng(2).random((10, 2))
+        functionals = [dirac(i, p) for i, p in enumerate(pts)]
+        graph = build_graph(functionals, scheme)
+        mdim = moment_dimension(2, 2)
+        tree = build_cluster_tree(functionals, scheme, 8, moment_dim=mdim, graph=graph)
+        assert _assert_matches_reference(tree, graph, 8, mdim) == []
+        assert len(tree.nodes) == 1
+        assert tree.stats["components"] == 1 and tree.stats["rolled_back"] == 1
+        assert tree.stats["component_bisections"] == 0
+
+    def test_dense_weights_take_arpack_above_the_cutoff(self):
+        functionals, scheme, leaf_max, mdim = _REFERENCE_CASES["gaussian"]()
+        tree = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=mdim)
+        assert tree.stats["arpack"] > 0 and tree.stats["level_lu"] == 0
+        assert tree.stats["lu_factorizations"] == tree.stats["arpack"]
+
     def test_unconverged_clusters_fall_back_to_arpack(self, monkeypatch):
         # one iteration never settles a cluster, so every large cluster
         # takes the counted per-cluster fallback and the tree is unchanged
@@ -419,14 +440,14 @@ class TestLevelSolver:
         graph = build_graph(functionals, scheme)
         tree = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=mdim, graph=graph)
         assert _assert_matches_reference(tree, graph, leaf_max, mdim) == []
-        assert tree.stats["level_lu"] == 0 and tree.stats["fallback"] > 0
+        assert tree.stats["level_lu"] == 0 and tree.stats["arpack"] > 0
         assert tree.stats["max_fiedler_residual"] <= 1e-8
 
     def test_stats_count_every_split_attempt(self):
         functionals, _ = generate_example("random-diracs", 3000, 2, 4)
         tree = build_cluster_tree(functionals, EpsilonNeighborhood(0.03), 32, moment_dim=6)
         stats = tree.stats
-        assert set(stats) == {"dense", "level_lu", "fallback", "components",
+        assert set(stats) == {"dense", "level_lu", "arpack", "components",
                               "component_bisections", "rolled_back", "lu_factorizations",
                               "max_fiedler_residual"}
         assert _path_total(stats) == _internal(tree) + stats["rolled_back"]

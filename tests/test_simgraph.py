@@ -202,13 +202,27 @@ def _wide_outliers(n, wide, seed):
     return functionals
 
 
+def _multiscale_boxes(n, seed):
+    """2d boxes with half-widths from 1e-6 to 0.3 (many radius exponents),
+    every fourth a Dirac and every fifth centred on one point."""
+    rng = np.random.default_rng(seed)
+    centers = rng.random((n, 2))
+    centers[::5] = 0.5
+    half = 10.0 ** rng.uniform(-6.0, -0.5, size=(n, 2))
+    half[::4] = 0.0
+    return [_box_functional(i, c - h, c + h) for i, (c, h) in enumerate(zip(centers, half))]
+
+
 class _CountingKDTree(cKDTree):
-    """KD tree that records the neighbour counts it is queried with."""
+    """KD tree that records the neighbour counts it is queried with, and
+    the number of points of each query."""
 
     query_ks = []
+    query_rows = []
 
     def query(self, x, k=1, **kwargs):
         self.query_ks.append(k)
+        self.query_rows.append(len(x))
         return super().query(x, k=k, **kwargs)
 
 
@@ -277,6 +291,8 @@ class TestBuildGraph:
             pytest.param(_wide_outliers(300, 3, 5), MutualKNN(8), id="knn8-three-wide"),
             pytest.param(_wide_outliers(300, 40, 6), MutualKNN(5), id="knn5-forty-wide"),
             pytest.param(_wide_outliers(5, 2, 7), MutualKNN(6), id="knn-mostly-wide"),
+            pytest.param(_multiscale_boxes(400, 8), MutualKNN(4), id="knn4-multiscale"),
+            pytest.param(_multiscale_boxes(400, 9), MutualKNN(12), id="knn12-multiscale"),
         ],
     )
     def test_sparse_edge_inputs_match_reference(self, functionals, scheme):
@@ -297,13 +313,16 @@ class TestBuildGraph:
 
     def test_wide_outliers_keep_the_knn_search_narrow(self, monkeypatch):
         # one functional spanning the unit square next to 1500 Diracs: it is
-        # searched exhaustively, so the KD queries stay at the first size
-        # instead of widening to every functional
+        # a group of its own that every row takes whole, so only the wide
+        # row itself widens its search; the Diracs are all done after the
+        # first query
         monkeypatch.setattr(_CountingKDTree, "query_ks", [])
+        monkeypatch.setattr(_CountingKDTree, "query_rows", [])
         monkeypatch.setattr(simgraph, "cKDTree", _CountingKDTree)
         functionals = self._random_diracs(1500, 2, 9) + [_box_functional(1500, [0, 0], [1, 1])]
         w = build_graph(functionals, MutualKNN(8)).weights
-        assert _CountingKDTree.query_ks == [25]
+        assert _CountingKDTree.query_ks[0] == 25 and _CountingKDTree.query_rows[0] == 1501
+        assert _CountingKDTree.query_rows[1:] == [1] * (len(_CountingKDTree.query_rows) - 1)
         assert np.array_equal(w.toarray(), _reference_weights(functionals, MutualKNN(8)))
 
     def test_subgraph_weights_restrict_rows_and_columns(self):
