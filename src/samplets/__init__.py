@@ -66,6 +66,7 @@ from .io import (
 from .measures import (
     Atom,
     Functional,
+    FunctionalSet,
     Polynomial,
     PrimitiveBasis,
     SupportBox,
@@ -90,8 +91,8 @@ from .simgraph import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "Functional", "Polynomial", "PrimitiveBasis", "SupportBox",
-    "analysis_vector", "dirac", "evaluate", "moment_dimension",
+    "Atom", "Functional", "FunctionalSet", "Polynomial", "PrimitiveBasis",
+    "SupportBox", "analysis_vector", "dirac", "evaluate", "moment_dimension",
     "primitive_basis", "support_box",
     "EpsilonNeighborhood", "GaussianSimilarity", "MutualKNN",
     "SimilarityGraph", "build_graph", "laplacian_from_weights", "similarity",

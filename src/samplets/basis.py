@@ -22,10 +22,10 @@ from .ctree import ClusterNode, ClusterTree
 from .errors import InputError
 from .measures import (
     PrimitiveBasis,
+    as_functional_set,
     box_affine,
     graded_exponents,
     moment_dimension,
-    pack_functionals,
     primitive_basis,
 )
 
@@ -68,25 +68,19 @@ def moment_matrix(cluster, primitives, functionals=None):
     """Moment matrix of a cluster: primitives applied to its functionals.
 
     cluster may be a ClusterNode (then the functional set must be passed) or
-    directly an iterable of Functional objects. Row a, column j holds the
-    j-th functional applied to the a-th primitive monomial.
+    directly a FunctionalSet or an iterable of Functional objects. Row a,
+    column j holds the j-th functional applied to the a-th primitive monomial.
     """
     if isinstance(cluster, ClusterNode):
         if functionals is None:
             raise InputError("a ClusterNode cluster needs the functional set")
-        flist = [functionals[i] for i in cluster.indices]
-        cid = cluster.node_id
+        fs, sel, cid = as_functional_set(functionals), cluster.indices, cluster.node_id
     else:
-        flist = list(cluster)
-        cid = -1
-    packed = pack_functionals(flist)
-    if packed.dimension != primitives.dimension:
+        fs = as_functional_set(cluster)
+        sel, cid = np.arange(len(fs)), -1
+    if fs.dimension != primitives.dimension:
         raise InputError("functional and primitive dimensions differ")
-    vals = kernels.eval_table(
-        packed.points, packed.weights, packed.derivs, packed.offsets,
-        np.arange(packed.count, dtype=np.int64),
-        primitives.exponents, primitives.center, primitives.scale,
-    )
+    vals = fs.eval_table(sel, primitives.exponents, primitives.center, primitives.scale)
     return MomentMatrix(vals, cid)
 
 
@@ -236,7 +230,7 @@ def build_samplet_basis(functionals, tree, degree):
 
     Parameters
     ----------
-    functionals : sequence of Functional, positions matching the tree indices
+    functionals : FunctionalSet or Functional list matching the tree indices
     tree : ClusterTree over the same functionals
     degree : vanishing moment degree q; samplets annihilate all polynomials
         of total degree <= q
@@ -251,11 +245,10 @@ def build_samplet_basis(functionals, tree, degree):
     degree = int(degree)
     if degree < 0:
         raise InputError("degree must be nonnegative")
-    n = len(functionals)
-    if not isinstance(tree, ClusterTree) or tree.n != n:
+    fs = as_functional_set(functionals)
+    if not isinstance(tree, ClusterTree) or tree.n != len(fs):
         raise InputError("tree does not match the functional set")
-    packed = pack_functionals(functionals)
-    d = packed.dimension
+    d = fs.dimension
     m_p = moment_dimension(d, degree)
     for nd in tree.nodes:
         if nd.is_leaf and nd.size < m_p:
@@ -272,10 +265,7 @@ def build_samplet_basis(functionals, tree, degree):
     for i in order:
         nd = nodes[i]
         if nd.is_leaf:
-            vals = kernels.eval_table(
-                packed.points, packed.weights, packed.derivs, packed.offsets,
-                nd.indices, exps, affine[i][0], affine[i][1],
-            )
+            vals = fs.eval_table(nd.indices, exps, *affine[i])
         else:
             blocks = []
             for ch in nd.children:
@@ -396,7 +386,8 @@ def _check_symmetric(a):
 
 
 def _vanishing_scan(basis, functionals, primitives):
-    if len(functionals) != basis.n:
+    fs = as_functional_set(functionals)
+    if len(fs) != basis.n:
         raise InputError("functional count does not match the basis")
     if primitives is None:
         primitives = basis.primitives
@@ -404,8 +395,7 @@ def _vanishing_scan(basis, functionals, primitives):
         raise InputError(
             f"primitives of dimension {primitives.dimension} for a basis of dimension {basis.dimension}"
         )
-    packed = pack_functionals(functionals)
-    if packed.dimension != basis.dimension:
+    if fs.dimension != basis.dimension:
         raise InputError("functional dimension does not match the basis")
     exps = primitives.exponents
     owners = [nd for nd in basis.tree.nodes if basis.filters[nd.node_id].n_samplets]
@@ -413,10 +403,7 @@ def _vanishing_scan(basis, functionals, primitives):
     for nd in owners:
         by_level.setdefault(nd.level, []).append(nd)
     root = box_affine(basis.tree.root.box)
-    table_root = kernels.eval_table(
-        packed.points, packed.weights, packed.derivs, packed.offsets,
-        np.arange(basis.n, dtype=np.int64), exps, *root,
-    )
+    table_root = fs.eval_table(np.arange(basis.n), exps, *root)
     gram = table_root @ table_root.T
     resid = {}
     for group in by_level.values():
@@ -428,10 +415,7 @@ def _vanishing_scan(basis, functionals, primitives):
         center = np.repeat([c for c, _ in affine], sizes, axis=0)
         scale = np.repeat([s for _, s in affine], sizes, axis=0)
         block = np.zeros((basis.n, exps.shape[0]))
-        block[rows] = kernels.eval_table(
-            packed.points, packed.weights, packed.derivs, packed.offsets,
-            rows, exps, center, scale,
-        ).T
+        block[rows] = fs.eval_table(rows, exps, center, scale).T
         coeff = basis.forward(block)
         for nd, box in zip(group, affine):
             # norms over all N functionals of the primitives scaled to this
@@ -504,12 +488,12 @@ def threshold_compress(coeffs, sigma):
     """Zero all entries below sigma times the largest magnitude.
 
     Returns the compressed container (sparse CSR for matrices, dense copy for
-    vectors) and a CompressionReport. sigma = 0 keeps everything; sigma > 1
-    drops everything.
+    vectors) and a CompressionReport. sigma must be finite and nonnegative;
+    sigma = 0 keeps everything and sigma > 1 drops everything.
     """
     sigma = float(sigma)
-    if sigma < 0.0:
-        raise InputError("sigma must be nonnegative")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise InputError(f"sigma must be finite and nonnegative, not {sigma}")
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim not in (1, 2):
         raise InputError("expected a coefficient vector or matrix")

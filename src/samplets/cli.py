@@ -118,12 +118,16 @@ def make_config(args):
     return RunConfig(**data)
 
 
-def _load_functionals(cfg):
+def _load_functionals(cfg, basis=None):
     if cfg.input:
-        return ingest_functionals(cfg.input), None
-    if cfg.example:
-        return generate_example(cfg.example, cfg.n, cfg.dimension, cfg.seed)
-    raise InputError("functionals required: pass --input atoms.csv or --example name")
+        functionals, model = ingest_functionals(cfg.input), None
+    elif cfg.example:
+        functionals, model = generate_example(cfg.example, cfg.n, cfg.dimension, cfg.seed)
+    else:
+        raise InputError("functionals required: pass --input atoms.csv or --example name")
+    if basis is not None and len(functionals) != basis.n:
+        raise InputError("functional set does not match the basis size")
+    return functionals, model
 
 
 def _make_scheme(cfg):
@@ -137,13 +141,10 @@ def _make_scheme(cfg):
     raise InputError(f"unknown scheme {cfg.scheme!r}, expected gaussian, epsilon or knn")
 
 
-def _dirac_points(functionals):
-    pts = np.empty((len(functionals), functionals[0].dimension))
-    for i, f in enumerate(functionals):
-        if len(f.atoms) != 1 or f.atoms[0].deriv.any() or f.atoms[0].weight != 1.0:
-            raise InputError("kernel Gram matrices need plain Dirac functionals")
-        pts[i] = f.atoms[0].point
-    return pts
+def _dirac_points(fs):
+    if fs.weights.size != len(fs) or fs.derivs.any() or (fs.weights != 1.0).any():
+        raise InputError("kernel Gram matrices need plain Dirac functionals")
+    return fs.points
 
 
 def _gram_model(cfg, functionals, example_model):
@@ -174,7 +175,7 @@ def _fmt(v):
 def run_pipeline(cfg):
     """Ingest, build, verify, save, and report; returns a summary dict."""
     functionals, example_model = _load_functionals(cfg)
-    d = functionals[0].dimension
+    d = functionals.dimension
     scheme = _make_scheme(cfg)
     mdim = moment_dimension(d, cfg.degree)
     tree = build_cluster_tree(functionals, scheme, cfg.leaf_max, moment_dim=mdim)
@@ -196,17 +197,7 @@ def run_pipeline(cfg):
         "checksum": checksum,
     }
     if cfg.test_function:
-        rep = decay_report(basis, functionals, test_function(cfg.test_function, d))
-        decay_path = os.path.join(cfg.out, "decay.csv")
-        _write_rows(
-            decay_path,
-            ["level", "count", "max_abs_coeff", "max_diameter"],
-            [
-                (int(l), int(c), _fmt(float(m)), _fmt(float(dd)))
-                for l, c, m, dd in zip(rep.levels, rep.level_count, rep.level_max, rep.level_diam)
-            ],
-        )
-        summary["decay_path"] = decay_path
+        summary["decay_path"], rep = _decay_stage(cfg, basis, functionals, cfg.test_function)
         summary["decay_slope"] = rep.slope
         summary["annihilated"] = rep.annihilated
     model = _gram_model(cfg, functionals, example_model)
@@ -227,8 +218,22 @@ def run_pipeline(cfg):
         summary["frame_upper"] = fb.upper
         summary["biorthogonality"] = biortho
         if cfg.sigma is not None:
-            summary.update(_compress_stage(cfg, basis, model))
+            summary.update(_compress_stage(cfg, basis, model)[1])
     return summary
+
+
+def _decay_stage(cfg, basis, functionals, name):
+    rep = decay_report(basis, functionals, test_function(name, basis.dimension))
+    path = os.path.join(cfg.out, "decay.csv")
+    _write_rows(
+        path,
+        ["level", "count", "max_abs_coeff", "max_diameter"],
+        [
+            (int(l), int(c), _fmt(float(m)), _fmt(float(dd)))
+            for l, c, m, dd in zip(rep.levels, rep.level_count, rep.level_max, rep.level_diam)
+        ],
+    )
+    return path, rep
 
 
 def _compress_stage(cfg, basis, model):
@@ -246,7 +251,7 @@ def _compress_stage(cfg, basis, model):
         [(_fmt(rep.sigma), _fmt(rep.threshold), rep.total, rep.kept,
           _fmt(rep.kept_fraction), _fmt(rep.dropped_norm), _fmt(err))],
     )
-    return {
+    return compressed, {
         "compression_path": path,
         "kept_fraction": rep.kept_fraction,
         "compression_error": err,
@@ -283,9 +288,7 @@ def _cmd_transform(cfg, data_path):
     if data_path:
         x = read_values_csv(data_path, basis.n)
     elif cfg.test_function:
-        functionals, _ = _load_functionals(cfg)
-        if len(functionals) != basis.n:
-            raise InputError("functional set does not match the basis size")
+        functionals, _ = _load_functionals(cfg, basis)
         x = analysis_vector(functionals, test_function(cfg.test_function, basis.dimension))
     else:
         raise InputError("pass --data values.csv or --test-function name with a functional source")
@@ -312,21 +315,17 @@ def _cmd_inverse(cfg, coeff_path):
 
 def _cmd_compress(cfg, save_matrix):
     basis = _require_basis(cfg)
-    functionals, example_model = _load_functionals(cfg)
-    if len(functionals) != basis.n:
-        raise InputError("functional set does not match the basis size")
+    functionals, example_model = _load_functionals(cfg, basis)
     model = _gram_model(cfg, functionals, example_model)
     if model is None:
         raise InputError("compression needs a Gram model; set --gram")
     if cfg.sigma is None:
         raise InputError("--sigma threshold required")
     os.makedirs(cfg.out, exist_ok=True)
-    summary = _compress_stage(cfg, basis, model)
+    compressed, summary = _compress_stage(cfg, basis, model)
     if save_matrix:
         from scipy import sparse
 
-        coeff = transform_matrix(basis, model.effective())
-        compressed, _ = threshold_compress(coeff, cfg.sigma)
         sparse.save_npz(save_matrix, compressed)
         summary["matrix_path"] = save_matrix
     for key, val in summary.items():
@@ -336,9 +335,7 @@ def _cmd_compress(cfg, save_matrix):
 
 def _cmd_report(cfg):
     basis = _require_basis(cfg)
-    functionals, example_model = _load_functionals(cfg)
-    if len(functionals) != basis.n:
-        raise InputError("functional set does not match the basis size")
+    functionals, example_model = _load_functionals(cfg, basis)
     os.makedirs(cfg.out, exist_ok=True)
     rows = vanishing_moment_table(basis, functionals)
     vpath = os.path.join(cfg.out, "vanishing.csv")
@@ -349,17 +346,7 @@ def _cmd_report(cfg):
     )
     print(f"vanishing = {vpath}")
     print(f"vanishing_residual = {max((r for *_, r in rows), default=0.0)}")
-    name = cfg.test_function or "exp"
-    rep = decay_report(basis, functionals, test_function(name, basis.dimension))
-    dpath = os.path.join(cfg.out, "decay.csv")
-    _write_rows(
-        dpath,
-        ["level", "count", "max_abs_coeff", "max_diameter"],
-        [
-            (int(l), int(c), _fmt(float(m)), _fmt(float(dd)))
-            for l, c, m, dd in zip(rep.levels, rep.level_count, rep.level_max, rep.level_diam)
-        ],
-    )
+    dpath, rep = _decay_stage(cfg, basis, functionals, cfg.test_function or "exp")
     print(f"decay = {dpath}")
     print(f"decay_slope = {rep.slope}")
     print(f"annihilated = {rep.annihilated}")

@@ -40,7 +40,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
 from .errors import EigenSolverError, InputError
-from .measures import SupportBox, functional_boxes
+from .measures import SupportBox, as_functional_set
 from .simgraph import SimilarityGraph, build_graph, laplacian_from_weights
 
 # clusters up to this size take the dense subset solve; measured crossover
@@ -579,7 +579,7 @@ def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
 
     Parameters
     ----------
-    functionals : sequence of Functional
+    functionals : FunctionalSet or sequence of Functional
     scheme : similarity scheme used to build the graph (ignored when a
         prebuilt graph is passed)
     leaf_max : clusters at most this large stop splitting
@@ -596,7 +596,8 @@ def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
     partition it and sit one level deeper. Its stats count the splits by
     solver path (see `_new_stats`).
     """
-    n = len(functionals)
+    fs = as_functional_set(functionals)
+    n = len(fs)
     leaf_max = int(leaf_max)
     moment_dim = int(moment_dim)
     if moment_dim < 1:
@@ -607,10 +608,10 @@ def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
         )
     if leaf_max <= moment_dim:
         raise InputError("leaf_max must exceed the moment dimension")
-    lo, hi = functional_boxes(functionals)
+    lo, hi = fs.boxes()
     if graph is None:
         if n > leaf_max:
-            graph = build_graph(functionals, scheme)
+            graph = build_graph(fs, scheme)
     elif graph.n != n:
         raise InputError("prebuilt graph size does not match the functionals")
 

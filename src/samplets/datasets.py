@@ -4,7 +4,7 @@ import numpy as np
 
 from .errors import InputError
 from .frames import gram_green_1d, gram_mass_p1
-from .measures import Atom, Functional, dirac
+from .measures import FunctionalSet
 
 EXAMPLE_NAMES = ("uniform-diracs", "random-diracs", "p1-mass", "green-1d")
 
@@ -32,10 +32,11 @@ def _uniform_points(n, dimension):
 def generate_example(name, n, dimension=1, seed=0):
     """Deterministic example functional set.
 
-    Returns (functionals, gram_model). The Gram model is None for the Dirac
-    families; "p1-mass" pairs n interior hat functionals on a uniform mesh of
-    n + 2 nodes with their mass matrix, "green-1d" pairs Diracs at k/(n+1)
-    with the Green function Gram matrix of the 1d Dirichlet Laplacian.
+    Returns (functionals, gram_model), a FunctionalSet with ids 0..n-1 and
+    a Gram model that is None for the Dirac families; "p1-mass" pairs n
+    interior hat functionals on a uniform mesh of n + 2 nodes with their mass
+    matrix, "green-1d" pairs Diracs at k/(n+1) with the Green function Gram
+    matrix of the 1d Dirichlet Laplacian.
     """
     n = int(n)
     dimension = int(dimension)
@@ -44,12 +45,10 @@ def generate_example(name, n, dimension=1, seed=0):
     if dimension < 1:
         raise InputError("dimension must be at least 1")
     if name == "uniform-diracs":
-        pts = _uniform_points(n, dimension)
-        return [dirac(i, pts[i]) for i in range(n)], None
+        return FunctionalSet.diracs(_uniform_points(n, dimension)), None
     if name == "random-diracs":
         rng = np.random.default_rng(seed)
-        pts = rng.random((n, dimension))
-        return [dirac(i, pts[i]) for i in range(n)], None
+        return FunctionalSet.diracs(rng.random((n, dimension))), None
     if name == "p1-mass":
         if dimension != 1:
             raise InputError("p1-mass is one dimensional")
@@ -59,8 +58,7 @@ def generate_example(name, n, dimension=1, seed=0):
         if dimension != 1:
             raise InputError("green-1d is one dimensional")
         pts = np.arange(1, n + 1) / (n + 1.0)
-        model = gram_green_1d(pts)
-        return [dirac(i, np.array([pts[i]])) for i in range(n)], model
+        return FunctionalSet.diracs(pts[:, None]), gram_green_1d(pts)
     raise InputError(f"unknown example {name!r}, expected one of {EXAMPLE_NAMES}")
 
 

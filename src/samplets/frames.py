@@ -15,7 +15,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from .errors import ConditionNumberError, InputError, NumericalError
-from .measures import Atom, Functional
+from .measures import FunctionalSet, analysis_vector
 
 _COND_CAP = 1e12
 _SQRT3 = np.sqrt(3.0)
@@ -143,17 +143,17 @@ def gram_mass_p1(mesh):
     if n > 1:
         g += np.diag(off, 1) + np.diag(off, -1)
     half = 0.5 / _SQRT3
-    functionals = []
-    for i in range(n):
-        xl, xm, xr = mesh[i], mesh[i + 1], mesh[i + 2]
-        atoms = []
-        for a, b, rising in ((xl, xm, True), (xm, xr, False)):
-            width = b - a
-            mid = 0.5 * (a + b)
-            for gp in (mid - width * half, mid + width * half):
-                hat = (gp - a) / width if rising else (b - gp) / width
-                atoms.append(Atom(np.array([gp]), 0.5 * width * hat))
-        functionals.append(Functional(i, tuple(atoms)))
+    # per element: both Gauss points, then the rising and falling hat weights
+    a, b = mesh[:-1, None], mesh[1:, None]
+    width = b - a
+    mid = 0.5 * (a + b)
+    gp = np.hstack((mid - width * half, mid + width * half))
+    rise, fall = 0.5 * width * ((gp - a) / width), 0.5 * width * ((b - gp) / width)
+    # functional i: the rising half of element i, the falling half of element i + 1
+    points = np.hstack((gp[:-1], gp[1:])).reshape(-1, 1)
+    weights = np.hstack((rise[:-1], fall[1:])).ravel()
+    functionals = FunctionalSet(points, weights, np.zeros(points.shape, dtype=np.int64),
+                                np.arange(0, 4 * n + 1, 4), np.arange(n))
     model = GramModel(g, Mass(f"p1 hats on {mesh.size} nodes in [{mesh[0]}, {mesh[-1]}]"))
     return model, functionals
 
@@ -263,8 +263,6 @@ def decay_report(basis, functionals, v):
     1e-10 times the data norm, which happens exactly when v acts like a
     primitive polynomial on the functional set.
     """
-    from .measures import analysis_vector
-
     data = analysis_vector(functionals, v)
     coeff = basis.forward(data)
     ns = basis.n_samplets

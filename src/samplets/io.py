@@ -16,7 +16,7 @@ import numpy as np
 from .basis import ClusterFilters, SampletBasis, assemble_basis
 from .ctree import ClusterNode, ClusterTree
 from .errors import InputError
-from .measures import Atom, Functional, SupportBox, moment_dimension
+from .measures import FunctionalSet, SupportBox, as_functional_set, moment_dimension
 
 MAGIC = b"SMPLTB01"
 FORMAT_VERSION = 1
@@ -26,141 +26,125 @@ FORMAT_VERSION = 1
 # CSV ingest
 
 
-def _parse_int(text, line, what):
+def _column(texts, lines, what, integer):
+    """One CSV column as an int64 or finite float64 array; errors name the bad line."""
+    dtype, parse = (np.int64, int) if integer else (np.float64, float)
     try:
-        return int(text)
-    except ValueError:
-        raise InputError(f"line {line}: {what} {text!r} is not an integer") from None
+        out = np.array(list(map(parse, texts)), dtype=dtype)
+        if np.isfinite(out).all():
+            return out
+    except (ValueError, OverflowError):
+        pass
+
+    def checked(text, line):
+        try:
+            value = parse(text)
+            if np.isfinite(np.array(value, dtype=dtype)):
+                return value
+        except (ValueError, OverflowError):
+            pass
+        kind = "a 64-bit integer" if integer else "a finite number"
+        raise InputError(f"line {line}: {what} {text!r} is not {kind}")
+
+    return np.array([checked(text, line) for text, line in zip(texts, lines)], dtype=dtype)
 
 
-def _parse_float(text, line, what):
-    try:
-        v = float(text)
-    except ValueError:
-        raise InputError(f"line {line}: {what} {text!r} is not a number") from None
-    if not np.isfinite(v):
-        raise InputError(f"line {line}: {what} must be finite")
-    return v
-
-
-def ingest_functionals(path):
-    """Read functionals from an atom CSV.
-
-    Header id,x1,...,xd,weight[,d1,...,dd]; the derivative columns are
-    optional and default to zero. Rows sharing an id form the atoms of one
-    functional; functionals are returned sorted by ascending id and all
-    internal indexing refers to positions in that order.
-    """
+def _read_csv(path):
+    """Stripped header, and line numbers and columns of the nonblank rows."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     with fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "id":
-            raise InputError("first CSV column must be 'id'")
-        xcols = [h for h in header if h.startswith("x")]
-        dcols = [h for h in header if h.startswith("d") and h != "id"]
-        d = len(xcols)
-        expected = ["id"] + [f"x{k + 1}" for k in range(d)] + ["weight"]
-        expected_dv = expected + [f"d{k + 1}" for k in range(d)]
-        if header != expected and header != expected_dv:
-            raise InputError(
-                "CSV header must be id,x1..xd,weight with optional d1..dd, got "
-                + ",".join(header)
-            )
-        with_derivs = header == expected_dv
-        atoms = {}
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise InputError(
-                    f"line {line}: expected {len(header)} fields, got {len(row)}"
-                )
-            fid = _parse_int(row[0], line, "id")
-            point = [_parse_float(row[1 + k], line, f"x{k + 1}") for k in range(d)]
-            weight = _parse_float(row[1 + d], line, "weight")
-            if with_derivs:
-                deriv = [_parse_int(row[2 + d + k], line, f"d{k + 1}") for k in range(d)]
-                for v in deriv:
-                    if v < 0:
-                        raise InputError(f"line {line}: derivative orders must be nonnegative")
-            else:
-                deriv = [0] * d
-            atoms.setdefault(fid, []).append(Atom(np.array(point), weight, np.array(deriv)))
-    if not atoms:
+        header = [h.strip() for h in next(reader, [])]
+        rows = list(reader)
+    if not header:
+        raise InputError(f"{path} is empty")
+    lines = [line for line, row in enumerate(rows, start=2) if "".join(row).strip()]
+    rows = [rows[line - 2] for line in lines]
+    for line, row in zip(lines, rows):
+        if len(row) != len(header):
+            raise InputError(f"line {line}: expected {len(header)} fields, got {len(row)}")
+    return header, lines, list(zip(*rows)) or [()] * len(header)
+
+
+def ingest_functionals(path):
+    """Read a FunctionalSet from an atom CSV.
+
+    Header id,x1,...,xd,weight[,d1,...,dd]; the derivative columns are
+    optional and default to zero. Rows sharing an id form the atoms of one
+    functional, in file order; functionals are sorted by ascending id and
+    all internal indexing refers to positions in that order. Errors in a
+    field name its line.
+    """
+    header, lines, cols = _read_csv(path)
+    d = len([h for h in header if h.startswith("x")])
+    expected = ["id"] + [f"x{k + 1}" for k in range(d)] + ["weight"]
+    expected_dv = expected + [f"d{k + 1}" for k in range(d)]
+    if d == 0 or (header != expected and header != expected_dv):
+        raise InputError(
+            "CSV header must be id,x1..xd,weight with optional d1..dd, got " + ",".join(header)
+        )
+    if not lines:
         raise InputError(f"{path} contains no atom rows")
-    return [Functional(fid, tuple(atoms[fid])) for fid in sorted(atoms)]
+    ids = _column(cols[0], lines, "id", True)
+    points = np.stack([_column(cols[1 + k], lines, f"x{k + 1}", False) for k in range(d)], axis=1)
+    weights = _column(cols[1 + d], lines, "weight", False)
+    derivs = np.zeros((len(lines), d), dtype=np.int64)
+    for k in range(d if header == expected_dv else 0):
+        derivs[:, k] = _column(cols[2 + d + k], lines, f"d{k + 1}", True)
+    if (derivs < 0).any():
+        line = lines[int(np.flatnonzero((derivs < 0).any(axis=1))[0])]
+        raise InputError(f"line {line}: derivative orders must be nonnegative")
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    first = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    return FunctionalSet(points[order], weights[order], derivs[order],
+                         np.r_[first, ids.size], ids[first])
 
 
 def write_functionals_csv(path, functionals):
     """Write functionals in the atom CSV format read by ingest_functionals."""
-    d = functionals[0].dimension
-    with_derivs = any(a.deriv.any() for f in functionals for a in f.atoms)
+    fs = as_functional_set(functionals)
+    d = fs.dimension
     header = ["id"] + [f"x{k + 1}" for k in range(d)] + ["weight"]
-    if with_derivs:
+    cols = [np.repeat(fs.ids, np.diff(fs.offsets)).tolist()]
+    cols += [[f"{x:.17g}" for x in c] for c in fs.points.T.tolist()]
+    cols.append([f"{w:.17g}" for w in fs.weights.tolist()])
+    if fs.derivs.any():
         header += [f"d{k + 1}" for k in range(d)]
+        cols += fs.derivs.T.tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for f in functionals:
-            for a in f.atoms:
-                row = [f.id] + [f"{x:.17g}" for x in a.point] + [f"{a.weight:.17g}"]
-                if with_derivs:
-                    row += [int(v) for v in a.deriv]
-                writer.writerow(row)
+        writer.writerows(zip(*cols))
 
 
 def read_values_csv(path, n=None):
     """Read a value vector: either a single 'value' column or 'index,value' rows."""
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise InputError(f"{path} is empty") from None
-        if header == ["value"]:
-            vals = [_parse_float(row[0], line, "value")
-                    for line, row in enumerate(reader, start=2) if row]
-            out = np.array(vals)
-        elif header == ["index", "value"]:
-            pairs = {}
-            for line, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                idx = _parse_int(row[0], line, "index")
-                pairs[idx] = _parse_float(row[1], line, "value")
-            if sorted(pairs) != list(range(len(pairs))):
-                raise InputError(f"{path}: indices must cover 0..{len(pairs) - 1}")
-            out = np.array([pairs[i] for i in range(len(pairs))])
-        else:
-            raise InputError("value CSV header must be 'value' or 'index,value'")
+    header, lines, cols = _read_csv(path)
+    if header == ["value"]:
+        out = _column(cols[0], lines, "value", False)
+    elif header == ["index", "value"]:
+        index = _column(cols[0], lines, "index", True)
+        if not np.array_equal(np.sort(index), np.arange(index.size)):
+            raise InputError(f"{path}: indices must cover 0..{index.size - 1}")
+        out = np.empty(index.size)
+        out[index] = _column(cols[1], lines, "value", False)
+    else:
+        raise InputError("value CSV header must be 'value' or 'index,value'")
     if n is not None and out.size != n:
         raise InputError(f"{path}: expected {n} values, got {out.size}")
     return out
 
 
 def write_values_csv(path, values, indexed=True):
+    vals = [f"{v:.17g}" for v in np.asarray(values).ravel().tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if indexed:
-            writer.writerow(["index", "value"])
-            for i, v in enumerate(np.asarray(values).ravel()):
-                writer.writerow([i, f"{v:.17g}"])
-        else:
-            writer.writerow(["value"])
-            for v in np.asarray(values).ravel():
-                writer.writerow([f"{v:.17g}"])
+        writer.writerow(["index", "value"] if indexed else ["value"])
+        writer.writerows(enumerate(vals) if indexed else zip(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +319,7 @@ def _bind_children(records):
 
 def load_basis(path):
     """Load a basis container from disk."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    return deserialize_basis(blob)
+    return read_container(path).basis
 
 
 def read_container(path):

@@ -1,7 +1,8 @@
 """Hot numeric kernels in numpy: evaluation tables, box distances and the cascade.
 
-Every kernel is a function of packed arrays, so the loops over functionals,
-boxes and cluster nodes run inside numpy rather than in Python.
+Every kernel is a function of flat arrays (the atom arrays of a
+measures.FunctionalSet, box corners, stacked filters), so the loops over
+functionals, boxes and cluster nodes run inside numpy rather than in Python.
 """
 
 from dataclasses import dataclass
@@ -32,9 +33,9 @@ def eval_table(points, weights, derivs, offsets, sel, exps, center, scale):
     Entry [a, j] is functional sel[j] applied to the monomial with exponent
     row exps[a] in the coordinates (x - center) / scale. center and scale
     are one affine map of shape (d,) for all functionals, or one per
-    selected functional of shape (len(sel), d). Functional atoms are
-    packed: rows offsets[i]:offsets[i+1] of points/weights/derivs belong to
-    functional i.
+    selected functional of shape (len(sel), d). The atoms are those of a
+    FunctionalSet: rows offsets[i]:offsets[i+1] of points/weights/derivs
+    belong to functional i.
     """
     sel = np.ascontiguousarray(sel, dtype=np.int64)
     center = np.asarray(center, dtype=np.float64)

@@ -3,9 +3,12 @@
 A functional is a finite list of atoms (point, weight, derivative multi-index)
 and acts on a smooth function v as the sum of weight * (D^deriv v)(point).
 Dirac evaluations, divided differences and quadrature rules are all of this
-form. The primitive space against which samplets gain vanishing moments is the
-space of polynomials up to a fixed total degree, represented in coordinates
-affinely rescaled to a reference box.
+form. A FunctionalSet holds n functionals as flat, read-only atom arrays,
+validated once; every stage works on it. Functional and Atom build single
+functionals by hand and are the element views of a set; a list of them is
+packed into a set once, where it enters the library. The primitive space
+against which samplets gain vanishing moments is the space of polynomials
+up to a fixed total degree, in coordinates affinely rescaled to a box.
 """
 
 import itertools
@@ -14,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import InputError
 from .kernels import falling_factorial_table
 
@@ -34,7 +38,7 @@ def _as_point(x, name="point"):
     return x
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     """One summand of a functional: weight times a point derivative evaluation."""
 
@@ -61,7 +65,7 @@ class Atom:
         return self.point.size
 
 
-@dataclass
+@dataclass(slots=True)
 class Functional:
     """A compactly supported functional given by finitely many atoms."""
 
@@ -83,9 +87,6 @@ class Functional:
     @property
     def dimension(self):
         return self.atoms[0].dimension
-
-    def max_derivative_order(self):
-        return max(int(a.deriv.sum()) for a in self.atoms)
 
 
 def dirac(fid, point):
@@ -109,11 +110,6 @@ class SupportBox:
             raise InputError("box lower corner exceeds upper corner")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-
-    @classmethod
-    def from_points(cls, points):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return cls(points.min(axis=0), points.max(axis=0))
 
     @property
     def dimension(self):
@@ -141,25 +137,12 @@ class SupportBox:
             and np.all(other.upper <= self.upper + tol)
         )
 
-    def intersects(self, other):
-        return bool(
-            np.all(self.lower <= other.upper) and np.all(other.lower <= self.upper)
-        )
-
     def union(self, other):
         if other.dimension != self.dimension:
             raise InputError("cannot union boxes of different dimensions")
         return SupportBox(
             np.minimum(self.lower, other.lower), np.maximum(self.upper, other.upper)
         )
-
-    def distance(self, other):
-        """Euclidean distance between the boxes, 0 when they intersect."""
-        if other.dimension != self.dimension:
-            raise InputError("cannot measure distance between boxes of different dimensions")
-        g = np.maximum(self.lower - other.upper, other.lower - self.upper)
-        np.maximum(g, 0.0, out=g)
-        return float(np.linalg.norm(g))
 
 
 def box_affine(box):
@@ -176,8 +159,8 @@ def box_affine(box):
 
 def support_box(functional):
     """Smallest axis-aligned box containing all atom points of the functional."""
-    pts = np.array([a.point for a in functional.atoms])
-    return SupportBox.from_points(pts)
+    lo, hi = as_functional_set([functional]).boxes()
+    return SupportBox(lo[0], hi[0])
 
 
 @dataclass
@@ -354,72 +337,139 @@ def evaluate(functional, p):
 def analysis_vector(functionals, v):
     """Apply every functional to a test function v, returning one value each.
 
-    v may be a Polynomial, a plain callable of a coordinate array (enough when
-    no atom carries derivatives), or any object with a derivative(point, nu)
-    method for functionals with derivative atoms.
+    v may be a Polynomial (evaluated with one eval_table call), a plain
+    callable of a coordinate array (enough when no atom carries
+    derivatives), or any object with a derivative(point, nu) method for
+    functionals with derivative atoms. Callables are called once per atom.
     """
-    out = np.empty(len(functionals))
-    is_poly = isinstance(v, Polynomial)
-    for i, f in enumerate(functionals):
-        acc = 0.0
-        for a in f.atoms:
-            if is_poly:
-                acc += a.weight * v.deriv_eval(a.point, a.deriv)
-            elif not a.deriv.any():
-                acc += a.weight * float(v(a.point))
-            elif hasattr(v, "derivative"):
-                acc += a.weight * float(v.derivative(a.point, a.deriv))
-            else:
-                raise InputError(
-                    "test function must provide derivative(point, nu) for derivative atoms"
-                )
-        out[i] = acc
-    return out
+    fs = as_functional_set(functionals)
+    if isinstance(v, Polynomial):
+        if v.dimension != fs.dimension:
+            raise InputError(
+                f"functional dimension {fs.dimension} does not match polynomial dimension {v.dimension}"
+            )
+        return v.coefficients @ fs.eval_table(np.arange(len(fs)), v.exponents, v.center, v.scale)
+    plain = ~fs.derivs.any(axis=1)
+    if not (plain.all() or hasattr(v, "derivative")):
+        raise InputError("test function must provide derivative(point, nu) for derivative atoms")
+    vals = [float(v(x)) if p else float(v.derivative(x, nu))
+            for x, nu, p in zip(fs.points, fs.derivs, plain.tolist())]
+    # bincount adds each functional's atoms in order, starting from 0.0
+    owner = np.repeat(np.arange(len(fs)), np.diff(fs.offsets))
+    return np.bincount(owner, weights=fs.weights * vals, minlength=len(fs))
 
 
-@dataclass
-class PackedFunctionals:
-    """Atom data of a functional set in flat arrays for the numeric kernels."""
+def _frozen(values, dtype, what):
+    try:
+        arr = np.array(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what}: {exc}") from None
+    arr.flags.writeable = False
+    return arr
 
-    points: np.ndarray
-    weights: np.ndarray
-    derivs: np.ndarray
-    offsets: np.ndarray
-    dimension: int
+
+class FunctionalSet:
+    """An ordered set of n functionals stored as flat, read-only atom arrays.
+
+    Rows offsets[i]:offsets[i+1] of points (A, d), weights (A,) and derivs
+    (A, d) are the atoms of functional i, whose id is ids[i]. The arrays
+    are copied and validated once: finite points and weights, nonnegative
+    derivative orders, one dimension d >= 1 and at least one atom per
+    functional and one functional. fs[i] and iteration give Functional and
+    Atom views over the arrays, built without validating again.
+    """
+
+    def __init__(self, points, weights, derivs, offsets, ids):
+        self.points = _frozen(points, np.float64, "atom points")
+        self.weights = _frozen(weights, np.float64, "atom weights")
+        self.derivs = _frozen(derivs, np.int64, "derivative orders")
+        self.offsets = _frozen(offsets, np.int64, "atom offsets")
+        self.ids = _frozen(ids, np.int64, "functional ids")
+        if self.offsets.ndim != 1 or self.offsets.size < 2 or self.ids.shape != (self.offsets.size - 1,):
+            raise InputError("need at least one functional and one id per functional")
+        if self.points.ndim != 2 or self.points.shape[1] == 0:
+            raise InputError("atom points must form an (A, d) array with d >= 1")
+        a = self.points.shape[0]
+        if self.weights.shape != (a,) or self.derivs.shape != self.points.shape:
+            raise InputError("weights and derivative orders must match the atom points")
+        if self.offsets[0] != 0 or self.offsets[-1] != a or (np.diff(self.offsets) < 1).any():
+            raise InputError("every functional needs at least one atom")
+        if not (np.isfinite(self.points).all() and np.isfinite(self.weights).all()):
+            raise InputError("atom points and weights must be finite")
+        if (self.derivs < 0).any():
+            raise InputError("derivative orders must be nonnegative")
+
+    @classmethod
+    def diracs(cls, points):
+        """Unit point evaluations at the rows of an (n, d) array, ids 0..n-1."""
+        points = np.asarray(points, dtype=np.float64)
+        n = points.shape[0]
+        return cls(points, np.ones(n), np.zeros(points.shape, dtype=np.int64),
+                   np.arange(n + 1), np.arange(n))
 
     @property
-    def count(self):
-        return self.offsets.size - 1
+    def dimension(self):
+        return self.points.shape[1]
+
+    def __len__(self):
+        return self.ids.size
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # an int position, negative ones from the end
+        return next(self._views(i, i + 1))
+
+    def __iter__(self):
+        return self._views(0, len(self))
+
+    def _views(self, start, stop):
+        """Functional and Atom views of positions start..stop-1, skipping __post_init__."""
+        new = object.__new__
+        bounds = self.offsets[start:stop + 1].tolist()
+        s0, e0 = bounds[0], bounds[-1]
+        atoms = []
+        for x, w, nu in zip(list(self.points[s0:e0]), self.weights[s0:e0].tolist(),
+                            list(self.derivs[s0:e0])):
+            a = new(Atom)
+            a.point, a.weight, a.deriv = x, w, nu
+            atoms.append(a)
+        for fid, s, e in zip(self.ids[start:stop].tolist(), bounds, bounds[1:]):
+            f = new(Functional)
+            f.id, f.atoms = fid, tuple(atoms[s - s0:e - s0])
+            yield f
+
+    def index(self, f):
+        """First position of a functional equal to f: same id and the same atoms."""
+        size = np.diff(self.offsets)
+        for i in np.flatnonzero((self.ids == f.id) & (size == len(f.atoms))):
+            s = self.offsets[i]
+            if all(np.array_equal(self.points[s + t], a.point) and self.weights[s + t] == a.weight
+                   and np.array_equal(self.derivs[s + t], a.deriv) for t, a in enumerate(f.atoms)):
+                return int(i)
+        raise InputError(f"functional {f.id} does not belong to the set")
+
+    def boxes(self):
+        """Per-functional support box corners as (lo, hi) arrays of shape (n, d)."""
+        starts = self.offsets[:-1]
+        return (np.minimum.reduceat(self.points, starts, axis=0),
+                np.maximum.reduceat(self.points, starts, axis=0))
+
+    def eval_table(self, sel, exps, center, scale):
+        """kernels.eval_table on these atoms: monomial rows, columns the functionals sel."""
+        return kernels.eval_table(self.points, self.weights, self.derivs, self.offsets,
+                                  sel, exps, center, scale)
 
 
-def pack_functionals(functionals):
-    if not functionals:
-        raise InputError("need at least one functional")
-    d = functionals[0].dimension
-    counts = []
-    for f in functionals:
-        if f.dimension != d:
-            raise InputError("functionals mix dimensions")
-        counts.append(len(f.atoms))
-    offsets = np.zeros(len(functionals) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
-    points = np.empty((total, d))
-    weights = np.empty(total)
-    derivs = np.empty((total, d), dtype=np.int64)
-    t = 0
-    for f in functionals:
-        for a in f.atoms:
-            points[t] = a.point
-            weights[t] = a.weight
-            derivs[t] = a.deriv
-            t += 1
-    return PackedFunctionals(points, weights, derivs, offsets, d)
-
-
-def functional_boxes(functionals):
-    """Per-functional support box corners as (lo, hi) arrays of shape (n, d)."""
-    packed = pack_functionals(functionals)
-    starts = packed.offsets[:-1]  # every functional has at least one atom
-    return (np.minimum.reduceat(packed.points, starts, axis=0),
-            np.maximum.reduceat(packed.points, starts, axis=0))
+def as_functional_set(functionals):
+    """A FunctionalSet as it is, or a sequence of Functional packed once into one."""
+    if isinstance(functionals, FunctionalSet):
+        return functionals
+    flist = list(functionals)
+    if not all(isinstance(f, Functional) for f in flist):
+        raise InputError("functionals must be Functional instances")
+    atoms = [a for f in flist for a in f.atoms]
+    if len({a.point.size for a in atoms}) > 1:
+        raise InputError("functionals mix dimensions")
+    return FunctionalSet(
+        [a.point for a in atoms], [a.weight for a in atoms], [a.deriv for a in atoms],
+        np.cumsum([0] + [len(f.atoms) for f in flist]), [f.id for f in flist],
+    )

@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 from . import kernels
 from .errors import InputError
-from .measures import functional_boxes, support_box
+from .measures import as_functional_set
 
 _GAUSSIAN_LIMIT = 16384
 
@@ -60,7 +60,8 @@ class GaussianSimilarity:
 
 def support_distance(f, g):
     """Euclidean distance between the support boxes of two functionals."""
-    return support_box(f).distance(support_box(g))
+    lo, hi = as_functional_set([f, g]).boxes()
+    return float(kernels.box_gap_pairs(lo, hi, [0], [1])[0])
 
 
 def _knn_neighbor_sets(lo, hi, k, rows=None):
@@ -82,7 +83,8 @@ def similarity(f, g, scheme, functionals=None):
     """Similarity of two functionals under the given scheme.
 
     MutualKNN needs the surrounding functional set to determine neighbor
-    membership; pass it via the functionals argument.
+    membership; pass it via the functionals argument. f and g are found in
+    it by id and atoms (FunctionalSet.index), so views and copies work.
     """
     if isinstance(scheme, GaussianSimilarity):
         d = support_distance(f, g)
@@ -92,14 +94,11 @@ def similarity(f, g, scheme, functionals=None):
     if isinstance(scheme, MutualKNN):
         if functionals is None:
             raise InputError("MutualKNN similarity needs the full functional set")
-        pos = {id(x): i for i, x in enumerate(functionals)}
-        try:
-            i, j = pos[id(f)], pos[id(g)]
-        except KeyError:
-            raise InputError("both functionals must belong to the given set") from None
+        fs = as_functional_set(functionals)
+        i, j = fs.index(f), fs.index(g)
         if i == j:
             return 0.0
-        lo, hi = functional_boxes(functionals)
+        lo, hi = fs.boxes()
         nbr_i, nbr_j = _knn_neighbor_sets(lo, hi, scheme.k, rows=[i, j])
         return 1.0 if (j in nbr_i) or (i in nbr_j) else 0.0
     raise InputError(f"unknown similarity scheme {scheme!r}")
@@ -228,7 +227,7 @@ def build_graph(functionals, scheme):
     Epsilon and kNN weights are sparse CSR matrices; Gaussian weights are a
     dense array, which limits that scheme to 16384 functionals.
     """
-    lo, hi = functional_boxes(functionals)
+    lo, hi = as_functional_set(functionals).boxes()
     if isinstance(scheme, GaussianSimilarity):
         if lo.shape[0] > _GAUSSIAN_LIMIT:
             raise InputError(

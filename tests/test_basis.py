@@ -1,5 +1,7 @@
 """Moment matrices, QR filters, and the assembled samplet transform."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -34,7 +36,7 @@ from samplets import (
 )
 from samplets.ctree import ClusterNode, ClusterTree
 from samplets.kernels import eval_table
-from samplets.measures import Polynomial, analysis_vector, box_affine, pack_functionals
+from samplets.measures import Polynomial, analysis_vector, as_functional_set, box_affine
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +244,7 @@ class TestVanishingMoments:
 
 def _per_cluster_scan(basis, functionals, primitives):
     """Reference vanishing-moment rows: one full evaluation and forward per cluster."""
-    packed = pack_functionals(functionals)
+    fs = as_functional_set(functionals)
     sel = np.arange(basis.n, dtype=np.int64)
     rows = []
     for nd in basis.tree.nodes:
@@ -251,7 +253,7 @@ def _per_cluster_scan(basis, functionals, primitives):
             continue
         center, scale = box_affine(nd.box)
         table = eval_table(
-            packed.points, packed.weights, packed.derivs, packed.offsets,
+            fs.points, fs.weights, fs.derivs, fs.offsets,
             sel, primitives.exponents, center, scale,
         )
         norms = np.linalg.norm(table, axis=1)
@@ -470,6 +472,11 @@ class TestThresholdCompress:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InputError):
             threshold_compress(np.ones(3), -0.1)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_sigma_rejected(self, sigma):
+        with pytest.raises(InputError, match="sigma"):
+            threshold_compress(np.ones((3, 3)), sigma)
 
 
 def _dense_from_rows(basis):

@@ -103,6 +103,19 @@ class TestGramMassP1:
                 want = _hat_moment(mesh[i], mesh[i + 1], mesh[i + 2], k)
                 assert got == pytest.approx(want, abs=1e-14)
 
+    def test_atoms_equal_the_per_element_loop_bit_for_bit(self):
+        mesh = np.array([0.0, 0.1, 0.25, 0.45, 0.7, 1.0])
+        _, functionals = gram_mass_p1(mesh)
+        half = 0.5 / math.sqrt(3.0)
+        for i, f in enumerate(functionals):
+            expect = []
+            for a, b, rising in ((mesh[i], mesh[i + 1], True), (mesh[i + 1], mesh[i + 2], False)):
+                width, mid = b - a, 0.5 * (a + b)
+                for gp in (mid - width * half, mid + width * half):
+                    hat = (gp - a) / width if rising else (b - gp) / width
+                    expect.append((gp, 0.5 * width * hat))
+            assert [(a.point[0], a.weight) for a in f.atoms] == expect
+
     def test_non_monotone_mesh_rejected(self):
         with pytest.raises(InputError):
             gram_mass_p1(np.array([0.0, 0.5, 0.4, 1.0]))

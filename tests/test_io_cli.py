@@ -96,9 +96,49 @@ class TestIngest:
         with pytest.raises(InputError):
             ingest_functionals(path)
 
+    def test_header_without_coordinates_rejected(self, tmp_path):
+        path = tmp_path / "atoms.csv"
+        path.write_text("id,weight\n1,1.0\n")
+        with pytest.raises(InputError, match="header"):
+            ingest_functionals(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(InputError):
             ingest_functionals(tmp_path / "nope.csv")
+
+    def test_id_beyond_64_bits_reports_the_line(self, tmp_path):
+        path = tmp_path / "atoms.csv"
+        path.write_text(f"id,x1,weight\n1,0.5,1.0\n{2**70},0.9,1.0\n")
+        with pytest.raises(InputError, match="line 3"):
+            ingest_functionals(path)
+
+    def test_negative_and_duplicate_ids_keep_a_stable_order(self, tmp_path):
+        path = tmp_path / "atoms.csv"
+        path.write_text("id,x1,weight\n5,0.1,1.0\n-3,0.2,1.0\n5,0.3,2.0\n\n"
+                        "-3,0.4,3.0\n0,0.5,1.0\n-3,0.6,4.0\n")
+        functionals = ingest_functionals(path)
+        assert [f.id for f in functionals] == [-3, 0, 5]
+        assert [[a.point[0] for a in f.atoms] for f in functionals] == [
+            [0.2, 0.4, 0.6], [0.5], [0.1, 0.3]]
+        assert [a.weight for a in functionals[0].atoms] == [1.0, 3.0, 4.0]
+
+    def test_writer_matches_the_per_atom_format(self, tmp_path):
+        functionals = [
+            Functional(-4, [Atom([0.1, -0.0], 2.0 / 3.0, [1, 0]), Atom([1e-300, 4.0], -1.0)]),
+            Functional(2**40, [Atom([5e-324, 0.6], 0.5, [0, 2])]),
+        ]
+        path = tmp_path / "atoms.csv"
+        write_functionals_csv(path, functionals)
+        expect = ["id,x1,x2,weight,d1,d2"] + [
+            ",".join([str(f.id)] + [f"{x:.17g}" for x in a.point] + [f"{a.weight:.17g}"]
+                     + [str(int(v)) for v in a.deriv])
+            for f in functionals for a in f.atoms
+        ]
+        assert path.read_text().splitlines() == expect
+
+    def test_writing_no_functionals_is_an_input_error(self, tmp_path):
+        with pytest.raises(InputError):
+            write_functionals_csv(tmp_path / "atoms.csv", [])
 
     def test_round_trip_with_derivatives(self, tmp_path):
         functionals = [
@@ -363,6 +403,19 @@ class TestCliVerbs:
         ])
         assert code == 0
         assert sparse.load_npz(npz).shape == (48, 48)
+
+    def test_nan_sigma_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        main(["build", "--example", "green-1d", "--n", "48", "--degree", "1",
+              "--leaf-max", "8", "--out", str(out)])
+        capsys.readouterr()
+        code = main([
+            "compress", "--basis", str(out / "basis.bin"), "--example", "green-1d",
+            "--n", "48", "--sigma", "nan", "--out", str(out),
+        ])
+        assert code == 2
+        assert "sigma" in capsys.readouterr().err
+        assert not (out / "compression.csv").exists()
 
     def test_missing_basis_is_an_input_error(self, tmp_path):
         code = main(["transform", "--example", "uniform-diracs", "--n", "16",

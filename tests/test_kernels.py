@@ -10,7 +10,7 @@ from samplets.kernels import (
     eval_table,
     falling_factorial_table,
 )
-from samplets.measures import Atom, Functional, evaluate, pack_functionals
+from samplets.measures import Atom, Functional, as_functional_set, evaluate
 
 def _random_functionals(rng, n, d, max_deriv=2):
     out = []
@@ -47,7 +47,7 @@ class TestEvalTable:
     def test_matches_per_functional_evaluation(self):
         rng = np.random.default_rng(31)
         functionals = _random_functionals(rng, 12, 2)
-        packed = pack_functionals(functionals)
+        packed = as_functional_set(functionals)
         prim = primitive_basis(2, 3)
         sel = np.array([0, 3, 7, 11])
         table = eval_table(
@@ -63,7 +63,7 @@ class TestEvalTable:
 
     def test_one_affine_map_per_functional(self):
         rng = np.random.default_rng(8)
-        packed = pack_functionals(_random_functionals(rng, 9, 2))
+        packed = as_functional_set(_random_functionals(rng, 9, 2))
         exps = primitive_basis(2, 3).exponents
         sel = np.array([8, 0, 4, 5])
         center = rng.normal(size=(sel.size, 2))
@@ -82,7 +82,7 @@ class TestEvalTable:
     @pytest.mark.parametrize("shape", [(3,), (1,), (4, 2), (2, 2, 1), ()])
     def test_bad_affine_shape_rejected(self, shape):
         rng = np.random.default_rng(9)
-        packed = pack_functionals(_random_functionals(rng, 3, 2))
+        packed = as_functional_set(_random_functionals(rng, 3, 2))
         prim = primitive_basis(2, 1)
         with pytest.raises(InputError, match="center"):
             eval_table(
@@ -97,7 +97,7 @@ class TestEvalTable:
 
     def test_empty_selection(self):
         rng = np.random.default_rng(5)
-        packed = pack_functionals(_random_functionals(rng, 3, 1))
+        packed = as_functional_set(_random_functionals(rng, 3, 1))
         prim = primitive_basis(1, 2)
         table = eval_table(
             packed.points, packed.weights, packed.derivs, packed.offsets,

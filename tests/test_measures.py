@@ -18,10 +18,9 @@ from samplets import (
 from samplets.measures import (
     Polynomial,
     analysis_vector,
+    as_functional_set,
     box_affine,
-    functional_boxes,
     graded_exponents,
-    pack_functionals,
     support_box,
 )
 
@@ -184,7 +183,7 @@ class TestPolynomialArithmetic:
             _ = a + b
 
 
-class TestPackedFunctionals:
+class TestFunctionalSetArrays:
     def test_pack_preserves_atoms_and_boxes(self):
         rng = np.random.default_rng(11)
         functionals = []
@@ -194,12 +193,12 @@ class TestPackedFunctionals:
                 for _ in range(rng.integers(1, 4))
             ]
             functionals.append(Functional(i, atoms))
-        packed = pack_functionals(functionals)
-        assert packed.count == 15
+        packed = as_functional_set(functionals)
+        assert len(packed) == 15
         assert packed.dimension == 2
         sizes = np.diff(packed.offsets)
         assert sizes.tolist() == [len(f.atoms) for f in functionals]
-        lo, hi = functional_boxes(functionals)
+        lo, hi = packed.boxes()
         for i, f in enumerate(functionals):
             box = support_box(f)
             assert np.array_equal(lo[i], box.lower)

@@ -21,7 +21,7 @@ from samplets import (
 )
 from samplets import simgraph
 from samplets.kernels import box_distance_matrix
-from samplets.measures import functional_boxes
+from samplets.measures import as_functional_set
 from samplets.simgraph import _knn_neighbor_sets, laplacian_from_weights
 
 
@@ -161,7 +161,7 @@ def _dense(w):
 
 def _reference_weights(functionals, scheme):
     """Weights straight from the scheme definitions on all box distances."""
-    lo, hi = functional_boxes(functionals)
+    lo, hi = as_functional_set(functionals).boxes()
     if isinstance(scheme, EpsilonNeighborhood):
         return (box_distance_matrix(lo, hi) < scheme.eps).astype(np.float64)
     n = len(functionals)
@@ -243,12 +243,19 @@ class TestBuildGraph:
             assert np.allclose(graph.degrees, w.sum(axis=1))
 
     @pytest.mark.parametrize(
-        "scheme",
-        [GaussianSimilarity(0.3), EpsilonNeighborhood(0.3), MutualKNN(4)],
-        ids=["gaussian", "epsilon", "knn"],
+        "scheme, packed",
+        [
+            pytest.param(GaussianSimilarity(0.3), False, id="gaussian"),
+            pytest.param(EpsilonNeighborhood(0.3), False, id="epsilon"),
+            pytest.param(MutualKNN(4), False, id="knn"),
+            pytest.param(MutualKNN(4), True, id="knn-set"),
+        ],
     )
-    def test_weights_match_pairwise_similarity(self, scheme):
+    def test_weights_match_pairwise_similarity(self, scheme, packed):
         functionals = self._random_diracs(25, 2, 1)
+        if packed:
+            # fs[i] is a fresh view each time, found in the set by content
+            functionals = as_functional_set(functionals)
         w = _dense(build_graph(functionals, scheme).weights)
         for i in range(25):
             for j in range(25):
