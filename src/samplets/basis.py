@@ -8,9 +8,13 @@ change of basis. The first min(m_P, n) QR columns become scaling outputs
 passed upward, the remaining columns are samplets whose rows annihilate all
 primitive polynomials. Chaining the per-node factors yields one global
 orthogonal transform applied in linear time by a two-scale cascade.
+
+The builder works on buckets of nodes with equal (height, inputs, m_phi),
+the grouping the cascade applies the filters in: one evaluation table for
+all leaves, one vectorised monomial transfer and one stacked matmul per
+bucket of internal nodes, and one stacked QR per bucket.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +28,7 @@ from .measures import (
     PrimitiveBasis,
     as_functional_set,
     box_affine,
+    corner_affine,
     graded_exponents,
     moment_dimension,
     primitive_basis,
@@ -93,42 +98,68 @@ def cluster_filters(moments):
     vals = moments.values if isinstance(moments, MomentMatrix) else np.asarray(moments, dtype=np.float64)
     if vals.ndim != 2:
         raise InputError("moment matrix must be 2d")
-    m_p, n = vals.shape
-    q, r = np.linalg.qr(vals.T, mode="complete")
-    rmin = min(n, m_p)
-    for k in range(rmin):
-        if r[k, k] < 0.0:
-            q[:, k] = -q[:, k]
-            r[k, :] = -r[k, :]
-    return ClusterFilters(q, r[:rmin, :].copy(), rmin)
+    q, r = _stacked_filters(vals.T[None])
+    return ClusterFilters(q[0], r[0], r.shape[1])
 
 
-def _monomial_transfer(exps, child_affine, parent_affine):
-    """Exact change of basis between scaled monomials on nested boxes.
+def _stacked_filters(mt):
+    """Sign-fixed complete QR of a (k, n, m_P) stack of transposed moment matrices.
 
-    Row alpha expresses the parent monomial u_P^alpha in child monomials:
-    u_P = shift + ratio * u_C per coordinate, expanded binomially. The result
-    is lower triangular in the graded order.
+    Returns q of shape (k, n, n) and r of shape (k, min(n, m_P), m_P). Where
+    a diagonal entry of r is negative, its row of r and the matching column
+    of q are negated.
     """
-    c_child, s_child = child_affine
-    c_parent, s_parent = parent_affine
-    shift = (c_child - c_parent) / s_parent
-    ratio = s_child / s_parent
-    m = exps.shape[0]
-    d = exps.shape[1]
-    pos = {tuple(int(x) for x in e): i for i, e in enumerate(exps)}
-    out = np.zeros((m, m))
-    for i in range(m):
-        alpha = exps[i]
-        for beta in itertools.product(*(range(int(a) + 1) for a in alpha)):
-            coef = 1.0
-            for k in range(d):
-                coef *= (
-                    math.comb(int(alpha[k]), beta[k])
-                    * shift[k] ** (int(alpha[k]) - beta[k])
-                    * ratio[k] ** beta[k]
-                )
-            out[i, pos[beta]] = coef
+    q, r = np.linalg.qr(mt, mode="complete")
+    r = r[:, : min(mt.shape[1], mt.shape[2])]
+    neg = np.diagonal(r, axis1=1, axis2=2) < 0.0
+    head = q[:, :, : r.shape[1]]
+    head[...] = np.where(neg[:, None, :], -head, head)
+    return q, np.where(neg[:, :, None], -r, r)
+
+
+def _pow(x, e):
+    try:
+        return math.pow(x, e)
+    except OverflowError:  # the numpy scalar power gives +-inf there instead
+        return float(np.float64(x) ** e)
+
+
+def _monomial_transfers(exps, child_center, child_scale, parent_center, parent_scale):
+    """Exact changes of basis between scaled monomials on pairs of boxes.
+
+    The affine maps are (k, d) arrays, one row per pair, or one (d,) map
+    shared by all pairs. Entry [b, alpha, beta] expresses the parent
+    monomial u_P^alpha in child monomials u_C^beta, where u_P = shift +
+    ratio * u_C per coordinate is expanded binomially; each matrix is lower
+    triangular in the graded order. The powers of shift and ratio are taken
+    with libm pow, as the scalar expansion of one pair takes them (numpy's
+    array power rounds some differently), so every entry has the same bits
+    as in that expansion.
+    """
+    shift = (child_center - parent_center) / parent_scale
+    ratio = child_scale / parent_scale
+    shift, ratio = np.broadcast_arrays(shift, ratio)
+    k, d = shift.shape
+    top = int(exps.max()) + 1
+
+    def powers(x):
+        # x**0 and x**1 are exact, libm pow gives the rest
+        flat = x.ravel().tolist()
+        cols = [np.ones(len(flat)), np.array(flat)] + [[_pow(v, e) for v in flat] for e in range(2, top)]
+        return np.stack(cols[:top], axis=-1).reshape(k, d, top)
+
+    sp, rp = powers(shift), powers(ratio)
+    # all (alpha, beta) with beta <= alpha; graded exponents hold every such beta
+    ai, bi = np.nonzero((exps[None, :, :] <= exps[:, None, :]).all(axis=2))
+    alpha, beta = exps[ai], exps[bi]
+    coef = None
+    for c in range(d):
+        comb = np.array([math.comb(int(a), int(b)) for a, b in zip(alpha[:, c], beta[:, c])],
+                        dtype=np.float64)
+        term = comb * sp[:, c, alpha[:, c] - beta[:, c]] * rp[:, c, beta[:, c]]
+        coef = term if coef is None else coef * term
+    out = np.zeros((k, exps.shape[0], exps.shape[0]))
+    out[:, ai, bi] = coef
     return out
 
 
@@ -241,6 +272,14 @@ def build_samplet_basis(functionals, tree, degree):
     m_P root scaling rows, where m_P is the primitive space dimension.
     Leaves smaller than m_P are rejected; a leaf of size exactly m_P simply
     carries no samplets.
+
+    Nodes are processed in the cascade's buckets (kernels.node_buckets), by
+    ascending height so children come before parents. All leaf moment tables
+    come from one evaluation, each functional mapped to its leaf's box. A
+    bucket of internal nodes gets its children's monomial transfers from one
+    vectorised formula and applies them with one stacked matmul. Each bucket
+    is factored by one stacked QR; the returned filters' q and r are views
+    into the stacked factors. The bits equal those of a node-by-node build.
     """
     degree = int(degree)
     if degree < 0:
@@ -258,24 +297,61 @@ def build_samplet_basis(functionals, tree, degree):
     exps = graded_exponents(d, degree)
     nodes = tree.nodes
     nn = len(nodes)
-    affine = [box_affine(nd.box) for nd in nodes]
-    order = sorted(range(nn), key=lambda i: (-nodes[i].level, i))
+    center, scale = corner_affine(*_box_corners(nodes, d))
+    children, height = _tree_links(nodes)
+    leaf = children[:, 0] < 0
+    sizes = np.array([nd.size for nd in nodes], dtype=np.int64)
+    # leaves hold at least m_P functionals, so every node passes m_P scaling rows up
+    nin = np.where(leaf, sizes, 2 * m_p)
+    groups = kernels.node_buckets(height, nin, np.full(nn, m_p))
+    leaf_ids = np.concatenate([ids for ids in groups if leaf[ids[0]]])
+    counts = sizes[leaf_ids]
+    table = fs.eval_table(
+        np.concatenate([nodes[i].indices for i in leaf_ids]), exps,
+        np.repeat(center[leaf_ids], counts, axis=0), np.repeat(scale[leaf_ids], counts, axis=0),
+    )
     filters = [None] * nn
-    mom_phi = [None] * nn
-    for i in order:
-        nd = nodes[i]
-        if nd.is_leaf:
-            vals = fs.eval_table(nd.indices, exps, *affine[i])
+    mom_phi = np.empty((nn, m_p, m_p))  # moments of each node's scaling outputs, R^T
+    col = 0
+    for ids in groups:
+        k = ids.size
+        if leaf[ids[0]]:
+            n = int(nin[ids[0]])
+            mt = table[:, col:col + k * n].reshape(m_p, k, n).transpose(1, 2, 0)
+            col += k * n
         else:
-            blocks = []
-            for ch in nd.children:
-                trans = _monomial_transfer(exps, affine[ch.node_id], affine[i])
-                blocks.append(trans @ mom_phi[ch.node_id])
-            vals = np.hstack(blocks)
-        flt = cluster_filters(vals)
-        filters[i] = flt
-        mom_phi[i] = flt.r[: flt.m_phi, :].T.copy()
+            kids = children[ids].T.ravel()  # first children, then second children
+            up = np.concatenate((ids, ids))
+            trans = _monomial_transfers(exps, center[kids], scale[kids], center[up], scale[up])
+            moved = np.matmul(trans, mom_phi[kids])
+            mt = np.concatenate((moved[:k], moved[k:]), axis=2).transpose(0, 2, 1)
+        q, r = _stacked_filters(mt)
+        mom_phi[ids] = r.transpose(0, 2, 1)
+        for j, i in enumerate(ids.tolist()):
+            filters[i] = ClusterFilters(q[j], r[j], m_p)
     return assemble_basis(tree, filters, d, degree)
+
+
+def _tree_links(nodes):
+    """Child ids (-1 twice for a leaf) and heights (0 for a leaf) of preordered nodes."""
+    nn = len(nodes)
+    children = np.full((nn, 2), -1, dtype=np.int64)
+    height = np.zeros(nn, dtype=np.int64)
+    for nd in reversed(nodes):  # preorder reversed: children before parents
+        if nd.children:
+            i = nd.node_id
+            c1, c2 = (c.node_id for c in nd.children)
+            children[i] = c1, c2
+            height[i] = 1 + max(height[c1], height[c2])
+    return children, height
+
+
+def _box_corners(nodes, d):
+    """Lower and upper box corners of cluster nodes as (len(nodes), d) arrays."""
+    k = len(nodes)
+    lower = np.array([nd.box.lower for nd in nodes], dtype=np.float64).reshape(k, d)
+    upper = np.array([nd.box.upper for nd in nodes], dtype=np.float64).reshape(k, d)
+    return lower, upper
 
 
 def assemble_basis(tree, filters, dimension, degree):
@@ -297,21 +373,14 @@ def assemble_basis(tree, filters, dimension, degree):
     covered = np.concatenate([r for r in leaf_rows if r is not None])
     if covered.size != n or not np.array_equal(np.sort(covered), np.arange(n)):
         raise InputError("leaf clusters do not partition the functional positions")
+    children, height = _tree_links(nodes)
     m_phi = np.zeros(nn, dtype=np.int64)
-    height = np.zeros(nn, dtype=np.int64)
-    children = np.full((nn, 2), -1, dtype=np.int64)
     for nd in reversed(nodes):  # preorder reversed: children before parents
         i = nd.node_id
         q = filters[i].q
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise InputError(f"filter of node {i} is {q.shape}, not square")
-        if nd.is_leaf:
-            nin = nd.size
-        else:
-            c1, c2 = (c.node_id for c in nd.children)
-            children[i] = c1, c2
-            nin = int(m_phi[c1] + m_phi[c2])
-            height[i] = 1 + max(height[c1], height[c2])
+        nin = nd.size if nd.is_leaf else int(m_phi[children[i, 0]] + m_phi[children[i, 1]])
         if q.shape[0] != nin:
             raise InputError(f"filter of node {i} has {q.shape[0]} inputs, expected {nin}")
         if filters[i].m_phi != min(nin, m_p):
@@ -326,8 +395,7 @@ def assemble_basis(tree, filters, dimension, degree):
     node_out = np.zeros(nn, dtype=np.int64)
     node_out[by_level] = np.cumsum(counts[by_level]) - counts[by_level]
     owners = np.repeat(by_level, counts[by_level])
-    lower = np.array([nd.box.lower for nd in nodes], dtype=np.float64).reshape(nn, d)
-    upper = np.array([nd.box.upper for nd in nodes], dtype=np.float64).reshape(nn, d)
+    lower, upper = _box_corners(nodes, d)
     cascade = kernels.Cascade(
         [f.q for f in filters], m_phi, children, height, leaf_rows, node_out
     )
@@ -402,30 +470,31 @@ def _vanishing_scan(basis, functionals, primitives):
     by_level = {}
     for nd in owners:
         by_level.setdefault(nd.level, []).append(nd)
-    root = box_affine(basis.tree.root.box)
-    table_root = fs.eval_table(np.arange(basis.n), exps, *root)
+    root_center, root_scale = box_affine(basis.tree.root.box)
+    table_root = fs.eval_table(np.arange(basis.n), exps, root_center, root_scale)
     gram = table_root @ table_root.T
     resid = {}
     for group in by_level.values():
         # clusters on one level are disjoint and a cluster's samplet rows only
         # read inputs inside it, so one forward checks the whole level
-        affine = [box_affine(nd.box) for nd in group]
+        center, scale = corner_affine(*_box_corners(group, basis.dimension))
         rows = np.concatenate([nd.indices for nd in group])
         sizes = [nd.size for nd in group]
-        center = np.repeat([c for c, _ in affine], sizes, axis=0)
-        scale = np.repeat([s for _, s in affine], sizes, axis=0)
         block = np.zeros((basis.n, exps.shape[0]))
-        block[rows] = fs.eval_table(rows, exps, center, scale).T
+        block[rows] = fs.eval_table(
+            rows, exps, np.repeat(center, sizes, axis=0), np.repeat(scale, sizes, axis=0)
+        ).T
         coeff = basis.forward(block)
-        for nd, box in zip(group, affine):
-            # norms over all N functionals of the primitives scaled to this
-            # box, from the root-box Gram through the exact change of basis
-            trans = _monomial_transfer(exps, root, box)
-            norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", trans @ gram, trans), 0.0))
+        # norms over all N functionals of the primitives scaled to each box,
+        # from the root-box Gram through the exact change of basis
+        trans = _monomial_transfers(exps, root_center, root_scale, center, scale)
+        sq = np.einsum("bij,bij->bi", np.matmul(trans, gram), trans)
+        norms = np.sqrt(np.maximum(sq, 0.0))
+        for nd, nrm in zip(group, norms):
             start, stop = basis.cluster_samplet_range(nd.node_id)
             part = np.abs(coeff[start:stop])
-            alive = norms > 1e-300
-            worst = float((part[:, alive] / norms[alive]).max()) if alive.any() else 0.0
+            alive = nrm > 1e-300
+            worst = float((part[:, alive] / nrm[alive]).max()) if alive.any() else 0.0
             resid[nd.node_id] = stop - start, worst
     for nd in owners:
         yield nd, *resid[nd.node_id]
@@ -484,6 +553,14 @@ class CompressionReport:
         return self.kept / self.total if self.total else 0.0
 
 
+def check_sigma(sigma):
+    """sigma as a float; InputError unless it is finite and nonnegative."""
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise InputError(f"sigma must be finite and nonnegative, not {sigma}")
+    return sigma
+
+
 def threshold_compress(coeffs, sigma):
     """Zero all entries below sigma times the largest magnitude.
 
@@ -491,9 +568,7 @@ def threshold_compress(coeffs, sigma):
     vectors) and a CompressionReport. sigma must be finite and nonnegative;
     sigma = 0 keeps everything and sigma > 1 drops everything.
     """
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise InputError(f"sigma must be finite and nonnegative, not {sigma}")
+    sigma = check_sigma(sigma)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim not in (1, 2):
         raise InputError("expected a coefficient vector or matrix")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .basis import (
     build_samplet_basis,
+    check_sigma,
     threshold_compress,
     transform_matrix,
     vanishing_moment_table,
@@ -147,17 +148,26 @@ def _dirac_points(fs):
     return fs.points
 
 
+def _check_settings(cfg):
+    """Reject a bad sigma, gram or test function before any input is read or output written."""
+    if cfg.sigma is not None:
+        check_sigma(cfg.sigma)
+    if cfg.gram not in ("auto", "none") + _KERNEL_GRAMS:
+        raise InputError(
+            f"unknown gram {cfg.gram!r}, expected auto, none or one of {_KERNEL_GRAMS}"
+        )
+    if cfg.test_function:
+        test_function(cfg.test_function)
+
+
 def _gram_model(cfg, functionals, example_model):
+    """The Gram model named by cfg.gram, which _check_settings has accepted."""
     if cfg.gram == "none":
         return None
     if cfg.gram == "auto":
         return example_model
-    if cfg.gram in _KERNEL_GRAMS:
-        return gram_kernel(
-            _dirac_points(functionals), cfg.gram, cfg.length_scale, cfg.regularize
-        )
-    raise InputError(
-        f"unknown gram {cfg.gram!r}, expected auto, none or one of {_KERNEL_GRAMS}"
+    return gram_kernel(
+        _dirac_points(functionals), cfg.gram, cfg.length_scale, cfg.regularize
     )
 
 
@@ -174,6 +184,7 @@ def _fmt(v):
 
 def run_pipeline(cfg):
     """Ingest, build, verify, save, and report; returns a summary dict."""
+    _check_settings(cfg)
     functionals, example_model = _load_functionals(cfg)
     d = functionals.dimension
     scheme = _make_scheme(cfg)
@@ -407,6 +418,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = make_config(args)
+        _check_settings(cfg)
         if args.verb == "example":
             return _cmd_example(cfg)
         if args.verb == "build":

@@ -113,6 +113,19 @@ def box_gap_pairs(lo, hi, ii, jj):
 _CHUNK = 1 << 15
 
 
+def node_buckets(height, nin, m_phi):
+    """Node ids grouped by equal (height, nin, m_phi), by ascending key.
+
+    Ids ascend within a group. basis.build_samplet_basis factors the
+    filters of one group with one stacked QR, and Cascade applies them with
+    one stacked matmul, so the builder and the cascade share this grouping.
+    """
+    order = np.lexsort((m_phi, nin, height))
+    key = np.stack((height, nin, m_phi), axis=1)[order]
+    cuts = np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1
+    return np.split(order, cuts)
+
+
 @dataclass(frozen=True)
 class _Bucket:
     q: np.ndarray  # (k, n, n) orthogonal factors of the bucket's k nodes
@@ -142,13 +155,10 @@ class Cascade:
         self.root_rows = int(m_phi[np.argmax(height)])
         # every node's samplets plus the root's scaling rows
         self.n = int(nin.sum() - m_phi.sum()) + self.root_rows
-        order = np.lexsort((m_phi, nin, height))
-        key = np.stack((height, nin, m_phi), axis=1)[order]
-        cuts = np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1
         slot = np.empty(len(nin), dtype=np.int64)
         self.buckets = []
         phi = 0
-        for ids in np.split(order, cuts):
+        for ids in node_buckets(height, nin, m_phi):
             n, mp = int(nin[ids[0]]), int(m_phi[ids[0]])
             leaf = bool(children[ids[0], 0] < 0)
             slot[ids] = phi + mp * np.arange(ids.size)

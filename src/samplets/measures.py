@@ -152,9 +152,13 @@ def box_affine(box):
     """
     if box is None:
         raise InputError("box required")
-    half = box.halfwidth
-    scale = np.where(half > 0.0, half, 1.0)
-    return box.center, scale
+    return corner_affine(box.lower, box.upper)
+
+
+def corner_affine(lower, upper):
+    """box_affine of boxes given by corner arrays of shape (..., d), e.g. one row per box."""
+    half = 0.5 * (upper - lower)
+    return 0.5 * (lower + upper), np.where(half > 0.0, half, 1.0)
 
 
 def support_box(functional):

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from samplets import (
     EpsilonNeighborhood,
@@ -22,6 +23,13 @@ from samplets import (
     gram_kernel,
     moment_dimension,
 )
+
+# Property tests draw the same examples on every run, keep no example
+# database, and have no per-example deadline, which a busy host would trip.
+settings.register_profile(
+    "samplets", max_examples=60, deadline=None, derandomize=True, database=None
+)
+settings.load_profile("samplets")
 
 CRITERIA = {
     1: "orthogonality of the assembled transform",

@@ -1,9 +1,16 @@
-"""Moment matrices, QR filters, and the assembled samplet transform."""
+"""Moment matrices, QR filters, and the assembled samplet transform.
 
+The batched builder is checked bit for bit against a per-node reference
+build, on fixed inputs and on random functional sets drawn by hypothesis.
+"""
+
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
 
@@ -21,6 +28,7 @@ from samplets import (
     build_graph,
     build_samplet_basis,
     cluster_filters,
+    deserialize_basis,
     dirac,
     evaluate,
     forward_transform,
@@ -29,6 +37,7 @@ from samplets import (
     moment_dimension,
     moment_matrix,
     primitive_basis,
+    serialize_basis,
     threshold_compress,
     transform_matrix,
     vanishing_moment_table,
@@ -36,7 +45,13 @@ from samplets import (
 )
 from samplets.ctree import ClusterNode, ClusterTree
 from samplets.kernels import eval_table
-from samplets.measures import Polynomial, analysis_vector, as_functional_set, box_affine
+from samplets.measures import (
+    Polynomial,
+    analysis_vector,
+    as_functional_set,
+    box_affine,
+    graded_exponents,
+)
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +209,156 @@ class TestBuildSampletBasis:
         assert np.array_equal(inverse_transform(basis, x), basis.inverse(x))
 
 
+def _reference_transfer(exps, child_affine, parent_affine):
+    """Parent monomials in child monomials, one binomial expansion per entry."""
+    c_child, s_child = child_affine
+    c_parent, s_parent = parent_affine
+    shift = (c_child - c_parent) / s_parent
+    ratio = s_child / s_parent
+    m, d = exps.shape
+    pos = {tuple(int(x) for x in e): i for i, e in enumerate(exps)}
+    out = np.zeros((m, m))
+    for i in range(m):
+        alpha = exps[i]
+        for beta in itertools.product(*(range(int(a) + 1) for a in alpha)):
+            coef = 1.0
+            for k in range(d):
+                coef *= (
+                    math.comb(int(alpha[k]), beta[k])
+                    * shift[k] ** (int(alpha[k]) - beta[k])
+                    * ratio[k] ** beta[k]
+                )
+            out[i, pos[beta]] = coef
+    return out
+
+
+def _per_node_build(functionals, tree, degree):
+    """Reference builder: one moment table, transfer pair and QR per cluster node."""
+    fs = as_functional_set(functionals)
+    exps = graded_exponents(fs.dimension, degree)
+    nodes = tree.nodes
+    affine = [box_affine(nd.box) for nd in nodes]
+    filters = [None] * len(nodes)
+    mom_phi = [None] * len(nodes)
+    for i in sorted(range(len(nodes)), key=lambda i: (-nodes[i].level, i)):
+        nd = nodes[i]
+        if nd.is_leaf:
+            vals = fs.eval_table(nd.indices, exps, *affine[i])
+        else:
+            vals = np.hstack([
+                _reference_transfer(exps, affine[ch.node_id], affine[i]) @ mom_phi[ch.node_id]
+                for ch in nd.children
+            ])
+        q, r = np.linalg.qr(vals.T, mode="complete")
+        rmin = min(vals.shape)
+        for k in range(rmin):
+            if r[k, k] < 0.0:
+                q[:, k] = -q[:, k]
+                r[k, :] = -r[k, :]
+        filters[i] = ClusterFilters(q, r[:rmin, :].copy(), rmin)
+        mom_phi[i] = filters[i].r.T.copy()
+    return assemble_basis(tree, filters, fs.dimension, degree)
+
+
+def _grid_case(dimension, degree):
+    """Random Diracs on a tree whose leaves hold m_P to about m_P + 1 functionals."""
+    m_p = moment_dimension(dimension, degree)
+    n = min(12 * m_p + 5, 260)
+    functionals, _ = generate_example("random-diracs", n, dimension, seed=10 * dimension + degree)
+    tree = build_cluster_tree(functionals, GaussianSimilarity(0.3), m_p + 1,
+                              moment_dim=max(1, m_p - 1))
+    return functionals, tree
+
+
+class TestBatchedBuild:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_grid_matches_the_per_node_build(self, dimension, degree, monkeypatch):
+        functionals, tree = _grid_case(dimension, degree)
+        expect = serialize_basis(_per_node_build(functionals, tree, degree))
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, mode: calls.append(a.shape) or qr(a, mode))
+        basis = build_samplet_basis(functionals, tree, degree)
+        assert serialize_basis(basis) == expect
+        # one stacked QR per cascade bucket, not one per node
+        assert len(calls) == len(basis.cascade.buckets) < len(tree.nodes)
+        assert sum(shape[0] for shape in calls) == len(tree.nodes)
+
+    def test_grid_has_leaves_without_samplets(self):
+        exact = 0
+        for dimension, degree in itertools.product([1, 2, 3], [1, 2, 3]):
+            _, tree = _grid_case(dimension, degree)
+            m_p = moment_dimension(dimension, degree)
+            exact += any(nd.size == m_p for nd in tree.leaves())
+        assert exact >= 6
+
+    @pytest.mark.parametrize("name", ["diracs-3d", "p1-mass", "derivatives-2d", "coincident"])
+    def test_special_inputs_match_the_per_node_build(self, name):
+        functionals, basis = _scan_case(name)
+        expect = _per_node_build(functionals, basis.tree, basis.degree)
+        assert serialize_basis(basis) == serialize_basis(expect)
+
+    def test_single_leaf_tree_matches_the_per_node_build(self):
+        functionals, _ = generate_example("random-diracs", 10, 1, seed=4)
+        tree = build_cluster_tree(functionals, GaussianSimilarity(0.3), 16, moment_dim=3)
+        assert len(tree.nodes) == 1
+        for degree in (0, 2):
+            basis = build_samplet_basis(functionals, tree, degree)
+            assert serialize_basis(basis) == serialize_basis(_per_node_build(functionals, tree, degree))
+
+    @pytest.mark.parametrize("key", ["d1", "d2"])
+    def test_acceptance_fixture_matches_the_per_node_build(self, acceptance_cases, key):
+        case = acceptance_cases[key]
+        expect = _per_node_build(case.functionals, case.tree, 2)
+        assert serialize_basis(case.basis(2)) == serialize_basis(expect)
+
+
+@st.composite
+def builder_inputs(draw, d, degree):
+    """2 m_P to 3 m_P + 12 functionals on a 1/32 grid, so points may coincide:
+    Diracs, weighted two-atom functionals or first derivatives."""
+    m_p = moment_dimension(d, degree)
+    n = draw(st.integers(2 * m_p, 3 * m_p + 12))
+    kind = draw(st.sampled_from(["dirac", "weighted", "derivative"]))
+    point = st.lists(st.integers(0, 32).map(lambda k: k / 32), min_size=d, max_size=d)
+    order = st.lists(st.integers(0, 1), min_size=d, max_size=d)
+    functionals = []
+    for i in range(n):
+        if kind == "dirac":
+            atoms = [Atom(draw(point), 1.0, [0] * d)]
+        elif kind == "weighted":
+            atoms = [Atom(draw(point), draw(st.floats(0.25, 2.0)), [0] * d) for _ in range(2)]
+        else:
+            atoms = [Atom(draw(point), 1.0, draw(order))]
+        functionals.append(Functional(i, atoms))
+    return functionals
+
+
+class TestBuilderProperties:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @settings(max_examples=8)
+    @given(data=st.data())
+    def test_random_sets_on_small_leaves(self, dimension, degree, data):
+        functionals = data.draw(builder_inputs(dimension, degree))
+        m_p = moment_dimension(dimension, degree)
+        tree = build_cluster_tree(functionals, GaussianSimilarity(0.3), m_p + 1,
+                                  moment_dim=max(1, m_p - 1))
+        basis = build_samplet_basis(functionals, tree, degree)
+        n = basis.n
+        u = basis.to_dense()
+        assert np.abs(u @ u.T - np.eye(n)).max() <= 1e-10
+        x = np.random.default_rng(n).normal(size=n)
+        assert np.abs(basis.inverse(basis.forward(x)) - x).max() <= 1e-10 * np.abs(x).max()
+        assert verify_vanishing_moments(basis, functionals) <= 1e-9
+        blob = serialize_basis(basis)
+        back = deserialize_basis(blob)
+        assert serialize_basis(back) == blob
+        assert np.array_equal(back.forward(x), basis.forward(x))
+        assert serialize_basis(_per_node_build(functionals, tree, degree)) == blob
+
+
 class TestVanishingMoments:
     def test_polynomial_data_is_annihilated(self, small_case):
         functionals, tree, basis = small_case
@@ -323,6 +488,23 @@ class TestVanishingScan:
             assert abs(got[4] - ref[4]) <= 1e-15 + 1e-12 * abs(ref[4])
         worst = max(r[4] for r in rows)
         assert worst <= 1e-9 if extra == 0 else worst >= 1e-6
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cluster_narrower_than_the_root_by_1e200(self):
+        # the root-to-cluster transfer squares a scale ratio of ~3e199, which
+        # overflows to inf (with numpy's overflow warning) instead of raising
+        pts = np.concatenate([np.arange(4) * 1e-200, np.linspace(0.0, 1.0, 8)])
+        functionals = [dirac(i, [x]) for i, x in enumerate(pts)]
+
+        def node(idx, level, kids=()):
+            return ClusterNode(np.array(idx), level,
+                               SupportBox([pts[idx].min()], [pts[idx].max()]), tuple(kids))
+
+        tree = ClusterTree.finalize(node(list(range(12)), 0, (
+            node([0, 1, 2, 3], 1), node(list(range(4, 12)), 1))))
+        basis = build_samplet_basis(functionals, tree, 2)
+        assert serialize_basis(basis) == serialize_basis(_per_node_build(functionals, tree, 2))
+        assert verify_vanishing_moments(basis, functionals) <= 1e-9
 
     def test_coincident_case_has_zero_width_clusters(self):
         functionals, basis = _scan_case("coincident")

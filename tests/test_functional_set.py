@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from samplets import (
@@ -31,7 +31,6 @@ from samplets.measures import analysis_vector, as_functional_set
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
@@ -67,7 +66,6 @@ def _arrays(fs):
 
 
 class TestProperties:
-    @_SETTINGS
     @given(functional_lists())
     def test_views_round_trip_to_equal_atoms(self, flist):
         fs = as_functional_set(flist)
@@ -77,7 +75,6 @@ class TestProperties:
         _same_functional(flist[-1], fs[-1])
         _same_functional(flist[0], fs[0])
 
-    @_SETTINGS
     @given(functional_lists())
     def test_csv_write_then_ingest_is_bit_identical(self, flist):
         fs = as_functional_set(flist)
@@ -89,7 +86,6 @@ class TestProperties:
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
-    @_SETTINGS
     @given(functional_lists(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)), st.integers(0, 3))
     def test_eval_table_matches_evaluate(self, flist, degree):
         fs = as_functional_set(flist)
@@ -100,7 +96,6 @@ class TestProperties:
             scale = sum(abs(at.weight) for f in flist for at in f.atoms) * 4.0**degree
             assert np.abs(table[a] - expect).max() <= 1e-12 * max(scale, 1.0)
 
-    @_SETTINGS
     @given(functional_lists(), st.sampled_from(["nan point", "negative order",
                                                  "mixed dimensions", "empty functional"]))
     def test_invalid_arrays_raise_input_error(self, flist, fault):

@@ -417,6 +417,25 @@ class TestCliVerbs:
         assert "sigma" in capsys.readouterr().err
         assert not (out / "compression.csv").exists()
 
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--sigma", "nan"], "", "sigma"),
+        ([], "gram = bogus\n", "gram"),
+        ([], "test_function = bogus\n", "test function"),
+    ], ids=["sigma-nan", "gram-bogus", "test-function-bogus"])
+    def test_bad_settings_rejected_before_any_output(self, tmp_path, capsys, flags, config,
+                                                     message):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main([
+            "build", "--config", str(cfgfile), "--example", "green-1d", "--n", "48",
+            "--degree", "1", "--leaf-max", "8", "--out", str(out), *flags,
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_missing_basis_is_an_input_error(self, tmp_path):
         code = main(["transform", "--example", "uniform-diracs", "--n", "16",
                      "--out", str(tmp_path)])
