@@ -9,10 +9,10 @@ passed upward, the remaining columns are samplets whose rows annihilate all
 primitive polynomials. Chaining the per-node factors yields one global
 orthogonal transform applied in linear time by a two-scale cascade.
 
-The builder works on buckets of nodes with equal (height, inputs, m_phi),
-the grouping the cascade applies the filters in: one evaluation table for
-all leaves, one vectorised monomial transfer and one stacked matmul per
-bucket of internal nodes, and one stacked QR per bucket.
+The builder works on buckets of nodes with equal (height, inputs, m_phi):
+one evaluation table for all leaves, one vectorised monomial transfer and
+one stacked matmul per bucket of internal nodes, and one stacked QR per
+bucket, whose stacks the cascade applies as they are.
 """
 
 import math
@@ -170,7 +170,9 @@ class SampletBasis:
     Rows are ordered samplets first (level ascending, preorder within a
     level, QR column within a cluster), then the root scaling rows. The
     transform itself is applied through a linear-time cascade; the dense
-    matrix is only materialized on request.
+    matrix is only materialized on request. filters[i] is node i's
+    ClusterFilters, whose q and r are views into the per-bucket stacks that
+    the cascade applies: the filters are held once.
     """
 
     tree: ClusterTree
@@ -219,13 +221,12 @@ class SampletBasis:
         return start, start + flt.n_samplets
 
     def _expand(self, node_id, coeff):
-        nd = self.tree.nodes[node_id]
-        if nd.is_leaf:
-            return nd.indices, coeff
-        c1, c2 = nd.children
-        f1, f2 = self.filters[c1.node_id], self.filters[c2.node_id]
-        i1, v1 = self._expand(c1.node_id, f1.q_phi @ coeff[: f1.m_phi])
-        i2, v2 = self._expand(c2.node_id, f2.q_phi @ coeff[f1.m_phi:])
+        c1, c2 = self.tree.child_ids[node_id]
+        if c1 < 0:
+            return self.tree.nodes[node_id].indices, coeff
+        f1, f2 = self.filters[c1], self.filters[c2]
+        i1, v1 = self._expand(c1, f1.q_phi @ coeff[: f1.m_phi])
+        i2, v2 = self._expand(c2, f2.q_phi @ coeff[f1.m_phi:])
         return np.concatenate((i1, i2)), np.concatenate((v1, v2))
 
     def samplet_row(self, i):
@@ -273,13 +274,13 @@ def build_samplet_basis(functionals, tree, degree):
     Leaves smaller than m_P are rejected; a leaf of size exactly m_P simply
     carries no samplets.
 
-    Nodes are processed in the cascade's buckets (kernels.node_buckets), by
+    Nodes are processed in the cascade's buckets (_filter_layout), by
     ascending height so children come before parents. All leaf moment tables
     come from one evaluation, each functional mapped to its leaf's box. A
     bucket of internal nodes gets its children's monomial transfers from one
     vectorised formula and applies them with one stacked matmul. Each bucket
-    is factored by one stacked QR; the returned filters' q and r are views
-    into the stacked factors. The bits equal those of a node-by-node build.
+    is factored by one stacked QR, which the basis keeps as its filters. The
+    bits equal those of a node-by-node build.
     """
     degree = int(degree)
     if degree < 0:
@@ -289,29 +290,23 @@ def build_samplet_basis(functionals, tree, degree):
         raise InputError("tree does not match the functional set")
     d = fs.dimension
     m_p = moment_dimension(d, degree)
-    for nd in tree.nodes:
-        if nd.is_leaf and nd.size < m_p:
-            raise InputError(
-                f"leaf of size {nd.size} cannot reproduce {m_p} primitive moments"
-            )
-    exps = graded_exponents(d, degree)
-    nodes = tree.nodes
-    nn = len(nodes)
-    center, scale = corner_affine(*_box_corners(nodes, d))
-    children, height = _tree_links(nodes)
+    children, nodes = tree.child_ids, tree.nodes
     leaf = children[:, 0] < 0
-    sizes = np.array([nd.size for nd in nodes], dtype=np.int64)
-    # leaves hold at least m_P functionals, so every node passes m_P scaling rows up
-    nin = np.where(leaf, sizes, 2 * m_p)
-    groups = kernels.node_buckets(height, nin, np.full(nn, m_p))
+    if tree.sizes[leaf].min() < m_p:
+        raise InputError(
+            f"leaf of size {tree.sizes[leaf].min()} cannot reproduce {m_p} primitive moments"
+        )
+    exps = graded_exponents(d, degree)
+    center, scale = corner_affine(tree.box_lo, tree.box_hi)
+    layout = nin, _, groups = _filter_layout(tree, m_p)
     leaf_ids = np.concatenate([ids for ids in groups if leaf[ids[0]]])
-    counts = sizes[leaf_ids]
+    counts = nin[leaf_ids]
     table = fs.eval_table(
         np.concatenate([nodes[i].indices for i in leaf_ids]), exps,
         np.repeat(center[leaf_ids], counts, axis=0), np.repeat(scale[leaf_ids], counts, axis=0),
     )
-    filters = [None] * nn
-    mom_phi = np.empty((nn, m_p, m_p))  # moments of each node's scaling outputs, R^T
+    stacks = []
+    mom_phi = np.empty((len(nodes), m_p, m_p))  # moments of each node's scaling outputs, R^T
     col = 0
     for ids in groups:
         k = ids.size
@@ -325,85 +320,144 @@ def build_samplet_basis(functionals, tree, degree):
             trans = _monomial_transfers(exps, center[kids], scale[kids], center[up], scale[up])
             moved = np.matmul(trans, mom_phi[kids])
             mt = np.concatenate((moved[:k], moved[k:]), axis=2).transpose(0, 2, 1)
-        q, r = _stacked_filters(mt)
-        mom_phi[ids] = r.transpose(0, 2, 1)
-        for j, i in enumerate(ids.tolist()):
-            filters[i] = ClusterFilters(q[j], r[j], m_p)
-    return assemble_basis(tree, filters, d, degree)
+        stacks.append(_stacked_filters(mt))
+        mom_phi[ids] = stacks[-1][1].transpose(0, 2, 1)
+    return _assemble(tree, layout, stacks, d, degree)
 
 
-def _tree_links(nodes):
-    """Child ids (-1 twice for a leaf) and heights (0 for a leaf) of preordered nodes."""
-    nn = len(nodes)
-    children = np.full((nn, 2), -1, dtype=np.int64)
-    height = np.zeros(nn, dtype=np.int64)
-    for nd in reversed(nodes):  # preorder reversed: children before parents
-        if nd.children:
-            i = nd.node_id
-            c1, c2 = (c.node_id for c in nd.children)
-            children[i] = c1, c2
-            height[i] = 1 + max(height[c1], height[c2])
-    return children, height
+def _filter_layout(tree, m_p):
+    """Inputs nin and scaling outputs m_phi = min(nin, m_P) of each node, and the buckets.
+
+    A leaf's inputs are its functionals, an internal node's its children's
+    scaling outputs. A bucket lists the nodes of one (height, nin, m_phi),
+    ids ascending; the buckets run by ascending key, so the builder and the
+    cascade reach a bucket after the buckets of its nodes' children.
+    """
+    children, heights = tree.child_ids, tree.heights
+    nin = tree.sizes.copy()
+    m_phi = np.minimum(nin, m_p)
+    for h in range(1, int(heights.max()) + 1):
+        ids = np.flatnonzero(heights == h)
+        nin[ids] = m_phi[children[ids]].sum(axis=1)
+        m_phi[ids] = np.minimum(nin[ids], m_p)
+    order = np.lexsort((m_phi, nin, heights))
+    key = np.stack((heights, nin, m_phi), axis=1)[order]
+    cuts = np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1
+    return nin, m_phi, np.split(order, cuts)
 
 
-def _box_corners(nodes, d):
-    """Lower and upper box corners of cluster nodes as (len(nodes), d) arrays."""
-    k = len(nodes)
-    lower = np.array([nd.box.lower for nd in nodes], dtype=np.float64).reshape(k, d)
-    upper = np.array([nd.box.upper for nd in nodes], dtype=np.float64).reshape(k, d)
-    return lower, upper
+def _leaf_rows(tree):
+    """The leaves' functional positions in preorder, and each node's offset into them.
+
+    InputError unless the leaves partition 0..n-1, each child sits one level
+    below its parent and every internal node holds exactly its children's
+    positions. The leaves below a node hold one run of these preorder
+    positions, so an internal node passes when its size is its children's
+    sum and its sorted positions are distinct and all lie in its own run.
+    """
+    nodes, n = tree.nodes, tree.n
+    children, sizes, levels = tree.child_ids, tree.sizes, tree.levels
+    leaf = children[:, 0] < 0
+    rows = np.concatenate([nodes[i].indices for i in np.flatnonzero(leaf)])
+    rank = np.full(n, -1, dtype=np.int64)  # place of each position in rows
+    if rows.size == n and rows.min() >= 0 and rows.max() < n:
+        rank[rows] = np.arange(n)
+    if (rank < 0).any():  # n positions in range leave a gap exactly when one repeats
+        raise InputError("leaf clusters do not partition the functional positions")
+    start = np.cumsum(np.where(leaf, sizes, 0)) - np.where(leaf, sizes, 0)
+    inner = np.flatnonzero(~leaf)
+    if inner.size == 0:
+        return rows, start
+    bad = (levels[children[inner]] != levels[inner, None] + 1).any(axis=1)
+    if bad.any():
+        raise InputError(f"children of cluster node {inner[bad][0]} are not one level below it")
+    pos = np.concatenate([nodes[i].indices for i in inner])
+    first = np.cumsum(sizes[inner]) - sizes[inner]
+    last = first + sizes[inner] - 1  # positions ascend inside a node
+    bad = (sizes[inner] != sizes[children[inner]].sum(axis=1)) | (pos[first] < 0) | (pos[last] >= n)
+    if not bad.any():
+        r, run = rank[pos], start[inner]
+        bad = ((np.minimum.reduceat(r, first) < run)
+               | (np.maximum.reduceat(r, first) >= run + sizes[inner]))
+        twice = np.flatnonzero(pos[1:] == pos[:-1])  # the first of two equal neighbours
+        bad[np.searchsorted(last, twice[~np.isin(twice, last)])] = True
+    if bad.any():
+        raise InputError(
+            f"cluster node {inner[bad][0]} does not hold exactly its children's positions"
+        )
+    return rows, start
 
 
 def assemble_basis(tree, filters, dimension, degree):
     """Assemble a SampletBasis from a tree and its per-node filters.
 
-    Fixes the coefficient ordering (level ascending, preorder within a level,
-    QR column within a node, root scaling rows last) and builds the batched
-    cascade. Used by the builder and by deserialization, so filters that do
-    not chain into one orthogonal transform raise InputError.
+    The list is packed once into the per-bucket stacks that the basis keeps,
+    its filters being views into them. Built and loaded bases share these
+    checks, which raise InputError unless:
+    - there is one filter per node; q is square with the node's inputs (a
+      leaf's functionals, an internal node's children's scaling outputs),
+      m_phi = min(inputs, m_P) and r is m_phi x m_P;
+    - the leaves partition the functional positions 0..n-1, and every child
+      sits one level below its parent, which holds exactly its children's;
+    - every q is finite and orthogonal: max|Q^T Q - I| <= 1e-10.
+    Coefficients run by level ascending, preorder within a level, QR column
+    within a node, and end with the root's scaling rows.
     """
-    nodes = tree.nodes
-    nn = len(nodes)
-    n = tree.n
-    d = int(dimension)
-    m_p = moment_dimension(d, degree)
+    nn = len(tree.nodes)
+    m_p = moment_dimension(int(dimension), degree)
     if len(filters) != nn:
         raise InputError(f"{len(filters)} filters for {nn} cluster nodes")
-    leaf_rows = [nd.indices if nd.is_leaf else None for nd in nodes]
-    covered = np.concatenate([r for r in leaf_rows if r is not None])
-    if covered.size != n or not np.array_equal(np.sort(covered), np.arange(n)):
-        raise InputError("leaf clusters do not partition the functional positions")
-    children, height = _tree_links(nodes)
-    m_phi = np.zeros(nn, dtype=np.int64)
-    for nd in reversed(nodes):  # preorder reversed: children before parents
-        i = nd.node_id
-        q = filters[i].q
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise InputError(f"filter of node {i} is {q.shape}, not square")
-        nin = nd.size if nd.is_leaf else int(m_phi[children[i, 0]] + m_phi[children[i, 1]])
-        if q.shape[0] != nin:
-            raise InputError(f"filter of node {i} has {q.shape[0]} inputs, expected {nin}")
-        if filters[i].m_phi != min(nin, m_p):
-            raise InputError(
-                f"filter of node {i} has m_phi {filters[i].m_phi}, expected {min(nin, m_p)}"
-            )
-        m_phi[i] = filters[i].m_phi
+    layout = nin, m_phi, ids = _filter_layout(tree, m_p)
+
+    def dims(a):  # rows and columns of a 2d array, -1 for both otherwise
+        return a.shape if a.ndim == 2 else (-1, -1)
+
+    got = np.array([dims(f.q) + (f.m_phi,) + dims(f.r) for f in filters], dtype=np.int64)
+    want = np.stack((nin, nin, m_phi, m_phi, np.full(nn, m_p)), axis=1)
+    bad = np.argwhere(got != want)
+    if bad.size:
+        i, c = bad[0]
+        what = ("number of inputs", "number of columns of a square q", "m_phi",
+                "number of rows of r", "number of columns of r")[c]
+        raise InputError(f"filter of node {i} has {what} {got[i, c]}, expected {want[i, c]}")
+    stacks = [(np.stack([filters[i].q for i in b]), np.stack([filters[i].r for i in b]))
+              for b in ids]
+    return _assemble(tree, layout, stacks, int(dimension), degree)
+
+
+def _assemble(tree, layout, stacks, dimension, degree):
+    """SampletBasis of per-bucket (q, r) stacks with the layout's shapes (see assemble_basis)."""
+    nn = len(tree.nodes)
+    m_p = moment_dimension(dimension, degree)
+    nin, m_phi, ids = layout
+    rows, row_start = _leaf_rows(tree)
+    filters = [None] * nn
+    for b, (q, r) in zip(ids, stacks):
+        k, n = q.shape[:2]
+        dev = np.matmul(q.transpose(0, 2, 1), q).reshape(k, n * n)
+        dev[:, :: n + 1] -= 1.0
+        err = np.abs(dev, out=dev).max(axis=1)
+        j = int(np.argmin(err <= 1e-10))  # NaN and inf entries fail the test too
+        if not err[j] <= 1e-10:
+            what = (f"is not orthogonal: max|Q^T Q - I| = {err[j]:.3e}"
+                    if np.isfinite(q[j]).all() else "has non-finite entries")
+            raise InputError(f"filter of node {b[j]} {what}")
+        for j, i in enumerate(b.tolist()):
+            filters[i] = ClusterFilters(q[j], r[j], int(m_phi[i]))
     # samplet ordering: coarse to fine, preorder inside a level, QR column inside a node
-    level = np.array([nd.level for nd in nodes], dtype=np.int64)
-    by_level = np.lexsort((np.arange(nn), level))
-    counts = np.array([f.q.shape[0] for f in filters], dtype=np.int64) - m_phi
+    by_level = np.lexsort((np.arange(nn), tree.levels))
+    counts = nin - m_phi
     node_out = np.zeros(nn, dtype=np.int64)
     node_out[by_level] = np.cumsum(counts[by_level]) - counts[by_level]
     owners = np.repeat(by_level, counts[by_level])
-    lower, upper = _box_corners(nodes, d)
     cascade = kernels.Cascade(
-        [f.q for f in filters], m_phi, children, height, leaf_rows, node_out
+        ids, [q for q, _ in stacks], m_phi, tree.child_ids, rows, row_start, node_out
     )
     return SampletBasis(
-        tree=tree, degree=degree, dimension=d, moment_dim=m_p,
-        primitives=primitive_basis(d, degree, tree.root.box),
-        filters=filters, samplet_levels=level[owners], samplet_clusters=owners,
-        samplet_box_lo=lower[owners], samplet_box_hi=upper[owners],
+        tree=tree, degree=degree, dimension=dimension, moment_dim=m_p,
+        primitives=primitive_basis(dimension, degree, tree.root.box),
+        filters=filters, samplet_levels=tree.levels[owners], samplet_clusters=owners,
+        samplet_box_lo=tree.box_lo[owners], samplet_box_hi=tree.box_hi[owners],
         node_out=node_out, cascade=cascade,
     )
 
@@ -454,6 +508,7 @@ def _check_symmetric(a):
 
 
 def _vanishing_scan(basis, functionals, primitives):
+    """Ids of the nodes owning samplets in preorder, their samplet counts and residuals."""
     fs = as_functional_set(functionals)
     if len(fs) != basis.n:
         raise InputError("functional count does not match the basis")
@@ -466,20 +521,21 @@ def _vanishing_scan(basis, functionals, primitives):
     if fs.dimension != basis.dimension:
         raise InputError("functional dimension does not match the basis")
     exps = primitives.exponents
-    owners = [nd for nd in basis.tree.nodes if basis.filters[nd.node_id].n_samplets]
-    by_level = {}
-    for nd in owners:
-        by_level.setdefault(nd.level, []).append(nd)
-    root_center, root_scale = box_affine(basis.tree.root.box)
+    tree = basis.tree
+    counts = np.bincount(basis.samplet_clusters, minlength=len(tree.nodes))
+    owners = np.flatnonzero(counts)
+    root_center, root_scale = box_affine(tree.root.box)
     table_root = fs.eval_table(np.arange(basis.n), exps, root_center, root_scale)
     gram = table_root @ table_root.T
-    resid = {}
-    for group in by_level.values():
+    centers, scales = corner_affine(tree.box_lo, tree.box_hi)
+    worst = np.zeros(len(tree.nodes))
+    for level in np.unique(tree.levels[owners]):
         # clusters on one level are disjoint and a cluster's samplet rows only
         # read inputs inside it, so one forward checks the whole level
-        center, scale = corner_affine(*_box_corners(group, basis.dimension))
-        rows = np.concatenate([nd.indices for nd in group])
-        sizes = [nd.size for nd in group]
+        group = owners[tree.levels[owners] == level]
+        center, scale = centers[group], scales[group]
+        rows = np.concatenate([tree.nodes[i].indices for i in group])
+        sizes = tree.sizes[group]
         block = np.zeros((basis.n, exps.shape[0]))
         block[rows] = fs.eval_table(
             rows, exps, np.repeat(center, sizes, axis=0), np.repeat(scale, sizes, axis=0)
@@ -489,15 +545,14 @@ def _vanishing_scan(basis, functionals, primitives):
         # from the root-box Gram through the exact change of basis
         trans = _monomial_transfers(exps, root_center, root_scale, center, scale)
         sq = np.einsum("bij,bij->bi", np.matmul(trans, gram), trans)
-        norms = np.sqrt(np.maximum(sq, 0.0))
-        for nd, nrm in zip(group, norms):
-            start, stop = basis.cluster_samplet_range(nd.node_id)
-            part = np.abs(coeff[start:stop])
-            alive = nrm > 1e-300
-            worst = float((part[:, alive] / nrm[alive]).max()) if alive.any() else 0.0
-            resid[nd.node_id] = stop - start, worst
-    for nd in owners:
-        yield nd, *resid[nd.node_id]
+        norms = np.repeat(np.sqrt(np.maximum(sq, 0.0)), counts[group], axis=0)
+        # the level's samplet rows are one run, cluster after cluster in preorder
+        start = basis.node_out[group[0]]
+        part = np.abs(coeff[start:start + norms.shape[0]])
+        ratio = np.divide(part, norms, out=np.zeros_like(part), where=norms > 1e-300)
+        firsts = np.cumsum(counts[group]) - counts[group]
+        worst[group] = np.maximum.reduceat(ratio.max(axis=1), firsts)
+    return owners, counts[owners], worst[owners]
 
 
 def verify_vanishing_moments(basis, functionals, primitives=None):
@@ -517,10 +572,7 @@ def verify_vanishing_moments(basis, functionals, primitives=None):
     primitives defaults to the basis's own; their dimension must match the
     basis.
     """
-    worst = 0.0
-    for _, _, resid in _vanishing_scan(basis, functionals, primitives):
-        worst = max(worst, resid)
-    return worst
+    return float(_vanishing_scan(basis, functionals, primitives)[2].max(initial=0.0))
 
 
 def vanishing_moment_table(basis, functionals, primitives=None):
@@ -532,10 +584,10 @@ def vanishing_moment_table(basis, functionals, primitives=None):
     cluster of that level, normalized by Gram-matrix norms of the primitives
     rescaled to the cluster box.
     """
-    rows = []
-    for nd, cnt, resid in _vanishing_scan(basis, functionals, primitives):
-        rows.append((nd.node_id, nd.level, nd.size, int(cnt), resid))
-    return rows
+    owners, counts, resid = _vanishing_scan(basis, functionals, primitives)
+    tree = basis.tree
+    return list(zip(owners.tolist(), tree.levels[owners].tolist(), tree.sizes[owners].tolist(),
+                    counts.tolist(), resid.tolist()))
 
 
 @dataclass

@@ -149,7 +149,16 @@ def _dirac_points(fs):
 
 
 def _check_settings(cfg):
-    """Reject a bad sigma, gram or test function before any input is read or output written."""
+    """Reject a bad seed, output directory, sigma, gram or test function.
+
+    Runs before any input is read or output written.
+    """
+    if cfg.seed < 0:
+        raise InputError(f"seed must be nonnegative, not {cfg.seed}")
+    if not cfg.out:
+        raise InputError("out must name an output directory")
+    if os.path.exists(cfg.out) and not os.path.isdir(cfg.out):
+        raise InputError(f"out {cfg.out!r} exists and is not a directory")
     if cfg.sigma is not None:
         check_sigma(cfg.sigma)
     if cfg.gram not in ("auto", "none") + _KERNEL_GRAMS:

@@ -82,6 +82,11 @@ class ClusterTree:
 
     stats counts how the splits were found (see `_new_stats`); it is empty
     for trees that were not built by `build_cluster_tree`.
+
+    The read-only preorder arrays are computed once, when `finalize` builds
+    the tree: child_ids (nn, 2), -1 twice for a leaf; heights, 0 for a leaf
+    and 1 + the taller child's otherwise; levels; sizes; and the box corners
+    box_lo and box_hi (nn, d).
     """
 
     root: ClusterNode
@@ -100,13 +105,29 @@ class ClusterTree:
                 stack.extend(reversed(nd.children))
         return cls(root, nodes, dict(stats or {}))
 
+    def __post_init__(self):
+        nodes = self.nodes
+        kids = [(c[0].node_id, c[1].node_id) if (c := nd.children) else (-1, -1) for nd in nodes]
+        heights = [0] * len(nodes)
+        for i in range(len(nodes) - 1, -1, -1):  # children have larger ids than their parent
+            if kids[i][0] >= 0:
+                heights[i] = 1 + max(heights[kids[i][0]], heights[kids[i][1]])
+        self.child_ids = np.array(kids, dtype=np.int64).reshape(-1, 2)
+        self.heights = np.array(heights, dtype=np.int64)
+        self.levels = np.array([nd.level for nd in nodes], dtype=np.int64)
+        self.sizes = np.array([nd.indices.size for nd in nodes], dtype=np.int64)
+        self.box_lo = np.array([nd.box.lower for nd in nodes], dtype=np.float64)
+        self.box_hi = np.array([nd.box.upper for nd in nodes], dtype=np.float64)
+        for a in (self.child_ids, self.heights, self.levels, self.sizes, self.box_lo, self.box_hi):
+            a.flags.writeable = False
+
     @property
     def n(self):
         return self.root.size
 
     @property
     def depth(self):
-        return max(nd.level for nd in self.nodes)
+        return int(self.levels.max())
 
     def leaves(self):
         return [nd for nd in self.nodes if nd.is_leaf]

@@ -189,13 +189,13 @@ def serialize_basis(basis):
             len(tree.nodes), basis.n_samplets, tree.depth,
         )
     ]
-    for nd in tree.nodes:
-        parts.append(_NODE.pack(nd.level, 1 if nd.children else 0, nd.size))
-        parts.append(_f8(nd.box.lower))
-        parts.append(_f8(nd.box.upper))
-        parts.append(_i8(nd.indices))
-    for nd in tree.nodes:
-        flt = basis.filters[nd.node_id]
+    has_children = (tree.child_ids[:, 0] >= 0).tolist()
+    for i, (level, size) in enumerate(zip(tree.levels.tolist(), tree.sizes.tolist())):
+        parts.append(_NODE.pack(level, has_children[i], size))
+        parts.append(_f8(tree.box_lo[i]))
+        parts.append(_f8(tree.box_hi[i]))
+        parts.append(_i8(tree.nodes[i].indices))
+    for flt in basis.filters:
         parts.append(_FILTER.pack(flt.q.shape[0], flt.m_phi))
         parts.append(_f8(flt.q))
         parts.append(_f8(flt.r))
@@ -222,24 +222,20 @@ class _Cursor:
         self.blob = blob
         self.pos = 0
 
-    def take(self, nbytes, what):
-        end = self.pos + nbytes
-        if end > len(self.blob):
+    def skip(self, nbytes, what):
+        """Offset of the next nbytes, which the cursor moves past."""
+        start, self.pos = self.pos, self.pos + nbytes
+        if self.pos > len(self.blob):
             raise InputError(f"container truncated while reading {what}")
-        out = self.blob[self.pos:end]
-        self.pos = end
-        return out
+        return start
 
     def unpack(self, fmt, what):
-        return fmt.unpack(self.take(fmt.size, what))
+        return fmt.unpack_from(self.blob, self.skip(fmt.size, what))
 
-    def f8(self, count, what):
-        raw = self.take(8 * count, what)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-    def i8(self, count, what):
-        raw = self.take(8 * count, what)
-        return np.frombuffer(raw, dtype="<i8").astype(np.int64)
+    def array(self, dtype, count, what):
+        """count items of dtype, as a read-only view into the blob."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.blob, dtype, count, self.skip(dtype.itemsize * count, what))
 
 
 def deserialize_basis(blob):
@@ -255,29 +251,40 @@ def deserialize_basis(blob):
         raise InputError("not a samplet basis container")
     if version != FORMAT_VERSION:
         raise InputError(f"unsupported container version {version}")
-    records = []
+    nodes, waiting = [], []  # the preorder nodes; those still expecting children, innermost last
     for _ in range(n_nodes):
         level, has_children, count = cur.unpack(_NODE, "node record")
-        lo = cur.f8(d, "node box")
-        hi = cur.f8(d, "node box")
-        idx = cur.i8(count, "node indices")
-        records.append((level, has_children, SupportBox(lo, hi), idx))
-    tree = _bind_children(records)
+        # copies: a node must not keep the blob alive (ClusterNode sorts a copy of its indices)
+        lo, hi = cur.array("<f8", d, "node box").copy(), cur.array("<f8", d, "node box").copy()
+        nd = ClusterNode(cur.array("<i8", count, "node indices"), int(level), SupportBox(lo, hi))
+        if nodes:
+            if not waiting:
+                raise InputError("container tree structure is inconsistent")
+            waiting[-1].children += (nd,)
+            if len(waiting[-1].children) == 2:
+                waiting.pop()
+        nodes.append(nd)
+        if has_children:
+            waiting.append(nd)
+    if not nodes:
+        raise InputError("container holds no cluster nodes")
+    if waiting:
+        raise InputError("container tree structure is inconsistent")
+    tree = ClusterTree.finalize(nodes[0])
     if tree.n != n or len(tree.nodes) != n_nodes or tree.depth != depth:
         raise InputError("container tree header does not match its records")
     m_p = moment_dimension(d, degree)
     filters = []
     for _ in range(n_nodes):
         nin, m_phi = cur.unpack(_FILTER, "filter record")
-        q = cur.f8(nin * nin, "filter q").reshape(nin, nin)
+        q = cur.array("<f8", nin * nin, "filter q").reshape(nin, nin)
         rmin = min(nin, m_p)
-        r = cur.f8(rmin * m_p, "filter r").reshape(rmin, m_p)
+        r = cur.array("<f8", rmin * m_p, "filter r").reshape(rmin, m_p)
         filters.append(ClusterFilters(q, r, int(m_phi)))
     basis = assemble_basis(tree, filters, d, int(degree))
     if basis.n_samplets != n_samplets:
         raise InputError("container samplet count does not match its filters")
-    rec_type = _samplet_record(d)
-    rec = np.frombuffer(cur.take(n_samplets * rec_type.itemsize, "samplet records"), rec_type)
+    rec = cur.array(_samplet_record(d), n_samplets, "samplet records")
     if not (
         np.array_equal(rec["level"], basis.samplet_levels)
         and np.array_equal(rec["owner"], basis.samplet_clusters)
@@ -288,33 +295,6 @@ def deserialize_basis(blob):
     if cur.pos != len(payload):
         raise InputError("container has trailing bytes")
     return basis
-
-
-def _bind_children(records):
-    nodes = []
-    stack = []
-    root = None
-    for level, has_children, box, idx in records:
-        node = ClusterNode(idx, int(level), box)
-        node._pending = [] if has_children else None
-        nodes.append(node)
-        if root is None:
-            root = node
-        else:
-            while stack and len(stack[-1]._pending) == 2:
-                stack.pop()
-            if not stack:
-                raise InputError("container tree structure is inconsistent")
-            stack[-1]._pending.append(node)
-        if has_children:
-            stack.append(node)
-    for node in nodes:
-        if node._pending is not None:
-            if len(node._pending) != 2:
-                raise InputError("container tree structure is inconsistent")
-            node.children = tuple(node._pending)
-        del node._pending
-    return ClusterTree.finalize(root)
 
 
 def load_basis(path):

@@ -113,19 +113,6 @@ def box_gap_pairs(lo, hi, ii, jj):
 _CHUNK = 1 << 15
 
 
-def node_buckets(height, nin, m_phi):
-    """Node ids grouped by equal (height, nin, m_phi), by ascending key.
-
-    Ids ascend within a group. basis.build_samplet_basis factors the
-    filters of one group with one stacked QR, and Cascade applies them with
-    one stacked matmul, so the builder and the cascade share this grouping.
-    """
-    order = np.lexsort((m_phi, nin, height))
-    key = np.stack((height, nin, m_phi), axis=1)[order]
-    cuts = np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1
-    return np.split(order, cuts)
-
-
 @dataclass(frozen=True)
 class _Bucket:
     q: np.ndarray  # (k, n, n) orthogonal factors of the bucket's k nodes
@@ -137,41 +124,40 @@ class _Bucket:
 
 
 class Cascade:
-    """Linear-time orthogonal transform chained from per-node QR factors.
+    """Linear-time orthogonal transform applying per-bucket stacks of node filters.
 
-    q[i] is node i's nin x nin factor and m_phi[i] its scaling output count.
-    children[i] holds node i's two child ids, or -1 twice for a leaf, whose
-    inputs are the data rows leaf_rows[i]. An internal node's inputs are its
-    first child's scaling outputs followed by its second child's. height[i]
-    is 0 for a leaf and 1 + the larger child height otherwise, so the root
-    is the one node of largest height. The samplet outputs of node i fill
-    coefficient rows psi_start[i] onwards, and the root's scaling outputs
-    the last rows. Consistency of these arrays is the caller's to check.
+    q[j] is the (k, n, n) stack of orthogonal factors of the k nodes
+    groups[j] (buckets by ascending height, the root's last); it is applied
+    as it is, never copied. m_phi[i] is node i's scaling output count.
+    children[i] holds node i's child ids, or -1 twice for a leaf, whose
+    inputs are the data rows rows[row_start[i]:row_start[i] + n]; an internal
+    node's are its first child's scaling outputs, then its second child's.
+    Node i's samplet outputs fill coefficient rows psi_start[i] onwards, and
+    the root's scaling outputs the last rows. The caller checks consistency.
     """
 
-    def __init__(self, q, m_phi, children, height, leaf_rows, psi_start):
-        nin = np.array([f.shape[0] for f in q], dtype=np.int64)
+    def __init__(self, groups, q, m_phi, children, rows, row_start, psi_start):
         m_phi = np.asarray(m_phi, dtype=np.int64)
-        self.root_rows = int(m_phi[np.argmax(height)])
+        self.root_rows = int(m_phi[groups[-1][0]])
         # every node's samplets plus the root's scaling rows
-        self.n = int(nin.sum() - m_phi.sum()) + self.root_rows
-        slot = np.empty(len(nin), dtype=np.int64)
+        self.n = sum(qb.shape[0] * qb.shape[1] for qb in q) - int(m_phi.sum()) + self.root_rows
+        slot = np.empty(m_phi.size, dtype=np.int64)
         self.buckets = []
         phi = 0
-        for ids in node_buckets(height, nin, m_phi):
-            n, mp = int(nin[ids[0]]), int(m_phi[ids[0]])
+        for ids, qb in zip(groups, q):
+            n, mp = qb.shape[1], int(m_phi[ids[0]])
             leaf = bool(children[ids[0], 0] < 0)
             slot[ids] = phi + mp * np.arange(ids.size)
+            r = np.arange(n)
             if leaf:
-                src = np.stack([leaf_rows[i] for i in ids])
+                src = rows[row_start[ids][:, None] + r]
             else:
                 c1, c2 = children[ids, 0], children[ids, 1]
-                r = np.arange(n)
                 first = r < m_phi[c1][:, None]
                 src = np.where(first, slot[c1][:, None] + r,
                                slot[c2][:, None] + r - m_phi[c1][:, None])
             self.buckets.append(_Bucket(
-                q=np.stack([q[i] for i in ids]), m_phi=mp, leaf=leaf, src=src, phi=phi,
+                q=qb, m_phi=mp, leaf=leaf, src=src, phi=phi,
                 psi=psi_start[ids][:, None] + np.arange(n - mp),
             ))
             phi += mp * ids.size

@@ -33,7 +33,7 @@ def _as_point(x, name="point"):
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if x.ndim != 1 or x.size == 0:
         raise InputError(f"{name} must be a 1d coordinate array")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError(f"{name} must be finite")
     return x
 
@@ -106,7 +106,7 @@ class SupportBox:
         hi = _as_point(self.upper, "upper")
         if lo.shape != hi.shape:
             raise InputError("box corner dimensions differ")
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise InputError("box lower corner exceeds upper corner")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)

@@ -43,6 +43,7 @@ from samplets import (
     vanishing_moment_table,
     verify_vanishing_moments,
 )
+from samplets.basis import _filter_layout
 from samplets.ctree import ClusterNode, ClusterTree
 from samplets.kernels import eval_table
 from samplets.measures import (
@@ -760,7 +761,13 @@ class TestAssembleChecks:
         (lambda f: ClusterFilters(f.q[:-1, :-1], f.r, f.m_phi), "inputs"),
         (lambda f: ClusterFilters(f.q[:, :-1], f.r, f.m_phi), "square"),
         (lambda f: ClusterFilters(f.q, f.r, f.m_phi - 1), "m_phi"),
-    ], ids=["size", "square", "m_phi"])
+        (lambda f: ClusterFilters(f.q, f.r[:-1], f.m_phi), "number of rows of r"),
+        (lambda f: ClusterFilters(np.full_like(f.q, np.nan), f.r, f.m_phi), "non-finite"),
+        (lambda f: ClusterFilters(2.0 * f.q, f.r, f.m_phi), "not orthogonal"),
+        (lambda f: ClusterFilters(f.q + 1e-9 * np.eye(f.q.shape[0]), f.r, f.m_phi),
+         "not orthogonal"),
+        (lambda f: ClusterFilters(f.q[:, :, None], f.r, f.m_phi), "filter of node"),
+    ], ids=["size", "square", "m_phi", "r-shape", "nan", "scaled", "perturbed", "3d"])
     def test_inconsistent_leaf_filter_rejected(self, small_case, change, message):
         _, tree, basis = small_case
         leaf = tree.leaves()[0].node_id
@@ -782,3 +789,57 @@ class TestAssembleChecks:
         second.indices = first.indices.copy()
         with pytest.raises(InputError, match="partition"):
             assemble_basis(tree, basis.filters, 1, 1)
+
+    @staticmethod
+    def _fresh_case():
+        functionals, _ = generate_example("random-diracs", 40, 1, seed=3)
+        tree = build_cluster_tree(functionals, GaussianSimilarity(0.2), 8, moment_dim=2)
+        return tree, build_samplet_basis(functionals, tree, 1)
+
+    @pytest.mark.parametrize("change", [
+        lambda idx, n: np.setdiff1d(np.arange(n), idx)[: idx.size],
+        lambda idx, n: np.r_[idx[:1], idx[:-1]],
+        lambda idx, n: np.r_[idx[:-1], n + 5],
+        lambda idx, n: np.r_[-1, idx[1:]],
+    ], ids=["foreign", "repeated", "beyond-n", "negative"])
+    def test_internal_nodes_must_hold_their_childrens_positions(self, change):
+        tree, basis = self._fresh_case()
+        inner = tree.root.children[0]
+        assert not inner.is_leaf
+        inner.indices = change(inner.indices, tree.n)
+        with pytest.raises(InputError, match="children's positions"):
+            assemble_basis(ClusterTree.finalize(tree.root), basis.filters, 1, 1)
+
+    def test_children_must_sit_one_level_below_their_parent(self):
+        tree, basis = self._fresh_case()
+        tree.leaves()[0].level -= 1
+        with pytest.raises(InputError, match="one level below"):
+            assemble_basis(ClusterTree.finalize(tree.root), basis.filters, 1, 1)
+
+
+class TestOneFilterCopy:
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    def test_filters_are_views_into_the_cascade_stacks(self, small_case, loaded):
+        basis = small_case[2]
+        if loaded:
+            basis = deserialize_basis(serialize_basis(basis))
+        buckets = basis.cascade.buckets
+        _, _, ids = _filter_layout(basis.tree, basis.moment_dim)
+        assert len(ids) == len(buckets) >= 3
+        for b, bucket in zip(ids, buckets):
+            for j, i in enumerate(b.tolist()):
+                assert np.shares_memory(basis.filters[i].q, bucket.q[j])
+        assert sum(bk.q.nbytes for bk in buckets) == sum(f.q.nbytes for f in basis.filters)
+
+    def test_tree_arrays_match_the_nodes(self, small_case):
+        _, tree, _ = small_case
+        for nd in tree.nodes:
+            i = nd.node_id
+            assert tree.levels[i] == nd.level and tree.sizes[i] == nd.size
+            assert np.array_equal(tree.box_lo[i], nd.box.lower)
+            assert np.array_equal(tree.box_hi[i], nd.box.upper)
+            kids = [c.node_id for c in nd.children] or [-1, -1]
+            assert list(tree.child_ids[i]) == kids
+            below = [tree.heights[k] for k in kids if k >= 0]
+            assert tree.heights[i] == (1 + max(below) if below else 0)
+        assert not tree.heights.flags.writeable

@@ -29,6 +29,8 @@ from samplets.io import (
     _FILTER,
     _HEADER,
     _NODE,
+    FORMAT_VERSION,
+    MAGIC,
     read_values_csv,
     write_functionals_csv,
     write_values_csv,
@@ -40,8 +42,8 @@ def _resign(payload):
     return payload + hashlib.sha256(payload).digest()
 
 
-def _with_leaf_m_phi_lowered(basis):
-    """Container bytes with the first leaf's m_phi one below min(size, m_P), re-signed."""
+def _leaf_filter_record(basis):
+    """Payload bytes of a basis and the offset of its first leaf's filter record."""
     payload = bytearray(serialize_basis(basis)[:-32])
     nodes = basis.tree.nodes
     pos = _HEADER.size + sum(_NODE.size + 16 * basis.dimension + 8 * nd.size for nd in nodes)
@@ -49,9 +51,24 @@ def _with_leaf_m_phi_lowered(basis):
     for nd in nodes[: leaf.node_id]:
         flt = basis.filters[nd.node_id]
         pos += _FILTER.size + 8 * (flt.q.size + flt.r.size)
-    nin, m_phi = _FILTER.unpack_from(payload, pos)
-    assert (nin, m_phi) == (leaf.size, basis.moment_dim)
-    struct.pack_into("<I", payload, pos + 8, m_phi - 1)
+    assert _FILTER.unpack_from(payload, pos) == (leaf.size, basis.moment_dim)
+    return payload, pos
+
+
+def _with_leaf_m_phi_lowered(basis):
+    """Container bytes with the first leaf's m_phi one below min(size, m_P), re-signed."""
+    payload, pos = _leaf_filter_record(basis)
+    struct.pack_into("<I", payload, pos + 8, basis.moment_dim - 1)
+    return _resign(bytes(payload))
+
+
+def _with_leaf_q(basis, change):
+    """Container bytes with the first leaf's q replaced by change(q), re-signed."""
+    payload, pos = _leaf_filter_record(basis)
+    nin = _FILTER.unpack_from(payload, pos)[0]
+    start = pos + _FILTER.size
+    q = np.frombuffer(bytes(payload[start:start + 8 * nin * nin]), dtype="<f8").reshape(nin, nin)
+    payload[start:start + 8 * nin * nin] = np.ascontiguousarray(change(q), dtype="<f8").tobytes()
     return _resign(bytes(payload))
 
 
@@ -212,6 +229,34 @@ class TestContainer:
         blob = serialize_basis(small_basis)
         with pytest.raises(InputError):
             deserialize_basis(blob[: len(blob) // 3])
+
+    def test_empty_container_rejected(self, small_basis):
+        b = small_basis
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, b.n, b.dimension, b.degree, 0, 0, 0)
+        with pytest.raises(InputError, match="no cluster nodes"):
+            deserialize_basis(_resign(header))
+
+    def test_internal_node_index_out_of_range_rejected(self, tmp_path, small_basis):
+        # the root's last index, n - 1, becomes 10^9; the leaves still partition 0..n-1
+        payload = bytearray(serialize_basis(small_basis)[:-32])
+        pos = _HEADER.size + _NODE.size + 16 * small_basis.dimension + 8 * (small_basis.n - 1)
+        assert struct.unpack_from("<q", payload, pos)[0] == small_basis.n - 1
+        struct.pack_into("<q", payload, pos, 10**9)
+        path = tmp_path / "basis.bin"
+        path.write_bytes(_resign(bytes(payload)))
+        with pytest.raises(InputError, match="node 0 does not hold exactly its children's"):
+            load_basis(path)
+        code = main(["report", "--basis", str(path), "--example", "random-diracs", "--n", "40",
+                     "--seed", "2", "--out", str(tmp_path / "report")])
+        assert code == 2
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda q: np.full_like(q, np.nan), "non-finite"),
+        (lambda q: np.diag(np.arange(2.0, 2.0 + q.shape[0])), "not orthogonal"),
+    ], ids=["nan", "diagonal"])
+    def test_non_orthogonal_filter_rejected(self, small_basis, change, message):
+        with pytest.raises(InputError, match=message):
+            deserialize_basis(_with_leaf_q(small_basis, change))
 
     def test_wrong_magic_rejected(self, small_basis):
         payload = bytearray(serialize_basis(small_basis)[:-32])
@@ -421,20 +466,31 @@ class TestCliVerbs:
         (["--sigma", "nan"], "", "sigma"),
         ([], "gram = bogus\n", "gram"),
         ([], "test_function = bogus\n", "test function"),
-    ], ids=["sigma-nan", "gram-bogus", "test-function-bogus"])
-    def test_bad_settings_rejected_before_any_output(self, tmp_path, capsys, flags, config,
-                                                     message):
+        (["--seed", "-1"], "", "seed"),
+        ([], "seed = -1\n", "seed"),
+        (["--out", "{file}"], "", "not a directory"),
+        ([], "out =\n", "output directory"),
+    ], ids=["sigma-nan", "gram-bogus", "test-function-bogus", "seed-negative",
+            "seed-negative-config", "out-is-a-file", "out-empty-config"])
+    def test_bad_settings_rejected_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                                     flags, config, message):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(config)
         out = tmp_path / "out"
         out.mkdir()
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.chdir(out)  # an empty or relative out would write here
+        out_flag = [] if config.startswith("out") else ["--out", str(out)]
         code = main([
             "build", "--config", str(cfgfile), "--example", "green-1d", "--n", "48",
-            "--degree", "1", "--leaf-max", "8", "--out", str(out), *flags,
+            "--degree", "1", "--leaf-max", "8", *out_flag,
+            *(f.format(file=taken) for f in flags),
         ])
         assert code == 2
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
+        assert taken.read_text() == ""
 
     def test_missing_basis_is_an_input_error(self, tmp_path):
         code = main(["transform", "--example", "uniform-diracs", "--n", "16",
