@@ -26,8 +26,8 @@ from .ctree import ClusterNode, ClusterTree
 from .errors import InputError
 from .measures import (
     PrimitiveBasis,
+    SupportBox,
     as_functional_set,
-    box_affine,
     corner_affine,
     graded_exponents,
     moment_dimension,
@@ -220,14 +220,21 @@ class SampletBasis:
         start = int(self.node_out[node_id])
         return start, start + flt.n_samplets
 
-    def _expand(self, node_id, coeff):
+    def _values(self, node_id, coeff):
+        """Values on node node_id's range of perm of a combination of its inputs."""
         c1, c2 = self.tree.child_ids[node_id]
         if c1 < 0:
-            return self.tree.nodes[node_id].indices, coeff
+            return coeff
         f1, f2 = self.filters[c1], self.filters[c2]
-        i1, v1 = self._expand(c1, f1.q_phi @ coeff[: f1.m_phi])
-        i2, v2 = self._expand(c2, f2.q_phi @ coeff[f1.m_phi:])
-        return np.concatenate((i1, i2)), np.concatenate((v1, v2))
+        return np.concatenate((self._values(c1, f1.q_phi @ coeff[: f1.m_phi]),
+                               self._values(c2, f2.q_phi @ coeff[f1.m_phi:])))
+
+    def _rows(self, node_id, cols):
+        """Positions of a node, ascending, and the rows of its filter columns cols there."""
+        idx = self.tree.positions([node_id])
+        order = np.argsort(idx)
+        q = self.filters[node_id].q
+        return idx[order], np.array([self._values(node_id, q[:, k])[order] for k in cols])
 
     def samplet_row(self, i):
         """Nonzero pattern of samplet row i: (functional positions, values).
@@ -238,23 +245,13 @@ class SampletBasis:
         if not 0 <= i < self.n_samplets:
             raise InputError("samplet index out of range")
         node_id = int(self.samplet_clusters[i])
-        flt = self.filters[node_id]
-        col = flt.m_phi + (i - int(self.node_out[node_id]))
-        idx, vals = self._expand(node_id, flt.q[:, col])
-        order = np.argsort(idx)
-        return idx[order], vals[order]
+        col = self.filters[node_id].m_phi + i - int(self.node_out[node_id])
+        idx, rows = self._rows(node_id, [col])
+        return idx, rows[0]
 
     def scaling_rows(self, node_id):
         """All scaling rows of a cluster as (positions, matrix m_phi x size)."""
-        flt = self.filters[node_id]
-        rows = []
-        idx = None
-        for k in range(flt.m_phi):
-            i, v = self._expand(node_id, flt.q[:, k])
-            order = np.argsort(i)
-            idx = i[order]
-            rows.append(v[order])
-        return idx, np.array(rows)
+        return self._rows(node_id, range(self.filters[node_id].m_phi))
 
 
 def build_samplet_basis(functionals, tree, degree):
@@ -290,7 +287,7 @@ def build_samplet_basis(functionals, tree, degree):
         raise InputError("tree does not match the functional set")
     d = fs.dimension
     m_p = moment_dimension(d, degree)
-    children, nodes = tree.child_ids, tree.nodes
+    children = tree.child_ids
     leaf = children[:, 0] < 0
     if tree.sizes[leaf].min() < m_p:
         raise InputError(
@@ -302,11 +299,11 @@ def build_samplet_basis(functionals, tree, degree):
     leaf_ids = np.concatenate([ids for ids in groups if leaf[ids[0]]])
     counts = nin[leaf_ids]
     table = fs.eval_table(
-        np.concatenate([nodes[i].indices for i in leaf_ids]), exps,
+        tree.positions(leaf_ids), exps,
         np.repeat(center[leaf_ids], counts, axis=0), np.repeat(scale[leaf_ids], counts, axis=0),
     )
     stacks = []
-    mom_phi = np.empty((len(nodes), m_p, m_p))  # moments of each node's scaling outputs, R^T
+    mom_phi = np.empty((tree.sizes.size, m_p, m_p))  # moments of each node's scaling outputs, R^T
     col = 0
     for ids in groups:
         k = ids.size
@@ -346,64 +343,21 @@ def _filter_layout(tree, m_p):
     return nin, m_phi, np.split(order, cuts)
 
 
-def _leaf_rows(tree):
-    """The leaves' functional positions in preorder, and each node's offset into them.
-
-    InputError unless the leaves partition 0..n-1, each child sits one level
-    below its parent and every internal node holds exactly its children's
-    positions. The leaves below a node hold one run of these preorder
-    positions, so an internal node passes when its size is its children's
-    sum and its sorted positions are distinct and all lie in its own run.
-    """
-    nodes, n = tree.nodes, tree.n
-    children, sizes, levels = tree.child_ids, tree.sizes, tree.levels
-    leaf = children[:, 0] < 0
-    rows = np.concatenate([nodes[i].indices for i in np.flatnonzero(leaf)])
-    rank = np.full(n, -1, dtype=np.int64)  # place of each position in rows
-    if rows.size == n and rows.min() >= 0 and rows.max() < n:
-        rank[rows] = np.arange(n)
-    if (rank < 0).any():  # n positions in range leave a gap exactly when one repeats
-        raise InputError("leaf clusters do not partition the functional positions")
-    start = np.cumsum(np.where(leaf, sizes, 0)) - np.where(leaf, sizes, 0)
-    inner = np.flatnonzero(~leaf)
-    if inner.size == 0:
-        return rows, start
-    bad = (levels[children[inner]] != levels[inner, None] + 1).any(axis=1)
-    if bad.any():
-        raise InputError(f"children of cluster node {inner[bad][0]} are not one level below it")
-    pos = np.concatenate([nodes[i].indices for i in inner])
-    first = np.cumsum(sizes[inner]) - sizes[inner]
-    last = first + sizes[inner] - 1  # positions ascend inside a node
-    bad = (sizes[inner] != sizes[children[inner]].sum(axis=1)) | (pos[first] < 0) | (pos[last] >= n)
-    if not bad.any():
-        r, run = rank[pos], start[inner]
-        bad = ((np.minimum.reduceat(r, first) < run)
-               | (np.maximum.reduceat(r, first) >= run + sizes[inner]))
-        twice = np.flatnonzero(pos[1:] == pos[:-1])  # the first of two equal neighbours
-        bad[np.searchsorted(last, twice[~np.isin(twice, last)])] = True
-    if bad.any():
-        raise InputError(
-            f"cluster node {inner[bad][0]} does not hold exactly its children's positions"
-        )
-    return rows, start
-
-
 def assemble_basis(tree, filters, dimension, degree):
     """Assemble a SampletBasis from a tree and its per-node filters.
 
     The list is packed once into the per-bucket stacks that the basis keeps,
-    its filters being views into them. Built and loaded bases share these
-    checks, which raise InputError unless:
+    its filters being views into them. The tree was checked when it was
+    made (see ClusterTree). Built and loaded bases share these checks, which
+    raise InputError unless:
     - there is one filter per node; q is square with the node's inputs (a
       leaf's functionals, an internal node's children's scaling outputs),
       m_phi = min(inputs, m_P) and r is m_phi x m_P;
-    - the leaves partition the functional positions 0..n-1, and every child
-      sits one level below its parent, which holds exactly its children's;
     - every q is finite and orthogonal: max|Q^T Q - I| <= 1e-10.
     Coefficients run by level ascending, preorder within a level, QR column
     within a node, and end with the root's scaling rows.
     """
-    nn = len(tree.nodes)
+    nn = tree.sizes.size
     m_p = moment_dimension(int(dimension), degree)
     if len(filters) != nn:
         raise InputError(f"{len(filters)} filters for {nn} cluster nodes")
@@ -427,10 +381,9 @@ def assemble_basis(tree, filters, dimension, degree):
 
 def _assemble(tree, layout, stacks, dimension, degree):
     """SampletBasis of per-bucket (q, r) stacks with the layout's shapes (see assemble_basis)."""
-    nn = len(tree.nodes)
+    nn = tree.sizes.size
     m_p = moment_dimension(dimension, degree)
     nin, m_phi, ids = layout
-    rows, row_start = _leaf_rows(tree)
     filters = [None] * nn
     for b, (q, r) in zip(ids, stacks):
         k, n = q.shape[:2]
@@ -451,11 +404,11 @@ def _assemble(tree, layout, stacks, dimension, degree):
     node_out[by_level] = np.cumsum(counts[by_level]) - counts[by_level]
     owners = np.repeat(by_level, counts[by_level])
     cascade = kernels.Cascade(
-        ids, [q for q, _ in stacks], m_phi, tree.child_ids, rows, row_start, node_out
+        ids, [q for q, _ in stacks], m_phi, tree.child_ids, tree.perm, tree.start, node_out
     )
     return SampletBasis(
         tree=tree, degree=degree, dimension=dimension, moment_dim=m_p,
-        primitives=primitive_basis(dimension, degree, tree.root.box),
+        primitives=primitive_basis(dimension, degree, SupportBox(tree.box_lo[0], tree.box_hi[0])),
         filters=filters, samplet_levels=tree.levels[owners], samplet_clusters=owners,
         samplet_box_lo=tree.box_lo[owners], samplet_box_hi=tree.box_hi[owners],
         node_out=node_out, cascade=cascade,
@@ -522,19 +475,19 @@ def _vanishing_scan(basis, functionals, primitives):
         raise InputError("functional dimension does not match the basis")
     exps = primitives.exponents
     tree = basis.tree
-    counts = np.bincount(basis.samplet_clusters, minlength=len(tree.nodes))
+    counts = np.bincount(basis.samplet_clusters, minlength=tree.sizes.size)
     owners = np.flatnonzero(counts)
-    root_center, root_scale = box_affine(tree.root.box)
+    root_center, root_scale = corner_affine(tree.box_lo[0], tree.box_hi[0])
     table_root = fs.eval_table(np.arange(basis.n), exps, root_center, root_scale)
     gram = table_root @ table_root.T
     centers, scales = corner_affine(tree.box_lo, tree.box_hi)
-    worst = np.zeros(len(tree.nodes))
+    worst = np.zeros(tree.sizes.size)
     for level in np.unique(tree.levels[owners]):
         # clusters on one level are disjoint and a cluster's samplet rows only
         # read inputs inside it, so one forward checks the whole level
         group = owners[tree.levels[owners] == level]
         center, scale = centers[group], scales[group]
-        rows = np.concatenate([tree.nodes[i].indices for i in group])
+        rows = tree.positions(group)
         sizes = tree.sizes[group]
         block = np.zeros((basis.n, exps.shape[0]))
         block[rows] = fs.eval_table(

@@ -1,14 +1,16 @@
 """Binary cluster trees over functional sets via spectral graph bisection.
 
-Each tree node owns a sorted subset of functional positions, its bounding
-box, and at most two children that partition it. Splits follow the sign of
+A tree is one permutation of the functional positions with a range of it
+per node, which the node's two children tile, and a bounding box per node;
+node objects are read-only views of these arrays. Splits follow the sign of
 the Fiedler vector (eigenvector of the second smallest Laplacian eigenvalue)
 of the induced similarity subgraph; disconnected subgraphs are split into
 balanced groups of whole components instead. Splitting stops at the leaf
 capacity, and a split is rolled back into a leaf when a child would be too
 small to carry any samplet.
 
-The tree is built one level at a time. For all clusters of a level at once:
+The tree is built one level at a time, each split writing its two parts
+into its cluster's range of the permutation. For all clusters of a level:
 - one `connected_components` call over the intra-cluster edges labels the
   components of every cluster, and the balanced component assignment runs
   as array operations; a component split whose smaller side could carry no
@@ -31,7 +33,8 @@ uniform 1-d tree (eps = 2.5/(N-1), leaf_max 32) takes 2.7 s with one BLAS
 thread on a two-core Xeon, against 13.3 s for a per-cluster recursion.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -52,9 +55,9 @@ _CONVERGED = 1e-10  # change of the unit Fiedler vector between iterations
 _FIEDLER_SEED = 0x5EED
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ClusterNode:
-    """A cluster: sorted functional positions, level, bounding box, children."""
+    """A cluster: sorted read-only functional positions, level, bounding box, children."""
 
     indices: np.ndarray
     level: int
@@ -63,9 +66,11 @@ class ClusterNode:
     node_id: int = -1
 
     def __post_init__(self):
-        self.indices = np.sort(np.asarray(self.indices, dtype=np.int64))
-        if self.indices.size == 0:
+        idx = np.sort(np.asarray(self.indices, dtype=np.int64))
+        if idx.size == 0:
             raise InputError("empty cluster")
+        idx.flags.writeable = False
+        object.__setattr__(self, "indices", idx)
 
     @property
     def size(self):
@@ -76,61 +81,151 @@ class ClusterNode:
         return not self.children
 
 
-@dataclass
+def _ranges(start, size):
+    """Positions start[k]:start[k] + size[k] of every k, concatenated."""
+    bounds = _bounds(size)
+    return np.arange(bounds[-1], dtype=np.int64) + np.repeat(start - bounds[:-1], size)
+
+
+def _read_only(a, dtype):
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 class ClusterTree:
-    """Binary cluster tree; nodes listed in preorder, ids match positions.
+    """Binary cluster tree: one permutation of the positions and a range per node.
+
+    Node ids are preorder. perm (N,) lists the leaves' functional positions
+    in preorder, each leaf ascending; node i holds perm[start[i]:start[i] +
+    sizes[i]], which its children tile, first child first. A tree is made
+    from perm and the preorder sizes, levels, has_children flags and box
+    corners box_lo, box_hi (nn, d); start, child_ids (-1 twice for a leaf)
+    and heights (0 for a leaf, 1 + the taller child's otherwise) follow.
+    All arrays are read-only. InputError unless the flags describe a binary
+    tree, perm is a permutation of 0..N-1, no node is empty, each parent is
+    as large as its children together and one level above them, the root
+    is at level 0 and every box is finite with lower <= upper.
 
     stats counts how the splits were found (see `_new_stats`); it is empty
-    for trees that were not built by `build_cluster_tree`.
-
-    The read-only preorder arrays are computed once, when `finalize` builds
-    the tree: child_ids (nn, 2), -1 twice for a leaf; heights, 0 for a leaf
-    and 1 + the taller child's otherwise; levels; sizes; and the box corners
-    box_lo and box_hi (nn, d).
+    for trees that were not built by `build_cluster_tree`. `nodes`, `root`,
+    `leaves()` and `node(i)` give read-only `ClusterNode` views, made on
+    first access.
     """
 
-    root: ClusterNode
-    nodes: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    def __init__(self, perm, sizes, levels, has_children, box_lo, box_hi, stats=None):
+        self.perm, self.sizes, self.levels = (_read_only(a, np.int64) for a in (perm, sizes, levels))
+        self.box_lo, self.box_hi = (_read_only(a, np.float64) for a in (box_lo, box_hi))
+        self.stats = dict(stats or {})
+        has, sizes, levels, n = np.asarray(has_children), self.sizes, self.levels, self.perm.size
+        if has.size == 0:
+            raise InputError("no cluster nodes")
+        if not np.isin(has, (0, 1)).all():
+            bad = np.argmin(np.isin(has, (0, 1)))
+            raise InputError(f"has_children flag of cluster node {bad} is not 0 or 1")
+        # child slots left open after each node: the root opens one, each
+        # node fills one and an internal node opens two more
+        slots = 1 + np.cumsum(2 * has.astype(np.int64) - 1)
+        if slots[-1] != 0 or (slots[:-1] <= 0).any():
+            raise InputError("cluster tree structure is inconsistent")
+        # a first child j follows its parent; its subtree ends at the first
+        # node k >= j that leaves one slot fewer open than before j, and the
+        # second child follows node k
+        nn, inner = has.size, np.flatnonzero(has)
+        key = np.sort(slots * (nn + 1) + np.arange(nn))
+        end = key[np.searchsorted(key, (slots[inner] - 1) * (nn + 1) + inner + 1)] % (nn + 1)
+        kids = np.full((nn, 2), -1, dtype=np.int64)
+        kids[inner] = np.stack((inner + 1, end + 1), axis=1)
+        self.child_ids = _read_only(kids, np.int64)
+        in_leaves = np.where(has == 0, sizes, 0)
+        self.start = _read_only(np.cumsum(in_leaves) - in_leaves, np.int64)
+        if (sizes < 1).any():
+            raise InputError(f"cluster node {np.argmin(sizes >= 1)} is empty")
+        if n != in_leaves.sum() or not np.array_equal(np.sort(self.perm), np.arange(n)):
+            raise InputError("leaf clusters do not partition the functional positions")
+        bad = inner[sizes[inner] != sizes[kids[inner]].sum(axis=1)]
+        if bad.size:
+            raise InputError(f"cluster node {bad[0]} does not hold exactly its children's positions")
+        if levels[0] != 0:
+            raise InputError(f"the root cluster is at level {levels[0]}, not 0")
+        bad = inner[(levels[kids[inner]] != levels[inner, None] + 1).any(axis=1)]
+        if bad.size:
+            raise InputError(f"children of cluster node {bad[0]} are not one level below it")
+        lo, hi = self.box_lo, self.box_hi
+        good = (np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)).all(axis=1)
+        if not good.all():
+            raise InputError(f"box of cluster node {np.argmin(good)} is not finite with lower <= upper")
+        heights = np.zeros(nn, dtype=np.int64)
+        for level in range(self.depth - 1, -1, -1):
+            ids = inner[levels[inner] == level]
+            heights[ids] = 1 + heights[kids[ids]].max(axis=1)
+        self.heights = _read_only(heights, np.int64)
+
+    @classmethod
+    def from_records(cls, positions, sizes, levels, has_children, box_lo, box_hi, stats=None):
+        """Tree of preorder node records, made as by the class but with
+        positions in place of perm: each node's positions in turn, sizes[i]
+        of them for node i. A leaf's become its range of perm. InputError
+        unless the records make a tree and every node lists exactly the
+        positions of its range, ascending."""
+        sizes, positions = np.asarray(sizes, dtype=np.int64), np.asarray(positions, dtype=np.int64)
+        offset, leaf = _bounds(sizes)[:-1], np.asarray(has_children) == 0
+        tree = cls(positions[_ranges(offset[leaf], sizes[leaf])], sizes, levels, has_children,
+                   box_lo, box_hi, stats)
+        own = np.repeat(np.arange(sizes.size), sizes)
+        rank = np.full(tree.n + 1, -1, dtype=np.int64)  # -1 also for positions out of range
+        rank[tree.perm] = np.arange(tree.n)
+        r = rank[np.clip(positions, -1, tree.n)] - tree.start[own]
+        good = (r >= 0) & (r < sizes[own])
+        good[1:] &= (positions[1:] > positions[:-1]) | (own[1:] != own[:-1])
+        if not good.all():
+            i = own[np.argmin(good)]
+            what = "its positions" if leaf[i] else "its children's positions"
+            raise InputError(f"cluster node {i} does not hold exactly {what} in ascending order")
+        return tree
 
     @classmethod
     def finalize(cls, root, stats=None):
-        nodes = []
-        stack = [root]
+        """Tree of hand-built ClusterNodes under root, checked as `from_records` checks."""
+        nodes, stack = [], [root]
         while stack:
-            nd = stack.pop()
-            nd.node_id = len(nodes)
-            nodes.append(nd)
-            if nd.children:
-                stack.extend(reversed(nd.children))
-        return cls(root, nodes, dict(stats or {}))
+            nodes.append(stack.pop())
+            stack.extend(reversed(nodes[-1].children))
+        return cls.from_records(
+            np.concatenate([nd.indices for nd in nodes]), [nd.size for nd in nodes],
+            [nd.level for nd in nodes], [bool(nd.children) for nd in nodes],
+            [nd.box.lower for nd in nodes], [nd.box.upper for nd in nodes], stats,
+        )
 
-    def __post_init__(self):
-        nodes = self.nodes
-        kids = [(c[0].node_id, c[1].node_id) if (c := nd.children) else (-1, -1) for nd in nodes]
-        heights = [0] * len(nodes)
-        for i in range(len(nodes) - 1, -1, -1):  # children have larger ids than their parent
-            if kids[i][0] >= 0:
-                heights[i] = 1 + max(heights[kids[i][0]], heights[kids[i][1]])
-        self.child_ids = np.array(kids, dtype=np.int64).reshape(-1, 2)
-        self.heights = np.array(heights, dtype=np.int64)
-        self.levels = np.array([nd.level for nd in nodes], dtype=np.int64)
-        self.sizes = np.array([nd.indices.size for nd in nodes], dtype=np.int64)
-        self.box_lo = np.array([nd.box.lower for nd in nodes], dtype=np.float64)
-        self.box_hi = np.array([nd.box.upper for nd in nodes], dtype=np.float64)
-        for a in (self.child_ids, self.heights, self.levels, self.sizes, self.box_lo, self.box_hi):
-            a.flags.writeable = False
+    @cached_property
+    def nodes(self):
+        """Read-only ClusterNode views in preorder."""
+        views = [None] * self.sizes.size
+        for i in range(len(views) - 1, -1, -1):  # children have larger ids than their parent
+            s, kids = self.start[i], self.child_ids[i]
+            views[i] = ClusterNode(self.perm[s:s + self.sizes[i]], int(self.levels[i]),
+                                   SupportBox(self.box_lo[i], self.box_hi[i]),
+                                   tuple(views[c] for c in kids if c >= 0), i)
+        return tuple(views)
+
+    @property
+    def root(self):
+        return self.nodes[0]
 
     @property
     def n(self):
-        return self.root.size
+        return int(self.perm.size)
 
     @property
     def depth(self):
         return int(self.levels.max())
 
+    def positions(self, ids):
+        """The perm ranges of nodes ids, concatenated (internal nodes not sorted)."""
+        return self.perm[_ranges(self.start[ids], self.sizes[ids])]
+
     def leaves(self):
-        return [nd for nd in self.nodes if nd.is_leaf]
+        return [self.nodes[i] for i in np.flatnonzero(self.child_ids[:, 0] < 0)]
 
     def node(self, node_id):
         return self.nodes[node_id]
@@ -508,11 +603,12 @@ class _LevelSplitter:
             group = (lap, _bounds(jsizes[~small]), self.x0[jverts[big]])
         return laps, [], group
 
-    def split(self, clusters):
-        """(part1, part2) for each cluster, a sorted array of at least two positions."""
-        sizes = np.array([c.size for c in clusters], dtype=np.int64)
+    def split(self, verts, sizes):
+        """Split each cluster in two; verts concatenates the clusters' sorted
+        positions, sizes[c] of them for cluster c (at least two). Returns
+        verts reordered so each cluster lists its first part, then its
+        second, each ascending, and the first parts' sizes."""
         starts = _bounds(sizes)
-        verts = np.concatenate(clusters)
         cid = np.repeat(np.arange(sizes.size), sizes)
         comp, edges = self._components(verts, cid, starts)
         _, first, inv, csize = np.unique(
@@ -543,26 +639,17 @@ class _LevelSplitter:
             self.x0[verts[in_job][big]] = group[2]
         self.stats["components"] += int((multi & ~collapse).sum())
         self.stats["component_bisections"] += int(collapse.sum())
-        parts = []
-        for c, (s, e) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist())):
-            idx = verts[s:e]
-            if multi[c] and not collapse[c]:
-                mask = side[s:e] == 0
-                parts.append((idx[mask], idx[~mask]))
-                continue
-            inside = in_job[s:e]
-            sub = idx[inside]
-            mask = _sign_split(job_vec[c])
-            a, b = sub[mask], sub[~mask]
-            if collapse[c]:
-                # the small components join the smaller half
-                rest = idx[~inside]
-                if a.size <= b.size:
-                    a = np.sort(np.concatenate((a, rest)))
-                else:
-                    b = np.sort(np.concatenate((b, rest)))
-            parts.append((a, b))
-        return parts
+        # the first part is side 0 of a component split, else the
+        # nonnegative Fiedler side, which a collapse's small components
+        # join when it is the smaller half
+        in_first = side == 0
+        for c, vec in job_vec.items():
+            s, e = starts[c], starts[c + 1]
+            mask, inside = _sign_split(vec), in_job[s:e]
+            in_first[s:e][inside] = mask
+            in_first[s:e][~inside] = 2 * mask.sum() <= mask.size
+        order = np.lexsort((~in_first, cid))
+        return verts[order], np.bincount(cid, weights=in_first, minlength=sizes.size).astype(np.int64)
 
 
 def spectral_bisection(cluster, graph, rtol=1e-8):
@@ -588,11 +675,12 @@ def spectral_bisection(cluster, graph, rtol=1e-8):
     # the solver sees only the cluster's own subgraph
     sub = SimilarityGraph(graph.scheme, graph.subgraph_weights(idx))
     try:
-        part1, part2 = _LevelSplitter(sub, 0, _new_stats(), rtol).split([np.arange(idx.size)])[0]
+        parts, n1 = _LevelSplitter(sub, 0, _new_stats(), rtol).split(
+            np.arange(idx.size), np.array([idx.size]))
     except EigenSolverError as exc:
         exc.cluster = cid
         raise
-    return idx[part1], idx[part2]
+    return idx[parts[:n1[0]]], idx[parts[n1[0]:]]
 
 
 def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
@@ -636,23 +724,32 @@ def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
     elif graph.n != n:
         raise InputError("prebuilt graph size does not match the functionals")
 
-    def node_box(idx):
-        return SupportBox(lo[idx].min(axis=0), hi[idx].max(axis=0))
-
-    all_idx = np.arange(n, dtype=np.int64)
-    root = ClusterNode(all_idx, 0, node_box(all_idx))
+    # nodes in the order they are made: the root, then per level the two
+    # children of each split cluster (at most 2n - 1 nodes). A split writes
+    # its two parts into its cluster's range of perm.
+    perm = np.arange(n, dtype=np.int64)
+    start, size, level = (np.zeros(2 * n - 1, dtype=np.int64) for _ in range(3))
+    split = np.zeros(2 * n - 1, dtype=bool)
+    size[0], made = n, 1
     stats = _new_stats()
-    level = [root] if n > leaf_max else []
-    splitter = _LevelSplitter(graph, moment_dim, stats) if level else None
-    while level:
-        parts = splitter.split([nd.indices for nd in level])
-        below = []
-        for nd, (part1, part2) in zip(level, parts):
-            if min(part1.size, part2.size) <= moment_dim:
-                stats["rolled_back"] += 1
-                continue
-            nd.children = (ClusterNode(part1, nd.level + 1, node_box(part1)),
-                           ClusterNode(part2, nd.level + 1, node_box(part2)))
-            below.extend(ch for ch in nd.children if ch.size > leaf_max)
-        level = below
-    return ClusterTree.finalize(root, stats)
+    todo = np.zeros(1 if n > leaf_max else 0, dtype=np.int64)  # clusters to split, in order
+    splitter = _LevelSplitter(graph, moment_dim, stats) if todo.size else None
+    while todo.size:
+        s, z = start[todo], size[todo]
+        parts, n1 = splitter.split(perm[_ranges(s, z)], z)
+        ok = np.minimum(n1, z - n1) > moment_dim
+        stats["rolled_back"] += int(ok.size - ok.sum())
+        perm[_ranges(s[ok], z[ok])] = parts[np.repeat(ok, z)]
+        todo, s, z, n1 = todo[ok], s[ok], z[ok], n1[ok]
+        split[todo] = True
+        ids = np.arange(made, made + 2 * todo.size)  # first and second child of each in turn
+        made += ids.size
+        start[ids] = np.stack((s, s + n1), axis=1).ravel()
+        size[ids] = np.stack((n1, z - n1), axis=1).ravel()
+        level[ids] = np.repeat(level[todo] + 1, 2)
+        todo = ids[size[ids] > leaf_max]
+    order = np.lexsort((level[:made], start[:made]))  # nested ranges: preorder is by (start, level)
+    cuts = _bounds(size[order])[:-1]
+    spans = perm[_ranges(start[order], size[order])]
+    return ClusterTree(perm, size[order], level[order], split[order],
+                       np.minimum.reduceat(lo[spans], cuts), np.maximum.reduceat(hi[spans], cuts), stats)

@@ -3,7 +3,10 @@
 The container stores everything needed to reapply a built transform: format
 header, cluster tree in preorder, per-node filters, samplet metadata, and a
 trailing sha256 checksum of all preceding bytes. All numbers are little
-endian; loading and saving again reproduces the file byte for byte.
+endian; loading and saving again reproduces the file byte for byte. A node
+record holds its level, a has_children byte, its box and its positions in
+ascending order; the loader reads the records straight into the tree's
+arrays (`ClusterTree.from_records`) and rejects any it would not write.
 """
 
 import csv
@@ -14,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ClusterFilters, SampletBasis, assemble_basis
-from .ctree import ClusterNode, ClusterTree
+from .ctree import ClusterTree
 from .errors import InputError
-from .measures import FunctionalSet, SupportBox, as_functional_set, moment_dimension
+from .measures import FunctionalSet, as_functional_set, moment_dimension
 
 MAGIC = b"SMPLTB01"
 FORMAT_VERSION = 1
@@ -186,15 +189,17 @@ def serialize_basis(basis):
     parts = [
         _HEADER.pack(
             MAGIC, FORMAT_VERSION, basis.n, basis.dimension, basis.degree,
-            len(tree.nodes), basis.n_samplets, tree.depth,
+            tree.sizes.size, basis.n_samplets, tree.depth,
         )
     ]
-    has_children = (tree.child_ids[:, 0] >= 0).tolist()
-    for i, (level, size) in enumerate(zip(tree.levels.tolist(), tree.sizes.tolist())):
-        parts.append(_NODE.pack(level, has_children[i], size))
+    inner = (tree.child_ids[:, 0] >= 0).tolist()
+    spans = zip(tree.levels.tolist(), tree.start.tolist(), tree.sizes.tolist(), inner)
+    for i, (level, s, size, has_children) in enumerate(spans):
+        parts.append(_NODE.pack(level, has_children, size))
         parts.append(_f8(tree.box_lo[i]))
         parts.append(_f8(tree.box_hi[i]))
-        parts.append(_i8(tree.nodes[i].indices))
+        idx = tree.perm[s:s + size]  # an internal node's range holds its leaves one after another
+        parts.append(_i8(np.sort(idx) if has_children else idx))
     for flt in basis.filters:
         parts.append(_FILTER.pack(flt.q.shape[0], flt.m_phi))
         parts.append(_f8(flt.q))
@@ -238,6 +243,25 @@ class _Cursor:
         return np.frombuffer(self.blob, dtype, count, self.skip(dtype.itemsize * count, what))
 
 
+def _read_tree(cur, n_nodes, d):
+    """ClusterTree of the next n_nodes node records. One pass finds where
+    each starts; their fixed-size heads and their positions are then copied
+    out as one structured and one int64 array."""
+    head = np.dtype([("level", "<u4"), ("has_children", "u1"), ("count", "<u8"),
+                     ("lo", "<f8", (d,)), ("hi", "<f8", (d,))])
+    first, at = cur.pos, []
+    for _ in range(n_nodes):
+        at.append(cur.skip(head.itemsize, "node record"))
+        cur.skip(8 * _NODE.unpack_from(cur.blob, at[-1])[2], "node indices")
+    raw = np.frombuffer(cur.blob, np.uint8, cur.pos - first, first)
+    fixed = (np.array(at, dtype=np.int64)[:, None] - first + np.arange(head.itemsize)).ravel()
+    rec = raw[fixed].view(head)
+    indices = np.ones(raw.size, dtype=bool)
+    indices[fixed] = False
+    return ClusterTree.from_records(raw[indices].view("<i8"), rec["count"], rec["level"],
+                                    rec["has_children"], rec["lo"], rec["hi"])
+
+
 def deserialize_basis(blob):
     """Rebuild a SampletBasis from container bytes, verifying the checksum."""
     if len(blob) < _HEADER.size + 32:
@@ -251,27 +275,8 @@ def deserialize_basis(blob):
         raise InputError("not a samplet basis container")
     if version != FORMAT_VERSION:
         raise InputError(f"unsupported container version {version}")
-    nodes, waiting = [], []  # the preorder nodes; those still expecting children, innermost last
-    for _ in range(n_nodes):
-        level, has_children, count = cur.unpack(_NODE, "node record")
-        # copies: a node must not keep the blob alive (ClusterNode sorts a copy of its indices)
-        lo, hi = cur.array("<f8", d, "node box").copy(), cur.array("<f8", d, "node box").copy()
-        nd = ClusterNode(cur.array("<i8", count, "node indices"), int(level), SupportBox(lo, hi))
-        if nodes:
-            if not waiting:
-                raise InputError("container tree structure is inconsistent")
-            waiting[-1].children += (nd,)
-            if len(waiting[-1].children) == 2:
-                waiting.pop()
-        nodes.append(nd)
-        if has_children:
-            waiting.append(nd)
-    if not nodes:
-        raise InputError("container holds no cluster nodes")
-    if waiting:
-        raise InputError("container tree structure is inconsistent")
-    tree = ClusterTree.finalize(nodes[0])
-    if tree.n != n or len(tree.nodes) != n_nodes or tree.depth != depth:
+    tree = _read_tree(cur, n_nodes, d)
+    if tree.n != n or tree.depth != depth:
         raise InputError("container tree header does not match its records")
     m_p = moment_dimension(d, degree)
     filters = []

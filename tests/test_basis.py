@@ -359,6 +359,22 @@ class TestBuilderProperties:
         assert np.array_equal(back.forward(x), basis.forward(x))
         assert serialize_basis(_per_node_build(functionals, tree, degree)) == blob
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @settings(max_examples=8)
+    @given(data=st.data())
+    def test_finalize_and_load_reproduce_the_tree_arrays(self, dimension, data):
+        functionals = data.draw(builder_inputs(dimension, 1))
+        m_p = moment_dimension(dimension, 1)
+        tree = build_cluster_tree(functionals, GaussianSimilarity(0.3), m_p + 1,
+                                  moment_dim=max(1, m_p - 1))
+        basis = build_samplet_basis(functionals, tree, 1)
+        for again in (ClusterTree.finalize(tree.root),
+                      deserialize_basis(serialize_basis(basis)).tree):
+            for name in ("perm", "start", "sizes", "child_ids", "levels", "heights",
+                         "box_lo", "box_hi"):
+                assert np.array_equal(getattr(again, name), getattr(tree, name)), name
+                assert getattr(again, name).dtype == getattr(tree, name).dtype, name
+
 
 class TestVanishingMoments:
     def test_polynomial_data_is_annihilated(self, small_case):
@@ -781,20 +797,18 @@ class TestAssembleChecks:
         with pytest.raises(InputError, match="filters"):
             assemble_basis(tree, basis.filters[:-1], basis.dimension, basis.degree)
 
-    def test_leaves_must_partition_the_positions(self):
-        functionals, _ = generate_example("random-diracs", 40, 1, seed=3)
-        tree = build_cluster_tree(functionals, GaussianSimilarity(0.2), 8, moment_dim=2)
-        basis = build_samplet_basis(functionals, tree, 1)
-        first, second = tree.leaves()[:2]
-        second.indices = first.indices.copy()
-        with pytest.raises(InputError, match="partition"):
-            assemble_basis(tree, basis.filters, 1, 1)
-
     @staticmethod
-    def _fresh_case():
-        functionals, _ = generate_example("random-diracs", 40, 1, seed=3)
-        tree = build_cluster_tree(functionals, GaussianSimilarity(0.2), 8, moment_dim=2)
-        return tree, build_samplet_basis(functionals, tree, 1)
+    def _node(idx, level, kids=()):
+        """A hand-built node over Diracs at x = position / 12."""
+        x = np.asarray(idx) / 12.0
+        return ClusterNode(idx, level, SupportBox([x.min()], [x.max()]), kids)
+
+    def test_leaves_must_partition_the_positions(self):
+        node = self._node
+        leaf = node([0, 1, 2, 3], 1)
+        twice = node(list(range(8)), 0, (leaf, node([0, 1, 2, 3], 1)))  # a leaf repeated
+        with pytest.raises(InputError, match="partition"):
+            ClusterTree.finalize(twice)
 
     @pytest.mark.parametrize("change", [
         lambda idx, n: np.setdiff1d(np.arange(n), idx)[: idx.size],
@@ -803,18 +817,68 @@ class TestAssembleChecks:
         lambda idx, n: np.r_[-1, idx[1:]],
     ], ids=["foreign", "repeated", "beyond-n", "negative"])
     def test_internal_nodes_must_hold_their_childrens_positions(self, change):
-        tree, basis = self._fresh_case()
-        inner = tree.root.children[0]
-        assert not inner.is_leaf
-        inner.indices = change(inner.indices, tree.n)
+        node = self._node
+        inner = node(change(np.arange(6), 12), 1, (node([0, 1, 2], 2), node([3, 4, 5], 2)))
+        root = node(list(range(12)), 0, (inner, node(list(range(6, 12)), 1)))
         with pytest.raises(InputError, match="children's positions"):
-            assemble_basis(ClusterTree.finalize(tree.root), basis.filters, 1, 1)
+            ClusterTree.finalize(root)
 
     def test_children_must_sit_one_level_below_their_parent(self):
-        tree, basis = self._fresh_case()
-        tree.leaves()[0].level -= 1
+        node = self._node
+        inner = node(list(range(6)), 1, (node([0, 1, 2], 1), node([3, 4, 5], 2)))
+        root = node(list(range(12)), 0, (inner, node(list(range(6, 12)), 1)))
         with pytest.raises(InputError, match="one level below"):
-            assemble_basis(ClusterTree.finalize(tree.root), basis.filters, 1, 1)
+            ClusterTree.finalize(root)
+
+    def test_the_unchanged_hand_built_tree_is_valid(self):
+        node = self._node
+        inner = node(list(range(6)), 1, (node([0, 1, 2], 2), node([3, 4, 5], 2)))
+        tree = ClusterTree.finalize(node(list(range(12)), 0, (inner, node(list(range(6, 12)), 1))))
+        assert tree.perm.tolist() == list(range(12))
+        assert tree.child_ids.tolist() == [[1, 4], [2, 3], [-1, -1], [-1, -1], [-1, -1]]
+
+
+class TestNoNodeObjects:
+    @staticmethod
+    def _objects_made(n, monkeypatch):
+        """ClusterNodes and SupportBoxes made while n Diracs are built, verified,
+        saved and loaded, and the tree's node count."""
+        functionals, _ = generate_example("random-diracs", n, 1, seed=5)
+        made = {ClusterNode: 0, SupportBox: 0}
+        for cls in made:
+            init = cls.__post_init__
+
+            def counted(obj, cls=cls, init=init):
+                made[cls] += 1
+                init(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        tree = build_cluster_tree(functionals, GaussianSimilarity(0.05), 8, moment_dim=2)
+        basis = build_samplet_basis(functionals, tree, 1)
+        assert verify_vanishing_moments(basis, functionals) <= 1e-9
+        deserialize_basis(serialize_basis(basis))
+        monkeypatch.undo()
+        return made[ClusterNode], made[SupportBox], tree.sizes.size
+
+    def test_library_stages_make_no_node_objects(self, monkeypatch):
+        nodes_small, boxes_small, nn_small = self._objects_made(40, monkeypatch)
+        nodes_large, boxes_large, nn_large = self._objects_made(400, monkeypatch)
+        assert nn_large > 4 * nn_small
+        assert nodes_small == nodes_large == 0
+        assert boxes_small == boxes_large
+
+    def test_node_views_are_read_only(self, small_case):
+        _, tree, _ = small_case
+        nd = tree.root.children[1]
+        with pytest.raises(AttributeError):
+            nd.level = 7
+        with pytest.raises(AttributeError):
+            nd.indices = np.arange(3)
+        with pytest.raises(ValueError, match="read-only"):
+            nd.indices[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            tree.perm[0] = 0
+        assert tree.nodes is tree.nodes
 
 
 class TestOneFilterCopy:

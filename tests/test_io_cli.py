@@ -31,6 +31,7 @@ from samplets.io import (
     _NODE,
     FORMAT_VERSION,
     MAGIC,
+    _samplet_record,
     read_values_csv,
     write_functionals_csv,
     write_values_csv,
@@ -70,6 +71,14 @@ def _with_leaf_q(basis, change):
     q = np.frombuffer(bytes(payload[start:start + 8 * nin * nin]), dtype="<f8").reshape(nin, nin)
     payload[start:start + 8 * nin * nin] = np.ascontiguousarray(change(q), dtype="<f8").tobytes()
     return _resign(bytes(payload))
+
+
+def _node_records(basis):
+    """Payload bytes of a basis and the offset of each node record, in preorder."""
+    payload = bytearray(serialize_basis(basis)[:-32])
+    sizes = basis.tree.sizes
+    step = _NODE.size + 16 * basis.dimension + 8 * sizes
+    return payload, _HEADER.size + np.cumsum(step) - step
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +258,38 @@ class TestContainer:
         code = main(["report", "--basis", str(path), "--example", "random-diracs", "--n", "40",
                      "--seed", "2", "--out", str(tmp_path / "report")])
         assert code == 2
+
+    def test_has_children_byte_must_be_zero_or_one(self, small_basis):
+        payload, at = _node_records(small_basis)
+        assert payload[at[0] + 4] == 1  # the root's flag follows its 4-byte level
+        payload[at[0] + 4] = 2
+        with pytest.raises(InputError, match="has_children flag of cluster node 0"):
+            deserialize_basis(_resign(bytes(payload)))
+
+    @pytest.mark.parametrize("leaf", [False, True], ids=["root", "leaf"])
+    def test_node_positions_must_ascend(self, small_basis, leaf):
+        payload, at = _node_records(small_basis)
+        node = int(np.flatnonzero(small_basis.tree.child_ids[:, 0] < 0)[0]) if leaf else 0
+        pos = at[node] + _NODE.size + 16 * small_basis.dimension
+        first, second = struct.unpack_from("<2q", payload, pos)
+        struct.pack_into("<2q", payload, pos, second, first)
+        with pytest.raises(InputError, match=f"node {node} .*ascending"):
+            deserialize_basis(_resign(bytes(payload)))
+
+    def test_root_must_sit_at_level_zero(self, small_basis):
+        # every node, the header depth and every samplet one level deeper:
+        # the tree stays consistent except for the root's level
+        payload, at = _node_records(small_basis)
+        for a in at:
+            struct.pack_into("<I", payload, a, struct.unpack_from("<I", payload, a)[0] + 1)
+        struct.pack_into("<I", payload, _HEADER.size - 4, small_basis.tree.depth + 1)
+        rec = _samplet_record(small_basis.dimension)
+        start = len(payload) - rec.itemsize * small_basis.n_samplets
+        samplets = np.frombuffer(bytes(payload[start:]), rec).copy()
+        samplets["level"] += 1
+        payload[start:] = samplets.tobytes()
+        with pytest.raises(InputError, match="root cluster is at level 1"):
+            deserialize_basis(_resign(bytes(payload)))
 
     @pytest.mark.parametrize("change, message", [
         (lambda q: np.full_like(q, np.nan), "non-finite"),
