@@ -431,33 +431,8 @@ def transform_matrix(basis, a):
     n = basis.n
     if a.shape != (n, n):
         raise InputError(f"matrix must be {n} x {n}")
-    _check_symmetric(a)
+    kernels.check_symmetric(a)
     return basis.forward(basis.forward(a).T)
-
-
-# Entries of a compared per tile in the symmetry check (512 KiB of doubles).
-_SYM_TILE = 1 << 16
-
-
-def _check_symmetric(a):
-    """Reject a square matrix unless np.allclose(a, a.T, atol=1e-8 * max(max|a|, 1)).
-
-    The pair (i, j), (j, i) passes both allclose tests exactly when
-    |a_ij - a_ji| <= atol + 1e-5 * min(|a_ij|, |a_ji|), so only the upper
-    triangle is compared, one tile of rows against the matching tile of
-    columns at a time, without N x N temporaries.
-    """
-    hi, lo = a.max(), a.min()
-    if not (np.isfinite(hi) and np.isfinite(lo)):
-        raise InputError("matrix entries must be finite")
-    atol = 1e-8 * max(hi, -lo, 1.0)
-    n = a.shape[0]
-    step = max(1, _SYM_TILE // n)
-    for s in range(0, n, step):
-        e = min(n, s + step)
-        x, y = a[s:e, s:], a[s:, s:e].T
-        if not (np.abs(x - y) <= atol + 1e-5 * np.minimum(np.abs(x), np.abs(y))).all():
-            raise InputError("matrix must be symmetric")
 
 
 def _vanishing_scan(basis, functionals, primitives):

@@ -224,9 +224,12 @@ def run_pipeline(cfg):
     if model is not None:
         fb = frame_bounds(model)
         dual = dual_samplet_coefficients(basis, model)
-        biortho = float(
-            np.abs(basis.forward(model.effective() @ dual) - np.eye(basis.n)).max()
-        )
+        # U G D - I, formed in place; D is dropped as soon as it is used
+        pairing = basis.forward(model.effective() @ dual)
+        del dual
+        pairing.flat[:: basis.n + 1] -= 1.0
+        biortho = float(np.abs(pairing, out=pairing).max())
+        del pairing
         frame_path = os.path.join(cfg.out, "frame.csv")
         _write_rows(
             frame_path,
@@ -257,12 +260,14 @@ def _decay_stage(cfg, basis, functionals, name):
 
 
 def _compress_stage(cfg, basis, model):
-    coeff = transform_matrix(basis, model.effective())
+    g = model.effective()
+    coeff = transform_matrix(basis, g)
     compressed, rep = threshold_compress(coeff, cfg.sigma)
+    del coeff
     dense = compressed.toarray()
     recon = basis.inverse(basis.inverse(dense).T)
-    scale = np.linalg.norm(model.effective())
-    err = float(np.linalg.norm(recon - model.effective()) / scale) if scale else 0.0
+    scale = np.linalg.norm(g)
+    err = float(np.linalg.norm(recon - g) / scale) if scale else 0.0
     path = os.path.join(cfg.out, "compression.csv")
     _write_rows(
         path,

@@ -1,4 +1,5 @@
-"""Hot numeric kernels in numpy: evaluation tables, box distances and the cascade.
+"""Hot numeric kernels in numpy: evaluation tables, box distances, symmetric
+matrix tiles and the cascade.
 
 Every kernel is a function of flat arrays (the atom arrays of a
 measures.FunctionalSet, box corners, stacked filters), so the loops over
@@ -96,6 +97,46 @@ def box_gap_pairs(lo, hi, ii, jj):
     g = np.maximum(lo[ii] - hi[jj], lo[jj] - hi[ii])
     np.maximum(g, 0.0, out=g)
     return np.sqrt(np.einsum("ij,ij->i", g, g))
+
+
+# ---------------------------------------------------------------------------
+# dense symmetric matrices, one tile of rows at a time (no N x N temporaries)
+
+# Entries per tile (512 KiB of doubles).
+_SYM_TILE = 1 << 16
+
+
+def check_symmetric(a):
+    """Reject a square matrix unless np.allclose(a, a.T, atol=1e-8 * max(max|a|, 1)).
+
+    The pair (i, j), (j, i) passes both allclose tests exactly when
+    |a_ij - a_ji| <= atol + 1e-5 * min(|a_ij|, |a_ji|), so only the upper
+    triangle is compared, one tile of rows against the matching tile of
+    columns at a time.
+    """
+    hi, lo = a.max(), a.min()
+    if not (np.isfinite(hi) and np.isfinite(lo)):
+        raise InputError("matrix entries must be finite")
+    atol = 1e-8 * max(hi, -lo, 1.0)
+    n = a.shape[0]
+    step = max(1, _SYM_TILE // n)
+    for s in range(0, n, step):
+        e = min(n, s + step)
+        x, y = a[s:e, s:], a[s:, s:e].T
+        if not (np.abs(x - y) <= atol + 1e-5 * np.minimum(np.abs(x), np.abs(y))).all():
+            raise InputError("matrix must be symmetric")
+
+
+def mirror_upper(a):
+    """Copy the upper triangle of the square matrix a onto its lower triangle, in place."""
+    n = a.shape[0]
+    step = max(1, _SYM_TILE // n)
+    for s in range(0, n, step):
+        e = min(n, s + step)
+        a[s:e, :s] = a[:s, s:e].T
+        block = a[s:e, s:e]
+        low = np.tril_indices(e - s, -1)
+        block[low] = block.T[low]
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import lapack
+from scipy.sparse.linalg import ArpackNoConvergence
+from test_acceptance import DUAL_IDENTITY_TOL, RAYLEIGH_PAD_FACTOR
 
 from samplets import (
     ConditionNumberError,
+    EigenSolverError,
     EpsilonNeighborhood,
     GaussianSimilarity,
     InputError,
+    MutualKNN,
     NumericalError,
     build_cluster_tree,
     build_samplet_basis,
@@ -25,6 +30,7 @@ from samplets import (
     gram_mass_p1,
     verify_vanishing_moments,
 )
+from samplets import frames
 from samplets.frames import FrameBounds, GramModel
 from samplets.measures import Polynomial, evaluate, primitive_basis
 
@@ -177,6 +183,30 @@ class TestGramModel:
         with pytest.raises(InputError, match="regularization shift"):
             GramModel(np.eye(2), "test", mu=mu)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3,), (2, 3)])
+    def test_empty_or_non_square_matrix_rejected(self, shape):
+        with pytest.raises(InputError, match="square and not empty"):
+            GramModel(np.ones(shape), "test")
+
+    def test_asymmetric_matrix_rejected(self):
+        g = np.eye(3)
+        g[0, 2] = 1e-3
+        with pytest.raises(InputError, match="symmetric"):
+            GramModel(g, "test")
+
+    def test_asymmetric_reassignment_rejected_and_model_kept(self):
+        model = GramModel(np.diag([2.0, 0.5]), "test")
+        assert frame_bounds(model) == FrameBounds(0.5, 2.0)
+        with pytest.raises(InputError, match="symmetric"):
+            model.matrix = np.array([[2.0, 0.1], [0.0, 0.5]])
+        assert model.matrix.tolist() == [[2.0, 0.0], [0.0, 0.5]]
+        assert frame_bounds(model) == FrameBounds(0.5, 2.0)
+
+    def test_rounding_level_asymmetry_accepted(self):
+        g = gram_kernel(np.array([[0.0], [0.4], [1.0]]), "exponential", 1.0).matrix.copy()
+        g[0, 1] *= 1.0 + 1e-15
+        assert GramModel(g, "test").n == 3
+
     def test_integer_matrix_is_stored_as_float(self):
         model = GramModel(np.eye(3, dtype=np.int64), "test")
         assert model.matrix.dtype == np.float64
@@ -290,6 +320,179 @@ class TestSpectrumCache:
         for _ in range(2):
             with pytest.raises(NumericalError):
                 dual_coefficients(model)
+
+
+_LANCZOS_N = 240
+
+
+def _random_spd(n):
+    a = np.random.default_rng(7).standard_normal((n, n))
+    return GramModel(a @ a.T / n + 0.1 * np.eye(n), "random spd")
+
+
+# Models above frames._DENSE_CUTOFF, all of size _LANCZOS_N, with condition
+# numbers from 40 to 1e4 so that eigvalsh is an accurate reference.
+_LARGE_MODELS = {
+    "exponential": lambda pts: gram_kernel(pts, "exponential", 0.5),
+    "gaussian": lambda pts: gram_kernel(pts, "gaussian", 0.03),
+    "matern32": lambda pts: gram_kernel(pts, "matern32", 0.1),
+    "random-spd": lambda pts: _random_spd(len(pts)),
+    # exactly centrosymmetric (unit mesh width) with an even size, so the
+    # smallest eigenvector is antisymmetric: orthogonal to the all-ones
+    # vector, which is therefore no Lanczos start vector
+    "p1-mass-uniform": lambda pts: gram_mass_p1(np.arange(len(pts) + 2.0))[0],
+}
+
+
+@pytest.fixture(scope="module")
+def lanczos_case():
+    functionals, _ = generate_example("random-diracs", _LANCZOS_N, 2, 5)
+    tree = build_cluster_tree(functionals, MutualKNN(8), 32, moment_dim=6)
+    basis = build_samplet_basis(functionals, tree, 2)
+    assert _LANCZOS_N > frames._DENSE_CUTOFF
+    return functionals.points, basis
+
+
+def _fresh(name, points):
+    model = _LARGE_MODELS[name](points)
+    return GramModel(model.matrix, model.provenance, model.mu)
+
+
+class TestAboveTheDenseCutoff:
+    @pytest.fixture(autouse=True)
+    def _no_eigvalsh(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("eigvalsh above the dense cutoff")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+
+    @pytest.mark.parametrize("name", sorted(_LARGE_MODELS))
+    def test_bounds_match_the_dense_spectrum(self, lanczos_case, name, monkeypatch):
+        points, _ = lanczos_case
+        model = _fresh(name, points)
+        fb = frame_bounds(model)
+        monkeypatch.undo()
+        w = np.linalg.eigvalsh(model.matrix)
+        assert fb.lower == pytest.approx(w[0], rel=1e-10)
+        assert fb.upper == pytest.approx(w[-1], rel=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(_LARGE_MODELS))
+    def test_rayleigh_sandwich(self, lanczos_case, name):
+        points, _ = lanczos_case
+        model = _fresh(name, points)
+        fb = frame_bounds(model)
+        g = model.effective()
+        x = np.random.default_rng(0x707).standard_normal((model.n, 1000))
+        gx = g @ x
+        quotients = np.einsum("ij,ij->j", x, gx) / np.einsum("ij,ij->j", x, x)
+        pad = RAYLEIGH_PAD_FACTOR * fb.upper
+        assert quotients.min() >= fb.lower - pad
+        assert quotients.max() <= fb.upper + pad
+
+    @pytest.mark.parametrize("name", sorted(_LARGE_MODELS))
+    def test_dual_identities(self, lanczos_case, name):
+        points, basis = lanczos_case
+        model = _fresh(name, points)
+        g = model.effective()
+        c = dual_coefficients(model)
+        assert np.abs(g @ c - np.eye(model.n)).max() <= DUAL_IDENTITY_TOL
+        d = dual_samplet_coefficients(basis, model)
+        assert np.abs(basis.forward(g @ d) - np.eye(model.n)).max() <= DUAL_IDENTITY_TOL
+        assert np.array_equal(d, basis.forward(c).T)
+
+    @pytest.mark.parametrize("name", sorted(_LARGE_MODELS))
+    def test_bounds_are_deterministic(self, lanczos_case, name):
+        points, _ = lanczos_case
+        assert frame_bounds(_fresh(name, points)) == frame_bounds(_fresh(name, points))
+
+    def test_regularized_model(self, lanczos_case, monkeypatch):
+        points, basis = lanczos_case
+        model = gram_kernel(points, "exponential", 0.5, regularize=True)
+        assert model.mu > 0.0
+        fb = frame_bounds(model)
+        d = dual_samplet_coefficients(basis, model)
+        g = model.effective()
+        assert np.abs(basis.forward(g @ d) - np.eye(model.n)).max() <= DUAL_IDENTITY_TOL
+        monkeypatch.undo()
+        w = np.linalg.eigvalsh(g)
+        assert (fb.lower, fb.upper) == pytest.approx((w[0], w[-1]), rel=1e-10)
+
+    def test_one_factorization_per_model_state(self, lanczos_case, monkeypatch):
+        points, basis = lanczos_case
+        model = _fresh("exponential", points)
+        calls = []
+        dpotrf = lapack.dpotrf
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return dpotrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dpotrf", counting)
+        frame_bounds(model)
+        dual_samplet_coefficients(basis, model)
+        dual_coefficients(model)
+        assert calls == [(model.n, model.n)]
+        model.mu = 0.5
+        frame_bounds(model)
+        dual_coefficients(model)
+        assert len(calls) == 2
+
+    def test_reassigned_shift_or_matrix_drops_the_inverse(self, lanczos_case):
+        points, _ = lanczos_case
+        model = _fresh("exponential", points)
+        g = model.matrix
+        first = dual_coefficients(model)
+        assert model._inverse is not None
+        model.mu = 0.5
+        assert model._inverse is None and model._extremes is None
+        shifted = dual_coefficients(model)
+        assert np.abs((g + 0.5 * np.eye(model.n)) @ shifted - np.eye(model.n)).max() <= 1e-10
+        model.matrix = 2.0 * g
+        assert model._inverse is None and model._extremes is None
+        doubled = dual_coefficients(model)
+        assert np.abs((2.0 * g + 0.5 * np.eye(model.n)) @ doubled - np.eye(model.n)).max() <= 1e-10
+        assert not np.array_equal(first, doubled)
+
+    def test_dual_coefficients_are_a_copy(self, lanczos_case):
+        points, _ = lanczos_case
+        model = _fresh("exponential", points)
+        c = dual_coefficients(model)
+        c[:] = 0.0
+        assert np.abs(model.matrix @ dual_coefficients(model) - np.eye(model.n)).max() <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["indefinite", "semidefinite", "zero"])
+    @pytest.mark.parametrize("call", ["frame_bounds", "dual_coefficients", "dual_samplets"])
+    def test_not_positive_definite_rejected(self, lanczos_case, kind, call):
+        points, basis = lanczos_case
+        g = _fresh("exponential", points).matrix.copy()
+        if kind == "indefinite":
+            g -= 0.011 * np.eye(len(g))  # lambda_min is 0.0101 before the shift
+        elif kind == "semidefinite":
+            g[-1, :] = g[:, -1] = 0.0
+        else:
+            g[:] = 0.0
+        model = GramModel(g, "test")
+        run = {
+            "frame_bounds": lambda: frame_bounds(model),
+            "dual_coefficients": lambda: dual_coefficients(model),
+            "dual_samplets": lambda: dual_samplet_coefficients(basis, model),
+        }[call]
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="not positive definite"):
+                run()
+            assert model._inverse is None and model._extremes is None
+
+    def test_arpack_failure_is_an_eigensolver_error(self, lanczos_case, monkeypatch):
+        points, _ = lanczos_case
+        model = _fresh("exponential", points)
+
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((model.n, 0)))
+
+        monkeypatch.setattr(frames, "eigsh", stalled)
+        with pytest.raises(EigenSolverError, match="ARPACK"):
+            frame_bounds(model)
+        assert model._extremes is None
 
 
 class TestDualSamplets:

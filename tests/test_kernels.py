@@ -9,6 +9,7 @@ from samplets.kernels import (
     box_gap_pairs,
     eval_table,
     falling_factorial_table,
+    mirror_upper,
 )
 from samplets.measures import Atom, Functional, as_functional_set, evaluate
 
@@ -135,3 +136,12 @@ def test_box_gap_pairs_matches_the_dense_matrix():
     ii = np.array([0, 1, 4, 9, 3])
     jj = np.array([5, 1, 2, 0, 8])
     assert np.allclose(box_gap_pairs(lo, hi, ii, jj), dense[ii, jj], atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 300, 700])
+def test_mirror_upper_matches_the_triangle_sum(n):
+    # 300 and 700 span two and eight row tiles
+    a = np.random.default_rng(n).standard_normal((n, n))
+    expect = np.triu(a) + np.triu(a, 1).T
+    mirror_upper(a)
+    assert np.array_equal(a, expect)
