@@ -432,7 +432,9 @@ def transform_matrix(basis, a):
     if a.shape != (n, n):
         raise InputError(f"matrix must be {n} x {n}")
     kernels.check_symmetric(a)
-    return basis.forward(basis.forward(a).T)
+    # the second pass gathers rows of the first pass's transpose: a C-ordered
+    # copy reads them contiguously, and the first pass is freed before it
+    return basis.forward(kernels.transposed(basis.forward(a)))
 
 
 def _vanishing_scan(basis, functionals, primitives):
@@ -552,17 +554,21 @@ def threshold_compress(coeffs, sigma):
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim not in (1, 2):
         raise InputError("expected a coefficient vector or matrix")
-    peak = float(np.abs(coeffs).max()) if coeffs.size else 0.0
+    mag = np.abs(coeffs)
+    peak = float(mag.max()) if coeffs.size else 0.0
     threshold = sigma * peak
-    mask = np.abs(coeffs) >= threshold
-    kept = int(mask.sum())
-    dropped = float(np.linalg.norm(coeffs[~mask]))
+    mask = mag >= threshold
+    del mag
     report = CompressionReport(
         sigma=sigma, threshold=threshold, total=int(coeffs.size),
-        kept=kept, dropped_norm=dropped,
+        kept=int(np.count_nonzero(mask)),
+        dropped_norm=float(np.linalg.norm(coeffs[~mask])),
     )
-    if coeffs.ndim == 2:
-        out = sparse.csr_matrix(np.where(mask, coeffs, 0.0))
-        return out, report
-    out = np.where(mask, coeffs, 0.0)
-    return out, report
+    if coeffs.ndim == 1:
+        return np.where(mask, coeffs, 0.0), report
+    # the CSR straight from the mask: its entries are the kept nonzeros, as a
+    # CSR made from the dense masked copy would store
+    n, m = coeffs.shape
+    at = np.flatnonzero(mask & (coeffs != 0.0))
+    return sparse.csr_matrix((coeffs.ravel().take(at), at % max(m, 1),
+                              np.searchsorted(at, np.arange(n + 1) * m)), shape=(n, m)), report

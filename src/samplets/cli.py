@@ -34,6 +34,7 @@ from .io import (
     write_functionals_csv,
     write_values_csv,
 )
+from .kernels import transposed
 from .measures import analysis_vector, moment_dimension
 from .simgraph import EpsilonNeighborhood, GaussianSimilarity, MutualKNN
 
@@ -264,8 +265,8 @@ def _compress_stage(cfg, basis, model):
     coeff = transform_matrix(basis, g)
     compressed, rep = threshold_compress(coeff, cfg.sigma)
     del coeff
-    dense = compressed.toarray()
-    recon = basis.inverse(basis.inverse(dense).T)
+    # the second inverse reads a C-ordered copy of the first one's transpose
+    recon = basis.inverse(transposed(basis.inverse(compressed.toarray())))
     scale = np.linalg.norm(g)
     err = float(np.linalg.norm(recon - g) / scale) if scale else 0.0
     path = os.path.join(cfg.out, "compression.csv")

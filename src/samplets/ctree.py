@@ -11,26 +11,27 @@ small to carry any samplet.
 
 The tree is built one level at a time, each split writing its two parts
 into its cluster's range of the permutation. For all clusters of a level:
-- one `connected_components` call over the intra-cluster edges labels the
-  components of every cluster, and the balanced component assignment runs
-  as array operations; a component split whose smaller side could carry no
-  samplet bisects the largest component instead, when that component has
-  more than moment_dim + 1 functionals;
+- component labels are carried from level to level: one
+  `connected_components` call labels the graph at the root, a component
+  split keeps every label, and only the positions of a component that a
+  Fiedler vector bisected are labelled again, from the edges between them;
+- the balanced component assignment runs as array operations; a component
+  split whose smaller side could carry no samplet bisects the largest
+  component instead, when it has more than moment_dim + 1 functionals;
 - clusters of at most 128 functionals get their Fiedler pair from a LAPACK
   subset solve (`dsyevr`) of their dense Laplacian;
 - larger clusters of a sparse graph share one sparse LU of their
-  block-diagonal Laplacian, shifted by 1e-8 times each cluster's Gershgorin
-  bound, and a block inverse subspace iteration with one Rayleigh-Ritz step
-  per cluster and iteration, started from the previous level's last
-  iterate; a cluster it cannot resolve falls back to shift-invert ARPACK;
+  block-diagonal Laplacian, shifted by 1e-10 times each cluster's
+  Gershgorin bound, and a block inverse subspace iteration with one
+  Rayleigh-Ritz step per cluster and iteration, started from the previous
+  level's last iterate; a cluster it cannot resolve falls back to
+  shift-invert ARPACK;
 - larger clusters of a dense (Gaussian) graph go to shift-invert ARPACK
   directly: their lambda_3, lambda_4, ... lie within a few percent of each
   other, so the subspace iteration would stall on them.
 Every Fiedler pair must pass the residual check ||L v - lambda v|| <= rtol
 times the cluster's Gershgorin bound. `spectral_bisection` and
-`fiedler_vector` are one-cluster calls of the same solver. A 2^16-point
-uniform 1-d tree (eps = 2.5/(N-1), leaf_max 32) takes 2.7 s with one BLAS
-thread on a two-core Xeon, against 13.3 s for a per-cluster recursion.
+`fiedler_vector` are one-cluster calls of the same solver.
 """
 
 from dataclasses import dataclass
@@ -53,6 +54,11 @@ _BLOCK = 4  # vectors of the subspace iteration
 _MAX_ITER = 60
 _CONVERGED = 1e-10  # change of the unit Fiedler vector between iterations
 _FIEDLER_SEED = 0x5EED
+# shift-invert solves use L - sigma I with sigma = -_SHIFT times the
+# Gershgorin bound: definite, and far below lambda_2 (~2e-8 times the bound
+# at the root of a 2^16-point chain, where a shift of 1e-8 slowed the root
+# level's iteration from a ratio of 0.04 to 0.16, 17 solves instead of 8)
+_SHIFT = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,9 +257,7 @@ def _canonical_sign(v):
     # index among them decides, whatever rounding the solver left
     mag = np.abs(v)
     pivot = int(np.argmax(mag >= mag.max() * (1.0 - 1e-9)))
-    if v[pivot] < 0.0:
-        return -v
-    return v
+    return -v if v[pivot] < 0.0 else v
 
 
 def _bounds(sizes):
@@ -277,14 +281,11 @@ def _dense_pair(lap):
 
 
 def _arpack_pair(lap, scale):
-    # shift-invert around a small negative shift keeps L - sigma I positive
-    # definite and maps the two smallest eigenvalues to the two largest
-    rng = np.random.default_rng(_FIEDLER_SEED)
-    v0 = rng.standard_normal(lap.shape[0])
+    v0 = np.random.default_rng(_FIEDLER_SEED).standard_normal(lap.shape[0])
     last = None
     for ncv in (None, 64, 128):
         try:
-            vals, vecs = eigsh(lap, k=2, sigma=-1e-8 * scale, which="LM", v0=v0, ncv=ncv, tol=0)
+            vals, vecs = eigsh(lap, k=2, sigma=-_SHIFT * scale, which="LM", v0=v0, ncv=ncv, tol=0)
         except (ArpackNoConvergence, RuntimeError) as exc:
             last = exc
             continue
@@ -308,7 +309,7 @@ def _checked(lap, lam, v, rtol, stats):
 def _subspace_pairs(lap, starts, x0, rtol):
     """Fiedler pairs of the diagonal blocks of a sparse block-diagonal Laplacian.
 
-    One LU of A = L + 1e-8 diag(scale) serves every block (scale is the
+    One LU of A = L + _SHIFT diag(scale) serves every block (scale is the
     block's Gershgorin bound). Each iteration solves A Y = X for the whole
     (n, K) block at once, removes each block's constant, and replaces each
     block's X by its Ritz vectors from a K x K Rayleigh-Ritz step on Y. A
@@ -324,7 +325,7 @@ def _subspace_pairs(lap, starts, x0, rtol):
     scale = np.maximum(np.maximum.reduceat(_row_abs_sums(lap), first), 1e-30)
     # L + shift is symmetric positive definite: a symmetric fill-reducing
     # order and no pivoting
-    solve = splu((lap + sparse.diags(1e-8 * scale[seg])).tocsc(), permc_spec="MMD_AT_PLUS_A",
+    solve = splu((lap + sparse.diags(_SHIFT * scale[seg])).tocsc(), permc_spec="MMD_AT_PLUS_A",
                  diag_pivot_thresh=0.0, options={"SymmetricMode": True}).solve
 
     def blocksum(a):
@@ -338,7 +339,6 @@ def _subspace_pairs(lap, starts, x0, rtol):
     vec = np.zeros(seg.size)
     rel = np.full(sizes.size, np.inf)
     active = np.ones(sizes.size, dtype=bool)
-    done = np.zeros(sizes.size, dtype=bool)
     gram = np.empty((sizes.size, k, k))
     proj = np.empty((sizes.size, k, k))
     prev_v = None
@@ -375,13 +375,12 @@ def _subspace_pairs(lap, starts, x0, rtol):
         rows = finished[seg]
         vec[rows] = v[rows]
         rel[finished] = res[finished]
-        done |= finished
         active &= ~finished
         if not active.any():
             break
         prev_v = v
     x0[:] = x
-    return vec, rel, done
+    return vec, rel, ~active
 
 
 def _arpack_vector(lap, rtol, stats):
@@ -481,20 +480,19 @@ def _balanced_sides(cluster, size, low, nclusters):
     new_cl[1:] = run_cl[1:] != run_cl[:-1]
     rank = np.arange(run_start.size) - np.flatnonzero(new_cl)[np.cumsum(new_cl) - 1]
     diff = np.zeros(nclusters, dtype=np.int64)
-    run_side = np.zeros(run_start.size, dtype=np.int64)
+    run_side = np.zeros(run_start.size, dtype=bool)
     run_t = np.zeros(run_start.size, dtype=np.int64)
     for r in range(int(rank.max(initial=-1)) + 1):
         sel = np.flatnonzero(rank == r)
-        d, s, m = diff[run_cl[sel]], run_sz[sel], run_len[sel]
-        heavy = d > 0
-        t = np.minimum(np.where(heavy, -(-d // s), (-d) // s + 1), m)
-        n_first = t + (m - t) // 2
-        run_side[sel] = heavy
-        run_t[sel] = t
-        diff[run_cl[sel]] = d + np.where(heavy, -s, s) * (2 * n_first - m)
+        c, s, m = run_cl[sel], run_sz[sel], run_len[sel]
+        d = diff[c]
+        run_side[sel] = heavy = d > 0
+        run_t[sel] = t = np.minimum((np.abs(d) + s - heavy) // s, m)
+        # t to one side, then alternating: the last m - t leave a net of 0 or 1
+        diff[c] = d + np.where(heavy, -s, s) * (t - (m - t) % 2)
     pos = np.arange(count) - run_start[run_of]
     t, f = run_t[run_of], run_side[run_of]
-    side = np.where((pos < t) | ((pos - t) % 2 == 1), f, 1 - f)
+    side = np.where((pos < t) | ((pos - t) % 2 == 1), f, ~f)
     out = np.empty(count, dtype=np.int64)
     out[order] = side
     lead = np.full(nclusters, -1, dtype=np.int64)
@@ -508,70 +506,70 @@ class _LevelSplitter:
     Sparse weights are kept as a list of intra-cluster edges (i < j), and
     each level filters only the edges that survived the level above; the
     clusters of successive `split` calls must therefore refine each other.
+    Each position carries a component label, the position of the first
+    functional of its component within its cluster; positions of a
+    component a Fiedler vector bisects turn stale until the next level.
     """
 
     def __init__(self, graph, moment_dim, stats, rtol=1e-8):
         if not isinstance(graph, SimilarityGraph):
             raise InputError("graph must be a SimilarityGraph")
-        self.graph = graph
-        self.moment_dim = moment_dim
-        self.stats = stats
-        self.rtol = rtol
+        self.graph, self.moment_dim, self.stats, self.rtol = graph, moment_dim, stats, rtol
         self.x0 = self.edges = None
+        self.label = np.arange(graph.n)
+        self.stale = np.ones(graph.n, dtype=bool)
         if sparse.issparse(graph.weights):
             self.x0 = np.random.default_rng(_FIEDLER_SEED).standard_normal((graph.n, _BLOCK))
-            coo = sparse.triu(graph.weights, k=1, format="coo")
-            keep = coo.data != 0.0
+            coo = graph.weights.tocoo()
+            keep = (coo.row < coo.col) & (coo.data != 0.0)
             self.edges = (coo.row[keep].astype(np.int64), coo.col[keep].astype(np.int64),
                           coo.data[keep].astype(np.float64))
 
-    def _components(self, verts, cid, starts):
-        """Component label of each position in verts, and the level's edges
-        as (row position, column position, weight); components never cross
+    def _labels(self, verts, cid, starts):
+        """Component label of each position in verts; components never cross
         clusters."""
-        nv = verts.size
         if self.edges is None:
-            comp = np.empty(nv, dtype=np.int64)
-            total = 0
-            for c, (s, e) in enumerate(zip(starts[:-1], starts[1:])):
+            for s, e in zip(starts[:-1], starts[1:]):
                 w = self.graph.subgraph_weights(verts[s:e])
                 # a weight block without zeros is connected; scanning it
                 # would cost more than its Fiedler solve
-                k, lab = (connected_components(w, directed=False) if w.min() == 0.0
-                          else (1, np.zeros(e - s, dtype=np.int64)))
-                comp[s:e] = lab + total
-                total += k
-            return comp, None
+                lab = connected_components(w, directed=False)[1] if w.min() == 0.0 else 0
+                self.label[verts[s:e]] = verts[s:e][np.unique(lab, return_index=True)[1]][lab]
+            return self.label[verts]
+        where = np.full(self.graph.n, -1, dtype=np.int64)
+        where[verts] = cid
         rows, cols, vals = self.edges
-        pos = np.full(self.graph.n, -1, dtype=np.int64)
-        pos[verts] = np.arange(nv)
-        lab = np.full(nv + 1, -1, dtype=np.int64)
-        lab[:nv] = cid
-        pr, pc = pos[rows], pos[cols]
-        lr = lab[pr]
-        keep = (lr == lab[pc]) & (lr >= 0)
+        wr = where[rows]
+        keep = (wr >= 0) & (wr == where[cols])
         self.edges = rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        pr, pc = pr[keep], pc[keep]
-        g = sparse.coo_matrix((vals, (pr, pc)), shape=(nv, nv))
-        return connected_components(g, directed=False)[1], (pr, pc, vals)
+        # stale positions get fresh labels from the edges between them
+        fresh, e = verts[self.stale[verts]], self.stale[rows]
+        where[fresh] = np.arange(fresh.size)
+        g = sparse.coo_matrix((vals[e], (where[rows[e]], where[cols[e]])), shape=(fresh.size,) * 2)
+        k, lab = connected_components(g, directed=False)
+        first = np.full(k, self.graph.n, dtype=np.int64)
+        np.minimum.at(first, lab, fresh)
+        self.label[fresh] = first[lab]
+        self.stale[fresh] = False
+        return self.label[verts]
 
-    def _laplacians(self, verts, in_job, jstarts, edges):
+    def _laplacians(self, jverts, jstarts):
         """Dense Laplacians of the small jobs; the dense Laplacians of the
         large jobs if the weights are dense, else one (lap, starts, x0) group
         of all large jobs (None if there are none)."""
-        jverts = verts[in_job]
         jsizes = np.diff(jstarts)
         small = jsizes <= _DENSE_CUTOFF
-        if edges is None:
+        if self.edges is None:
             laps = [laplacian_from_weights(self.graph.subgraph_weights(jverts[s:e]))
                     for s, e in zip(jstarts[:-1], jstarts[1:])]
             return ([laps[j] for j in np.flatnonzero(small)],
                     [laps[j] for j in np.flatnonzero(~small)], None)
-        jloc = np.full(in_job.size + 1, -1, dtype=np.int64)
-        jloc[np.flatnonzero(in_job)] = np.arange(jverts.size)
-        r, c = jloc[edges[0]], jloc[edges[1]]
-        keep = r >= 0  # an edge leaves no component, so c >= 0 too
-        r, c, w = r[keep], c[keep], edges[2][keep]
+        rows, cols, vals = self.edges
+        jloc = np.full(self.graph.n, -1, dtype=np.int64)
+        jloc[jverts] = np.arange(jverts.size)
+        r = jloc[rows]
+        keep = r >= 0  # an edge leaves no component, so its other end is a job's too
+        r, c, w = r[keep], jloc[cols[keep]], vals[keep]
         deg = np.bincount(r, weights=w, minlength=jverts.size)
         deg += np.bincount(c, weights=w, minlength=jverts.size)
         job = np.repeat(np.arange(jsizes.size), jsizes)
@@ -610,10 +608,14 @@ class _LevelSplitter:
         second, each ascending, and the first parts' sizes."""
         starts = _bounds(sizes)
         cid = np.repeat(np.arange(sizes.size), sizes)
-        comp, edges = self._components(verts, cid, starts)
-        _, first, inv, csize = np.unique(
-            comp, return_index=True, return_inverse=True, return_counts=True
-        )
+        lab = self._labels(verts, cid, starts)
+        # a component's label is its first position, so the components come
+        # out in order of their first positions
+        first = np.flatnonzero(lab == verts)
+        index = np.empty(self.graph.n, dtype=np.int64)
+        index[lab[first]] = np.arange(first.size)
+        inv = index[lab]
+        csize = np.bincount(inv, minlength=first.size)
         ccl = cid[first]
         multi = np.bincount(ccl, minlength=sizes.size) > 1
         side, lead = _balanced_sides(ccl, csize, verts[first], sizes.size)
@@ -627,16 +629,16 @@ class _LevelSplitter:
         in_job = ~multi[cid] | (collapse[cid] & (inv == lead[cid]))
         jclusters = np.flatnonzero(~multi | collapse)
         jstarts = _bounds(np.bincount(cid[in_job], minlength=sizes.size)[jclusters])
-        small, large, group = self._laplacians(verts, in_job, jstarts, edges)
+        small, large, group = self._laplacians(verts[in_job], jstarts)
         jsizes = np.diff(jstarts)
-        order = np.concatenate((np.flatnonzero(jsizes <= _DENSE_CUTOFF),
-                                np.flatnonzero(jsizes > _DENSE_CUTOFF)))
+        order = np.argsort(jsizes > _DENSE_CUTOFF, kind="stable")  # small jobs first
         job_vec = dict(zip(jclusters[order].tolist(),
                            _fiedler_vectors(small, large, group, self.rtol, self.stats)))
         if group is not None:
             # the last iterates restricted to the children start the next level
             big = np.flatnonzero(np.repeat(jsizes > _DENSE_CUTOFF, jsizes))
             self.x0[verts[in_job][big]] = group[2]
+        self.stale[verts[in_job]] = True  # the components a Fiedler vector bisects
         self.stats["components"] += int((multi & ~collapse).sum())
         self.stats["component_bisections"] += int(collapse.sum())
         # the first part is side 0 of a component split, else the
@@ -662,12 +664,9 @@ def spectral_bisection(cluster, graph, rtol=1e-8):
     halving the value-sorted order, so both parts are always nonempty. This
     is the level solver of `build_cluster_tree` applied to one cluster.
     """
-    if isinstance(cluster, ClusterNode):
-        idx = cluster.indices
-        cid = cluster.node_id if cluster.node_id >= 0 else None
-    else:
-        idx = np.sort(np.asarray(cluster, dtype=np.int64))
-        cid = None
+    node = isinstance(cluster, ClusterNode)
+    idx = cluster.indices if node else np.sort(np.asarray(cluster, dtype=np.int64))
+    cid = cluster.node_id if node and cluster.node_id >= 0 else None
     if idx.size < 2:
         raise InputError("cannot bisect a cluster with fewer than two functionals")
     if not isinstance(graph, SimilarityGraph):
@@ -707,14 +706,11 @@ def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
     """
     fs = as_functional_set(functionals)
     n = len(fs)
-    leaf_max = int(leaf_max)
-    moment_dim = int(moment_dim)
+    leaf_max, moment_dim = int(leaf_max), int(moment_dim)
     if moment_dim < 1:
         raise InputError("moment_dim must be at least 1")
     if n <= moment_dim:
-        raise InputError(
-            f"{n} functionals cannot carry samplets with moment dimension {moment_dim}"
-        )
+        raise InputError(f"{n} functionals cannot carry samplets with moment dimension {moment_dim}")
     if leaf_max <= moment_dim:
         raise InputError("leaf_max must exceed the moment dimension")
     lo, hi = fs.boxes()

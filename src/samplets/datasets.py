@@ -65,14 +65,29 @@ def generate_example(name, n, dimension=1, seed=0):
 _KINK_AT = np.pi / 8.0
 
 
+class _NamedFunction:
+    """A named test function: call it on one point, or give `values` an
+    (A, d) array to evaluate every row in one array call. Both give the
+    same bits."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __call__(self, x):
+        return float(self.values(np.asarray(x, dtype=np.float64)[None])[0])
+
+
+_NAMED = {
+    "exp": lambda p: np.exp(p.sum(axis=1)),
+    "kink": lambda p: np.abs(p[:, 0] - _KINK_AT),
+    # a matmul of a row and a column takes the dot routine of np.dot(x, x)
+    "runge": lambda p: 1.0 / (1.0 + 25.0 * (p[:, None, :] @ p[:, :, None])[:, 0, 0]),
+    "sine": lambda p: np.sin(2.0 * np.pi * p[:, 0]),
+}
+
+
 def test_function(name, dimension=1):
     """Named smooth or kinked test functions for decay studies."""
-    if name == "exp":
-        return lambda x: float(np.exp(np.sum(x)))
-    if name == "kink":
-        return lambda x: float(abs(x[0] - _KINK_AT))
-    if name == "runge":
-        return lambda x: float(1.0 / (1.0 + 25.0 * np.dot(x, x)))
-    if name == "sine":
-        return lambda x: float(np.sin(2.0 * np.pi * x[0]))
-    raise InputError(f"unknown test function {name!r}")
+    if name not in _NAMED:
+        raise InputError(f"unknown test function {name!r}")
+    return _NamedFunction(_NAMED[name])

@@ -344,7 +344,9 @@ def analysis_vector(functionals, v):
     v may be a Polynomial (evaluated with one eval_table call), a plain
     callable of a coordinate array (enough when no atom carries
     derivatives), or any object with a derivative(point, nu) method for
-    functionals with derivative atoms. Callables are called once per atom.
+    functionals with derivative atoms. Callables are called once per atom,
+    unless they have a values(points) method that evaluates every row of an
+    (A, d) array (the named test functions do) and no atom has derivatives.
     """
     fs = as_functional_set(functionals)
     if isinstance(v, Polynomial):
@@ -356,8 +358,11 @@ def analysis_vector(functionals, v):
     plain = ~fs.derivs.any(axis=1)
     if not (plain.all() or hasattr(v, "derivative")):
         raise InputError("test function must provide derivative(point, nu) for derivative atoms")
-    vals = [float(v(x)) if p else float(v.derivative(x, nu))
-            for x, nu, p in zip(fs.points, fs.derivs, plain.tolist())]
+    if plain.all() and hasattr(v, "values"):
+        vals = v.values(fs.points)
+    else:
+        vals = [float(v(x)) if p else float(v.derivative(x, nu))
+                for x, nu, p in zip(fs.points, fs.derivs, plain.tolist())]
     # bincount adds each functional's atoms in order, starting from 0.0
     owner = np.repeat(np.arange(len(fs)), np.diff(fs.offsets))
     return np.bincount(owner, weights=fs.weights * vals, minlength=len(fs))

@@ -661,6 +661,23 @@ class TestThresholdCompress:
         assert report.kept == 0
         assert report.dropped_norm == pytest.approx(np.linalg.norm(mat))
 
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3, 0.5])
+    def test_csr_equals_the_one_made_from_the_masked_copy(self, sigma):
+        # exact zeros (+0 and -0) are kept entries but not stored ones
+        rng = np.random.default_rng(8)
+        mat = rng.normal(size=(30, 17)) * np.exp(-8.0 * rng.random((30, 17)))
+        mat[3, :5] = 0.0
+        mat[4, 2] = -0.0
+        mat[7] = 0.0
+        compressed, report = threshold_compress(mat, sigma)
+        mask = np.abs(mat) >= sigma * np.abs(mat).max()
+        expect = sparse.csr_matrix(np.where(mask, mat, 0.0))
+        for key in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(compressed, key), getattr(expect, key))
+        assert compressed.indices.dtype == expect.indices.dtype
+        assert report.kept == int(mask.sum())
+        assert report.dropped_norm == float(np.linalg.norm(mat[~mask]))
+
     def test_vector_input_stays_dense(self):
         vec = np.array([1.0, -0.5, 1e-9, 0.25])
         compressed, report = threshold_compress(vec, 1e-6)

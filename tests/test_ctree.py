@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 
 from samplets import (
     EpsilonNeighborhood,
+    FunctionalSet,
     GaussianSimilarity,
     InputError,
     MutualKNN,
@@ -353,6 +356,18 @@ def _coincident_knn_case():
     return [dirac(i, p) for i, p in enumerate(pts)], MutualKNN(6), 24, 3
 
 
+def _gaussian_blocks_case():
+    # clumps one unit apart under a length scale of 0.02: the weights
+    # between clumps underflow to exact zeros, so the dense path meets
+    # components, and the clump of 30 with its two stragglers collapses
+    rng = np.random.default_rng(5)
+    sizes = [150, 60, 30, 2, 1]
+    pts = np.concatenate([[k, 0.0] + 0.05 * rng.standard_normal((m, 2))
+                          for k, m in enumerate(sizes)])
+    pts[-3:] = [[2.9, 1.0], [2.9, -1.0], [2.9, 2.0]]
+    return [dirac(i, p) for i, p in enumerate(pts)], GaussianSimilarity(0.02), 16, 3
+
+
 _REFERENCE_CASES = {
     # small versions of the three bench inputs
     "build-1d": lambda: (generate_example("random-diracs", 2048, 1, 3)[0],
@@ -365,6 +380,7 @@ _REFERENCE_CASES = {
     "gaussian": lambda: (generate_example("random-diracs", 600, 2, 1)[0],
                          GaussianSimilarity(0.15), 16, moment_dimension(2, 1)),
     "knn-coincident": _coincident_knn_case,
+    "gaussian-zero-blocks": _gaussian_blocks_case,
 }
 
 
@@ -492,3 +508,69 @@ class TestLevelSolver:
                 assert np.array_equal(side[comps], expect)
                 big = comps[np.lexsort((low[comps], -size[comps]))[0]]
                 assert lead[c] == big
+
+
+def _collapse_case():
+    """One giant epsilon component and a few isolated functionals."""
+    functionals, _ = generate_example("random-diracs", 3000, 2, 4)
+    return functionals, EpsilonNeighborhood(0.03), 32, moment_dimension(2, 2)
+
+
+def _divided_counts(tree, graph, leaf_max):
+    """Per level from 1 on: positions of the clusters split at that level
+    that lie in a component of their parent's subgraph which the parent's
+    split divided between its children."""
+    counts = {}
+    for nd in tree.nodes:
+        if nd.is_leaf:
+            continue
+        _, labels = connected_components(graph.subgraph_weights(nd.indices), directed=False)
+        in_first = np.isin(nd.indices, nd.children[0].indices)
+        divided = np.intersect1d(labels[in_first], labels[~in_first])
+        for child, mask in zip(nd.children, (in_first, ~in_first)):
+            if child.size > leaf_max:
+                counts[child.level] = (counts.get(child.level, 0)
+                                       + int(np.isin(labels[mask], divided).sum()))
+    return counts
+
+
+class TestComponentLabels:
+    @pytest.mark.parametrize("case", ["apply-1d", "build-1d", "collapse"])
+    def test_only_bisected_components_are_labelled_again(self, case, monkeypatch):
+        # the root level labels the whole graph; every later level passes
+        # connected_components exactly the positions of the components that
+        # a Fiedler vector bisected on the level above
+        seen = []
+
+        def counting(g, directed):
+            seen.append(g.shape[0])
+            return connected_components(g, directed=directed)
+
+        monkeypatch.setattr(ctree, "connected_components", counting)
+        functionals, scheme, leaf_max, mdim = (
+            _collapse_case() if case == "collapse" else _REFERENCE_CASES[case]())
+        graph = build_graph(functionals, scheme)
+        tree = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=mdim, graph=graph)
+        counts = _divided_counts(tree, graph, leaf_max)
+        assert seen[0] == graph.n
+        assert seen[1:] == [counts.get(level, 0) for level in range(1, len(seen))]
+        assert sum(seen[1:]) < graph.n * (len(seen) - 1)
+        if case == "collapse":
+            assert tree.stats["component_bisections"] >= 1 and seen[1] > 0
+
+    @given(gaps=st.lists(st.sampled_from([0.2, 0.5, 1.0, 3.0]), min_size=30, max_size=160),
+           seed=st.integers(0, 2**32 - 1))
+    def test_chains_of_components_match_the_reference(self, gaps, seed):
+        # functionals closer than 1.5 are joined with weight exp(-distance),
+        # so the chain falls into runs of components; jittered gaps keep the
+        # weights, and so the Fiedler vectors, free of symmetries
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(np.array(gaps) * (1.0 + 0.1 * rng.random(len(gaps))))
+        dist = np.abs(x[:, None] - x[None, :])
+        weights = sparse.csr_matrix(np.where(dist < 1.5, np.exp(-dist), 0.0))
+        graph = ctree.SimilarityGraph(EpsilonNeighborhood(1.5), weights)
+        functionals = FunctionalSet.diracs(x[:, None])
+        tree = build_cluster_tree(functionals, None, 8, moment_dim=2, graph=graph)
+        differing = _assert_matches_reference(tree, graph, 8, 2)
+        assert {reason for _, reason in differing} <= {"rolled back"}
+        assert_tree_invariants(tree, 2)

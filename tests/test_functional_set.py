@@ -26,6 +26,7 @@ from samplets import (
     primitive_basis,
     serialize_basis,
 )
+from samplets.datasets import test_function as named_function
 from samplets.io import write_functionals_csv
 from samplets.measures import analysis_vector, as_functional_set
 
@@ -190,6 +191,24 @@ class TestAnalysisVector:
                 acc += a.weight * v(a.point)
             expect.append(acc)
         assert analysis_vector(fs, v).tolist() == expect
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_named_functions_give_the_per_atom_bits(self, d):
+        # one array call of a named function gives the bits of the scalar
+        # formulas evaluated atom by atom
+        scalar = {
+            "exp": lambda x: float(np.exp(np.sum(x))),
+            "kink": lambda x: float(abs(x[0] - np.pi / 8.0)),
+            "runge": lambda x: float(1.0 / (1.0 + 25.0 * np.dot(x, x))),
+            "sine": lambda x: float(np.sin(2.0 * np.pi * x[0])),
+        }
+        fs, _ = generate_example("random-diracs", 300, d, 2)
+        for name, formula in scalar.items():
+            f = named_function(name, d)
+            expect = np.array([formula(x) for x in fs.points])
+            assert np.array_equal(f.values(fs.points), expect)
+            assert np.array_equal([f(x) for x in fs.points], expect)
+            assert np.array_equal(analysis_vector(fs, f), analysis_vector(fs, formula))
 
     def test_polynomial_dimension_must_match(self):
         fs = FunctionalSet.diracs(np.zeros((2, 2)))

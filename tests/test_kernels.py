@@ -7,9 +7,11 @@ from samplets import InputError, primitive_basis
 from samplets.kernels import (
     box_distance_matrix,
     box_gap_pairs,
+    check_symmetric,
     eval_table,
     falling_factorial_table,
     mirror_upper,
+    transposed,
 )
 from samplets.measures import Atom, Functional, as_functional_set, evaluate
 
@@ -145,3 +147,38 @@ def test_mirror_upper_matches_the_triangle_sum(n):
     expect = np.triu(a) + np.triu(a, 1).T
     mirror_upper(a)
     assert np.array_equal(a, expect)
+
+
+@pytest.mark.parametrize("n", [1, 5, 128, 300])
+def test_check_symmetric_accepts_what_allclose_accepts(n):
+    # 300 spans three tiles of 128 with a partial last one; perturbations of
+    # one entry straddle the tolerance from both sides
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    a = a + a.T
+    atol = 1e-8 * max(np.abs(a).max(), 1.0)
+    check_symmetric(a)
+    for scale in (0.5, 2.0, 1e3):
+        for _ in range(5):
+            b = a.copy()
+            i, j = rng.integers(0, n, size=2)
+            b[i, j] += scale * (atol + 1e-5 * abs(b[i, j]))
+            if np.allclose(b, b.T, atol=atol):
+                check_symmetric(b)
+            else:
+                with pytest.raises(InputError, match="symmetric"):
+                    check_symmetric(b)
+
+
+def test_check_symmetric_rejects_nonfinite_entries():
+    a = np.eye(3)
+    a[1, 1] = np.nan
+    with pytest.raises(InputError, match="finite"):
+        check_symmetric(a)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 200), (130, 64), (257, 129)])
+def test_transposed_is_a_c_ordered_transpose(shape):
+    a = np.random.default_rng(3).standard_normal(shape)
+    t = transposed(a)
+    assert t.flags.c_contiguous and np.array_equal(t, a.T)
