@@ -170,9 +170,12 @@ class SampletBasis:
     Rows are ordered samplets first (level ascending, preorder within a
     level, QR column within a cluster), then the root scaling rows. The
     transform itself is applied through a linear-time cascade; the dense
-    matrix is only materialized on request. filters[i] is node i's
-    ClusterFilters, whose q and r are views into the per-bucket stacks that
-    the cascade applies: the filters are held once.
+    matrix is only materialized on request. stacks[j] is the (q, r) pair of
+    bucket j of `_filter_layout`, q of shape (k, nin, nin) and r of shape
+    (k, m_phi, m_P); filters[i] is node i's ClusterFilters, whose q and r are
+    views into them, and the cascade applies the same q stacks: the filters
+    are held once. samplet_clusters[i] is the node owning samplet row i;
+    the samplets' levels and boxes are read from the tree.
     """
 
     tree: ClusterTree
@@ -180,11 +183,9 @@ class SampletBasis:
     dimension: int
     moment_dim: int
     primitives: PrimitiveBasis
+    stacks: list = field(repr=False)
     filters: list = field(repr=False)
-    samplet_levels: np.ndarray = field(repr=False)
     samplet_clusters: np.ndarray = field(repr=False)
-    samplet_box_lo: np.ndarray = field(repr=False)
-    samplet_box_hi: np.ndarray = field(repr=False)
     node_out: np.ndarray = field(repr=False)
     cascade: kernels.Cascade = field(repr=False)
 
@@ -194,7 +195,19 @@ class SampletBasis:
 
     @property
     def n_samplets(self):
-        return int(self.samplet_levels.size)
+        return int(self.samplet_clusters.size)
+
+    @property
+    def samplet_levels(self):
+        return self.tree.levels[self.samplet_clusters]
+
+    @property
+    def samplet_box_lo(self):
+        return self.tree.box_lo[self.samplet_clusters]
+
+    @property
+    def samplet_box_hi(self):
+        return self.tree.box_hi[self.samplet_clusters]
 
     @property
     def n_scaling(self):
@@ -409,9 +422,8 @@ def _assemble(tree, layout, stacks, dimension, degree):
     return SampletBasis(
         tree=tree, degree=degree, dimension=dimension, moment_dim=m_p,
         primitives=primitive_basis(dimension, degree, SupportBox(tree.box_lo[0], tree.box_hi[0])),
-        filters=filters, samplet_levels=tree.levels[owners], samplet_clusters=owners,
-        samplet_box_lo=tree.box_lo[owners], samplet_box_hi=tree.box_hi[owners],
-        node_out=node_out, cascade=cascade,
+        stacks=stacks, filters=filters, samplet_clusters=owners, node_out=node_out,
+        cascade=cascade,
     )
 
 

@@ -109,9 +109,10 @@ class ClusterTree:
     corners box_lo, box_hi (nn, d); start, child_ids (-1 twice for a leaf)
     and heights (0 for a leaf, 1 + the taller child's otherwise) follow.
     All arrays are read-only. InputError unless the flags describe a binary
-    tree, perm is a permutation of 0..N-1, no node is empty, each parent is
-    as large as its children together and one level above them, the root
-    is at level 0 and every box is finite with lower <= upper.
+    tree, perm is a permutation of 0..N-1, each leaf's range of it strictly
+    ascends, no node is empty, each parent is as large as its children
+    together and one level above them, the root is at level 0 and every box
+    is finite with lower <= upper.
 
     stats counts how the splits were found (see `_new_stats`); it is empty
     for trees that were not built by `build_cluster_tree`. `nodes`, `root`,
@@ -149,6 +150,11 @@ class ClusterTree:
             raise InputError(f"cluster node {np.argmin(sizes >= 1)} is empty")
         if n != in_leaves.sum() or not np.array_equal(np.sort(self.perm), np.arange(n)):
             raise InputError("leaf clusters do not partition the functional positions")
+        leaf_of = np.repeat(np.arange(nn), in_leaves)  # the leaf of each slot of perm
+        bad = (self.perm[1:] <= self.perm[:-1]) & (leaf_of[1:] == leaf_of[:-1])
+        if bad.any():
+            raise InputError(f"cluster node {leaf_of[np.argmax(bad)]} does not list its positions "
+                             "in ascending order")
         bad = inner[sizes[inner] != sizes[kids[inner]].sum(axis=1)]
         if bad.size:
             raise InputError(f"cluster node {bad[0]} does not hold exactly its children's positions")
@@ -168,16 +174,21 @@ class ClusterTree:
         self.heights = _read_only(heights, np.int64)
 
     @classmethod
-    def from_records(cls, positions, sizes, levels, has_children, box_lo, box_hi, stats=None):
-        """Tree of preorder node records, made as by the class but with
-        positions in place of perm: each node's positions in turn, sizes[i]
-        of them for node i. A leaf's become its range of perm. InputError
-        unless the records make a tree and every node lists exactly the
-        positions of its range, ascending."""
-        sizes, positions = np.asarray(sizes, dtype=np.int64), np.asarray(positions, dtype=np.int64)
-        offset, leaf = _bounds(sizes)[:-1], np.asarray(has_children) == 0
-        tree = cls(positions[_ranges(offset[leaf], sizes[leaf])], sizes, levels, has_children,
-                   box_lo, box_hi, stats)
+    def finalize(cls, root, stats=None):
+        """Tree of hand-built ClusterNodes under root, its leaves' positions
+        becoming perm. InputError where the class raises it, and unless every
+        internal node holds exactly its children's positions."""
+        nodes, stack = [], [root]
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(reversed(nodes[-1].children))
+        sizes = np.array([nd.size for nd in nodes], dtype=np.int64)
+        tree = cls(np.concatenate([nd.indices for nd in nodes if not nd.children]), sizes,
+                   [nd.level for nd in nodes], [bool(nd.children) for nd in nodes],
+                   [nd.box.lower for nd in nodes], [nd.box.upper for nd in nodes], stats)
+        # every listed position must fall in its node's range of perm, and
+        # none twice (the node lists them sorted)
+        positions = np.concatenate([nd.indices for nd in nodes])
         own = np.repeat(np.arange(sizes.size), sizes)
         rank = np.full(tree.n + 1, -1, dtype=np.int64)  # -1 also for positions out of range
         rank[tree.perm] = np.arange(tree.n)
@@ -185,23 +196,9 @@ class ClusterTree:
         good = (r >= 0) & (r < sizes[own])
         good[1:] &= (positions[1:] > positions[:-1]) | (own[1:] != own[:-1])
         if not good.all():
-            i = own[np.argmin(good)]
-            what = "its positions" if leaf[i] else "its children's positions"
-            raise InputError(f"cluster node {i} does not hold exactly {what} in ascending order")
+            raise InputError(f"cluster node {own[np.argmin(good)]} does not hold exactly "
+                             "its children's positions")
         return tree
-
-    @classmethod
-    def finalize(cls, root, stats=None):
-        """Tree of hand-built ClusterNodes under root, checked as `from_records` checks."""
-        nodes, stack = [], [root]
-        while stack:
-            nodes.append(stack.pop())
-            stack.extend(reversed(nodes[-1].children))
-        return cls.from_records(
-            np.concatenate([nd.indices for nd in nodes]), [nd.size for nd in nodes],
-            [nd.level for nd in nodes], [bool(nd.children) for nd in nodes],
-            [nd.box.lower for nd in nodes], [nd.box.upper for nd in nodes], stats,
-        )
 
     @cached_property
     def nodes(self):

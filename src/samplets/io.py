@@ -1,28 +1,40 @@
 """Serialization: CSV functional ingest and the binary basis container.
 
-The container stores everything needed to reapply a built transform: format
-header, cluster tree in preorder, per-node filters, samplet metadata, and a
-trailing sha256 checksum of all preceding bytes. All numbers are little
-endian; loading and saving again reproduces the file byte for byte. A node
-record holds its level, a has_children byte, its box and its positions in
-ascending order; the loader reads the records straight into the tree's
-arrays (`ClusterTree.from_records`) and rejects any it would not write.
+A samplet basis is its cluster tree and the QR filters of its nodes, and the
+container (format version 2) stores exactly these, each array as one
+contiguous little-endian section, in this order:
+- the header: magic, version, N, dimension d, degree, node count nn,
+  samplet count and tree depth;
+- perm, the tree's permutation of the positions (N int64);
+- the per-node columns in preorder: sizes and levels (nn int64 each), then
+  the box corners box_lo and box_hi (nn x d float64 each);
+- for each bucket of `basis._filter_layout` in turn, its stack of q factors
+  (k, nin, nin) and its stack of r factors (k, m_phi, m_P), float64;
+- the nodes' has_children flags, one byte each, placed last so every
+  section before them starts at a multiple of 8 bytes;
+- a sha256 checksum of all preceding bytes.
+The loader makes the tree from these arrays (`ClusterTree` checks it), takes
+the filter layout from the tree and reads the filter stacks as read-only
+views of the container bytes, which the basis keeps. It rejects any
+container that it would not write byte for byte; loading and saving again
+reproduces the file.
 """
 
 import csv
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ClusterFilters, SampletBasis, assemble_basis
+from .basis import SampletBasis, _assemble, _filter_layout
 from .ctree import ClusterTree
 from .errors import InputError
 from .measures import FunctionalSet, as_functional_set, moment_dimension
 
 MAGIC = b"SMPLTB01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +166,6 @@ def write_values_csv(path, values, indexed=True):
 # binary basis container
 
 _HEADER = struct.Struct("<8sIQIIQQI")  # magic, version, n, d, degree, nodes, samplets, depth
-_NODE = struct.Struct("<IBQ")  # level, has_children, index count
-_FILTER = struct.Struct("<QI")  # input count, m_phi
 
 
 @dataclass
@@ -170,47 +180,20 @@ class BasisContainer:
     basis: SampletBasis
 
 
-def _samplet_record(d):
-    """Packed samplet record: level, owning node, box lower and upper corner."""
-    return np.dtype([("level", "<u4"), ("owner", "<u8"), ("lo", "<f8", (d,)), ("hi", "<f8", (d,))])
-
-
-def _f8(arr):
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-def _i8(arr):
-    return np.ascontiguousarray(arr, dtype="<i8").tobytes()
+def _le(a):
+    """Bytes of an array, in little-endian order."""
+    return a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes()
 
 
 def serialize_basis(basis):
-    """Container bytes for a built basis."""
+    """Container bytes for a basis (see the module docstring for the layout)."""
     tree = basis.tree
-    parts = [
-        _HEADER.pack(
-            MAGIC, FORMAT_VERSION, basis.n, basis.dimension, basis.degree,
-            tree.sizes.size, basis.n_samplets, tree.depth,
-        )
-    ]
-    inner = (tree.child_ids[:, 0] >= 0).tolist()
-    spans = zip(tree.levels.tolist(), tree.start.tolist(), tree.sizes.tolist(), inner)
-    for i, (level, s, size, has_children) in enumerate(spans):
-        parts.append(_NODE.pack(level, has_children, size))
-        parts.append(_f8(tree.box_lo[i]))
-        parts.append(_f8(tree.box_hi[i]))
-        idx = tree.perm[s:s + size]  # an internal node's range holds its leaves one after another
-        parts.append(_i8(np.sort(idx) if has_children else idx))
-    for flt in basis.filters:
-        parts.append(_FILTER.pack(flt.q.shape[0], flt.m_phi))
-        parts.append(_f8(flt.q))
-        parts.append(_f8(flt.r))
-    rec = np.empty(basis.n_samplets, _samplet_record(basis.dimension))
-    rec["level"] = basis.samplet_levels
-    rec["owner"] = basis.samplet_clusters
-    rec["lo"] = basis.samplet_box_lo
-    rec["hi"] = basis.samplet_box_hi
-    parts.append(rec.tobytes())
-    payload = b"".join(parts)
+    arrays = [tree.perm, tree.sizes, tree.levels, tree.box_lo, tree.box_hi]
+    arrays += [a for qr in basis.stacks for a in qr]
+    arrays.append(tree.child_ids[:, 0] >= 0)
+    payload = b"".join([_HEADER.pack(MAGIC, FORMAT_VERSION, basis.n, basis.dimension, basis.degree,
+                                     tree.sizes.size, basis.n_samplets, tree.depth)]
+                       + [_le(a) for a in arrays])
     return payload + hashlib.sha256(payload).digest()
 
 
@@ -222,83 +205,51 @@ def save_basis(basis, path):
     return blob[-32:].hex()
 
 
-class _Cursor:
-    def __init__(self, blob):
-        self.blob = blob
-        self.pos = 0
-
-    def skip(self, nbytes, what):
-        """Offset of the next nbytes, which the cursor moves past."""
-        start, self.pos = self.pos, self.pos + nbytes
-        if self.pos > len(self.blob):
-            raise InputError(f"container truncated while reading {what}")
-        return start
-
-    def unpack(self, fmt, what):
-        return fmt.unpack_from(self.blob, self.skip(fmt.size, what))
-
-    def array(self, dtype, count, what):
-        """count items of dtype, as a read-only view into the blob."""
-        dtype = np.dtype(dtype)
-        return np.frombuffer(self.blob, dtype, count, self.skip(dtype.itemsize * count, what))
-
-
-def _read_tree(cur, n_nodes, d):
-    """ClusterTree of the next n_nodes node records. One pass finds where
-    each starts; their fixed-size heads and their positions are then copied
-    out as one structured and one int64 array."""
-    head = np.dtype([("level", "<u4"), ("has_children", "u1"), ("count", "<u8"),
-                     ("lo", "<f8", (d,)), ("hi", "<f8", (d,))])
-    first, at = cur.pos, []
-    for _ in range(n_nodes):
-        at.append(cur.skip(head.itemsize, "node record"))
-        cur.skip(8 * _NODE.unpack_from(cur.blob, at[-1])[2], "node indices")
-    raw = np.frombuffer(cur.blob, np.uint8, cur.pos - first, first)
-    fixed = (np.array(at, dtype=np.int64)[:, None] - first + np.arange(head.itemsize)).ravel()
-    rec = raw[fixed].view(head)
-    indices = np.ones(raw.size, dtype=bool)
-    indices[fixed] = False
-    return ClusterTree.from_records(raw[indices].view("<i8"), rec["count"], rec["level"],
-                                    rec["has_children"], rec["lo"], rec["hi"])
-
-
 def deserialize_basis(blob):
-    """Rebuild a SampletBasis from container bytes, verifying the checksum."""
-    if len(blob) < _HEADER.size + 32:
+    """Rebuild a SampletBasis from container bytes, verifying the checksum.
+
+    The basis's filter stacks are read-only views of blob.
+    """
+    blob = memoryview(blob).toreadonly()
+    if blob.nbytes < _HEADER.size + 32:
         raise InputError("container too short")
-    payload, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(payload).digest() != digest:
+    payload = blob[:-32]
+    if hashlib.sha256(payload).digest() != blob[-32:]:
         raise InputError("container checksum mismatch, file is corrupted")
-    cur = _Cursor(payload)
-    magic, version, n, d, degree, n_nodes, n_samplets, depth = cur.unpack(_HEADER, "header")
+    magic, version, n, d, degree, nn, n_samplets, depth = _HEADER.unpack_from(payload)
     if magic != MAGIC:
         raise InputError("not a samplet basis container")
     if version != FORMAT_VERSION:
         raise InputError(f"unsupported container version {version}")
-    tree = _read_tree(cur, n_nodes, d)
-    if tree.n != n or tree.depth != depth:
-        raise InputError("container tree header does not match its records")
+    end = payload.nbytes - nn  # the has_children flags close the payload
+    pos = _HEADER.size
+
+    def take(dtype, shape, what):
+        """The next section, of 8-byte numbers, as a read-only view."""
+        nonlocal pos
+        count = math.prod(shape)
+        start, pos = pos, pos + 8 * count
+        if pos > end:
+            raise InputError(f"container truncated while reading {what}")
+        return np.frombuffer(payload, dtype, count, start).reshape(shape)
+
+    perm = take("<i8", (n,), "perm")
+    sizes = take("<i8", (nn,), "node sizes")
+    levels = take("<i8", (nn,), "node levels")
+    lo, hi = take("<f8", (nn, d), "node boxes"), take("<f8", (nn, d), "node boxes")
+    tree = ClusterTree(perm, sizes, levels, np.frombuffer(payload, np.uint8, nn, end), lo, hi)
     m_p = moment_dimension(d, degree)
-    filters = []
-    for _ in range(n_nodes):
-        nin, m_phi = cur.unpack(_FILTER, "filter record")
-        q = cur.array("<f8", nin * nin, "filter q").reshape(nin, nin)
-        rmin = min(nin, m_p)
-        r = cur.array("<f8", rmin * m_p, "filter r").reshape(rmin, m_p)
-        filters.append(ClusterFilters(q, r, int(m_phi)))
-    basis = assemble_basis(tree, filters, d, int(degree))
-    if basis.n_samplets != n_samplets:
-        raise InputError("container samplet count does not match its filters")
-    rec = cur.array(_samplet_record(d), n_samplets, "samplet records")
-    if not (
-        np.array_equal(rec["level"], basis.samplet_levels)
-        and np.array_equal(rec["owner"], basis.samplet_clusters)
-        and np.array_equal(rec["lo"], basis.samplet_box_lo)
-        and np.array_equal(rec["hi"], basis.samplet_box_hi)
-    ):
-        raise InputError("container samplet metadata is inconsistent")
-    if cur.pos != len(payload):
+    layout = nin, m_phi, groups = _filter_layout(tree, m_p)
+    stacks = []
+    for b in groups:
+        k, n_in, n_phi = b.size, int(nin[b[0]]), int(m_phi[b[0]])
+        stacks.append((take("<f8", (k, n_in, n_in), "filter q"),
+                       take("<f8", (k, n_phi, m_p), "filter r")))
+    if pos != end:
         raise InputError("container has trailing bytes")
+    basis = _assemble(tree, layout, stacks, d, degree)
+    if tree.depth != depth or basis.n_samplets != n_samplets:
+        raise InputError("container header does not match its tree and filters")
     return basis
 
 

@@ -847,6 +847,13 @@ class TestAssembleChecks:
         with pytest.raises(InputError, match="one level below"):
             ClusterTree.finalize(root)
 
+    def test_leaf_positions_must_ascend(self):
+        # root 0..3 over leaves 1 and 2; leaf 2's range of perm descends
+        box = np.zeros((3, 1))
+        ClusterTree([0, 1, 2, 3], [4, 2, 2], [0, 1, 1], [1, 0, 0], box, box)
+        with pytest.raises(InputError, match="cluster node 2 does not list its positions in ascending"):
+            ClusterTree([0, 1, 3, 2], [4, 2, 2], [0, 1, 1], [1, 0, 0], box, box)
+
     def test_the_unchanged_hand_built_tree_is_valid(self):
         node = self._node
         inner = node(list(range(6)), 1, (node([0, 1, 2], 2), node([3, 4, 5], 2)))

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from samplets import (
     Atom,
@@ -23,15 +25,13 @@ from samplets import (
     save_basis,
     serialize_basis,
 )
+from samplets.basis import _filter_layout
 from samplets.cli import RunConfig, main, parse_config_file, run_pipeline
 from samplets.datasets import test_function as named_function
 from samplets.io import (
-    _FILTER,
     _HEADER,
-    _NODE,
     FORMAT_VERSION,
     MAGIC,
-    _samplet_record,
     read_values_csv,
     write_functionals_csv,
     write_values_csv,
@@ -43,42 +43,37 @@ def _resign(payload):
     return payload + hashlib.sha256(payload).digest()
 
 
-def _leaf_filter_record(basis):
-    """Payload bytes of a basis and the offset of its first leaf's filter record."""
+def _sections(basis):
+    """Payload bytes of a basis and the offset of each section of the
+    container: "perm", "sizes", "levels", "box_lo", "box_hi", ("q", j) and
+    ("r", j) for bucket j of `_filter_layout`, and "has_children"."""
     payload = bytearray(serialize_basis(basis)[:-32])
-    nodes = basis.tree.nodes
-    pos = _HEADER.size + sum(_NODE.size + 16 * basis.dimension + 8 * nd.size for nd in nodes)
-    leaf = next(nd for nd in nodes if nd.is_leaf)
-    for nd in nodes[: leaf.node_id]:
-        flt = basis.filters[nd.node_id]
-        pos += _FILTER.size + 8 * (flt.q.size + flt.r.size)
-    assert _FILTER.unpack_from(payload, pos) == (leaf.size, basis.moment_dim)
-    return payload, pos
-
-
-def _with_leaf_m_phi_lowered(basis):
-    """Container bytes with the first leaf's m_phi one below min(size, m_P), re-signed."""
-    payload, pos = _leaf_filter_record(basis)
-    struct.pack_into("<I", payload, pos + 8, basis.moment_dim - 1)
-    return _resign(bytes(payload))
+    tree, d, m_p = basis.tree, basis.dimension, basis.moment_dim
+    nn = tree.sizes.size
+    nin, m_phi, groups = _filter_layout(tree, m_p)
+    lengths = {"perm": 8 * basis.n, "sizes": 8 * nn, "levels": 8 * nn,
+               "box_lo": 8 * nn * d, "box_hi": 8 * nn * d}
+    for j, b in enumerate(groups):
+        lengths["q", j] = 8 * b.size * int(nin[b[0]]) ** 2
+        lengths["r", j] = 8 * b.size * int(m_phi[b[0]]) * m_p
+    lengths["has_children"] = nn
+    ends = _HEADER.size + np.cumsum(list(lengths.values()))
+    assert ends[-1] == len(payload)
+    return payload, dict(zip(lengths, (ends - list(lengths.values())).tolist()))
 
 
 def _with_leaf_q(basis, change):
     """Container bytes with the first leaf's q replaced by change(q), re-signed."""
-    payload, pos = _leaf_filter_record(basis)
-    nin = _FILTER.unpack_from(payload, pos)[0]
-    start = pos + _FILTER.size
+    payload, at = _sections(basis)
+    leaf = int(np.flatnonzero(basis.tree.child_ids[:, 0] < 0)[0])
+    _, _, groups = _filter_layout(basis.tree, basis.moment_dim)
+    j = next(j for j, b in enumerate(groups) if leaf in b)
+    nin = basis.filters[leaf].q.shape[0]
+    start = at["q", j] + 8 * nin * nin * int(np.flatnonzero(groups[j] == leaf)[0])
     q = np.frombuffer(bytes(payload[start:start + 8 * nin * nin]), dtype="<f8").reshape(nin, nin)
+    assert np.array_equal(q, basis.filters[leaf].q)
     payload[start:start + 8 * nin * nin] = np.ascontiguousarray(change(q), dtype="<f8").tobytes()
     return _resign(bytes(payload))
-
-
-def _node_records(basis):
-    """Payload bytes of a basis and the offset of each node record, in preorder."""
-    payload = bytearray(serialize_basis(basis)[:-32])
-    sizes = basis.tree.sizes
-    step = _NODE.size + 16 * basis.dimension + 8 * sizes
-    return payload, _HEADER.size + np.cumsum(step) - step
 
 
 @pytest.fixture(scope="module")
@@ -238,56 +233,48 @@ class TestContainer:
         blob = serialize_basis(small_basis)
         with pytest.raises(InputError):
             deserialize_basis(blob[: len(blob) // 3])
+        # one number short before the flags, re-signed
+        payload, at = _sections(small_basis)
+        del payload[at["has_children"] - 8:at["has_children"]]
+        with pytest.raises(InputError, match="truncated while reading filter r"):
+            deserialize_basis(_resign(bytes(payload)))
 
     def test_empty_container_rejected(self, small_basis):
         b = small_basis
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, b.n, b.dimension, b.degree, 0, 0, 0)
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, 0, b.dimension, b.degree, 0, 0, 0)
         with pytest.raises(InputError, match="no cluster nodes"):
             deserialize_basis(_resign(header))
 
-    def test_internal_node_index_out_of_range_rejected(self, tmp_path, small_basis):
-        # the root's last index, n - 1, becomes 10^9; the leaves still partition 0..n-1
-        payload = bytearray(serialize_basis(small_basis)[:-32])
-        pos = _HEADER.size + _NODE.size + 16 * small_basis.dimension + 8 * (small_basis.n - 1)
-        assert struct.unpack_from("<q", payload, pos)[0] == small_basis.n - 1
-        struct.pack_into("<q", payload, pos, 10**9)
+    def test_has_children_byte_must_be_zero_or_one(self, tmp_path, small_basis):
+        payload, at = _sections(small_basis)
+        assert payload[at["has_children"]] == 1  # the root's flag
+        payload[at["has_children"]] = 2
         path = tmp_path / "basis.bin"
         path.write_bytes(_resign(bytes(payload)))
-        with pytest.raises(InputError, match="node 0 does not hold exactly its children's"):
+        with pytest.raises(InputError, match="has_children flag of cluster node 0"):
             load_basis(path)
         code = main(["report", "--basis", str(path), "--example", "random-diracs", "--n", "40",
                      "--seed", "2", "--out", str(tmp_path / "report")])
         assert code == 2
 
-    def test_has_children_byte_must_be_zero_or_one(self, small_basis):
-        payload, at = _node_records(small_basis)
-        assert payload[at[0] + 4] == 1  # the root's flag follows its 4-byte level
-        payload[at[0] + 4] = 2
-        with pytest.raises(InputError, match="has_children flag of cluster node 0"):
-            deserialize_basis(_resign(bytes(payload)))
-
-    @pytest.mark.parametrize("leaf", [False, True], ids=["root", "leaf"])
-    def test_node_positions_must_ascend(self, small_basis, leaf):
-        payload, at = _node_records(small_basis)
-        node = int(np.flatnonzero(small_basis.tree.child_ids[:, 0] < 0)[0]) if leaf else 0
-        pos = at[node] + _NODE.size + 16 * small_basis.dimension
+    def test_leaf_positions_must_ascend(self, small_basis):
+        payload, at = _sections(small_basis)
+        tree = small_basis.tree
+        leaf = int(np.flatnonzero(tree.child_ids[:, 0] < 0)[0])
+        pos = at["perm"] + 8 * int(tree.start[leaf])
         first, second = struct.unpack_from("<2q", payload, pos)
         struct.pack_into("<2q", payload, pos, second, first)
-        with pytest.raises(InputError, match=f"node {node} .*ascending"):
+        with pytest.raises(InputError, match=f"node {leaf} .*ascending"):
             deserialize_basis(_resign(bytes(payload)))
 
     def test_root_must_sit_at_level_zero(self, small_basis):
-        # every node, the header depth and every samplet one level deeper:
-        # the tree stays consistent except for the root's level
-        payload, at = _node_records(small_basis)
-        for a in at:
-            struct.pack_into("<I", payload, a, struct.unpack_from("<I", payload, a)[0] + 1)
+        # every node and the header depth one level deeper: the tree stays
+        # consistent except for the root's level
+        payload, at = _sections(small_basis)
+        nn = small_basis.tree.sizes.size
+        levels = np.frombuffer(bytes(payload[at["levels"]:at["levels"] + 8 * nn]), "<i8")
+        payload[at["levels"]:at["levels"] + 8 * nn] = (levels + 1).astype("<i8").tobytes()
         struct.pack_into("<I", payload, _HEADER.size - 4, small_basis.tree.depth + 1)
-        rec = _samplet_record(small_basis.dimension)
-        start = len(payload) - rec.itemsize * small_basis.n_samplets
-        samplets = np.frombuffer(bytes(payload[start:]), rec).copy()
-        samplets["level"] += 1
-        payload[start:] = samplets.tobytes()
         with pytest.raises(InputError, match="root cluster is at level 1"):
             deserialize_basis(_resign(bytes(payload)))
 
@@ -295,9 +282,16 @@ class TestContainer:
         (lambda q: np.full_like(q, np.nan), "non-finite"),
         (lambda q: np.diag(np.arange(2.0, 2.0 + q.shape[0])), "not orthogonal"),
     ], ids=["nan", "diagonal"])
-    def test_non_orthogonal_filter_rejected(self, small_basis, change, message):
+    def test_non_orthogonal_filter_rejected(self, tmp_path, small_basis, change, message):
+        path = tmp_path / "basis.bin"
+        path.write_bytes(_with_leaf_q(small_basis, change))
         with pytest.raises(InputError, match=message):
-            deserialize_basis(_with_leaf_q(small_basis, change))
+            load_basis(path)
+        data = tmp_path / "values.csv"
+        write_values_csv(data, np.ones(small_basis.n))
+        code = main(["transform", "--basis", str(path), "--data", str(data),
+                     "--out", str(tmp_path)])
+        assert code == 2
 
     def test_wrong_magic_rejected(self, small_basis):
         payload = bytearray(serialize_basis(small_basis)[:-32])
@@ -311,21 +305,45 @@ class TestContainer:
         with pytest.raises(InputError, match="version"):
             deserialize_basis(_resign(bytes(payload)))
 
+    def test_version_one_rejected(self, small_basis):
+        payload = bytearray(serialize_basis(small_basis)[:-32])
+        struct.pack_into("<I", payload, 8, 1)
+        with pytest.raises(InputError, match="unsupported container version 1$"):
+            deserialize_basis(_resign(bytes(payload)))
+
     def test_trailing_garbage_rejected(self, small_basis):
         blob = serialize_basis(small_basis)
         with pytest.raises(InputError):
             deserialize_basis(blob + b"\x00")
+        # one number too many before the flags, re-signed
+        payload, at = _sections(small_basis)
+        payload[at["has_children"]:at["has_children"]] = bytes(8)
+        with pytest.raises(InputError, match="trailing bytes"):
+            deserialize_basis(_resign(bytes(payload)))
 
-    def test_inconsistent_filters_rejected(self, tmp_path, small_basis):
-        path = tmp_path / "basis.bin"
-        path.write_bytes(_with_leaf_m_phi_lowered(small_basis))
-        with pytest.raises(InputError, match="m_phi"):
-            load_basis(path)
-        data = tmp_path / "values.csv"
-        write_values_csv(data, np.ones(small_basis.n))
-        code = main(["transform", "--basis", str(path), "--data", str(data),
-                     "--out", str(tmp_path)])
-        assert code == 2
+    def test_loaded_filters_are_views_of_the_container(self, small_basis):
+        blob = serialize_basis(small_basis)
+        loaded = deserialize_basis(blob)
+        raw = np.frombuffer(blob, np.uint8)
+        for (q, r), bucket in zip(loaded.stacks, loaded.cascade.buckets, strict=True):
+            assert bucket.q is q
+            for a in (q, r):
+                assert a.flags.aligned and a.ctypes.data % 8 == 0 and not a.flags.writeable
+                assert np.shares_memory(a, raw)
+
+    @given(data=st.data())
+    def test_loader_accepts_only_what_it_writes(self, small_basis, data):
+        # one payload byte changed and the container re-signed: the loader
+        # rejects it, or gives a basis that serializes to exactly those bytes
+        payload = bytearray(serialize_basis(small_basis)[:-32])
+        pos = data.draw(st.integers(0, len(payload) - 1), label="position")
+        payload[pos] ^= data.draw(st.integers(1, 255), label="flip")
+        mutated = _resign(bytes(payload))
+        try:
+            loaded = deserialize_basis(mutated)
+        except InputError:
+            return
+        assert serialize_basis(loaded) == mutated
 
 
 class TestExamples:
