@@ -10,7 +10,6 @@ bounds) and coefficient decay diagnostics sit on top.
 from .basis import (
     ClusterFilters,
     CompressionReport,
-    MomentMatrix,
     SampletBasis,
     assemble_basis,
     build_samplet_basis,
@@ -99,7 +98,7 @@ __all__ = [
     "support_distance",
     "ClusterNode", "ClusterTree", "build_cluster_tree", "fiedler_vector",
     "spectral_bisection",
-    "ClusterFilters", "CompressionReport", "MomentMatrix", "SampletBasis",
+    "ClusterFilters", "CompressionReport", "SampletBasis",
     "assemble_basis", "build_samplet_basis", "cluster_filters",
     "forward_transform", "inverse_transform", "moment_matrix",
     "threshold_compress", "transform_matrix", "vanishing_moment_table",

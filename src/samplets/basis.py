@@ -36,14 +36,6 @@ from .measures import (
 
 
 @dataclass
-class MomentMatrix:
-    """Pairings of primitive monomials (rows) with functionals (columns)."""
-
-    values: np.ndarray
-    cluster: int = -1
-
-
-@dataclass
 class ClusterFilters:
     """Orthogonal two-scale filters of one cluster.
 
@@ -73,29 +65,29 @@ def moment_matrix(cluster, primitives, functionals=None):
     """Moment matrix of a cluster: primitives applied to its functionals.
 
     cluster may be a ClusterNode (then the functional set must be passed) or
-    directly a FunctionalSet or an iterable of Functional objects. Row a,
-    column j holds the j-th functional applied to the a-th primitive monomial.
+    directly a FunctionalSet or an iterable of Functional objects. Returns
+    the (m_P, n) array whose row a, column j holds the j-th functional
+    applied to the a-th primitive monomial.
     """
     if isinstance(cluster, ClusterNode):
         if functionals is None:
             raise InputError("a ClusterNode cluster needs the functional set")
-        fs, sel, cid = as_functional_set(functionals), cluster.indices, cluster.node_id
+        fs, sel = as_functional_set(functionals), cluster.indices
     else:
         fs = as_functional_set(cluster)
-        sel, cid = np.arange(len(fs)), -1
+        sel = np.arange(len(fs))
     if fs.dimension != primitives.dimension:
         raise InputError("functional and primitive dimensions differ")
-    vals = fs.eval_table(sel, primitives.exponents, primitives.center, primitives.scale)
-    return MomentMatrix(vals, cid)
+    return fs.eval_table(sel, primitives.exponents, primitives.center, primitives.scale)
 
 
 def cluster_filters(moments):
-    """Complete QR of the transposed moment matrix, signs fixed.
+    """Complete QR of the transposed (m_P, n) moment matrix, signs fixed.
 
     Column signs are chosen so the triangular factor has a nonnegative
     diagonal, which makes the filters unique and rebuilds reproducible.
     """
-    vals = moments.values if isinstance(moments, MomentMatrix) else np.asarray(moments, dtype=np.float64)
+    vals = np.asarray(moments, dtype=np.float64)
     if vals.ndim != 2:
         raise InputError("moment matrix must be 2d")
     q, r = _stacked_filters(vals.T[None])
@@ -400,14 +392,22 @@ def _assemble(tree, layout, stacks, dimension, degree):
     filters = [None] * nn
     for b, (q, r) in zip(ids, stacks):
         k, n = q.shape[:2]
+        # no entry of an orthogonal q exceeds 1 in magnitude (nor does one
+        # that passes the test below); checking that first keeps Q^T Q of a
+        # q with huge entries from overflowing. max and min make no
+        # temporary copy of the stack.
+        peak = np.maximum(q.max(axis=(1, 2)), -q.min(axis=(1, 2)))
+        j = int(np.argmin(peak <= 1.0 + 1e-10))  # NaN and inf entries fail the test too
+        if not peak[j] <= 1.0 + 1e-10:
+            what = (f"is not orthogonal: it has an entry of magnitude {peak[j]:.3e}"
+                    if np.isfinite(q[j]).all() else "has non-finite entries")
+            raise InputError(f"filter of node {b[j]} {what}")
         dev = np.matmul(q.transpose(0, 2, 1), q).reshape(k, n * n)
         dev[:, :: n + 1] -= 1.0
         err = np.abs(dev, out=dev).max(axis=1)
-        j = int(np.argmin(err <= 1e-10))  # NaN and inf entries fail the test too
+        j = int(np.argmin(err <= 1e-10))
         if not err[j] <= 1e-10:
-            what = (f"is not orthogonal: max|Q^T Q - I| = {err[j]:.3e}"
-                    if np.isfinite(q[j]).all() else "has non-finite entries")
-            raise InputError(f"filter of node {b[j]} {what}")
+            raise InputError(f"filter of node {b[j]} is not orthogonal: max|Q^T Q - I| = {err[j]:.3e}")
         for j, i in enumerate(b.tolist()):
             filters[i] = ClusterFilters(q[j], r[j], int(m_phi[i]))
     # samplet ordering: coarse to fine, preorder inside a level, QR column inside a node

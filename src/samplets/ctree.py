@@ -1,13 +1,15 @@
 """Binary cluster trees over functional sets via spectral graph bisection.
 
 A tree is one permutation of the functional positions with a range of it
-per node, which the node's two children tile, and a bounding box per node;
-node objects are read-only views of these arrays. Splits follow the sign of
-the Fiedler vector (eigenvector of the second smallest Laplacian eigenvalue)
-of the induced similarity subgraph; disconnected subgraphs are split into
-balanced groups of whole components instead. Splitting stops at the leaf
-capacity, and a split is rolled back into a leaf when a child would be too
-small to carry any samplet.
+per node, which the node's two children tile, and a level and a bounding
+box per node, all in preorder; which nodes have children follows from the
+levels. Node objects are read-only views of these arrays, made on demand.
+
+Splits follow the sign of the Fiedler vector (eigenvector of the second
+smallest Laplacian eigenvalue) of the induced similarity subgraph;
+disconnected subgraphs are split into balanced groups of whole components
+instead. Splitting stops at the leaf capacity, and a split is rolled back
+into a leaf when a child would be too small to carry any samplet.
 
 The tree is built one level at a time, each split writing its two parts
 into its cluster's range of the permutation. For all clusters of a level:
@@ -34,7 +36,7 @@ times the cluster's Gershgorin bound. `spectral_bisection` and
 `fiedler_vector` are one-cluster calls of the same solver.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -63,28 +65,41 @@ _SHIFT = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class ClusterNode:
-    """A cluster: sorted read-only functional positions, level, bounding box, children."""
+    """Read-only view of node node_id of a ClusterTree.
 
-    indices: np.ndarray
-    level: int
-    box: SupportBox
-    children: tuple = ()
-    node_id: int = -1
+    level, size, is_leaf, box and children are read from the tree's arrays;
+    indices, the node's functional positions sorted and read-only, is
+    computed on first access and then kept.
+    """
 
-    def __post_init__(self):
-        idx = np.sort(np.asarray(self.indices, dtype=np.int64))
-        if idx.size == 0:
-            raise InputError("empty cluster")
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
+    tree: "ClusterTree" = field(repr=False)
+    node_id: int
+
+    @property
+    def level(self):
+        return int(self.tree.levels[self.node_id])
 
     @property
     def size(self):
-        return int(self.indices.size)
+        return int(self.tree.sizes[self.node_id])
 
     @property
     def is_leaf(self):
-        return not self.children
+        return bool(self.tree.child_ids[self.node_id, 0] < 0)
+
+    @property
+    def box(self):
+        return SupportBox(self.tree.box_lo[self.node_id], self.tree.box_hi[self.node_id])
+
+    @property
+    def children(self):
+        return tuple(self.tree.nodes[c] for c in self.tree.child_ids[self.node_id] if c >= 0)
+
+    @cached_property
+    def indices(self):
+        idx = np.sort(self.tree.positions([self.node_id]))
+        idx.flags.writeable = False
+        return idx
 
 
 def _ranges(start, size):
@@ -105,31 +120,30 @@ class ClusterTree:
     Node ids are preorder. perm (N,) lists the leaves' functional positions
     in preorder, each leaf ascending; node i holds perm[start[i]:start[i] +
     sizes[i]], which its children tile, first child first. A tree is made
-    from perm and the preorder sizes, levels, has_children flags and box
-    corners box_lo, box_hi (nn, d); start, child_ids (-1 twice for a leaf)
-    and heights (0 for a leaf, 1 + the taller child's otherwise) follow.
-    All arrays are read-only. InputError unless the flags describe a binary
-    tree, perm is a permutation of 0..N-1, each leaf's range of it strictly
-    ascends, no node is empty, each parent is as large as its children
-    together and one level above them, the root is at level 0 and every box
-    is finite with lower <= upper.
+    from perm and the preorder sizes, levels and box corners box_lo, box_hi
+    (nn, d). In preorder a node has children exactly when the next node is
+    one level deeper, so the levels give the shape; start, child_ids (-1
+    twice for a leaf) and heights (0 for a leaf, 1 + the taller child's
+    otherwise) follow. All arrays are read-only. InputError unless the
+    levels describe a binary tree, perm is a permutation of 0..N-1, each
+    leaf's range of it strictly ascends, no node is empty, each parent is
+    as large as its children together and one level above them, the root is
+    at level 0 and every box is finite with lower <= upper.
 
     stats counts how the splits were found (see `_new_stats`); it is empty
     for trees that were not built by `build_cluster_tree`. `nodes`, `root`,
-    `leaves()` and `node(i)` give read-only `ClusterNode` views, made on
-    first access.
+    `leaves()` and `node(i)` give `ClusterNode` views; `nodes` is made on
+    first access and reads nothing but the node count.
     """
 
-    def __init__(self, perm, sizes, levels, has_children, box_lo, box_hi, stats=None):
+    def __init__(self, perm, sizes, levels, box_lo, box_hi, stats=None):
         self.perm, self.sizes, self.levels = (_read_only(a, np.int64) for a in (perm, sizes, levels))
         self.box_lo, self.box_hi = (_read_only(a, np.float64) for a in (box_lo, box_hi))
         self.stats = dict(stats or {})
-        has, sizes, levels, n = np.asarray(has_children), self.sizes, self.levels, self.perm.size
-        if has.size == 0:
+        sizes, levels, n, nn = self.sizes, self.levels, self.perm.size, self.sizes.size
+        if nn == 0:
             raise InputError("no cluster nodes")
-        if not np.isin(has, (0, 1)).all():
-            bad = np.argmin(np.isin(has, (0, 1)))
-            raise InputError(f"has_children flag of cluster node {bad} is not 0 or 1")
+        has = np.append(levels[1:] == levels[:-1] + 1, False)
         # child slots left open after each node: the root opens one, each
         # node fills one and an internal node opens two more
         slots = 1 + np.cumsum(2 * has.astype(np.int64) - 1)
@@ -138,13 +152,13 @@ class ClusterTree:
         # a first child j follows its parent; its subtree ends at the first
         # node k >= j that leaves one slot fewer open than before j, and the
         # second child follows node k
-        nn, inner = has.size, np.flatnonzero(has)
+        inner = np.flatnonzero(has)
         key = np.sort(slots * (nn + 1) + np.arange(nn))
         end = key[np.searchsorted(key, (slots[inner] - 1) * (nn + 1) + inner + 1)] % (nn + 1)
         kids = np.full((nn, 2), -1, dtype=np.int64)
         kids[inner] = np.stack((inner + 1, end + 1), axis=1)
         self.child_ids = _read_only(kids, np.int64)
-        in_leaves = np.where(has == 0, sizes, 0)
+        in_leaves = np.where(has, 0, sizes)
         self.start = _read_only(np.cumsum(in_leaves) - in_leaves, np.int64)
         if (sizes < 1).any():
             raise InputError(f"cluster node {np.argmin(sizes >= 1)} is empty")
@@ -173,43 +187,10 @@ class ClusterTree:
             heights[ids] = 1 + heights[kids[ids]].max(axis=1)
         self.heights = _read_only(heights, np.int64)
 
-    @classmethod
-    def finalize(cls, root, stats=None):
-        """Tree of hand-built ClusterNodes under root, its leaves' positions
-        becoming perm. InputError where the class raises it, and unless every
-        internal node holds exactly its children's positions."""
-        nodes, stack = [], [root]
-        while stack:
-            nodes.append(stack.pop())
-            stack.extend(reversed(nodes[-1].children))
-        sizes = np.array([nd.size for nd in nodes], dtype=np.int64)
-        tree = cls(np.concatenate([nd.indices for nd in nodes if not nd.children]), sizes,
-                   [nd.level for nd in nodes], [bool(nd.children) for nd in nodes],
-                   [nd.box.lower for nd in nodes], [nd.box.upper for nd in nodes], stats)
-        # every listed position must fall in its node's range of perm, and
-        # none twice (the node lists them sorted)
-        positions = np.concatenate([nd.indices for nd in nodes])
-        own = np.repeat(np.arange(sizes.size), sizes)
-        rank = np.full(tree.n + 1, -1, dtype=np.int64)  # -1 also for positions out of range
-        rank[tree.perm] = np.arange(tree.n)
-        r = rank[np.clip(positions, -1, tree.n)] - tree.start[own]
-        good = (r >= 0) & (r < sizes[own])
-        good[1:] &= (positions[1:] > positions[:-1]) | (own[1:] != own[:-1])
-        if not good.all():
-            raise InputError(f"cluster node {own[np.argmin(good)]} does not hold exactly "
-                             "its children's positions")
-        return tree
-
     @cached_property
     def nodes(self):
-        """Read-only ClusterNode views in preorder."""
-        views = [None] * self.sizes.size
-        for i in range(len(views) - 1, -1, -1):  # children have larger ids than their parent
-            s, kids = self.start[i], self.child_ids[i]
-            views[i] = ClusterNode(self.perm[s:s + self.sizes[i]], int(self.levels[i]),
-                                   SupportBox(self.box_lo[i], self.box_hi[i]),
-                                   tuple(views[c] for c in kids if c >= 0), i)
-        return tuple(views)
+        """ClusterNode views in preorder."""
+        return tuple(ClusterNode(self, i) for i in range(self.sizes.size))
 
     @property
     def root(self):
@@ -663,7 +644,6 @@ def spectral_bisection(cluster, graph, rtol=1e-8):
     """
     node = isinstance(cluster, ClusterNode)
     idx = cluster.indices if node else np.sort(np.asarray(cluster, dtype=np.int64))
-    cid = cluster.node_id if node and cluster.node_id >= 0 else None
     if idx.size < 2:
         raise InputError("cannot bisect a cluster with fewer than two functionals")
     if not isinstance(graph, SimilarityGraph):
@@ -674,7 +654,7 @@ def spectral_bisection(cluster, graph, rtol=1e-8):
         parts, n1 = _LevelSplitter(sub, 0, _new_stats(), rtol).split(
             np.arange(idx.size), np.array([idx.size]))
     except EigenSolverError as exc:
-        exc.cluster = cid
+        exc.cluster = cluster.node_id if node else None
         raise
     return idx[parts[:n1[0]]], idx[parts[n1[0]:]]
 
@@ -722,7 +702,6 @@ def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
     # its two parts into its cluster's range of perm.
     perm = np.arange(n, dtype=np.int64)
     start, size, level = (np.zeros(2 * n - 1, dtype=np.int64) for _ in range(3))
-    split = np.zeros(2 * n - 1, dtype=bool)
     size[0], made = n, 1
     stats = _new_stats()
     todo = np.zeros(1 if n > leaf_max else 0, dtype=np.int64)  # clusters to split, in order
@@ -734,7 +713,6 @@ def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
         stats["rolled_back"] += int(ok.size - ok.sum())
         perm[_ranges(s[ok], z[ok])] = parts[np.repeat(ok, z)]
         todo, s, z, n1 = todo[ok], s[ok], z[ok], n1[ok]
-        split[todo] = True
         ids = np.arange(made, made + 2 * todo.size)  # first and second child of each in turn
         made += ids.size
         start[ids] = np.stack((s, s + n1), axis=1).ravel()
@@ -744,5 +722,5 @@ def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
     order = np.lexsort((level[:made], start[:made]))  # nested ranges: preorder is by (start, level)
     cuts = _bounds(size[order])[:-1]
     spans = perm[_ranges(start[order], size[order])]
-    return ClusterTree(perm, size[order], level[order], split[order],
-                       np.minimum.reduceat(lo[spans], cuts), np.maximum.reduceat(hi[spans], cuts), stats)
+    return ClusterTree(perm, size[order], level[order], np.minimum.reduceat(lo[spans], cuts),
+                       np.maximum.reduceat(hi[spans], cuts), stats)

@@ -1,19 +1,19 @@
 """Serialization: CSV functional ingest and the binary basis container.
 
 A samplet basis is its cluster tree and the QR filters of its nodes, and the
-container (format version 2) stores exactly these, each array as one
-contiguous little-endian section, in this order:
-- the header: magic, version, N, dimension d, degree, node count nn,
-  samplet count and tree depth;
-- perm, the tree's permutation of the positions (N int64);
-- the per-node columns in preorder: sizes and levels (nn int64 each), then
-  the box corners box_lo and box_hi (nn x d float64 each);
+container (format version 3) stores exactly these, each array as one
+contiguous little-endian section starting at a multiple of 8 bytes, in
+this order:
+- the header: magic, version, dimension d, degree and node count nn;
+- the tree's preorder node sizes, then its node levels (nn int64 each),
+  then perm, its permutation of the positions (sizes[0] int64);
+- the node box corners box_lo and box_hi (nn x d float64 each);
 - for each bucket of `basis._filter_layout` in turn, its stack of q factors
   (k, nin, nin) and its stack of r factors (k, m_phi, m_P), float64;
-- the nodes' has_children flags, one byte each, placed last so every
-  section before them starts at a multiple of 8 bytes;
 - a sha256 checksum of all preceding bytes.
-The loader makes the tree from these arrays (`ClusterTree` checks it), takes
+Which nodes have children follows from the levels, and N, the samplet
+count and the depth follow from the tree, so none of them is stored. The
+loader makes the tree from these arrays (`ClusterTree` checks it), takes
 the filter layout from the tree and reads the filter stacks as read-only
 views of the container bytes, which the basis keeps. It rejects any
 container that it would not write byte for byte; loading and saving again
@@ -34,7 +34,7 @@ from .errors import InputError
 from .measures import FunctionalSet, as_functional_set, moment_dimension
 
 MAGIC = b"SMPLTB01"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def write_values_csv(path, values, indexed=True):
 # ---------------------------------------------------------------------------
 # binary basis container
 
-_HEADER = struct.Struct("<8sIQIIQQI")  # magic, version, n, d, degree, nodes, samplets, depth
+_HEADER = struct.Struct("<8sIQIQ")  # magic, version, dimension, degree, nodes: 32 bytes
 
 
 @dataclass
@@ -188,12 +188,10 @@ def _le(a):
 def serialize_basis(basis):
     """Container bytes for a basis (see the module docstring for the layout)."""
     tree = basis.tree
-    arrays = [tree.perm, tree.sizes, tree.levels, tree.box_lo, tree.box_hi]
+    arrays = [tree.sizes, tree.levels, tree.perm, tree.box_lo, tree.box_hi]
     arrays += [a for qr in basis.stacks for a in qr]
-    arrays.append(tree.child_ids[:, 0] >= 0)
-    payload = b"".join([_HEADER.pack(MAGIC, FORMAT_VERSION, basis.n, basis.dimension, basis.degree,
-                                     tree.sizes.size, basis.n_samplets, tree.depth)]
-                       + [_le(a) for a in arrays])
+    payload = b"".join([_HEADER.pack(MAGIC, FORMAT_VERSION, basis.dimension, basis.degree,
+                                     tree.sizes.size)] + [_le(a) for a in arrays])
     return payload + hashlib.sha256(payload).digest()
 
 
@@ -216,13 +214,14 @@ def deserialize_basis(blob):
     payload = blob[:-32]
     if hashlib.sha256(payload).digest() != blob[-32:]:
         raise InputError("container checksum mismatch, file is corrupted")
-    magic, version, n, d, degree, nn, n_samplets, depth = _HEADER.unpack_from(payload)
+    magic, version, d, degree, nn = _HEADER.unpack_from(payload)
     if magic != MAGIC:
         raise InputError("not a samplet basis container")
     if version != FORMAT_VERSION:
         raise InputError(f"unsupported container version {version}")
-    end = payload.nbytes - nn  # the has_children flags close the payload
-    pos = _HEADER.size
+    if nn == 0:  # perm's length is the root's size
+        raise InputError("no cluster nodes")
+    end, pos = payload.nbytes, _HEADER.size
 
     def take(dtype, shape, what):
         """The next section, of 8-byte numbers, as a read-only view."""
@@ -233,12 +232,14 @@ def deserialize_basis(blob):
             raise InputError(f"container truncated while reading {what}")
         return np.frombuffer(payload, dtype, count, start).reshape(shape)
 
-    perm = take("<i8", (n,), "perm")
     sizes = take("<i8", (nn,), "node sizes")
     levels = take("<i8", (nn,), "node levels")
+    perm = take("<i8", (max(int(sizes[0]), 0),), "perm")  # the root's positions
     lo, hi = take("<f8", (nn, d), "node boxes"), take("<f8", (nn, d), "node boxes")
-    tree = ClusterTree(perm, sizes, levels, np.frombuffer(payload, np.uint8, nn, end), lo, hi)
+    tree = ClusterTree(perm, sizes, levels, lo, hi)
     m_p = moment_dimension(d, degree)
+    if nn * m_p > (end - pos) // 8:  # each node's r has m_P columns
+        raise InputError("container truncated while reading filter r")
     layout = nin, m_phi, groups = _filter_layout(tree, m_p)
     stacks = []
     for b in groups:
@@ -247,10 +248,7 @@ def deserialize_basis(blob):
                        take("<f8", (k, n_phi, m_p), "filter r")))
     if pos != end:
         raise InputError("container has trailing bytes")
-    basis = _assemble(tree, layout, stacks, d, degree)
-    if tree.depth != depth or basis.n_samplets != n_samplets:
-        raise InputError("container header does not match its tree and filters")
-    return basis
+    return _assemble(tree, layout, stacks, d, degree)
 
 
 def load_basis(path):

@@ -23,7 +23,7 @@ from samplets import (
     spectral_bisection,
 )
 from samplets import ctree
-from samplets.ctree import ClusterNode, ClusterTree, _balanced_sides
+from samplets.ctree import ClusterTree, _balanced_sides
 from samplets.simgraph import laplacian_from_weights
 from test_acceptance import _check_tree
 
@@ -233,19 +233,13 @@ class TestBuildClusterTree:
             for ch in nd.children:
                 assert ch.node_id > nd.node_id
 
-    def test_manual_tree_finalize(self):
-        left = ClusterNode(np.array([0, 1]), 1, _unit_box())
-        right = ClusterNode(np.array([2, 3]), 1, _unit_box())
-        root = ClusterNode(np.arange(4), 0, _unit_box(), (left, right))
-        tree = ClusterTree.finalize(root)
+    def test_manual_tree_from_arrays(self):
+        box = np.array([[0.0], [0.0], [0.5]]), np.array([[1.0], [0.5], [1.0]])
+        tree = ClusterTree(np.arange(4), [4, 2, 2], [0, 1, 1], *box)
         assert [nd.node_id for nd in tree.nodes] == [0, 1, 2]
         assert tree.n == 4 and tree.depth == 1
-
-
-def _unit_box():
-    from samplets import SupportBox
-
-    return SupportBox([0.0], [1.0])
+        assert [nd.indices.tolist() for nd in tree.root.children] == [[0, 1], [2, 3]]
+        assert tree.node(2).box.lower.tolist() == [0.5] and tree.node(2).is_leaf
 
 
 # -- the recursive per-cluster bisection that the level solver replaced ------
@@ -474,7 +468,7 @@ class TestLevelSolver:
         functionals, _ = generate_example("uniform-diracs", 8)
         tree = build_cluster_tree(functionals, GaussianSimilarity(0.5), 8, moment_dim=1)
         assert _path_total(tree.stats) == 0 and tree.stats["rolled_back"] == 0
-        assert ClusterTree.finalize(tree.root).stats == {}
+        assert ClusterTree(tree.perm, tree.sizes, tree.levels, tree.box_lo, tree.box_hi).stats == {}
 
     def test_level_split_equals_one_cluster_splits(self):
         # clusters bisected together in one level pass split as they do alone
@@ -574,3 +568,44 @@ class TestComponentLabels:
         differing = _assert_matches_reference(tree, graph, 8, 2)
         assert {reason for _, reason in differing} <= {"rolled back"}
         assert_tree_invariants(tree, 2)
+
+
+@st.composite
+def _tree_inputs(draw, d):
+    """Functionals on a 1/16 grid (points may coincide), a scheme, leaf_max
+    and moment_dim."""
+    n = draw(st.integers(4, 120))
+    points = draw(st.lists(st.lists(st.integers(0, 16), min_size=d, max_size=d),
+                           min_size=n, max_size=n))
+    scheme = draw(st.sampled_from([EpsilonNeighborhood(0.15), MutualKNN(4),
+                                   GaussianSimilarity(0.3)]))
+    moment_dim = draw(st.integers(1, 3))
+    leaf_max = draw(st.integers(moment_dim + 1, 16))
+    return FunctionalSet.diracs(np.array(points) / 16.0), scheme, leaf_max, moment_dim
+
+
+class TestNodeViews:
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @given(data=st.data())
+    def test_views_read_the_arrays_and_sort_nothing_until_asked(self, dimension, data):
+        functionals, scheme, leaf_max, moment_dim = data.draw(_tree_inputs(dimension))
+        built = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=moment_dim)
+        tree = ClusterTree(built.perm, built.sizes, built.levels, built.box_lo, built.box_hi)
+        for name in ("child_ids", "start", "heights"):
+            assert np.array_equal(getattr(tree, name), getattr(built, name)), name
+        nodes, root, leaves = tree.nodes, tree.root, tree.leaves()
+        assert root is nodes[0] and tree.node(len(nodes) - 1) is nodes[-1]
+        assert [nd.node_id for nd in leaves] == np.flatnonzero(tree.child_ids[:, 0] < 0).tolist()
+        assert not any("indices" in vars(nd) for nd in nodes)
+        for i, nd in enumerate(nodes):
+            assert nd.node_id == i and nd.level == tree.levels[i] and nd.size == tree.sizes[i]
+            assert np.array_equal(nd.box.lower, tree.box_lo[i])
+            assert np.array_equal(nd.box.upper, tree.box_hi[i])
+            kids = [c.node_id for c in nd.children]
+            assert kids == [c for c in tree.child_ids[i] if c >= 0] and nd.is_leaf == (not kids)
+            s = tree.start[i]
+            assert np.array_equal(nd.indices, np.sort(tree.perm[s:s + tree.sizes[i]]))
+            assert not nd.indices.flags.writeable and nd.indices is nd.indices
+            if kids:
+                merged = np.concatenate([c.indices for c in nd.children])
+                assert np.array_equal(np.sort(merged), nd.indices)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -45,20 +46,20 @@ def _resign(payload):
 
 def _sections(basis):
     """Payload bytes of a basis and the offset of each section of the
-    container: "perm", "sizes", "levels", "box_lo", "box_hi", ("q", j) and
-    ("r", j) for bucket j of `_filter_layout`, and "has_children"."""
+    container: "sizes", "levels", "perm", "box_lo", "box_hi", and ("q", j)
+    and ("r", j) for bucket j of `_filter_layout`. Every offset is a
+    multiple of 8."""
     payload = bytearray(serialize_basis(basis)[:-32])
     tree, d, m_p = basis.tree, basis.dimension, basis.moment_dim
     nn = tree.sizes.size
     nin, m_phi, groups = _filter_layout(tree, m_p)
-    lengths = {"perm": 8 * basis.n, "sizes": 8 * nn, "levels": 8 * nn,
+    lengths = {"sizes": 8 * nn, "levels": 8 * nn, "perm": 8 * basis.n,
                "box_lo": 8 * nn * d, "box_hi": 8 * nn * d}
     for j, b in enumerate(groups):
         lengths["q", j] = 8 * b.size * int(nin[b[0]]) ** 2
         lengths["r", j] = 8 * b.size * int(m_phi[b[0]]) * m_p
-    lengths["has_children"] = nn
     ends = _HEADER.size + np.cumsum(list(lengths.values()))
-    assert ends[-1] == len(payload)
+    assert ends[-1] == len(payload) and (ends % 8 == 0).all() and _HEADER.size % 8 == 0
     return payload, dict(zip(lengths, (ends - list(lengths.values())).tolist()))
 
 
@@ -233,25 +234,27 @@ class TestContainer:
         blob = serialize_basis(small_basis)
         with pytest.raises(InputError):
             deserialize_basis(blob[: len(blob) // 3])
-        # one number short before the flags, re-signed
-        payload, at = _sections(small_basis)
-        del payload[at["has_children"] - 8:at["has_children"]]
+        # one number short at the end, re-signed
+        payload, _ = _sections(small_basis)
+        del payload[-8:]
         with pytest.raises(InputError, match="truncated while reading filter r"):
             deserialize_basis(_resign(bytes(payload)))
 
     def test_empty_container_rejected(self, small_basis):
         b = small_basis
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, 0, b.dimension, b.degree, 0, 0, 0)
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, b.dimension, b.degree, 0)
         with pytest.raises(InputError, match="no cluster nodes"):
             deserialize_basis(_resign(header))
 
-    def test_has_children_byte_must_be_zero_or_one(self, tmp_path, small_basis):
+    def test_level_entry_must_keep_the_tree_binary(self, tmp_path, small_basis):
+        # the last node one level below the leaf before it makes that leaf a
+        # parent with a single child
         payload, at = _sections(small_basis)
-        assert payload[at["has_children"]] == 1  # the root's flag
-        payload[at["has_children"]] = 2
+        levels = small_basis.tree.levels
+        struct.pack_into("<q", payload, at["levels"] + 8 * (levels.size - 1), int(levels[-2]) + 1)
         path = tmp_path / "basis.bin"
         path.write_bytes(_resign(bytes(payload)))
-        with pytest.raises(InputError, match="has_children flag of cluster node 0"):
+        with pytest.raises(InputError, match="cluster tree structure is inconsistent"):
             load_basis(path)
         code = main(["report", "--basis", str(path), "--example", "random-diracs", "--n", "40",
                      "--seed", "2", "--out", str(tmp_path / "report")])
@@ -268,13 +271,12 @@ class TestContainer:
             deserialize_basis(_resign(bytes(payload)))
 
     def test_root_must_sit_at_level_zero(self, small_basis):
-        # every node and the header depth one level deeper: the tree stays
-        # consistent except for the root's level
+        # every node one level deeper: the tree stays consistent except for
+        # the root's level
         payload, at = _sections(small_basis)
         nn = small_basis.tree.sizes.size
         levels = np.frombuffer(bytes(payload[at["levels"]:at["levels"] + 8 * nn]), "<i8")
         payload[at["levels"]:at["levels"] + 8 * nn] = (levels + 1).astype("<i8").tobytes()
-        struct.pack_into("<I", payload, _HEADER.size - 4, small_basis.tree.depth + 1)
         with pytest.raises(InputError, match="root cluster is at level 1"):
             deserialize_basis(_resign(bytes(payload)))
 
@@ -293,6 +295,30 @@ class TestContainer:
                      "--out", str(tmp_path)])
         assert code == 2
 
+    def test_huge_filter_entry_rejected_without_overflow(self, small_basis):
+        # one exponent byte of a leaf q flipped: a finite entry near 1e308,
+        # whose Q^T Q would overflow; the loader rejects it before that
+        def flip(q):
+            q = q.copy()
+            q.reshape(-1).view(np.uint8)[7] ^= 0x40  # the high exponent bits of q[0, 0]
+            assert np.isfinite(q).all() and abs(q[0, 0]) > 1e300
+            return q
+
+        blob = _with_leaf_q(small_basis, flip)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="not orthogonal"):
+                deserialize_basis(blob)
+
+    def test_huge_degree_rejected(self):
+        # degree 2^31 + 1 in 3d: m_P ~ 1.5e27 columns per r, beyond int64
+        functionals, _ = generate_example("random-diracs", 80, 3, seed=2)
+        tree = build_cluster_tree(functionals, GaussianSimilarity(0.3), 8, moment_dim=4)
+        payload = bytearray(serialize_basis(build_samplet_basis(functionals, tree, 1))[:-32])
+        struct.pack_into("<I", payload, 20, 2**31 + 1)  # the degree field
+        with pytest.raises(InputError, match="truncated while reading filter r"):
+            deserialize_basis(_resign(bytes(payload)))
+
     def test_wrong_magic_rejected(self, small_basis):
         payload = bytearray(serialize_basis(small_basis)[:-32])
         payload[0] ^= 0xFF
@@ -300,10 +326,11 @@ class TestContainer:
             deserialize_basis(_resign(bytes(payload)))
 
     def test_unsupported_version_rejected(self, small_basis):
-        payload = bytearray(serialize_basis(small_basis)[:-32])
-        payload[8] = 0x7F  # version field follows the 8-byte magic
-        with pytest.raises(InputError, match="version"):
-            deserialize_basis(_resign(bytes(payload)))
+        for version in (2, 0x7F):  # format 2 and one never written
+            payload = bytearray(serialize_basis(small_basis)[:-32])
+            struct.pack_into("<I", payload, 8, version)  # the field after the 8-byte magic
+            with pytest.raises(InputError, match=f"unsupported container version {version}$"):
+                deserialize_basis(_resign(bytes(payload)))
 
     def test_version_one_rejected(self, small_basis):
         payload = bytearray(serialize_basis(small_basis)[:-32])
@@ -315,9 +342,9 @@ class TestContainer:
         blob = serialize_basis(small_basis)
         with pytest.raises(InputError):
             deserialize_basis(blob + b"\x00")
-        # one number too many before the flags, re-signed
-        payload, at = _sections(small_basis)
-        payload[at["has_children"]:at["has_children"]] = bytes(8)
+        # one number too many at the end, re-signed
+        payload, _ = _sections(small_basis)
+        payload += bytes(8)
         with pytest.raises(InputError, match="trailing bytes"):
             deserialize_basis(_resign(bytes(payload)))
 
