@@ -821,12 +821,20 @@ class TestAssembleChecks:
         with pytest.raises(InputError, match="partition"):
             ClusterTree([0, 1, 2, 3, 0, 1, 2, 3], [8, 4, 4], [0, 1, 1], box, box)
 
-    def test_internal_nodes_must_hold_their_childrens_positions(self):
-        # node 1's size is below, then above its children's sum; the root's
-        # is its children's sum, and the leaves tile perm
-        for sizes, n in (([12, 5, 3, 3, 7], 13), ([12, 7, 3, 3, 5], 11)):
-            with pytest.raises(InputError, match="node 1 does not hold exactly its children's positions"):
-                self._tree(sizes, [0, 1, 2, 2, 1], n)
+    @pytest.mark.parametrize("sizes, levels, n, bad", [
+        # node 1's range runs on into its sibling leaf 4's positions
+        ([12, 7, 3, 3, 5], [0, 1, 2, 2, 1], 11, 1),
+        # node 1 counts its first child twice and misses one of the second's
+        ([12, 6, 3, 4, 6], [0, 1, 2, 2, 1], 13, 1),
+        # node 4's range runs past the end of perm
+        ([13, 6, 3, 3, 7, 3, 3], [0, 1, 2, 2, 1, 2, 2], 12, 4),
+        # node 1 holds fewer positions than its children
+        ([12, 5, 3, 3, 7], [0, 1, 2, 2, 1], 13, 1),
+    ], ids=["foreign", "repeated", "beyond-n", "negative"])
+    def test_internal_nodes_must_hold_their_childrens_positions(self, sizes, levels, n, bad):
+        # the root's size is its children's sum and the leaves tile perm
+        with pytest.raises(InputError, match=f"node {bad} does not hold exactly its children's positions"):
+            self._tree(sizes, levels, n)
 
     def test_children_must_sit_one_level_below_their_parent(self):
         # node 2 has children 3 and 4, and node 4 is on node 2's level
