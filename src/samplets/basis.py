@@ -23,7 +23,7 @@ from scipy import sparse
 
 from . import kernels
 from .ctree import ClusterNode, ClusterTree
-from .errors import InputError
+from .errors import InputError, finite_or_nan
 from .measures import (
     PrimitiveBasis,
     SupportBox,
@@ -549,10 +549,9 @@ class CompressionReport:
 
 def check_sigma(sigma):
     """sigma as a float; InputError unless it is finite and nonnegative."""
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma >= 0.0):
+    if not finite_or_nan(sigma) >= 0.0:
         raise InputError(f"sigma must be finite and nonnegative, not {sigma}")
-    return sigma
+    return float(sigma)
 
 
 def threshold_compress(coeffs, sigma):

@@ -1,9 +1,6 @@
-"""Command line driver.
-
-Verbs: example (write an atom CSV), build (full pipeline: ingest, graph,
-tree, basis, verify, save, reports), transform, inverse, compress, report.
-Options come from flags or a key=value config file; flags win. Exit codes:
-0 success, 2 invalid input, 3 numerical failure.
+"""Command line driver: the verbs are the rows of `_VERBS`, the settings the
+fields of `RunConfig`. Settings come from flags or a key=value config file;
+flags win. Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 """
 
 import argparse
@@ -23,9 +20,16 @@ from .basis import (
     verify_vanishing_moments,
 )
 from .ctree import build_cluster_tree
-from .datasets import EXAMPLE_NAMES, generate_example, test_function
+from .datasets import EXAMPLE_NAMES, TEST_FUNCTION_NAMES, generate_example, test_function
 from .errors import InputError, SampletError
-from .frames import decay_report, dual_samplet_coefficients, frame_bounds, gram_kernel
+from .frames import (
+    KERNEL_NAMES,
+    check_length_scale,
+    decay_report,
+    dual_samplet_coefficients,
+    frame_bounds,
+    gram_kernel,
+)
 from .io import (
     ingest_functionals,
     load_basis,
@@ -38,7 +42,9 @@ from .kernels import transposed
 from .measures import analysis_vector, moment_dimension
 from .simgraph import EpsilonNeighborhood, GaussianSimilarity, MutualKNN
 
-_KERNEL_GRAMS = ("exponential", "gaussian", "matern32")
+# similarity schemes by name: class and default parameter
+_SCHEMES = {"gaussian": (GaussianSimilarity, 0.1), "epsilon": (EpsilonNeighborhood, 0.05),
+            "knn": (MutualKNN, 8)}
 
 
 @dataclass
@@ -63,29 +69,22 @@ class RunConfig:
     basis: str = None
 
 
-_INT_KEYS = {"n", "dimension", "seed", "leaf_max", "degree"}
-_FLOAT_KEYS = {"scheme_param", "length_scale", "sigma"}
-_BOOL_KEYS = {"regularize"}
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key, raw):
-    raw = raw.strip()
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        raise InputError(f"config key {key} expects a number, got {raw!r}") from None
-    if key in _BOOL_KEYS:
+    kind = _FIELD_TYPES[key]
+    if kind is bool:
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise InputError(f"config key {key} expects a boolean, got {raw!r}")
-    return raw
+    try:
+        return kind(raw)
+    except ValueError:
+        raise InputError(f"config key {key} expects a number, got {raw!r}") from None
 
 
 def parse_config_file(path):
@@ -103,20 +102,15 @@ def parse_config_file(path):
             if "=" not in text:
                 raise InputError(f"{path} line {ln}: expected key = value")
             key, raw = (s.strip() for s in text.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in _FIELD_TYPES:
                 raise InputError(f"{path} line {ln}: unknown key {key!r}")
             out[key] = _coerce(key, raw)
     return out
 
 
 def make_config(args):
-    data = {}
-    if getattr(args, "config", None):
-        data.update(parse_config_file(args.config))
-    for f in fields(RunConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            data[f.name] = v
+    data = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    data.update((k, v) for k in _FIELD_TYPES if (v := getattr(args, k, None)) is not None)
     return RunConfig(**data)
 
 
@@ -132,15 +126,17 @@ def _load_functionals(cfg, basis=None):
     return functionals, model
 
 
+def _either(names):
+    """'a, b or c' for the names a, b, c."""
+    *head, last = names
+    return f"{', '.join(head)} or {last}"
+
+
 def _make_scheme(cfg):
-    p = cfg.scheme_param
-    if cfg.scheme == "gaussian":
-        return GaussianSimilarity(p if p is not None else 0.1)
-    if cfg.scheme == "epsilon":
-        return EpsilonNeighborhood(p if p is not None else 0.05)
-    if cfg.scheme == "knn":
-        return MutualKNN(int(p) if p is not None else 8)
-    raise InputError(f"unknown scheme {cfg.scheme!r}, expected gaussian, epsilon or knn")
+    if cfg.scheme not in _SCHEMES:
+        raise InputError(f"unknown scheme {cfg.scheme!r}, expected {_either(_SCHEMES)}")
+    make, default = _SCHEMES[cfg.scheme]
+    return make(default if cfg.scheme_param is None else cfg.scheme_param)
 
 
 def _dirac_points(fs):
@@ -150,7 +146,7 @@ def _dirac_points(fs):
 
 
 def _check_settings(cfg):
-    """Reject a bad seed, output directory, sigma, gram or test function.
+    """Reject a bad seed, output directory, sigma, gram, length scale, test function or scheme.
 
     Runs before any input is read or output written.
     """
@@ -162,12 +158,13 @@ def _check_settings(cfg):
         raise InputError(f"out {cfg.out!r} exists and is not a directory")
     if cfg.sigma is not None:
         check_sigma(cfg.sigma)
-    if cfg.gram not in ("auto", "none") + _KERNEL_GRAMS:
-        raise InputError(
-            f"unknown gram {cfg.gram!r}, expected auto, none or one of {_KERNEL_GRAMS}"
-        )
+    if cfg.gram in KERNEL_NAMES:
+        check_length_scale(cfg.length_scale)
+    elif cfg.gram not in ("auto", "none"):
+        raise InputError(f"unknown gram {cfg.gram!r}, expected auto, none or one of {KERNEL_NAMES}")
     if cfg.test_function:
         test_function(cfg.test_function)
+    _make_scheme(cfg)
 
 
 def _gram_model(cfg, functionals, example_model):
@@ -176,16 +173,12 @@ def _gram_model(cfg, functionals, example_model):
         return None
     if cfg.gram == "auto":
         return example_model
-    return gram_kernel(
-        _dirac_points(functionals), cfg.gram, cfg.length_scale, cfg.regularize
-    )
+    return gram_kernel(_dirac_points(functionals), cfg.gram, cfg.length_scale, cfg.regularize)
 
 
 def _write_rows(path, header, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _fmt(v):
@@ -284,7 +277,7 @@ def _compress_stage(cfg, basis, model):
     }
 
 
-def _cmd_example(cfg):
+def _cmd_example(cfg, args):
     if not cfg.example:
         raise InputError("--example name required")
     functionals, _ = generate_example(cfg.example, cfg.n, cfg.dimension, cfg.seed)
@@ -296,7 +289,7 @@ def _cmd_example(cfg):
     return 0
 
 
-def _cmd_build(cfg):
+def _cmd_build(cfg, args):
     summary = run_pipeline(cfg)
     for key, val in summary.items():
         print(f"{key} = {val}")
@@ -309,10 +302,10 @@ def _require_basis(cfg):
     return load_basis(cfg.basis)
 
 
-def _cmd_transform(cfg, data_path):
+def _cmd_transform(cfg, args):
     basis = _require_basis(cfg)
-    if data_path:
-        x = read_values_csv(data_path, basis.n)
+    if args.data:
+        x = read_values_csv(args.data, basis.n)
     elif cfg.test_function:
         functionals, _ = _load_functionals(cfg, basis)
         x = analysis_vector(functionals, test_function(cfg.test_function, basis.dimension))
@@ -326,11 +319,11 @@ def _cmd_transform(cfg, data_path):
     return 0
 
 
-def _cmd_inverse(cfg, coeff_path):
+def _cmd_inverse(cfg, args):
     basis = _require_basis(cfg)
-    if not coeff_path:
+    if not args.coefficients:
         raise InputError("--coefficients coefficients.csv required")
-    c = read_values_csv(coeff_path, basis.n)
+    c = read_values_csv(args.coefficients, basis.n)
     x = basis.inverse(c)
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "data.csv")
@@ -339,7 +332,7 @@ def _cmd_inverse(cfg, coeff_path):
     return 0
 
 
-def _cmd_compress(cfg, save_matrix):
+def _cmd_compress(cfg, args):
     basis = _require_basis(cfg)
     functionals, example_model = _load_functionals(cfg, basis)
     model = _gram_model(cfg, functionals, example_model)
@@ -349,17 +342,17 @@ def _cmd_compress(cfg, save_matrix):
         raise InputError("--sigma threshold required")
     os.makedirs(cfg.out, exist_ok=True)
     compressed, summary = _compress_stage(cfg, basis, model)
-    if save_matrix:
+    if args.save_matrix:
         from scipy import sparse
 
-        sparse.save_npz(save_matrix, compressed)
-        summary["matrix_path"] = save_matrix
+        sparse.save_npz(args.save_matrix, compressed)
+        summary["matrix_path"] = args.save_matrix
     for key, val in summary.items():
         print(f"{key} = {val}")
     return 0
 
 
-def _cmd_report(cfg):
+def _cmd_report(cfg, args):
     basis = _require_basis(cfg)
     functionals, example_model = _load_functionals(cfg, basis)
     os.makedirs(cfg.out, exist_ok=True)
@@ -384,69 +377,71 @@ def _cmd_report(cfg):
     return 0
 
 
+# verb: command, help, and the verb's own flag with its help, if it has one
+_VERBS = {
+    "example": (_cmd_example, "write a built-in functional set as an atom CSV"),
+    "build": (_cmd_build, "run the full pipeline and save the basis container"),
+    "transform": (_cmd_transform, "apply the forward transform to a data vector",
+                  "--data", "value CSV to transform"),
+    "inverse": (_cmd_inverse, "reconstruct data from coefficients",
+                "--coefficients", "coefficient CSV to invert"),
+    "compress": (_cmd_compress, "transform and threshold a Gram matrix",
+                 "--save-matrix", "also save the thresholded matrix as .npz"),
+    "report": (_cmd_report, "vanishing moment, decay and frame reports for a saved basis"),
+}
+
+# the flag of each RunConfig field: its help, and its names where they are fixed
+_FLAGS = {
+    "input": ("atom CSV with functionals", None),
+    "example": ("built-in functional set", EXAMPLE_NAMES),
+    "n": ("example size", None),
+    "dimension": ("example spatial dimension", None),
+    "seed": ("example RNG seed", None),
+    "scheme": ("similarity scheme", tuple(_SCHEMES)),
+    "scheme_param": ("eps, k, or length scale of the scheme", None),
+    "leaf_max": ("cluster leaf capacity", None),
+    "degree": ("vanishing moment degree q", None),
+    "gram": (_either(("auto", "none") + KERNEL_NAMES), None),
+    "length_scale": ("kernel length scale", None),
+    "regularize": ("apply the Tikhonov shift to kernel Gram matrices", None),
+    "sigma": ("compression threshold factor", None),
+    "test_function": ("decay study function", TEST_FUNCTION_NAMES),
+    "out": ("output directory (default .)", None),
+    "basis": ("path to a saved basis container", None),
+}
+
+
 def _add_common(p):
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--input", help="atom CSV with functionals")
-    p.add_argument("--example", choices=EXAMPLE_NAMES, help="built-in functional set")
-    p.add_argument("--n", type=int, help="example size")
-    p.add_argument("--dimension", type=int, help="example spatial dimension")
-    p.add_argument("--seed", type=int, help="example RNG seed")
-    p.add_argument("--scheme", choices=("gaussian", "epsilon", "knn"), help="similarity scheme")
-    p.add_argument("--scheme-param", dest="scheme_param", type=float,
-                   help="eps, k, or length scale of the scheme")
-    p.add_argument("--leaf-max", dest="leaf_max", type=int, help="cluster leaf capacity")
-    p.add_argument("--degree", type=int, help="vanishing moment degree q")
-    p.add_argument("--gram", help="auto, none, exponential, gaussian or matern32")
-    p.add_argument("--length-scale", dest="length_scale", type=float, help="kernel length scale")
-    p.add_argument("--regularize", action="store_const", const=True, default=None,
-                   help="apply the Tikhonov shift to kernel Gram matrices")
-    p.add_argument("--sigma", type=float, help="compression threshold factor")
-    p.add_argument("--test-function", dest="test_function",
-                   choices=("exp", "kink", "runge", "sine"), help="decay study function")
-    p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--basis", help="path to a saved basis container")
+    for f in fields(RunConfig):
+        flag, (doc, choices) = "--" + f.name.replace("_", "-"), _FLAGS[f.name]
+        if f.type is bool:
+            p.add_argument(flag, action="store_const", const=True, help=doc)
+        else:
+            p.add_argument(flag, type=f.type, choices=choices, help=doc)
 
 
-def main(argv=None):
+def _parser():
     parser = argparse.ArgumentParser(
         prog="samplets",
         description="Localized orthonormal bases with vanishing moments for functional data",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, doc in (
-        ("example", "write a built-in functional set as an atom CSV"),
-        ("build", "run the full pipeline and save the basis container"),
-        ("transform", "apply the forward transform to a data vector"),
-        ("inverse", "reconstruct data from coefficients"),
-        ("compress", "transform and threshold a Gram matrix"),
-        ("report", "vanishing moment, decay and frame reports for a saved basis"),
-    ):
+    for verb, (run, doc, *own) in _VERBS.items():
         p = sub.add_parser(verb, help=doc)
         _add_common(p)
-        if verb == "transform":
-            p.add_argument("--data", help="value CSV to transform")
-        if verb == "inverse":
-            p.add_argument("--coefficients", help="coefficient CSV to invert")
-        if verb == "compress":
-            p.add_argument("--save-matrix", dest="save_matrix",
-                           help="also save the thresholded matrix as .npz")
-    args = parser.parse_args(argv)
+        if own:
+            p.add_argument(own[0], help=own[1])
+        p.set_defaults(run=run)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         cfg = make_config(args)
         _check_settings(cfg)
-        if args.verb == "example":
-            return _cmd_example(cfg)
-        if args.verb == "build":
-            return _cmd_build(cfg)
-        if args.verb == "transform":
-            return _cmd_transform(cfg, args.data)
-        if args.verb == "inverse":
-            return _cmd_inverse(cfg, args.coefficients)
-        if args.verb == "compress":
-            return _cmd_compress(cfg, args.save_matrix)
-        if args.verb == "report":
-            return _cmd_report(cfg)
-        raise InputError(f"unknown verb {args.verb!r}")
+        return args.run(cfg, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ into its cluster's range of the permutation. For all clusters of a level:
 - larger clusters of a dense (Gaussian) graph go to shift-invert ARPACK
   directly: their lambda_3, lambda_4, ... lie within a few percent of each
   other, so the subspace iteration would stall on them.
-Every Fiedler pair must pass the residual check ||L v - lambda v|| <= rtol
+Every Fiedler pair must pass the residual check ||L v - lambda v|| <= 1e-8
 times the cluster's Gershgorin bound. `spectral_bisection` and
 `fiedler_vector` are one-cluster calls of the same solver.
 """
@@ -61,6 +61,7 @@ _FIEDLER_SEED = 0x5EED
 # at the root of a 2^16-point chain, where a shift of 1e-8 slowed the root
 # level's iteration from a ratio of 0.04 to 0.16, 17 solves instead of 8)
 _SHIFT = 1e-10
+_RTOL = 1e-8  # residual bound of a Fiedler pair, relative to the Gershgorin bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,12 +251,13 @@ def _row_abs_sums(lap):
     return np.abs(lap).sum(axis=1)
 
 
-def _dense_pair(lap):
-    """Two smallest eigenpairs of a small dense Laplacian by LAPACK dsyevr."""
+def _dense_vector(lap, stats):
+    """Fiedler vector of one small dense Laplacian by a LAPACK dsyevr subset solve."""
+    stats["dense"] += 1
     w, z, _, _, info = lapack.dsyevr(lap, compute_v=1, range="I", il=1, iu=2)
     if info != 0:
         raise EigenSolverError(f"dsyevr failed with info {info}")
-    return float(w[1]), z[:, 1]
+    return _checked(lap, float(w[1]), z[:, 1], stats)
 
 
 def _arpack_pair(lap, scale):
@@ -272,19 +274,19 @@ def _arpack_pair(lap, scale):
     raise EigenSolverError(f"ARPACK did not converge: {last}")
 
 
-def _checked(lap, lam, v, rtol, stats):
+def _checked(lap, lam, v, stats):
     """Unit Fiedler vector with canonical sign, after the residual check."""
     scale = max(float(_row_abs_sums(lap).max()), 1e-30)
     v = np.ascontiguousarray(v, dtype=np.float64)
     v /= np.linalg.norm(v)
     res = np.linalg.norm(lap @ v - lam * v)
-    if not res <= rtol * scale:
-        raise EigenSolverError(f"Fiedler residual {res:.3e} above {rtol:.1e} * {scale:.3e}")
+    if not res <= _RTOL * scale:
+        raise EigenSolverError(f"Fiedler residual {res:.3e} above {_RTOL:.1e} * {scale:.3e}")
     stats["max_fiedler_residual"] = max(stats["max_fiedler_residual"], res / scale)
     return _canonical_sign(v)
 
 
-def _subspace_pairs(lap, starts, x0, rtol):
+def _subspace_pairs(lap, starts, x0):
     """Fiedler pairs of the diagonal blocks of a sparse block-diagonal Laplacian.
 
     One LU of A = L + _SHIFT diag(scale) serves every block (scale is the
@@ -349,7 +351,7 @@ def _subspace_pairs(lap, starts, x0, rtol):
         if prev_v is not None:
             flip = np.where(blocksum(v * prev_v) < 0.0, -1.0, 1.0)[seg]
             step = np.sqrt(blocksum((v - flip * prev_v) ** 2))
-        finished = active & (res <= rtol) & (step <= _CONVERGED)
+        finished = active & (res <= _RTOL) & (step <= _CONVERGED)
         rows = finished[seg]
         vec[rows] = v[rows]
         rel[finished] = res[finished]
@@ -361,36 +363,32 @@ def _subspace_pairs(lap, starts, x0, rtol):
     return vec, rel, ~active
 
 
-def _arpack_vector(lap, rtol, stats):
+def _arpack_vector(lap, stats):
     """Fiedler vector of one Laplacian by shift-invert ARPACK (one LU)."""
     stats["arpack"] += 1
     stats["lu_factorizations"] += 1
     scale = max(float(_row_abs_sums(lap).max()), 1e-30)
-    return _checked(lap, *_arpack_pair(lap, scale), rtol, stats)
+    return _checked(lap, *_arpack_pair(lap, scale), stats)
 
 
-def _fiedler_vectors(small, large, group, rtol, stats):
+def _fiedler_vectors(dense, group, stats):
     """Unit Fiedler vectors (canonical sign) of a batch of Laplacians.
 
-    small: dense Laplacians of at most _DENSE_CUTOFF vertices, each solved
-    by dsyevr. large: larger dense Laplacians, each solved by shift-invert
-    ARPACK. group: None or (lap, starts, x0); lap is sparse and block
-    diagonal over starts and gets one LU and one subspace iteration, and a
-    block it leaves unresolved goes to ARPACK. Returns the vectors of small,
-    then of large, then of every block of group.
+    dense: dense Laplacians; one of at most _DENSE_CUTOFF vertices is solved
+    by dsyevr, a larger one by shift-invert ARPACK. group: None or (lap,
+    starts, x0); lap is sparse and block diagonal over starts and gets one
+    LU and one subspace iteration, and a block it leaves unresolved goes to
+    ARPACK. Returns the vectors of dense, then of every block of group.
     """
-    vecs = []
-    for lap in small:
-        stats["dense"] += 1
-        vecs.append(_checked(lap, *_dense_pair(lap), rtol, stats))
-    vecs.extend(_arpack_vector(lap, rtol, stats) for lap in large)
+    vecs = [_dense_vector(lap, stats) if lap.shape[0] <= _DENSE_CUTOFF
+            else _arpack_vector(lap, stats) for lap in dense]
     if group is not None:
         lap, starts, x0 = group
         stats["lu_factorizations"] += 1
-        vec, rel, done = _subspace_pairs(lap, starts, x0, rtol)
+        vec, rel, done = _subspace_pairs(lap, starts, x0)
         for c, (s, e) in enumerate(zip(starts[:-1], starts[1:])):
             if not done[c]:
-                vecs.append(_arpack_vector(lap[s:e, s:e], rtol, stats))
+                vecs.append(_arpack_vector(lap[s:e, s:e], stats))
                 continue
             stats["level_lu"] += 1
             stats["max_fiedler_residual"] = max(stats["max_fiedler_residual"], rel[c])
@@ -398,25 +396,22 @@ def _fiedler_vectors(small, large, group, rtol, stats):
     return vecs
 
 
-def fiedler_vector(lap, rtol=1e-8):
+def fiedler_vector(lap):
     """Unit eigenvector of the second smallest eigenvalue of a Laplacian.
 
     Accepts a dense or sparse symmetric Laplacian. The sign is normalized so
     the entry of largest magnitude is positive (the first one, among entries
     equal to it within 1e-9). Raises EigenSolverError when
-    the residual ||L v - lambda v|| exceeds rtol times the Gershgorin bound.
+    the residual ||L v - lambda v|| exceeds 1e-8 times the Gershgorin bound.
     """
     n = lap.shape[0]
     if n < 2:
         raise InputError("Fiedler vector needs at least two vertices")
-    stats = _new_stats()
     if sparse.issparse(lap) and n > _DENSE_CUTOFF:
         x0 = np.random.default_rng(_FIEDLER_SEED).standard_normal((n, _BLOCK))
-        return _fiedler_vectors([], [], (lap.tocsr(), np.array([0, n]), x0), rtol, stats)[0]
+        return _fiedler_vectors([], (lap.tocsr(), np.array([0, n]), x0), _new_stats())[0]
     dense = lap.toarray() if sparse.issparse(lap) else np.asarray(lap, dtype=np.float64)
-    if n <= _DENSE_CUTOFF:
-        return _fiedler_vectors([dense], [], None, rtol, stats)[0]
-    return _fiedler_vectors([], [dense], None, rtol, stats)[0]
+    return _fiedler_vectors([dense], None, _new_stats())[0]
 
 
 def _sign_split(v):
@@ -489,10 +484,10 @@ class _LevelSplitter:
     component a Fiedler vector bisects turn stale until the next level.
     """
 
-    def __init__(self, graph, moment_dim, stats, rtol=1e-8):
+    def __init__(self, graph, moment_dim, stats):
         if not isinstance(graph, SimilarityGraph):
             raise InputError("graph must be a SimilarityGraph")
-        self.graph, self.moment_dim, self.stats, self.rtol = graph, moment_dim, stats, rtol
+        self.graph, self.moment_dim, self.stats = graph, moment_dim, stats
         self.x0 = self.edges = None
         self.label = np.arange(graph.n)
         self.stale = np.ones(graph.n, dtype=bool)
@@ -532,16 +527,15 @@ class _LevelSplitter:
         return self.label[verts]
 
     def _laplacians(self, jverts, jstarts):
-        """Dense Laplacians of the small jobs; the dense Laplacians of the
-        large jobs if the weights are dense, else one (lap, starts, x0) group
-        of all large jobs (None if there are none)."""
+        """Dense Laplacians of the small jobs, then of the large jobs if the
+        weights are dense, else one (lap, starts, x0) group of all large jobs
+        (None if there are none)."""
         jsizes = np.diff(jstarts)
         small = jsizes <= _DENSE_CUTOFF
         if self.edges is None:
             laps = [laplacian_from_weights(self.graph.subgraph_weights(jverts[s:e]))
                     for s, e in zip(jstarts[:-1], jstarts[1:])]
-            return ([laps[j] for j in np.flatnonzero(small)],
-                    [laps[j] for j in np.flatnonzero(~small)], None)
+            return [laps[j] for j in np.argsort(~small, kind="stable")], None
         rows, cols, vals = self.edges
         jloc = np.full(self.graph.n, -1, dtype=np.int64)
         jloc[jverts] = np.arange(jverts.size)
@@ -577,7 +571,7 @@ class _LevelSplitter:
                 shape=(nb, nb),
             )
             group = (lap, _bounds(jsizes[~small]), self.x0[jverts[big]])
-        return laps, [], group
+        return laps, group
 
     def split(self, verts, sizes):
         """Split each cluster in two; verts concatenates the clusters' sorted
@@ -607,11 +601,11 @@ class _LevelSplitter:
         in_job = ~multi[cid] | (collapse[cid] & (inv == lead[cid]))
         jclusters = np.flatnonzero(~multi | collapse)
         jstarts = _bounds(np.bincount(cid[in_job], minlength=sizes.size)[jclusters])
-        small, large, group = self._laplacians(verts[in_job], jstarts)
+        dense, group = self._laplacians(verts[in_job], jstarts)
         jsizes = np.diff(jstarts)
         order = np.argsort(jsizes > _DENSE_CUTOFF, kind="stable")  # small jobs first
         job_vec = dict(zip(jclusters[order].tolist(),
-                           _fiedler_vectors(small, large, group, self.rtol, self.stats)))
+                           _fiedler_vectors(dense, group, self.stats)))
         if group is not None:
             # the last iterates restricted to the children start the next level
             big = np.flatnonzero(np.repeat(jsizes > _DENSE_CUTOFF, jsizes))
@@ -632,7 +626,7 @@ class _LevelSplitter:
         return verts[order], np.bincount(cid, weights=in_first, minlength=sizes.size).astype(np.int64)
 
 
-def spectral_bisection(cluster, graph, rtol=1e-8):
+def spectral_bisection(cluster, graph):
     """Split a cluster in two along the Fiedler vector of its induced subgraph.
 
     Vertices with nonnegative Fiedler entries form the first part, the rest
@@ -651,7 +645,7 @@ def spectral_bisection(cluster, graph, rtol=1e-8):
     # the solver sees only the cluster's own subgraph
     sub = SimilarityGraph(graph.scheme, graph.subgraph_weights(idx))
     try:
-        parts, n1 = _LevelSplitter(sub, 0, _new_stats(), rtol).split(
+        parts, n1 = _LevelSplitter(sub, 0, _new_stats()).split(
             np.arange(idx.size), np.array([idx.size]))
     except EigenSolverError as exc:
         exc.cluster = cluster.node_id if node else None

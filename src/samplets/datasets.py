@@ -84,6 +84,7 @@ _NAMED = {
     "runge": lambda p: 1.0 / (1.0 + 25.0 * (p[:, None, :] @ p[:, :, None])[:, 0, 0]),
     "sine": lambda p: np.sin(2.0 * np.pi * p[:, 0]),
 }
+TEST_FUNCTION_NAMES = tuple(_NAMED)
 
 
 def test_function(name, dimension=1):

@@ -1,4 +1,7 @@
-"""Exception hierarchy. InputError maps to CLI exit code 2, NumericalError to 3."""
+"""Exception hierarchy (InputError is CLI exit code 2, NumericalError 3); setting checks."""
+
+import math
+import numbers
 
 
 class SampletError(Exception):
@@ -30,3 +33,14 @@ class ConditionNumberError(NumericalError):
     def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
+
+
+def finite_or_nan(value):
+    """value as a float if it is a finite real number, else NaN, so that
+    `not finite_or_nan(x) > bound` rejects non-numbers (strings too) and
+    non-finite values with the setting's own message."""
+    try:
+        value = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        return math.nan
+    return value if math.isfinite(value) else math.nan

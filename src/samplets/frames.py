@@ -12,7 +12,6 @@ its samplet transform, and above a small size the frame bounds are Lanczos
 extremes of the matrix (the upper bound) and of that inverse (the lower).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.spatial.distance import cdist
 
-from .errors import ConditionNumberError, EigenSolverError, InputError, NumericalError
+from .errors import ConditionNumberError, EigenSolverError, InputError, NumericalError, finite_or_nan
 from .kernels import check_symmetric, mirror_upper
 from .measures import FunctionalSet, analysis_vector
 
@@ -79,7 +78,7 @@ class GramModel:
     def __setattr__(self, name, value):
         if name == "matrix":
             value = _gram_matrix(value)
-        elif name == "mu" and not (math.isfinite(value) and value >= 0.0):
+        elif name == "mu" and not finite_or_nan(value) >= 0.0:
             raise InputError(f"regularization shift must be finite and nonnegative, not {value}")
         super().__setattr__(name, value)
         if name in ("matrix", "mu"):
@@ -118,14 +117,21 @@ _KERNELS = {
     "gaussian": lambda r, ell: np.exp(-(r**2) / (2.0 * ell**2)),
     "matern32": lambda r, ell: (1.0 + _SQRT3 * r / ell) * np.exp(-_SQRT3 * r / ell),
 }
+KERNEL_NAMES = tuple(_KERNELS)
+
+
+def check_length_scale(length_scale):
+    """length_scale as a float; InputError unless it is finite and positive."""
+    if not finite_or_nan(length_scale) > 0.0:
+        raise InputError(f"length_scale must be positive and finite, not {length_scale}")
+    return float(length_scale)
 
 
 def gram_kernel(points, kernel="exponential", length_scale=1.0, regularize=False):
     """Kernel Gram matrix of Dirac functionals at pairwise distinct points.
 
-    kernel is one of "exponential", "gaussian", "matern32". With regularize
-    a Tikhonov shift mu = 1e-12 * trace(G) / N is recorded on the model for
-    nearly coincident points.
+    kernel is one of KERNEL_NAMES. With regularize a Tikhonov shift
+    mu = 1e-12 * trace(G) / N is recorded on the model for nearly coincident points.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.ndim != 2 or points.size == 0:
@@ -134,15 +140,14 @@ def gram_kernel(points, kernel="exponential", length_scale=1.0, regularize=False
         raise InputError("points must be finite")
     if kernel not in _KERNELS:
         raise InputError(f"unknown kernel {kernel!r}, expected one of {sorted(_KERNELS)}")
-    if not length_scale > 0.0:
-        raise InputError("length_scale must be positive")
+    length_scale = check_length_scale(length_scale)
     uniq = np.unique(points, axis=0)
     if uniq.shape[0] != points.shape[0]:
         raise InputError("kernel Gram matrix needs pairwise distinct points")
     r = cdist(points, points)
-    g = _KERNELS[kernel](r, float(length_scale))
+    g = _KERNELS[kernel](r, length_scale)
     mu = 1e-12 * float(np.trace(g)) / g.shape[0] if regularize else 0.0
-    return GramModel(g, Kernel(kernel, float(length_scale)), mu)
+    return GramModel(g, Kernel(kernel, length_scale), mu)
 
 
 def gram_mass_p1(mesh):
@@ -266,28 +271,28 @@ def frame_bounds(model):
     return FrameBounds(*_spd_extremes(model))
 
 
-def _capped_inverse(model, cond_cap):
+def _capped_inverse(model):
     lo, hi = _spd_extremes(model)
     cond = hi / lo
-    if cond > cond_cap:
+    if cond > _COND_CAP:
         raise ConditionNumberError(
-            f"Gram condition estimate {cond:.3e} above cap {cond_cap:.1e}",
+            f"Gram condition estimate {cond:.3e} above cap {_COND_CAP:.1e}",
             estimate=cond,
         )
     return _spd_inverse(model)
 
 
-def dual_coefficients(model, cond_cap=_COND_CAP):
+def dual_coefficients(model):
     """Coefficient matrix of the canonical dual basis: the Gram inverse.
 
     Column j expresses the j-th dual element in the original functional
     coordinates. Raises ConditionNumberError (with the estimate) when the
-    eigenvalue ratio exceeds cond_cap.
+    eigenvalue ratio exceeds 1e12.
     """
-    return _capped_inverse(model, cond_cap).copy()
+    return _capped_inverse(model).copy()
 
 
-def dual_samplet_coefficients(basis, model, cond_cap=_COND_CAP):
+def dual_samplet_coefficients(basis, model):
     """Dual samplet basis coefficients D solving G D = U^T.
 
     U is the samplet transform; column i of D expresses the dual of samplet
@@ -296,7 +301,7 @@ def dual_samplet_coefficients(basis, model, cond_cap=_COND_CAP):
     """
     if model.n != basis.n:
         raise InputError("Gram model size does not match the basis")
-    return basis.forward(_capped_inverse(model, cond_cap)).T
+    return basis.forward(_capped_inverse(model)).T
 
 
 @dataclass
@@ -331,15 +336,10 @@ def decay_report(basis, functionals, v):
     ns = basis.n_samplets
     lv = basis.samplet_levels
     diams = basis.samplet_diameters
-    uniq = np.unique(lv) if ns else np.zeros(0, dtype=np.int64)
-    lmax = np.zeros(uniq.size)
-    ldia = np.zeros(uniq.size)
-    lcnt = np.zeros(uniq.size, dtype=np.int64)
-    for t, level in enumerate(uniq):
-        mask = lv == level
-        lmax[t] = np.abs(coeff[:ns][mask]).max()
-        ldia[t] = diams[mask].max()
-        lcnt[t] = int(mask.sum())
+    uniq, inv, lcnt = np.unique(lv, return_inverse=True, return_counts=True)
+    lmax, ldia = np.zeros(uniq.size), np.zeros(uniq.size)
+    np.maximum.at(lmax, inv, np.abs(coeff[:ns]))
+    np.maximum.at(ldia, inv, diams)
     dnorm = float(np.linalg.norm(data))
     annihilated = bool(ns == 0 or np.abs(coeff[:ns]).max() <= 1e-10 * max(dnorm, 1e-300))
     usable = (ldia > 0.0) & (lmax > 0.0)

@@ -154,12 +154,11 @@ def read_values_csv(path, n=None):
     return out
 
 
-def write_values_csv(path, values, indexed=True):
+def write_values_csv(path, values):
+    """Write a value vector as 'index,value' rows."""
     vals = [f"{v:.17g}" for v in np.asarray(values).ravel().tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "value"] if indexed else ["value"])
-        writer.writerows(enumerate(vals) if indexed else zip(vals))
+        csv.writer(fh).writerows([("index", "value"), *enumerate(vals)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from . import kernels
-from .errors import InputError
+from .errors import InputError, finite_or_nan
+from .frames import check_length_scale
 from .measures import as_functional_set
 
 _GAUSSIAN_LIMIT = 16384
@@ -31,8 +32,8 @@ class EpsilonNeighborhood:
     eps: float
 
     def __post_init__(self):
-        if not self.eps > 0.0:
-            raise InputError("eps must be positive")
+        if not finite_or_nan(self.eps) > 0.0:
+            raise InputError(f"eps must be positive and finite, not {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,8 @@ class MutualKNN:
     k: int
 
     def __post_init__(self):
-        if int(self.k) < 1:
-            raise InputError("k must be at least 1")
+        if not finite_or_nan(self.k) >= 1.0:
+            raise InputError(f"k must be at least 1 and finite, not {self.k}")
         object.__setattr__(self, "k", int(self.k))
 
 
@@ -54,8 +55,7 @@ class GaussianSimilarity:
     length_scale: float
 
     def __post_init__(self):
-        if not self.length_scale > 0.0:
-            raise InputError("length_scale must be positive")
+        check_length_scale(self.length_scale)
 
 
 def support_distance(f, g):
@@ -122,9 +122,6 @@ class SimilarityGraph:
     scheme: object
     weights: object
 
-    def __post_init__(self):
-        self._lap = None
-
     @property
     def n(self):
         return self.weights.shape[0]
@@ -137,9 +134,7 @@ class SimilarityGraph:
 
     @property
     def laplacian(self):
-        if self._lap is None:
-            self._lap = laplacian_from_weights(self.weights)
-        return self._lap
+        return laplacian_from_weights(self.weights)
 
     def subgraph_weights(self, idx):
         """Weight matrix of the induced subgraph on the given vertex positions."""

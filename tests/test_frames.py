@@ -75,6 +75,11 @@ class TestGramKernel:
         with pytest.raises(InputError):
             gram_kernel(np.array([[0.0], [1.0]]), "cauchy", 1.0)
 
+    @pytest.mark.parametrize("ell", [0.0, -1.0, math.inf, math.nan, "a", None])
+    def test_bad_length_scale_rejected(self, ell):
+        with pytest.raises(InputError, match="length_scale must be positive"):
+            gram_kernel(np.array([[0.0], [1.0]]), "exponential", ell)
+
 
 class TestGramMassP1:
     def test_uniform_mesh_tridiagonal_values(self):
@@ -182,6 +187,14 @@ class TestGramModel:
     def test_bad_shift_rejected(self, mu):
         with pytest.raises(InputError, match="regularization shift"):
             GramModel(np.eye(2), "test", mu=mu)
+
+    def test_non_numeric_shift_rejected(self):
+        with pytest.raises(InputError, match="regularization shift"):
+            GramModel(np.eye(2), "t", mu="x")
+        model = GramModel(np.eye(2), "t")
+        with pytest.raises(InputError, match="regularization shift"):
+            model.mu = None
+        assert model.mu == 0.0
 
     @pytest.mark.parametrize("shape", [(0, 0), (3,), (2, 3)])
     def test_empty_or_non_square_matrix_rejected(self, shape):

@@ -1,9 +1,11 @@
 """CSV ingest, the binary basis container, examples, and the CLI."""
 
+import argparse
 import hashlib
 import math
 import struct
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,8 +28,9 @@ from samplets import (
     save_basis,
     serialize_basis,
 )
+from samplets import cli, datasets, frames, simgraph
 from samplets.basis import _filter_layout
-from samplets.cli import RunConfig, main, parse_config_file, run_pipeline
+from samplets.cli import RunConfig, _parser, main, make_config, parse_config_file, run_pipeline
 from samplets.datasets import test_function as named_function
 from samplets.io import (
     _HEADER,
@@ -450,6 +453,49 @@ class TestConfig:
         assert "degree = 1" in out
 
 
+    def test_config_file_equals_flags_for_every_setting(self, tmp_path):
+        # one value per RunConfig field, none of them its default
+        values = {
+            "input": "atoms.csv", "example": "green-1d", "n": "48", "dimension": "2",
+            "seed": "5", "scheme": "knn", "scheme_param": "6.5", "leaf_max": "9",
+            "degree": "1", "gram": "matern32", "length_scale": "0.25", "regularize": "yes",
+            "sigma": "1e-4", "test_function": "kink", "out": "elsewhere", "basis": "b.bin",
+        }
+        assert set(values) == {f.name for f in fields(RunConfig)}
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        flags = []
+        for k, v in values.items():
+            flags += ["--" + k.replace("_", "-")] + ([] if k == "regularize" else [v])
+        parser = _parser()
+        from_file = make_config(parser.parse_args(["build", "--config", str(cfgfile)]))
+        from_flags = make_config(parser.parse_args(["build", *flags]))
+        assert from_file == from_flags
+        assert from_file != RunConfig()
+        assert from_file.regularize is True and from_file.length_scale == 0.25
+        assert from_file.scheme_param == 6.5
+
+    @pytest.mark.parametrize("verb", ["example", "build", "transform", "inverse", "compress",
+                                      "report"])
+    def test_parser_names_come_from_their_modules(self, verb):
+        verbs = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a for a in verbs.choices[verb]._actions}
+        assert flags["example"].choices == datasets.EXAMPLE_NAMES
+        assert flags["test_function"].choices == tuple(datasets._NAMED)
+        for name in datasets._NAMED:
+            datasets.test_function(name)
+        assert flags["scheme"].choices == tuple(cli._SCHEMES)
+        for name, (make, default) in cli._SCHEMES.items():
+            assert getattr(simgraph, make.__name__) is make
+            assert isinstance(cli._make_scheme(RunConfig(scheme=name)), make)
+        assert frames.KERNEL_NAMES == tuple(frames._KERNELS)
+        assert flags["gram"].help == "auto, none, exponential, gaussian or matern32"
+        for name in frames.KERNEL_NAMES + ("auto", "none"):
+            cli._check_settings(RunConfig(gram=name))
+        with pytest.raises(InputError, match="unknown gram"):
+            cli._check_settings(RunConfig(gram="cauchy"))
+
+
 class TestCliVerbs:
     def test_example_verb_writes_ingestible_atoms(self, tmp_path):
         code = main(["example", "--example", "uniform-diracs", "--n", "32",
@@ -556,8 +602,12 @@ class TestCliVerbs:
         ([], "seed = -1\n", "seed"),
         (["--out", "{file}"], "", "not a directory"),
         ([], "out =\n", "output directory"),
+        (["--scheme", "knn", "--scheme-param", "inf"], "", "k must be"),
+        (["--scheme", "knn", "--scheme-param", "nan"], "", "k must be"),
+        (["--gram", "exponential", "--length-scale", "inf"], "", "length_scale"),
     ], ids=["sigma-nan", "gram-bogus", "test-function-bogus", "seed-negative",
-            "seed-negative-config", "out-is-a-file", "out-empty-config"])
+            "seed-negative-config", "out-is-a-file", "out-empty-config", "knn-inf", "knn-nan",
+            "length-scale-inf"])
     def test_bad_settings_rejected_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                      flags, config, message):
         cfgfile = tmp_path / "run.cfg"
@@ -577,6 +627,13 @@ class TestCliVerbs:
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
         assert taken.read_text() == ""
+
+    @pytest.mark.parametrize("param", ["inf", "nan", "0"])
+    def test_scheme_checked_before_the_input_is_read(self, tmp_path, capsys, param):
+        code = main(["build", "--input", str(tmp_path / "missing.csv"), "--scheme", "knn",
+                     "--scheme-param", param, "--out", str(tmp_path)])
+        assert code == 2
+        assert "k must be at least 1" in capsys.readouterr().err
 
     def test_missing_basis_is_an_input_error(self, tmp_path):
         code = main(["transform", "--example", "uniform-diracs", "--n", "16",
