@@ -444,9 +444,9 @@ def transform_matrix(basis, a):
     if a.shape != (n, n):
         raise InputError(f"matrix must be {n} x {n}")
     kernels.check_symmetric(a)
-    # the second pass gathers rows of the first pass's transpose: a C-ordered
-    # copy reads them contiguously, and the first pass is freed before it
-    return basis.forward(kernels.transposed(basis.forward(a)))
+    # A = A^T, so U A U^T = U (U A)^T; the first pass is transposed in place,
+    # which keeps the rows the second pass gathers contiguous
+    return basis.forward(kernels.transpose_square(basis.forward(a)))
 
 
 def _vanishing_scan(basis, functionals, primitives):
@@ -560,26 +560,31 @@ def threshold_compress(coeffs, sigma):
     Returns the compressed container (sparse CSR for matrices, dense copy for
     vectors) and a CompressionReport. sigma must be finite and nonnegative;
     sigma = 0 keeps everything and sigma > 1 drops everything.
+
+    A matrix is read in row panels of at most 2^18 entries, with no array
+    of its size besides the CSR; dropped_norm is summed panel by panel, so
+    it matches one norm over all dropped entries to rounding.
     """
     sigma = check_sigma(sigma)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim not in (1, 2):
         raise InputError("expected a coefficient vector or matrix")
-    mag = np.abs(coeffs)
-    peak = float(mag.max()) if coeffs.size else 0.0
-    threshold = sigma * peak
-    mask = mag >= threshold
-    del mag
-    report = CompressionReport(
-        sigma=sigma, threshold=threshold, total=int(coeffs.size),
-        kept=int(np.count_nonzero(mask)),
-        dropped_norm=float(np.linalg.norm(coeffs[~mask])),
-    )
+    mat = np.atleast_2d(coeffs)  # a vector is one row
+    n, m = mat.shape
+    threshold = sigma * (float(np.maximum(mat.max(), -mat.min())) if mat.size else 0.0)
+    kept, dropped_sq, parts = 0, 0.0, [sparse.csr_matrix((0, m))]
+    for rows in kernels.row_panels(n, m):
+        panel = mat[rows]
+        mask = np.abs(panel) >= threshold
+        kept += int(np.count_nonzero(mask))
+        dropped = panel[~mask]
+        dropped_sq += float(np.dot(dropped, dropped))
+        # the kept nonzeros, as a CSR of the dense masked panel would store them
+        at = np.flatnonzero(mask & (panel != 0.0))
+        parts.append(sparse.csr_matrix((panel.ravel().take(at), at % max(m, 1), np.searchsorted(
+            at, np.arange(panel.shape[0] + 1) * m)), shape=panel.shape))
+    report = CompressionReport(sigma=sigma, threshold=threshold, total=int(mat.size),
+                               kept=kept, dropped_norm=math.sqrt(dropped_sq))
     if coeffs.ndim == 1:
-        return np.where(mask, coeffs, 0.0), report
-    # the CSR straight from the mask: its entries are the kept nonzeros, as a
-    # CSR made from the dense masked copy would store
-    n, m = coeffs.shape
-    at = np.flatnonzero(mask & (coeffs != 0.0))
-    return sparse.csr_matrix((coeffs.ravel().take(at), at % max(m, 1),
-                              np.searchsorted(at, np.arange(n + 1) * m)), shape=(n, m)), report
+        return np.where(np.abs(coeffs) >= threshold, coeffs, 0.0), report
+    return sparse.vstack(parts, format="csr"), report

@@ -38,7 +38,7 @@ from .io import (
     write_functionals_csv,
     write_values_csv,
 )
-from .kernels import transposed
+from .kernels import transpose_square
 from .measures import analysis_vector, moment_dimension
 from .simgraph import EpsilonNeighborhood, GaussianSimilarity, MutualKNN
 
@@ -186,7 +186,14 @@ def _fmt(v):
 
 
 def run_pipeline(cfg):
-    """Ingest, build, verify, save, and report; returns a summary dict."""
+    """Ingest, build, verify, save, and report; returns a summary dict.
+
+    The frame layer holds at most three N x N arrays at once, plus the
+    cascade's work rows: G, the model's inverse and the dual samplets D;
+    then G and D, the model dropped, while U G D - I is formed max(512, N/4)
+    columns at a time; then G and two arrays in _compress_stage. A shift mu
+    adds its copy G + mu I while the model is alive.
+    """
     _check_settings(cfg)
     functionals, example_model = _load_functionals(cfg)
     d = functionals.dimension
@@ -215,27 +222,31 @@ def run_pipeline(cfg):
         summary["decay_slope"] = rep.slope
         summary["annihilated"] = rep.annihilated
     model = _gram_model(cfg, functionals, example_model)
+    del example_model  # else it would keep the model and its inverse alive
     if model is not None:
-        fb = frame_bounds(model)
+        fb, mu = frame_bounds(model), model.mu
         dual = dual_samplet_coefficients(basis, model)
-        # U G D - I, formed in place; D is dropped as soon as it is used
-        pairing = basis.forward(model.effective() @ dual)
-        del dual
-        pairing.flat[:: basis.n + 1] -= 1.0
-        biortho = float(np.abs(pairing, out=pairing).max())
-        del pairing
+        g = model.effective()
+        del model  # and with it the cached Gram inverse
+        biortho, w = 0.0, max(512, basis.n // 4)
+        for cols in (slice(s, s + w) for s in range(0, basis.n, w)):
+            # U G D - I, w columns at a time; narrower panels slow the product down
+            block = basis.forward(g @ dual[:, cols])
+            block[cols] -= np.eye(block.shape[1])
+            biortho = float(np.maximum(biortho, np.abs(block, out=block).max()))
+        del dual, block
         frame_path = os.path.join(cfg.out, "frame.csv")
         _write_rows(
             frame_path,
             ["lower_bound", "upper_bound", "condition", "mu", "biorthogonality"],
-            [(_fmt(fb.lower), _fmt(fb.upper), _fmt(fb.condition), _fmt(model.mu), _fmt(biortho))],
+            [(_fmt(fb.lower), _fmt(fb.upper), _fmt(fb.condition), _fmt(mu), _fmt(biortho))],
         )
         summary["frame_path"] = frame_path
         summary["frame_lower"] = fb.lower
         summary["frame_upper"] = fb.upper
         summary["biorthogonality"] = biortho
         if cfg.sigma is not None:
-            summary.update(_compress_stage(cfg, basis, model)[1])
+            summary.update(_compress_stage(cfg, basis, g)[1])
     return summary
 
 
@@ -253,15 +264,14 @@ def _decay_stage(cfg, basis, functionals, name):
     return path, rep
 
 
-def _compress_stage(cfg, basis, model):
-    g = model.effective()
+def _compress_stage(cfg, basis, g):
     coeff = transform_matrix(basis, g)
     compressed, rep = threshold_compress(coeff, cfg.sigma)
     del coeff
-    # the second inverse reads a C-ordered copy of the first one's transpose
-    recon = basis.inverse(transposed(basis.inverse(compressed.toarray())))
+    recon = basis.inverse(transpose_square(basis.inverse(compressed.toarray())))
+    recon -= g
     scale = np.linalg.norm(g)
-    err = float(np.linalg.norm(recon - g) / scale) if scale else 0.0
+    err = float(np.linalg.norm(recon) / scale) if scale else 0.0
     path = os.path.join(cfg.out, "compression.csv")
     _write_rows(
         path,
@@ -333,15 +343,18 @@ def _cmd_inverse(cfg, args):
 
 
 def _cmd_compress(cfg, args):
-    basis = _require_basis(cfg)
-    functionals, example_model = _load_functionals(cfg, basis)
-    model = _gram_model(cfg, functionals, example_model)
+    model = None
+    if cfg.gram != "none":  # both settings are checked before anything is read
+        if cfg.sigma is None:
+            raise InputError("--sigma threshold required")
+        basis = _require_basis(cfg)
+        model = _gram_model(cfg, *_load_functionals(cfg, basis))
     if model is None:
         raise InputError("compression needs a Gram model; set --gram")
-    if cfg.sigma is None:
-        raise InputError("--sigma threshold required")
+    g = model.effective()
+    del model
     os.makedirs(cfg.out, exist_ok=True)
-    compressed, summary = _compress_stage(cfg, basis, model)
+    compressed, summary = _compress_stage(cfg, basis, g)
     if args.save_matrix:
         from scipy import sparse
 

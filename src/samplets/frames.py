@@ -20,7 +20,7 @@ from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.spatial.distance import cdist
 
 from .errors import ConditionNumberError, EigenSolverError, InputError, NumericalError, finite_or_nan
-from .kernels import check_symmetric, mirror_upper
+from .kernels import check_symmetric, mirror_upper, row_panels
 from .measures import FunctionalSet, analysis_vector
 
 _COND_CAP = 1e12
@@ -112,10 +112,19 @@ def _gram_matrix(value):
     return matrix
 
 
+def _matern32(r, ell):
+    t = np.divide(np.multiply(r, _SQRT3, out=r), ell, out=r)
+    for rows in row_panels(*t.shape):
+        t[rows] = np.exp(-t[rows]) * (1.0 + t[rows])
+    return t
+
+
+# each kernel overwrites the distances r, with the bits of exp(-r / ell),
+# exp(-(r**2) / (2 ell**2)) and (1 + sqrt3 r / ell) exp(-sqrt3 r / ell)
 _KERNELS = {
-    "exponential": lambda r, ell: np.exp(-r / ell),
-    "gaussian": lambda r, ell: np.exp(-(r**2) / (2.0 * ell**2)),
-    "matern32": lambda r, ell: (1.0 + _SQRT3 * r / ell) * np.exp(-_SQRT3 * r / ell),
+    "exponential": lambda r, ell: np.exp(np.divide(r, -ell, out=r), out=r),
+    "gaussian": lambda r, ell: np.exp(np.divide(np.square(r, out=r), -(2.0 * ell**2), out=r), out=r),
+    "matern32": _matern32,
 }
 KERNEL_NAMES = tuple(_KERNELS)
 
@@ -132,6 +141,8 @@ def gram_kernel(points, kernel="exponential", length_scale=1.0, regularize=False
 
     kernel is one of KERNEL_NAMES. With regularize a Tikhonov shift
     mu = 1e-12 * trace(G) / N is recorded on the model for nearly coincident points.
+    The kernel is evaluated in place on the distance matrix, so the model's
+    matrix is the one N x N array made.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.ndim != 2 or points.size == 0:
@@ -144,8 +155,7 @@ def gram_kernel(points, kernel="exponential", length_scale=1.0, regularize=False
     uniq = np.unique(points, axis=0)
     if uniq.shape[0] != points.shape[0]:
         raise InputError("kernel Gram matrix needs pairwise distinct points")
-    r = cdist(points, points)
-    g = _KERNELS[kernel](r, length_scale)
+    g = _KERNELS[kernel](cdist(points, points), length_scale)
     mu = 1e-12 * float(np.trace(g)) / g.shape[0] if regularize else 0.0
     return GramModel(g, Kernel(kernel, length_scale), mu)
 

@@ -690,6 +690,113 @@ class TestThresholdCompress:
             threshold_compress(np.ones((3, 3)), sigma)
 
 
+def _threshold_reference(coeffs, sigma):
+    """The whole-array threshold that the row-panel one replaced: |C|, the
+    full mask and one norm over a copy of every dropped entry."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    mag = np.abs(coeffs)
+    peak = float(mag.max()) if coeffs.size else 0.0
+    threshold = sigma * peak
+    mask = mag >= threshold
+    kept, dropped = int(np.count_nonzero(mask)), float(np.linalg.norm(coeffs[~mask]))
+    if coeffs.ndim == 1:
+        return np.where(mask, coeffs, 0.0), threshold, kept, dropped
+    n, m = coeffs.shape
+    at = np.flatnonzero(mask & (coeffs != 0.0))
+    csr = sparse.csr_matrix((coeffs.ravel().take(at), at % max(m, 1),
+                             np.searchsorted(at, np.arange(n + 1) * m)), shape=(n, m))
+    return csr, threshold, kept, dropped
+
+
+def _threshold_case(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "decaying":
+        return rng.normal(size=(203, 57)) * np.exp(-9.0 * rng.random((203, 57)))
+    if name == "ties":  # many entries exactly at sigma * peak = 0.25
+        return rng.choice([-1.0, -0.25, 0.25, 0.5, 0.1, -0.0, 0.0], size=(77, 31))
+    if name == "zeros":
+        c = rng.normal(size=(64, 40))
+        c[::3] = 0.0
+        c[:, 5] = -0.0
+        return c
+    if name == "one-row":
+        return rng.normal(size=(1, 300))
+    if name == "one-column":
+        return rng.normal(size=(300, 1))
+    if name == "no-rows":
+        return np.zeros((0, 12))
+    if name == "no-columns":
+        return np.zeros((12, 0))
+    if name == "nan":
+        c = rng.normal(size=(40, 40))
+        c[17, 3] = np.nan
+        return c
+    if name == "inf":
+        c = rng.normal(size=(40, 40))
+        c[5, 9] = -np.inf
+        return c
+    if name == "fortran":
+        return np.asfortranarray(rng.normal(size=(90, 70)))
+    if name == "vector":
+        return rng.normal(size=500) * np.exp(-9.0 * rng.random(500))
+    raise KeyError(name)
+
+
+_THRESHOLD_CASES = ["decaying", "ties", "zeros", "one-row", "one-column", "no-rows",
+                    "no-columns", "nan", "inf", "fortran", "vector"]
+
+
+class TestRowPanelThreshold:
+    """threshold_compress walks row panels; the whole-array reference gives
+    the same threshold, kept count and CSR, and the same dropped norm up to
+    the order of its sum."""
+
+    @pytest.mark.parametrize("panel", [1 << 18, 40, 1], ids=["default", "40-entries", "1-entry"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.25, 1e-3, 1.5])
+    @pytest.mark.parametrize("name", _THRESHOLD_CASES)
+    def test_matches_the_whole_array_reference(self, monkeypatch, name, sigma, panel):
+        # 40-entry panels split every matrix into panels whose height does not
+        # divide the row count (203 rows of 57 go one row at a time)
+        from samplets import kernels
+
+        monkeypatch.setattr(kernels, "_PANEL", panel)
+        coeffs = _threshold_case(name)
+        out, report = threshold_compress(coeffs, sigma)
+        ref, threshold, kept, dropped = _threshold_reference(coeffs, sigma)
+        assert np.array_equal(report.threshold, threshold, equal_nan=True)
+        assert report.kept == kept and report.total == coeffs.size
+        if math.isnan(dropped) or math.isinf(dropped):
+            assert np.array_equal(report.dropped_norm, dropped, equal_nan=True)
+        else:
+            assert abs(report.dropped_norm - dropped) <= 1e-12 * dropped
+        if coeffs.ndim == 1:
+            assert isinstance(out, np.ndarray)
+            assert np.array_equal(out, ref) and np.array_equal(np.signbit(out), np.signbit(ref))
+            return
+        assert out.shape == ref.shape
+        for key in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(out, key), getattr(ref, key))
+            assert getattr(out, key).dtype == getattr(ref, key).dtype
+
+    def test_single_panel_dropped_norm_has_the_reference_bits(self):
+        coeffs = _threshold_case("decaying")
+        assert threshold_compress(coeffs, 1e-3)[1].dropped_norm == _threshold_reference(coeffs, 1e-3)[3]
+
+    def test_no_temporary_the_size_of_the_matrix(self):
+        import tracemalloc
+
+        coeffs = np.random.default_rng(2).normal(size=(2048, 2048))  # 16 default panels
+        coeffs[0, 0] = 1e6  # sigma = 5e-6 keeps the entries above 5 standard deviations
+        tracemalloc.start()
+        try:
+            _, report = threshold_compress(coeffs, 5e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.kept < coeffs.size // 1000
+        assert peak <= coeffs.nbytes // 4
+
+
 def _dense_from_rows(basis):
     """The transform assembled row by row from the recursive expansion."""
     dense = np.zeros((basis.n, basis.n))

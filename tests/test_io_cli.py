@@ -594,6 +594,32 @@ class TestCliVerbs:
         assert "sigma" in capsys.readouterr().err
         assert not (out / "compression.csv").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--gram", "exponential"], "--sigma threshold required"),
+        (["--gram", "none", "--sigma", "1e-6"], "compression needs a Gram model; set --gram"),
+        (["--gram", "none"], "compression needs a Gram model; set --gram"),
+    ], ids=["no-sigma", "gram-none", "gram-none-no-sigma"])
+    def test_compress_settings_rejected_before_anything_is_read(self, tmp_path, capsys,
+                                                                monkeypatch, flags, message):
+        calls = []
+
+        def spy(name):
+            def called(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+            return called
+
+        monkeypatch.setattr(cli, "load_basis", spy("load_basis"))
+        monkeypatch.setattr(cli, "gram_kernel", spy("gram_kernel"))
+        monkeypatch.setattr(cli, "generate_example", spy("generate_example"))
+        out = tmp_path / "cmp"
+        code = main(["compress", "--basis", str(tmp_path / "missing.bin"), "--example",
+                     "random-diracs", "--n", "48", "--dimension", "2", "--out", str(out), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, config, message", [
         (["--sigma", "nan"], "", "sigma"),
         ([], "gram = bogus\n", "gram"),

@@ -11,7 +11,8 @@ from samplets.kernels import (
     eval_table,
     falling_factorial_table,
     mirror_upper,
-    transposed,
+    row_panels,
+    transpose_square,
 )
 from samplets.measures import Atom, Functional, as_functional_set, evaluate
 
@@ -177,8 +178,20 @@ def test_check_symmetric_rejects_nonfinite_entries():
         check_symmetric(a)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 200), (130, 64), (257, 129)])
-def test_transposed_is_a_c_ordered_transpose(shape):
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (130, 130), (257, 257), (64, 64), (128, 128)])
+def test_transpose_square_transposes_in_place(shape):
+    # 130 and 257 end in a partial tile of 64, 64 and 128 do not
     a = np.random.default_rng(3).standard_normal(shape)
-    t = transposed(a)
-    assert t.flags.c_contiguous and np.array_equal(t, a.T)
+    expect = a.T.copy()
+    t = transpose_square(a)
+    assert t is a and a.flags.c_contiguous and np.array_equal(a, expect)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (1, 1), (3, 0), (5, 3), (2000, 1536), (3, 1 << 19)])
+def test_row_panels_cover_the_rows_in_order(shape):
+    n, m = shape
+    panels = row_panels(n, m)
+    rows = np.concatenate([np.arange(n)[p] for p in panels]) if panels else np.empty(0)
+    assert np.array_equal(rows, np.arange(n))
+    for p in panels:
+        assert p.stop - p.start >= 1 and ((p.stop - p.start) * m <= 1 << 18 or p.stop - p.start == 1)
