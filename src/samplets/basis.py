@@ -438,7 +438,12 @@ def inverse_transform(basis, c):
 
 
 def transform_matrix(basis, a):
-    """Two-sided transform U A U^T of a symmetric matrix A."""
+    """Two-sided transform U A U^T of a symmetric matrix A.
+
+    Two N x N arrays are alive: A and the result. Both passes run in column
+    panels (kernels.Cascade), the second in place, so besides them a pass
+    holds one panel's output and work rows.
+    """
     a = np.asarray(a, dtype=np.float64)
     n = basis.n
     if a.shape != (n, n):
@@ -446,7 +451,8 @@ def transform_matrix(basis, a):
     kernels.check_symmetric(a)
     # A = A^T, so U A U^T = U (U A)^T; the first pass is transposed in place,
     # which keeps the rows the second pass gathers contiguous
-    return basis.forward(kernels.transpose_square(basis.forward(a)))
+    c = kernels.transpose_square(basis.forward(a))
+    return basis.cascade.forward(c, out=c)
 
 
 def _vanishing_scan(basis, functionals, primitives):

@@ -26,9 +26,9 @@ from .frames import (
     KERNEL_NAMES,
     check_length_scale,
     decay_report,
-    dual_samplet_coefficients,
     frame_bounds,
     gram_kernel,
+    take_dual_samplets,
 )
 from .io import (
     ingest_functionals,
@@ -188,11 +188,14 @@ def _fmt(v):
 def run_pipeline(cfg):
     """Ingest, build, verify, save, and report; returns a summary dict.
 
-    The frame layer holds at most three N x N arrays at once, plus the
-    cascade's work rows: G, the model's inverse and the dual samplets D;
-    then G and D, the model dropped, while U G D - I is formed max(512, N/4)
-    columns at a time; then G and two arrays in _compress_stage. A shift mu
-    adds its copy G + mu I while the model is alive.
+    The frame layer holds about two N x N arrays at once, besides one column
+    panel of a transform (kernels.Cascade): G and the model's inverse while
+    the frame bounds are taken (a shift mu goes into the inverse's memory or
+    into a Lanczos operator, never into a copy); then G and the dual
+    samplets D, formed in the inverse's memory once the model gives it up,
+    while U G D - I is formed in one reused buffer of max(512, N/4) columns
+    (G is shifted to G + mu I in place once the model is dropped); then G
+    and one array at a time in _compress_stage.
     """
     _check_settings(cfg)
     functionals, example_model = _load_functionals(cfg)
@@ -225,16 +228,18 @@ def run_pipeline(cfg):
     del example_model  # else it would keep the model and its inverse alive
     if model is not None:
         fb, mu = frame_bounds(model), model.mu
-        dual = dual_samplet_coefficients(basis, model)
-        g = model.effective()
-        del model  # and with it the cached Gram inverse
-        biortho, w = 0.0, max(512, basis.n // 4)
-        for cols in (slice(s, s + w) for s in range(0, basis.n, w)):
+        dual = take_dual_samplets(basis, model)
+        g = _shifted_in_place(model)
+        del model
+        n, w = basis.n, max(512, basis.n // 4)
+        biortho, buf = 0.0, np.empty(n * min(n, w))
+        for s in range(0, n, w):
             # U G D - I, w columns at a time; narrower panels slow the product down
-            block = basis.forward(g @ dual[:, cols])
+            cols, block = slice(s, s + w), buf[:n * min(w, n - s)].reshape(n, -1)
+            basis.cascade.forward(np.matmul(g, dual[:, cols], out=block), out=block)
             block[cols] -= np.eye(block.shape[1])
             biortho = float(np.maximum(biortho, np.abs(block, out=block).max()))
-        del dual, block
+        del dual, buf, block
         frame_path = os.path.join(cfg.out, "frame.csv")
         _write_rows(
             frame_path,
@@ -264,11 +269,30 @@ def _decay_stage(cfg, basis, functionals, name):
     return path, rep
 
 
+def _shifted_in_place(model):
+    """The model's effective matrix G + mu I, shifted in the memory of G.
+
+    The model's matrix changes under it, so the caller drops the model.
+    """
+    g = model.matrix
+    if model.mu != 0.0:
+        g.flat[:: g.shape[0] + 1] += model.mu
+    return g
+
+
 def _compress_stage(cfg, basis, g):
+    """Compress U G U^T at cfg.sigma, write compression.csv, and return the CSR and a summary.
+
+    Two N x N arrays are alive at once, besides the CSR and one column panel
+    of a transform (kernels.Cascade): G and U G U^T, then G and the
+    reconstruction U^T C U, both of whose passes run in place.
+    """
     coeff = transform_matrix(basis, g)
     compressed, rep = threshold_compress(coeff, cfg.sigma)
     del coeff
-    recon = basis.inverse(transpose_square(basis.inverse(compressed.toarray())))
+    recon = compressed.toarray()
+    basis.cascade.inverse(recon, out=recon)
+    basis.cascade.inverse(transpose_square(recon), out=recon)
     recon -= g
     scale = np.linalg.norm(g)
     err = float(np.linalg.norm(recon) / scale) if scale else 0.0
@@ -351,7 +375,7 @@ def _cmd_compress(cfg, args):
         model = _gram_model(cfg, *_load_functionals(cfg, basis))
     if model is None:
         raise InputError("compression needs a Gram model; set --gram")
-    g = model.effective()
+    g = _shifted_in_place(model)
     del model
     os.makedirs(cfg.out, exist_ok=True)
     compressed, summary = _compress_stage(cfg, basis, g)

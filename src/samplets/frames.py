@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from scipy.spatial.distance import cdist
 
 from .errors import ConditionNumberError, EigenSolverError, InputError, NumericalError, finite_or_nan
@@ -67,8 +67,9 @@ class GramModel:
     matrix must be a finite, real, square and symmetric array; it is checked
     whenever it is assigned. The inverse of the effective matrix (one
     Cholesky factorization) and its extreme eigenvalues are computed once,
-    on first use, and kept until matrix or mu is reassigned; changing matrix
-    entries in place is not detected.
+    on first use, and kept until matrix or mu is reassigned (the inverse
+    also until take_dual_samplets takes it); changing matrix entries in
+    place is not detected.
     """
 
     matrix: np.ndarray
@@ -259,8 +260,12 @@ def _spd_extremes(model):
         else:
             inverse = _spd_inverse(model)
             v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(model.n)
+            g, mu = model.matrix, model.mu
+            # G + mu I as an operator, so no shifted copy sits next to the inverse
+            shifted = g if mu == 0.0 else LinearOperator(g.shape, matvec=lambda x: g @ x + mu * x,
+                                                         dtype=np.float64)
             # Ritz values lie inside the spectrum: both bounds err inward only
-            model._extremes = (1.0 / _lanczos_max(inverse, v0), _lanczos_max(model.effective(), v0))
+            model._extremes = (1.0 / _lanczos_max(inverse, v0), _lanczos_max(shifted, v0))
     return model._extremes
 
 
@@ -308,10 +313,28 @@ def dual_samplet_coefficients(basis, model):
     U is the samplet transform; column i of D expresses the dual of samplet
     i in the original functional coordinates, so U G D = I. G^-1 is
     symmetric, so D = G^-1 U^T = (U G^-1)^T: one transform of the inverse.
+    D is a fresh array and the model keeps its inverse, so three N x N
+    arrays are alive: G, G^-1 and D, besides one column panel of the
+    transform (kernels.Cascade).
     """
     if model.n != basis.n:
         raise InputError("Gram model size does not match the basis")
     return basis.forward(_capped_inverse(model)).T
+
+
+def take_dual_samplets(basis, model):
+    """dual_samplet_coefficients, formed in the memory of the model's Gram inverse.
+
+    The model gives that inverse up (a later use factors its matrix again),
+    and U G^-1 overwrites it one column panel at a time, so only G and D are
+    alive once the transform is done.
+    """
+    if model.n != basis.n:
+        raise InputError("Gram model size does not match the basis")
+    inverse = _capped_inverse(model)
+    model._inverse = None
+    inverse.flags.writeable = True
+    return basis.cascade.forward(inverse, out=inverse).T
 
 
 @dataclass

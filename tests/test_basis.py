@@ -43,6 +43,7 @@ from samplets import (
     vanishing_moment_table,
     verify_vanishing_moments,
 )
+from samplets import kernels
 from samplets.basis import _filter_layout
 from samplets.ctree import ClusterNode, ClusterTree
 from samplets.kernels import eval_table
@@ -757,8 +758,6 @@ class TestRowPanelThreshold:
     def test_matches_the_whole_array_reference(self, monkeypatch, name, sigma, panel):
         # 40-entry panels split every matrix into panels whose height does not
         # divide the row count (203 rows of 57 go one row at a time)
-        from samplets import kernels
-
         monkeypatch.setattr(kernels, "_PANEL", panel)
         coeffs = _threshold_case(name)
         out, report = threshold_compress(coeffs, sigma)
@@ -841,6 +840,53 @@ class TestCascadeReference:
         for j in (0, 1234, 2999):
             assert np.abs(c[:, j] - basis.forward(x[:, j])).max() <= 1e-13
         assert np.abs(basis.inverse(c) - x).max() <= 1e-12
+
+
+class TestColumnPanels:
+    """Wide blocks and blocks written into out go through the cascade in column
+    panels; each column must keep the bits of one pass over the whole block."""
+
+    _LAYOUTS = {  # each a fresh copy
+        "C": lambda x: x.copy(order="C"),
+        "F": lambda x: x.copy(order="F"),
+        "transposed view": lambda x: x.T.copy().T,
+    }
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "2w+1"])
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_panels_equal_one_whole_pass(self, case_d1, monkeypatch, direction, extra, layout):
+        basis = case_d1.basis(2)
+        w = kernels._PANEL_COLS
+        cols = 2 * w + 1 if extra == "2w+1" else w + extra
+        x = np.random.default_rng(cols).standard_normal((basis.n, cols))
+        apply = getattr(basis.cascade, direction)
+        panelled = apply(self._LAYOUTS[layout](x))
+        in_place = self._LAYOUTS[layout](x)
+        assert apply(in_place, out=in_place) is in_place
+        monkeypatch.setattr(kernels, "_PANEL_COLS", 1 << 30)
+        whole = apply(self._LAYOUTS[layout](x))
+        assert np.array_equal(panelled, whole)
+        assert np.array_equal(in_place, whole)
+
+    def test_vector_into_out(self, small_case):
+        _, _, basis = small_case
+        x = np.random.default_rng(5).standard_normal(basis.n)
+        expect = basis.forward(x)
+        assert np.array_equal(basis.cascade.forward(x, out=x), expect)
+        assert np.array_equal(x, expect)
+
+    @pytest.mark.parametrize("bad", [
+        lambda x: np.empty(x.shape[:1]),
+        lambda x: np.empty(x.shape, dtype=np.float32),
+        lambda x: x.tolist(),
+    ], ids=["shape", "dtype", "list"])
+    def test_bad_out_is_an_input_error(self, small_case, bad):
+        _, _, basis = small_case
+        x = np.ones((basis.n, 3))
+        for apply in (basis.cascade.forward, basis.cascade.inverse):
+            with pytest.raises(InputError, match="out must be"):
+                apply(x, out=bad(x))
 
 
 class TestEdgeShapes:

@@ -1,12 +1,13 @@
 """Gram models, dual bases, frame bounds, and coefficient decay."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import lapack
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from test_acceptance import DUAL_IDENTITY_TOL, RAYLEIGH_PAD_FACTOR
 
 from samplets import (
@@ -31,7 +32,7 @@ from samplets import (
     verify_vanishing_moments,
 )
 from samplets import frames
-from samplets.frames import FrameBounds, GramModel
+from samplets.frames import FrameBounds, GramModel, take_dual_samplets
 from samplets.measures import Polynomial, evaluate, primitive_basis
 
 
@@ -465,6 +466,41 @@ class TestAboveTheDenseCutoff:
         doubled = dual_coefficients(model)
         assert np.abs((2.0 * g + 0.5 * np.eye(model.n)) @ doubled - np.eye(model.n)).max() <= 1e-10
         assert not np.array_equal(first, doubled)
+
+    def test_taken_dual_samplets_equal_the_fresh_ones(self, lanczos_case):
+        points, basis = lanczos_case
+        model = _fresh("exponential", points)
+        d = dual_samplet_coefficients(basis, model)
+        inverse = dual_coefficients(model)
+        assert np.array_equal(model._inverse, inverse)  # left intact
+        taken = take_dual_samplets(basis, model)
+        assert np.array_equal(taken, d)
+        assert model._inverse is None
+        assert np.array_equal(dual_coefficients(model), inverse)
+
+    @pytest.mark.parametrize("regularize", [False, True], ids=["plain", "regularized"])
+    def test_bounds_make_no_copy_of_the_matrix(self, lanczos_case, monkeypatch, regularize):
+        # the inverse is the one N x N array made: a shift goes into its
+        # memory, and the upper bound's operator applies G + mu I without a copy
+        points, _ = lanczos_case
+        model = gram_kernel(points, "exponential", 0.5, regularize=regularize)
+        operators = []
+        monkeypatch.setattr(frames, "eigsh", lambda a, **kw: operators.append(a) or eigsh(a, **kw))
+        tracemalloc.start()
+        try:
+            fb = frame_bounds(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * model.n**2
+        if regularize:
+            x = np.random.default_rng(2).standard_normal(model.n)
+            assert np.array_equal(operators[1] @ x, model.matrix @ x + model.mu * x)
+            monkeypatch.undo()
+            w = np.linalg.eigvalsh(model.effective())
+            assert (fb.lower, fb.upper) == pytest.approx((w[0], w[-1]), rel=1e-10)
+        else:
+            assert operators[1] is model.matrix
 
     def test_dual_coefficients_are_a_copy(self, lanczos_case):
         points, _ = lanczos_case

@@ -143,7 +143,7 @@ def test_box_gap_pairs_matches_the_dense_matrix():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 300, 700])
 def test_mirror_upper_matches_the_triangle_sum(n):
-    # 300 and 700 span two and eight row tiles
+    # 300 and 700 end in partial 64 x 64 tiles
     a = np.random.default_rng(n).standard_normal((n, n))
     expect = np.triu(a) + np.triu(a, 1).T
     mirror_upper(a)
