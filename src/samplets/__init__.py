@@ -11,12 +11,7 @@ from .basis import (
     ClusterFilters,
     CompressionReport,
     SampletBasis,
-    assemble_basis,
     build_samplet_basis,
-    cluster_filters,
-    forward_transform,
-    inverse_transform,
-    moment_matrix,
     threshold_compress,
     transform_matrix,
     vanishing_moment_table,
@@ -98,9 +93,7 @@ __all__ = [
     "support_distance",
     "ClusterNode", "ClusterTree", "build_cluster_tree", "fiedler_vector",
     "spectral_bisection",
-    "ClusterFilters", "CompressionReport", "SampletBasis",
-    "assemble_basis", "build_samplet_basis", "cluster_filters",
-    "forward_transform", "inverse_transform", "moment_matrix",
+    "ClusterFilters", "CompressionReport", "SampletBasis", "build_samplet_basis",
     "threshold_compress", "transform_matrix", "vanishing_moment_table",
     "verify_vanishing_moments",
     "DecayReport", "FrameBounds", "GramModel", "Green", "Kernel", "Mass",

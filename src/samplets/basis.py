@@ -12,7 +12,10 @@ orthogonal transform applied in linear time by a two-scale cascade.
 The builder works on buckets of nodes with equal (height, inputs, m_phi):
 one evaluation table for all leaves, one vectorised monomial transfer and
 one stacked matmul per bucket of internal nodes, and one stacked QR per
-bucket, whose stacks the cascade applies as they are.
+bucket, whose stacks the cascade applies as they are. These per-bucket
+(q, r) stacks are the only copy of the filters: the basis keeps them, the
+container stores them, and a node's filters are found by its bucket and
+its slot in that bucket.
 """
 
 import math
@@ -22,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from . import kernels
-from .ctree import ClusterNode, ClusterTree
+from .ctree import ClusterTree
 from .errors import InputError, finite_or_nan
 from .measures import (
     PrimitiveBasis,
@@ -37,7 +40,7 @@ from .measures import (
 
 @dataclass
 class ClusterFilters:
-    """Orthogonal two-scale filters of one cluster.
+    """Orthogonal two-scale filters of one cluster, views into the basis's stacks.
 
     q is the full n x n orthogonal factor; its first m_phi columns are the
     scaling filters, the rest the samplet filters. r is the economy triangular
@@ -47,51 +50,6 @@ class ClusterFilters:
     q: np.ndarray
     r: np.ndarray
     m_phi: int
-
-    @property
-    def q_phi(self):
-        return self.q[:, : self.m_phi]
-
-    @property
-    def q_psi(self):
-        return self.q[:, self.m_phi:]
-
-    @property
-    def n_samplets(self):
-        return self.q.shape[0] - self.m_phi
-
-
-def moment_matrix(cluster, primitives, functionals=None):
-    """Moment matrix of a cluster: primitives applied to its functionals.
-
-    cluster may be a ClusterNode (then the functional set must be passed) or
-    directly a FunctionalSet or an iterable of Functional objects. Returns
-    the (m_P, n) array whose row a, column j holds the j-th functional
-    applied to the a-th primitive monomial.
-    """
-    if isinstance(cluster, ClusterNode):
-        if functionals is None:
-            raise InputError("a ClusterNode cluster needs the functional set")
-        fs, sel = as_functional_set(functionals), cluster.indices
-    else:
-        fs = as_functional_set(cluster)
-        sel = np.arange(len(fs))
-    if fs.dimension != primitives.dimension:
-        raise InputError("functional and primitive dimensions differ")
-    return fs.eval_table(sel, primitives.exponents, primitives.center, primitives.scale)
-
-
-def cluster_filters(moments):
-    """Complete QR of the transposed (m_P, n) moment matrix, signs fixed.
-
-    Column signs are chosen so the triangular factor has a nonnegative
-    diagonal, which makes the filters unique and rebuilds reproducible.
-    """
-    vals = np.asarray(moments, dtype=np.float64)
-    if vals.ndim != 2:
-        raise InputError("moment matrix must be 2d")
-    q, r = _stacked_filters(vals.T[None])
-    return ClusterFilters(q[0], r[0], r.shape[1])
 
 
 def _stacked_filters(mt):
@@ -164,9 +122,9 @@ class SampletBasis:
     transform itself is applied through a linear-time cascade; the dense
     matrix is only materialized on request. stacks[j] is the (q, r) pair of
     bucket j of `_filter_layout`, q of shape (k, nin, nin) and r of shape
-    (k, m_phi, m_P); filters[i] is node i's ClusterFilters, whose q and r are
-    views into them, and the cascade applies the same q stacks: the filters
-    are held once. samplet_clusters[i] is the node owning samplet row i;
+    (k, m_phi, m_P), and the cascade applies the same q stacks: the filters
+    are held once. Node i's filters are slot node_slot[i] of bucket
+    node_bucket[i]. samplet_clusters[i] is the node owning samplet row i;
     the samplets' levels and boxes are read from the tree.
     """
 
@@ -176,7 +134,8 @@ class SampletBasis:
     moment_dim: int
     primitives: PrimitiveBasis
     stacks: list = field(repr=False)
-    filters: list = field(repr=False)
+    node_bucket: np.ndarray = field(repr=False)
+    node_slot: np.ndarray = field(repr=False)
     samplet_clusters: np.ndarray = field(repr=False)
     node_out: np.ndarray = field(repr=False)
     cascade: kernels.Cascade = field(repr=False)
@@ -209,6 +168,12 @@ class SampletBasis:
     def samplet_diameters(self):
         return np.linalg.norm(self.samplet_box_hi - self.samplet_box_lo, axis=1)
 
+    @property
+    def filters(self):
+        """Every node's ClusterFilters, views into the stacks, made on each access."""
+        return [ClusterFilters(self.stacks[b][0][j], self.stacks[b][1][j], self.stacks[b][1].shape[1])
+                for b, j in zip(self.node_bucket.tolist(), self.node_slot.tolist())]
+
     def forward(self, x):
         return self.cascade.forward(x)
 
@@ -219,26 +184,31 @@ class SampletBasis:
         """The full orthogonal matrix, rows ordered as the coefficients."""
         return self.forward(np.eye(self.n))
 
+    def _q(self, node_id):
+        """Node node_id's orthogonal factor q and its number m_phi of scaling outputs."""
+        q, r = self.stacks[self.node_bucket[node_id]]
+        return q[self.node_slot[node_id]], r.shape[1]
+
     def cluster_samplet_range(self, node_id):
         """Coefficient rows [start, stop) owned by one cluster node."""
-        flt = self.filters[node_id]
+        q, m_phi = self._q(node_id)
         start = int(self.node_out[node_id])
-        return start, start + flt.n_samplets
+        return start, start + q.shape[0] - m_phi
 
     def _values(self, node_id, coeff):
         """Values on node node_id's range of perm of a combination of its inputs."""
         c1, c2 = self.tree.child_ids[node_id]
         if c1 < 0:
             return coeff
-        f1, f2 = self.filters[c1], self.filters[c2]
-        return np.concatenate((self._values(c1, f1.q_phi @ coeff[: f1.m_phi]),
-                               self._values(c2, f2.q_phi @ coeff[f1.m_phi:])))
+        (q1, m1), (q2, m2) = self._q(c1), self._q(c2)
+        return np.concatenate((self._values(c1, q1[:, :m1] @ coeff[:m1]),
+                               self._values(c2, q2[:, :m2] @ coeff[m1:])))
 
     def _rows(self, node_id, cols):
         """Positions of a node, ascending, and the rows of its filter columns cols there."""
         idx = self.tree.positions([node_id])
         order = np.argsort(idx)
-        q = self.filters[node_id].q
+        q = self._q(node_id)[0]
         return idx[order], np.array([self._values(node_id, q[:, k])[order] for k in cols])
 
     def samplet_row(self, i):
@@ -250,13 +220,13 @@ class SampletBasis:
         if not 0 <= i < self.n_samplets:
             raise InputError("samplet index out of range")
         node_id = int(self.samplet_clusters[i])
-        col = self.filters[node_id].m_phi + i - int(self.node_out[node_id])
+        col = self._q(node_id)[1] + i - int(self.node_out[node_id])
         idx, rows = self._rows(node_id, [col])
         return idx, rows[0]
 
     def scaling_rows(self, node_id):
         """All scaling rows of a cluster as (positions, matrix m_phi x size)."""
-        return self._rows(node_id, range(self.filters[node_id].m_phi))
+        return self._rows(node_id, range(self._q(node_id)[1]))
 
 
 def build_samplet_basis(functionals, tree, degree):
@@ -348,49 +318,21 @@ def _filter_layout(tree, m_p):
     return nin, m_phi, np.split(order, cuts)
 
 
-def assemble_basis(tree, filters, dimension, degree):
-    """Assemble a SampletBasis from a tree and its per-node filters.
-
-    The list is packed once into the per-bucket stacks that the basis keeps,
-    its filters being views into them. The tree was checked when it was
-    made (see ClusterTree). Built and loaded bases share these checks, which
-    raise InputError unless:
-    - there is one filter per node; q is square with the node's inputs (a
-      leaf's functionals, an internal node's children's scaling outputs),
-      m_phi = min(inputs, m_P) and r is m_phi x m_P;
-    - every q is finite and orthogonal: max|Q^T Q - I| <= 1e-10.
-    Coefficients run by level ascending, preorder within a level, QR column
-    within a node, and end with the root's scaling rows.
-    """
-    nn = tree.sizes.size
-    m_p = moment_dimension(int(dimension), degree)
-    if len(filters) != nn:
-        raise InputError(f"{len(filters)} filters for {nn} cluster nodes")
-    layout = nin, m_phi, ids = _filter_layout(tree, m_p)
-
-    def dims(a):  # rows and columns of a 2d array, -1 for both otherwise
-        return a.shape if a.ndim == 2 else (-1, -1)
-
-    got = np.array([dims(f.q) + (f.m_phi,) + dims(f.r) for f in filters], dtype=np.int64)
-    want = np.stack((nin, nin, m_phi, m_phi, np.full(nn, m_p)), axis=1)
-    bad = np.argwhere(got != want)
-    if bad.size:
-        i, c = bad[0]
-        what = ("number of inputs", "number of columns of a square q", "m_phi",
-                "number of rows of r", "number of columns of r")[c]
-        raise InputError(f"filter of node {i} has {what} {got[i, c]}, expected {want[i, c]}")
-    stacks = [(np.stack([filters[i].q for i in b]), np.stack([filters[i].r for i in b]))
-              for b in ids]
-    return _assemble(tree, layout, stacks, int(dimension), degree)
-
-
 def _assemble(tree, layout, stacks, dimension, degree):
-    """SampletBasis of per-bucket (q, r) stacks with the layout's shapes (see assemble_basis)."""
+    """SampletBasis of a tree and the per-bucket (q, r) stacks of its layout.
+
+    The stacks have the shapes of `_filter_layout`: the builder makes them
+    so, and the loader reads them in those shapes. The tree was checked when
+    it was made (see ClusterTree). Built and loaded bases share the check
+    that every q is finite and orthogonal, max|Q^T Q - I| <= 1e-10, and an
+    InputError names the first node that fails it. Coefficients run by
+    level ascending, preorder within a level, QR column within a node, and
+    end with the root's scaling rows.
+    """
     nn = tree.sizes.size
     m_p = moment_dimension(dimension, degree)
     nin, m_phi, ids = layout
-    filters = [None] * nn
-    for b, (q, r) in zip(ids, stacks):
+    for b, (q, _) in zip(ids, stacks):
         k, n = q.shape[:2]
         # no entry of an orthogonal q exceeds 1 in magnitude (nor does one
         # that passes the test below); checking that first keeps Q^T Q of a
@@ -408,8 +350,9 @@ def _assemble(tree, layout, stacks, dimension, degree):
         j = int(np.argmin(err <= 1e-10))
         if not err[j] <= 1e-10:
             raise InputError(f"filter of node {b[j]} is not orthogonal: max|Q^T Q - I| = {err[j]:.3e}")
-        for j, i in enumerate(b.tolist()):
-            filters[i] = ClusterFilters(q[j], r[j], int(m_phi[i]))
+    node_bucket, node_slot = np.empty(nn, dtype=np.int64), np.empty(nn, dtype=np.int64)
+    for j, b in enumerate(ids):
+        node_bucket[b], node_slot[b] = j, np.arange(b.size)
     # samplet ordering: coarse to fine, preorder inside a level, QR column inside a node
     by_level = np.lexsort((np.arange(nn), tree.levels))
     counts = nin - m_phi
@@ -422,19 +365,9 @@ def _assemble(tree, layout, stacks, dimension, degree):
     return SampletBasis(
         tree=tree, degree=degree, dimension=dimension, moment_dim=m_p,
         primitives=primitive_basis(dimension, degree, SupportBox(tree.box_lo[0], tree.box_hi[0])),
-        stacks=stacks, filters=filters, samplet_clusters=owners, node_out=node_out,
-        cascade=cascade,
+        stacks=stacks, node_bucket=node_bucket, node_slot=node_slot,
+        samplet_clusters=owners, node_out=node_out, cascade=cascade,
     )
-
-
-def forward_transform(basis, x):
-    """Coefficients of data x: samplet coefficients first, root scaling last."""
-    return basis.forward(x)
-
-
-def inverse_transform(basis, c):
-    """Reconstruct data from coefficients; exact inverse of forward_transform."""
-    return basis.inverse(c)
 
 
 def transform_matrix(basis, a):

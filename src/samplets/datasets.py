@@ -19,14 +19,21 @@ def _grid_side(n, dimension):
 
 
 def _uniform_points(n, dimension):
+    """The first n points, last coordinate fastest, of the smallest grid of
+    side**dimension points on [0, 1]^dimension that holds n."""
     if dimension == 1:
         if n < 2:
             raise InputError("uniform-diracs needs at least two points")
         return np.linspace(0.0, 1.0, n)[:, None]
+    # the first n <= 2**(dimension - 1) points of a side-2 grid all have
+    # first coordinate 0; comparing bit lengths first keeps that power small
+    if dimension - 1 >= n.bit_length() or n <= 1 << (dimension - 1):
+        raise InputError(f"uniform-diracs in {dimension} dimensions needs more than "
+                         f"2**{dimension - 1} points")
     side = _grid_side(n, dimension)
-    axes = [np.linspace(0.0, 1.0, side)] * dimension
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return grid.reshape(-1, dimension)[:n]
+    k = np.arange(n)
+    digits = [k // min(side ** (dimension - 1 - j), n) % side for j in range(dimension)]
+    return np.linspace(0.0, 1.0, side)[np.stack(digits, axis=1)]
 
 
 def generate_example(name, n, dimension=1, seed=0):
@@ -44,6 +51,8 @@ def generate_example(name, n, dimension=1, seed=0):
         raise InputError("n must be positive")
     if dimension < 1:
         raise InputError("dimension must be at least 1")
+    if n * dimension > np.iinfo(np.intp).max // 8:
+        raise InputError(f"n = {n} times dimension = {dimension} coordinates are more than one array holds")
     if name == "uniform-diracs":
         return FunctionalSet.diracs(_uniform_points(n, dimension)), None
     if name == "random-diracs":

@@ -12,6 +12,7 @@ its samplet transform, and above a small size the frame bounds are Lanczos
 extremes of the matrix (the upper bound) and of that inverse (the lower).
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,10 +132,13 @@ KERNEL_NAMES = tuple(_KERNELS)
 
 
 def check_length_scale(length_scale):
-    """length_scale as a float; InputError unless it is finite and positive."""
-    if not finite_or_nan(length_scale) > 0.0:
-        raise InputError(f"length_scale must be positive and finite, not {length_scale}")
-    return float(length_scale)
+    """length_scale as a float; InputError unless it is positive and 2 length_scale^2,
+    which the Gaussian kernels divide by, is a finite normal double."""
+    ell = finite_or_nan(length_scale)
+    if not (ell > 0.0 and sys.float_info.min <= 2.0 * ell * ell <= sys.float_info.max):
+        raise InputError(f"length_scale must be positive and finite with 2 * length_scale**2 a "
+                         f"normal double (about 1.06e-154 to 9.48e153), not {length_scale}")
+    return ell
 
 
 def gram_kernel(points, kernel="exponential", length_scale=1.0, regularize=False):

@@ -15,9 +15,11 @@ Which nodes have children follows from the levels, and N, the samplet
 count and the depth follow from the tree, so none of them is stored. The
 loader makes the tree from these arrays (`ClusterTree` checks it), takes
 the filter layout from the tree and reads the filter stacks as read-only
-views of the container bytes, which the basis keeps. It rejects any
-container that it would not write byte for byte; loading and saving again
-reproduces the file.
+views of the container bytes, which the basis keeps as its only copy of
+the filters. It rejects any container that it would not write byte for
+byte; loading and saving again reproduces the file. `read_container`
+returns the loaded basis with the container's checksum; the header's
+dimension and degree are the basis's own.
 """
 
 import csv
@@ -169,12 +171,8 @@ _HEADER = struct.Struct("<8sIQIQ")  # magic, version, dimension, degree, nodes: 
 
 @dataclass
 class BasisContainer:
-    """Parsed container header plus the reconstructed basis."""
+    """A loaded basis and the hex sha256 checksum of its container."""
 
-    version: int
-    n: int
-    dimension: int
-    degree: int
     checksum: str
     basis: SampletBasis
 
@@ -256,14 +254,10 @@ def load_basis(path):
 
 
 def read_container(path):
-    """Load a container and report its header fields alongside the basis."""
+    """Load a container; returns the basis with the container's checksum."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    basis = deserialize_basis(blob)
-    return BasisContainer(
-        version=FORMAT_VERSION, n=basis.n, dimension=basis.dimension,
-        degree=basis.degree, checksum=blob[-32:].hex(), basis=basis,
-    )
+    return BasisContainer(checksum=blob[-32:].hex(), basis=deserialize_basis(blob))

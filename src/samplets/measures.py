@@ -131,19 +131,6 @@ class SupportBox:
         x = _as_point(x)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
-    def contains_box(self, other, tol=0.0):
-        return bool(
-            np.all(other.lower >= self.lower - tol)
-            and np.all(other.upper <= self.upper + tol)
-        )
-
-    def union(self, other):
-        if other.dimension != self.dimension:
-            raise InputError("cannot union boxes of different dimensions")
-        return SupportBox(
-            np.minimum(self.lower, other.lower), np.maximum(self.upper, other.upper)
-        )
-
 
 def box_affine(box):
     """Center and per-coordinate scale mapping the box onto [-1, 1]^d.
@@ -190,16 +177,6 @@ class Polynomial:
         if np.any(self.scale <= 0.0):
             raise InputError("scales must be positive")
 
-    @classmethod
-    def monomial(cls, exponent, center=None, scale=None):
-        exponent = np.atleast_1d(np.asarray(exponent, dtype=np.int64))
-        d = exponent.size
-        if center is None:
-            center = np.zeros(d)
-        if scale is None:
-            scale = np.ones(d)
-        return cls(exponent[None, :], np.ones(1), center, scale)
-
     @property
     def dimension(self):
         return self.exponents.shape[1]
@@ -240,35 +217,6 @@ class Polynomial:
         vals = terms @ (self.coefficients * fac * alive)
         return float(vals[0]) if single else vals
 
-    def _same_frame(self, other):
-        return (
-            np.array_equal(self.center, other.center)
-            and np.array_equal(self.scale, other.scale)
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if not self._same_frame(other):
-            raise InputError("polynomials use different affine frames")
-        return Polynomial(
-            np.vstack((self.exponents, other.exponents)),
-            np.concatenate((self.coefficients, other.coefficients)),
-            self.center,
-            self.scale,
-        )
-
-    def __rmul__(self, alpha):
-        return Polynomial(self.exponents, float(alpha) * self.coefficients, self.center, self.scale)
-
-    __mul__ = __rmul__
-
-    def __neg__(self):
-        return -1.0 * self
-
-    def __sub__(self, other):
-        return self + (-other)
-
 
 def graded_exponents(dimension, degree):
     """Exponent rows of all monomials of total degree <= degree.
@@ -292,7 +240,6 @@ class PrimitiveBasis:
     exponents: np.ndarray = field(repr=False)
     center: np.ndarray = field(repr=False)
     scale: np.ndarray = field(repr=False)
-    elements: list = field(repr=False)
 
     @property
     def size(self):
@@ -320,8 +267,7 @@ def primitive_basis(dimension, degree, box=None):
             raise InputError("box dimension does not match")
         center, scale = box_affine(box)
     exps = graded_exponents(dimension, degree)
-    elements = [Polynomial.monomial(e, center, scale) for e in exps]
-    basis = PrimitiveBasis(dimension, degree, box, exps, center, scale, elements)
+    basis = PrimitiveBasis(dimension, degree, box, exps, center, scale)
     assert basis.size == moment_dimension(dimension, degree)
     return basis
 

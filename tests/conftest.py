@@ -17,6 +17,7 @@ from samplets import (
     EpsilonNeighborhood,
     GaussianSimilarity,
     MutualKNN,
+    Polynomial,
     build_cluster_tree,
     build_samplet_basis,
     generate_example,
@@ -84,6 +85,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                 tr.write_line(f"        {nodeid}")
         else:
             tr.write_line(f"[PASS] criterion {num:02d}: {title}")
+
+
+def monomial(prim, k):
+    """Primitive monomial k of the PrimitiveBasis prim, as a one-term Polynomial."""
+    return Polynomial(prim.exponents[k:k + 1], [1.0], prim.center, prim.scale)
 
 
 @dataclass

@@ -15,7 +15,6 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from samplets import (
-    ClusterFilters,
     EpsilonNeighborhood,
     GaussianSimilarity,
     Atom,
@@ -23,19 +22,14 @@ from samplets import (
     InputError,
     SampletBasis,
     SupportBox,
-    assemble_basis,
     build_cluster_tree,
     build_graph,
     build_samplet_basis,
-    cluster_filters,
     deserialize_basis,
     dirac,
     evaluate,
-    forward_transform,
     generate_example,
-    inverse_transform,
     moment_dimension,
-    moment_matrix,
     primitive_basis,
     serialize_basis,
     threshold_compress,
@@ -43,8 +37,9 @@ from samplets import (
     vanishing_moment_table,
     verify_vanishing_moments,
 )
+from conftest import monomial
 from samplets import kernels
-from samplets.basis import _filter_layout
+from samplets.basis import _assemble, _filter_layout, _stacked_filters
 from samplets.ctree import ClusterNode, ClusterTree
 from samplets.kernels import eval_table
 from samplets.measures import (
@@ -65,16 +60,35 @@ def small_case():
     return functionals, tree, basis
 
 
+def _moment_matrix(functionals, prim):
+    """(m_P, n) table of every functional applied to every primitive monomial."""
+    fs = as_functional_set(functionals)
+    return fs.eval_table(np.arange(len(fs)), prim.exponents, prim.center, prim.scale)
+
+
+def _cluster_filters(moments):
+    """q, r and m_phi of one (m_P, n) moment matrix, from the stacked QR."""
+    q, r = _stacked_filters(np.asarray(moments, dtype=np.float64).T[None])
+    return q[0], r[0], r.shape[1]
+
+
+def _node_filters(basis, node_id):
+    """q, r and m_phi of one node, read from the basis's bucket stacks."""
+    q, r = basis.stacks[basis.node_bucket[node_id]]
+    j = basis.node_slot[node_id]
+    return q[j], r[j], r.shape[1]
+
+
 class TestMomentMatrix:
     def test_three_diracs_against_constant_and_linear(self):
         functionals = [dirac(i, [x]) for i, x in enumerate([0.0, 0.5, 1.0])]
         prim = primitive_basis(1, 1)  # unscaled monomials 1, t
-        mom = moment_matrix(functionals, prim)
+        mom = _moment_matrix(functionals, prim)
         assert mom.tolist() == [[1.0, 1.0, 1.0], [0.0, 0.5, 1.0]]
 
     def test_constant_row_is_all_ones_for_unit_diracs(self):
         functionals = [dirac(i, [x]) for i, x in enumerate(np.linspace(0, 1, 7))]
-        mom = moment_matrix(functionals, primitive_basis(1, 2))
+        mom = _moment_matrix(functionals, primitive_basis(1, 2))
         assert np.array_equal(mom[0], np.ones(7))
 
     def test_weights_fill_the_constant_row(self):
@@ -84,51 +98,45 @@ class TestMomentMatrix:
             Functional(0, [Atom([0.1], 2.0, [0])]),
             Functional(1, [Atom([0.9], -2.0, [0])]),
         ]
-        mom = moment_matrix(functionals, primitive_basis(1, 0))
+        mom = _moment_matrix(functionals, primitive_basis(1, 0))
         assert mom.tolist() == [[2.0, -2.0]]
-
-    def test_cluster_node_form_needs_functionals(self):
-        node = ClusterTree([0, 1], [2], [0], [[0.0]], [[1.0]]).root
-        with pytest.raises(InputError):
-            moment_matrix(node, primitive_basis(1, 1))
 
 
 class TestClusterFilters:
     def test_three_dirac_haar_filter(self):
         functionals = [dirac(i, [x]) for i, x in enumerate([0.0, 0.5, 1.0])]
-        flt = cluster_filters(moment_matrix(functionals, primitive_basis(1, 0)))
-        assert np.allclose(flt.q_phi.ravel(), np.full(3, 1.0 / np.sqrt(3.0)))
+        q, r, m_phi = _cluster_filters(_moment_matrix(functionals, primitive_basis(1, 0)))
+        assert np.allclose(q[:, :m_phi].ravel(), np.full(3, 1.0 / np.sqrt(3.0)))
         # every samplet column is orthogonal to constants: zero entry sum
-        assert np.abs(flt.q_psi.sum(axis=0)).max() <= 1e-14
-        assert flt.m_phi == 1 and flt.n_samplets == 2
-        assert np.allclose(flt.r, [[np.sqrt(3.0)]])
+        assert np.abs(q[:, m_phi:].sum(axis=0)).max() <= 1e-14
+        assert m_phi == 1 and q.shape[0] - m_phi == 2
+        assert np.allclose(r, [[np.sqrt(3.0)]])
 
     def test_square_case_yields_no_samplets(self):
         functionals = [dirac(0, [0.0]), dirac(1, [1.0])]
-        flt = cluster_filters(moment_matrix(functionals, primitive_basis(1, 1)))
-        assert flt.n_samplets == 0
-        assert flt.q_psi.shape == (2, 0)
+        q, _, m_phi = _cluster_filters(_moment_matrix(functionals, primitive_basis(1, 1)))
+        assert q.shape[0] - m_phi == 0
+        assert q[:, m_phi:].shape == (2, 0)
 
     def test_orthogonality_and_triangular_identity(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             m_p, n = int(rng.integers(1, 6)), int(rng.integers(1, 12))
             vals = rng.normal(size=(m_p, n))
-            flt = cluster_filters(vals)
-            q = flt.q
+            q, r, m_phi = _cluster_filters(vals)
             assert np.allclose(q.T @ q, np.eye(n), atol=1e-12)
             rmin = min(m_p, n)
-            assert flt.m_phi == rmin
+            assert m_phi == rmin
             # M Q_phi reproduces the transposed triangular factor, M Q_psi = 0
-            assert np.allclose(vals @ flt.q_phi, flt.r.T, atol=1e-12)
-            if flt.n_samplets:
-                assert np.abs(vals @ flt.q_psi).max() <= 1e-12
-            assert (np.diag(flt.r)[: rmin] >= 0.0).all()
+            assert np.allclose(vals @ q[:, :m_phi], r.T, atol=1e-12)
+            if n > m_phi:
+                assert np.abs(vals @ q[:, m_phi:]).max() <= 1e-12
+            assert (np.diag(r)[: rmin] >= 0.0).all()
 
     def test_deterministic_filters(self):
         vals = np.random.default_rng(5).normal(size=(3, 9))
-        a, b = cluster_filters(vals), cluster_filters(vals)
-        assert np.array_equal(a.q, b.q) and np.array_equal(a.r, b.r)
+        (qa, ra, _), (qb, rb, _) = _cluster_filters(vals), _cluster_filters(vals)
+        assert np.array_equal(qa, qb) and np.array_equal(ra, rb)
 
 
 class TestBuildSampletBasis:
@@ -160,7 +168,8 @@ class TestBuildSampletBasis:
 
     def test_telescoping_row_count(self, small_case):
         functionals, tree, basis = small_case
-        per_node = sum(basis.filters[nd.node_id].n_samplets for nd in tree.nodes)
+        per_node = sum(stop - start for start, stop in map(basis.cluster_samplet_range,
+                                                              range(len(tree.nodes))))
         assert per_node == basis.n_samplets
         assert basis.n_samplets + basis.n_scaling == len(functionals)
         assert basis.n_scaling == moment_dimension(2, 1)
@@ -202,12 +211,6 @@ class TestBuildSampletBasis:
         with pytest.raises(InputError):
             basis.inverse(np.zeros(basis.n - 1))
 
-    def test_module_level_wrappers(self, small_case):
-        _, _, basis = small_case
-        x = np.linspace(0.0, 1.0, basis.n)
-        assert np.array_equal(forward_transform(basis, x), basis.forward(x))
-        assert np.array_equal(inverse_transform(basis, x), basis.inverse(x))
-
 
 def _reference_transfer(exps, child_affine, parent_affine):
     """Parent monomials in child monomials, one binomial expansion per entry."""
@@ -233,7 +236,8 @@ def _reference_transfer(exps, child_affine, parent_affine):
 
 
 def _per_node_build(functionals, tree, degree):
-    """Reference builder: one moment table, transfer pair and QR per cluster node."""
+    """Reference builder: one moment table, transfer pair and QR per cluster node,
+    packed into the bucket stacks at the end."""
     fs = as_functional_set(functionals)
     exps = graded_exponents(fs.dimension, degree)
     nodes = tree.nodes
@@ -255,9 +259,11 @@ def _per_node_build(functionals, tree, degree):
             if r[k, k] < 0.0:
                 q[:, k] = -q[:, k]
                 r[k, :] = -r[k, :]
-        filters[i] = ClusterFilters(q, r[:rmin, :].copy(), rmin)
-        mom_phi[i] = filters[i].r.T.copy()
-    return assemble_basis(tree, filters, fs.dimension, degree)
+        filters[i] = q, r[:rmin, :].copy()
+        mom_phi[i] = filters[i][1].T.copy()
+    layout = _filter_layout(tree, exps.shape[0])
+    stacks = [tuple(np.stack([filters[i][k] for i in b]) for k in (0, 1)) for b in layout[2]]
+    return _assemble(tree, layout, stacks, fs.dimension, degree)
 
 
 def _grid_case(dimension, degree):
@@ -412,15 +418,16 @@ class TestVanishingMoments:
                     idx, rows = basis.scaling_rows(ch.node_id)
                     cols.extend((idx, rows[k]) for k in range(rows.shape[0]))
             direct = np.zeros((prim.size, len(cols)))
-            for a, p in enumerate(prim.elements):
+            for a in range(prim.size):
+                p = monomial(prim, a)
                 pairings = np.array([evaluate(functionals[i], p) for i in range(len(functionals))])
                 for b, (idx, wts) in enumerate(cols):
                     direct[a, b] = wts @ pairings[idx]
-            flt = basis.filters[nd.node_id]
+            q, r, m_phi = _node_filters(basis, nd.node_id)
             scale = max(np.abs(direct).max(), 1.0)
-            assert np.abs(direct @ flt.q_phi - flt.r.T).max() <= 1e-10 * scale
-            if flt.n_samplets:
-                assert np.abs(direct @ flt.q_psi).max() <= 1e-10 * scale
+            assert np.abs(direct @ q[:, :m_phi] - r.T).max() <= 1e-10 * scale
+            if q.shape[0] > m_phi:
+                assert np.abs(direct @ q[:, m_phi:]).max() <= 1e-10 * scale
 
 
 def _per_cluster_scan(basis, functionals, primitives):
@@ -522,7 +529,7 @@ class TestVanishingScan:
     def test_coincident_case_has_zero_width_clusters(self):
         functionals, basis = _scan_case("coincident")
         flat = [nd for nd in basis.tree.nodes
-                if basis.filters[nd.node_id].n_samplets and nd.box.diameter == 0.0]
+                if np.diff(basis.cluster_samplet_range(nd.node_id))[0] and nd.box.diameter == 0.0]
         assert flat
 
     @pytest.mark.parametrize("dimension", [1, 3], ids=["d-1", "d+1"])
@@ -939,28 +946,19 @@ class TestEdgeShapes:
 
 class TestAssembleChecks:
     @pytest.mark.parametrize("change, message", [
-        (lambda f: ClusterFilters(f.q[:-1, :-1], f.r, f.m_phi), "inputs"),
-        (lambda f: ClusterFilters(f.q[:, :-1], f.r, f.m_phi), "square"),
-        (lambda f: ClusterFilters(f.q, f.r, f.m_phi - 1), "m_phi"),
-        (lambda f: ClusterFilters(f.q, f.r[:-1], f.m_phi), "number of rows of r"),
-        (lambda f: ClusterFilters(np.full_like(f.q, np.nan), f.r, f.m_phi), "non-finite"),
-        (lambda f: ClusterFilters(2.0 * f.q, f.r, f.m_phi), "not orthogonal"),
-        (lambda f: ClusterFilters(f.q + 1e-9 * np.eye(f.q.shape[0]), f.r, f.m_phi),
-         "not orthogonal"),
-        (lambda f: ClusterFilters(f.q[:, :, None], f.r, f.m_phi), "filter of node"),
-    ], ids=["size", "square", "m_phi", "r-shape", "nan", "scaled", "perturbed", "3d"])
+        (lambda q: np.full_like(q, np.nan), "has non-finite entries"),
+        (lambda q: 2.0 * q, "is not orthogonal"),
+        (lambda q: q + 1e-9 * np.eye(q.shape[0]), "is not orthogonal"),
+    ], ids=["nan", "scaled", "perturbed"])
     def test_inconsistent_leaf_filter_rejected(self, small_case, change, message):
         _, tree, basis = small_case
         leaf = tree.leaves()[0].node_id
-        filters = list(basis.filters)
-        filters[leaf] = change(filters[leaf])
-        with pytest.raises(InputError, match=message):
-            assemble_basis(tree, filters, basis.dimension, basis.degree)
-
-    def test_filter_count_must_match_the_tree(self, small_case):
-        _, tree, basis = small_case
-        with pytest.raises(InputError, match="filters"):
-            assemble_basis(tree, basis.filters[:-1], basis.dimension, basis.degree)
+        stacks = [(q.copy(), r) for q, r in basis.stacks]
+        q = stacks[basis.node_bucket[leaf]][0]
+        q[basis.node_slot[leaf]] = change(q[basis.node_slot[leaf]])
+        layout = _filter_layout(tree, basis.moment_dim)
+        with pytest.raises(InputError, match=f"filter of node {leaf} {message}"):
+            _assemble(tree, layout, stacks, basis.dimension, basis.degree)
 
     @staticmethod
     def _tree(sizes, levels, n=12):

@@ -65,7 +65,7 @@ def assert_tree_invariants(tree, moment_dim):
         assert c1.size > 0 and c2.size > 0
         for ch in (c1, c2):
             assert ch.box.lower.min() >= nd.box.lower.min() - 1e-12
-            assert nd.box.contains_box(ch.box)
+            assert (ch.box.lower >= nd.box.lower).all() and (ch.box.upper <= nd.box.upper).all()
     assert tree.root.level == 0
     assert tree.root.size == n
     assert tree.depth == max(nd.level for nd in tree.nodes)

@@ -8,6 +8,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import lapack
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from conftest import monomial
 from test_acceptance import DUAL_IDENTITY_TOL, RAYLEIGH_PAD_FACTOR
 
 from samplets import (
@@ -111,7 +112,7 @@ class TestGramMassP1:
         prim = primitive_basis(1, 2)
         for i, f in enumerate(functionals):
             for k in range(3):
-                got = evaluate(f, prim.elements[k])
+                got = evaluate(f, monomial(prim, k))
                 want = _hat_moment(mesh[i], mesh[i + 1], mesh[i + 2], k)
                 assert got == pytest.approx(want, abs=1e-14)
 

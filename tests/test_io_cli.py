@@ -72,10 +72,11 @@ def _with_leaf_q(basis, change):
     leaf = int(np.flatnonzero(basis.tree.child_ids[:, 0] < 0)[0])
     _, _, groups = _filter_layout(basis.tree, basis.moment_dim)
     j = next(j for j, b in enumerate(groups) if leaf in b)
-    nin = basis.filters[leaf].q.shape[0]
-    start = at["q", j] + 8 * nin * nin * int(np.flatnonzero(groups[j] == leaf)[0])
+    slot = int(np.flatnonzero(groups[j] == leaf)[0])
+    nin = basis.stacks[j][0].shape[1]
+    start = at["q", j] + 8 * nin * nin * slot
     q = np.frombuffer(bytes(payload[start:start + 8 * nin * nin]), dtype="<f8").reshape(nin, nin)
-    assert np.array_equal(q, basis.filters[leaf].q)
+    assert np.array_equal(q, basis.stacks[j][0][slot])
     payload[start:start + 8 * nin * nin] = np.ascontiguousarray(change(q), dtype="<f8").tobytes()
     return _resign(bytes(payload))
 
@@ -216,8 +217,8 @@ class TestContainer:
         assert serialize_basis(loaded) == serialize_basis(small_basis)
         container = read_container(path)
         assert container.checksum == checksum
-        assert container.n == small_basis.n
-        assert container.degree == small_basis.degree
+        assert container.basis.n == small_basis.n
+        assert container.basis.degree == small_basis.degree
 
     def test_loaded_tree_matches(self, small_basis):
         loaded = deserialize_basis(serialize_basis(small_basis))
@@ -286,7 +287,9 @@ class TestContainer:
     @pytest.mark.parametrize("change, message", [
         (lambda q: np.full_like(q, np.nan), "non-finite"),
         (lambda q: np.diag(np.arange(2.0, 2.0 + q.shape[0])), "not orthogonal"),
-    ], ids=["nan", "diagonal"])
+        (lambda q: 2.0 * q, "not orthogonal"),
+        (lambda q: q + 1e-9 * np.eye(q.shape[0]), "not orthogonal"),
+    ], ids=["nan", "diagonal", "scaled", "perturbed"])
     def test_non_orthogonal_filter_rejected(self, tmp_path, small_basis, change, message):
         path = tmp_path / "basis.bin"
         path.write_bytes(_with_leaf_q(small_basis, change))
@@ -631,9 +634,16 @@ class TestCliVerbs:
         (["--scheme", "knn", "--scheme-param", "inf"], "", "k must be"),
         (["--scheme", "knn", "--scheme-param", "nan"], "", "k must be"),
         (["--gram", "exponential", "--length-scale", "inf"], "", "length_scale"),
+        # none of these may allocate or loop at the size asked for
+        (["--example", "uniform-diracs", "--n", "100000000000000000000"], "",
+         "more than one array holds"),
+        (["--example", "uniform-diracs", "--n", "64", "--dimension", "40", "--degree", "0"], "",
+         "needs more than 2**39 points"),
+        (["--example", "uniform-diracs", "--n", "64", "--dimension", "100000000000000000000"], "",
+         "more than one array holds"),
     ], ids=["sigma-nan", "gram-bogus", "test-function-bogus", "seed-negative",
             "seed-negative-config", "out-is-a-file", "out-empty-config", "knn-inf", "knn-nan",
-            "length-scale-inf"])
+            "length-scale-inf", "n-1e20", "uniform-dimension-40", "dimension-1e20"])
     def test_bad_settings_rejected_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                      flags, config, message):
         cfgfile = tmp_path / "run.cfg"
@@ -660,6 +670,22 @@ class TestCliVerbs:
                      "--scheme-param", param, "--out", str(tmp_path)])
         assert code == 2
         assert "k must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--scheme", "gaussian", "--scheme-param", "1e300"],
+        ["--gram", "gaussian", "--length-scale", "1e300"],
+        ["--scheme", "gaussian", "--scheme-param", "1e-300"],
+        ["--gram", "gaussian", "--length-scale", "1e-160"],
+        ["--gram", "matern32", "--length-scale", "1e-320"],
+    ], ids=["scheme-1e300", "gram-1e300", "scheme-1e-300", "gram-1e-160", "matern32-1e-320"])
+    def test_length_scale_without_a_normal_square_rejected(self, tmp_path, capsys, flags):
+        # 2 * length_scale**2 overflows or is not a normal double; any
+        # RuntimeWarning on the way fails the test (pyproject filterwarnings)
+        code = main(["build", "--example", "uniform-diracs", "--n", "64",
+                     "--out", str(tmp_path), *flags])
+        assert code == 2
+        assert "length_scale must be positive and finite with 2 * length_scale**2" in \
+            capsys.readouterr().err
 
     def test_missing_basis_is_an_input_error(self, tmp_path):
         code = main(["transform", "--example", "uniform-diracs", "--n", "16",

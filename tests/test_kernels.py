@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import monomial
 from samplets import InputError, primitive_basis
 from samplets.kernels import (
     box_distance_matrix,
@@ -58,11 +59,11 @@ class TestEvalTable:
             packed.points, packed.weights, packed.derivs, packed.offsets,
             sel, prim.exponents, prim.center, prim.scale,
         )
-        assert table.shape == (len(prim.elements), sel.size)
-        for a, poly in enumerate(prim.elements):
+        assert table.shape == (prim.size, sel.size)
+        for a in range(prim.size):
             for j, fi in enumerate(sel):
                 assert table[a, j] == pytest.approx(
-                    evaluate(functionals[fi], poly), abs=1e-12
+                    evaluate(functionals[fi], monomial(prim, a)), abs=1e-12
                 )
 
     def test_one_affine_map_per_functional(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import monomial
 from samplets import (
     Atom,
     Functional,
@@ -27,7 +28,7 @@ from samplets.measures import (
 
 def _monomial(exponent):
     """Unscaled monomial t^exponent in one variable."""
-    return primitive_basis(1, max(exponent, 0)).elements[exponent]
+    return monomial(primitive_basis(1, max(exponent, 0)), exponent)
 
 
 class TestEvaluate:
@@ -60,8 +61,8 @@ class TestEvaluate:
             ]
             f = Functional(0, atoms)
             a, b = rng.normal(), rng.normal()
-            p, r = prim.elements[2], prim.elements[7]
-            combo = (p * a) + (r * b)
+            p, r = monomial(prim, 2), monomial(prim, 7)
+            combo = Polynomial(prim.exponents[[2, 7]], [a, b], prim.center, prim.scale)
             direct = a * evaluate(f, p) + b * evaluate(f, r)
             assert evaluate(f, combo) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
@@ -123,8 +124,9 @@ class TestSupportBox:
         f = Functional(0, [Atom([0.2], 1.0, [0]), Atom([0.7], 1.0, [0])])
         box = support_box(f)
         assert box.diameter == pytest.approx(0.5)
-        other = SupportBox([0.9], [1.1])
-        merged = box.union(other)
+        # the box of the atoms of two functionals is the union of their boxes
+        other = Functional(1, [Atom([0.9], 1.0, [0]), Atom([1.1], 1.0, [0])])
+        merged = support_box(Functional(2, f.atoms + other.atoms))
         assert np.array_equal(merged.lower, [0.2])
         assert np.array_equal(merged.upper, [1.1])
 
@@ -157,7 +159,7 @@ class TestPrimitiveBasis:
     def test_rescaled_to_reference_interval(self):
         box = SupportBox([2.0], [6.0])
         prim = primitive_basis(1, 1, box)
-        t = prim.elements[1]
+        t = monomial(prim, 1)
         # the box endpoints map to -1 and +1
         assert t(np.array([2.0])) == pytest.approx(-1.0)
         assert t(np.array([6.0])) == pytest.approx(1.0)
@@ -170,17 +172,11 @@ class TestPrimitiveBasis:
             primitive_basis(1, -1)
 
 
-class TestPolynomialArithmetic:
+class TestPolynomial:
     def test_monomial_derivative_evaluation(self):
         p = _monomial(3)
         # d^2/dt^2 t^3 = 6t at t = 0.5 -> 3.0
         assert p.deriv_eval(np.array([0.5]), np.array([2])) == pytest.approx(3.0)
-
-    def test_mixed_frames_rejected(self):
-        a = primitive_basis(1, 1).elements[1]
-        b = primitive_basis(1, 1, SupportBox([0.0], [2.0])).elements[1]
-        with pytest.raises(InputError):
-            _ = a + b
 
 
 class TestFunctionalSetArrays:
