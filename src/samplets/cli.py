@@ -1,6 +1,7 @@
 """Command line driver: the verbs are the rows of `_VERBS`, the settings the
 fields of `RunConfig`. Settings come from flags or a key=value config file;
-flags win. Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+flags win. Exit codes: 0 success, 2 invalid input (an input too large to
+allocate included), 3 numerical failure.
 """
 
 import argparse
@@ -26,9 +27,9 @@ from .frames import (
     KERNEL_NAMES,
     check_length_scale,
     decay_report,
+    dual_samplets_and_bounds,
     frame_bounds,
     gram_kernel,
-    take_dual_samplets,
 )
 from .io import (
     ingest_functionals,
@@ -189,13 +190,11 @@ def run_pipeline(cfg):
     """Ingest, build, verify, save, and report; returns a summary dict.
 
     The frame layer holds about two N x N arrays at once, besides one column
-    panel of a transform (kernels.Cascade): G and the model's inverse while
-    the frame bounds are taken (a shift mu goes into the inverse's memory or
-    into a Lanczos operator, never into a copy); then G and the dual
-    samplets D, formed in the inverse's memory once the model gives it up,
-    while U G D - I is formed in one reused buffer of max(512, N/4) columns
-    (G is shifted to G + mu I in place once the model is dropped); then G
-    and one array at a time in _compress_stage.
+    panel of a transform (kernels.Cascade). G is the model's matrix, shift
+    included. One Cholesky factorization gives a fresh G^-1 and the frame
+    bounds, and the dual samplets D overwrite G^-1 (dual_samplets_and_bounds);
+    U G D - I is then formed in one reused buffer of max(512, N/4) columns
+    beside G and D; then G and one array at a time in _compress_stage.
     """
     _check_settings(cfg)
     functionals, example_model = _load_functionals(cfg)
@@ -225,12 +224,9 @@ def run_pipeline(cfg):
         summary["decay_slope"] = rep.slope
         summary["annihilated"] = rep.annihilated
     model = _gram_model(cfg, functionals, example_model)
-    del example_model  # else it would keep the model and its inverse alive
     if model is not None:
-        fb, mu = frame_bounds(model), model.mu
-        dual = take_dual_samplets(basis, model)
-        g = _shifted_in_place(model)
-        del model
+        dual, fb = dual_samplets_and_bounds(basis, model)
+        g = model.matrix
         n, w = basis.n, max(512, basis.n // 4)
         biortho, buf = 0.0, np.empty(n * min(n, w))
         for s in range(0, n, w):
@@ -244,7 +240,7 @@ def run_pipeline(cfg):
         _write_rows(
             frame_path,
             ["lower_bound", "upper_bound", "condition", "mu", "biorthogonality"],
-            [(_fmt(fb.lower), _fmt(fb.upper), _fmt(fb.condition), _fmt(mu), _fmt(biortho))],
+            [(_fmt(fb.lower), _fmt(fb.upper), _fmt(fb.condition), _fmt(model.mu), _fmt(biortho))],
         )
         summary["frame_path"] = frame_path
         summary["frame_lower"] = fb.lower
@@ -269,23 +265,13 @@ def _decay_stage(cfg, basis, functionals, name):
     return path, rep
 
 
-def _shifted_in_place(model):
-    """The model's effective matrix G + mu I, shifted in the memory of G.
-
-    The model's matrix changes under it, so the caller drops the model.
-    """
-    g = model.matrix
-    if model.mu != 0.0:
-        g.flat[:: g.shape[0] + 1] += model.mu
-    return g
-
-
 def _compress_stage(cfg, basis, g):
     """Compress U G U^T at cfg.sigma, write compression.csv, and return the CSR and a summary.
 
-    Two N x N arrays are alive at once, besides the CSR and one column panel
-    of a transform (kernels.Cascade): G and U G U^T, then G and the
-    reconstruction U^T C U, both of whose passes run in place.
+    g is a Gram model's matrix, shift included, and is only read. Two N x N
+    arrays are alive at once, besides the CSR and one column panel of a
+    transform (kernels.Cascade): G and U G U^T, then G and the reconstruction
+    U^T C U, both of whose passes run in place.
     """
     coeff = transform_matrix(basis, g)
     compressed, rep = threshold_compress(coeff, cfg.sigma)
@@ -375,10 +361,8 @@ def _cmd_compress(cfg, args):
         model = _gram_model(cfg, *_load_functionals(cfg, basis))
     if model is None:
         raise InputError("compression needs a Gram model; set --gram")
-    g = _shifted_in_place(model)
-    del model
     os.makedirs(cfg.out, exist_ok=True)
-    compressed, summary = _compress_stage(cfg, basis, g)
+    compressed, summary = _compress_stage(cfg, basis, model.matrix)
     if args.save_matrix:
         from scipy import sparse
 
@@ -479,7 +463,7 @@ def main(argv=None):
         cfg = make_config(args)
         _check_settings(cfg)
         return args.run(cfg, args)
-    except InputError as exc:
+    except (InputError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SampletError as exc:

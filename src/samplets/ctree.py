@@ -636,20 +636,17 @@ def spectral_bisection(cluster, graph):
     halving the value-sorted order, so both parts are always nonempty. This
     is the level solver of `build_cluster_tree` applied to one cluster.
     """
-    node = isinstance(cluster, ClusterNode)
-    idx = cluster.indices if node else np.sort(np.asarray(cluster, dtype=np.int64))
+    if isinstance(cluster, ClusterNode):
+        idx = cluster.indices
+    else:
+        idx = np.sort(np.asarray(cluster, dtype=np.int64))
     if idx.size < 2:
         raise InputError("cannot bisect a cluster with fewer than two functionals")
     if not isinstance(graph, SimilarityGraph):
         raise InputError("graph must be a SimilarityGraph")
     # the solver sees only the cluster's own subgraph
     sub = SimilarityGraph(graph.scheme, graph.subgraph_weights(idx))
-    try:
-        parts, n1 = _LevelSplitter(sub, 0, _new_stats()).split(
-            np.arange(idx.size), np.array([idx.size]))
-    except EigenSolverError as exc:
-        exc.cluster = cluster.node_id if node else None
-        raise
+    parts, n1 = _LevelSplitter(sub, 0, _new_stats()).split(np.arange(idx.size), np.array([idx.size]))
     return idx[parts[:n1[0]]], idx[parts[n1[0]:]]
 
 

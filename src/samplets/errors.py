@@ -17,14 +17,7 @@ class NumericalError(SampletError):
 
 
 class EigenSolverError(NumericalError):
-    """Eigenpair residual above tolerance or solver non-convergence.
-
-    Carries the cluster id when the failure happened inside a tree build.
-    """
-
-    def __init__(self, message, cluster=None):
-        super().__init__(message)
-        self.cluster = cluster
+    """Eigenpair residual above tolerance or solver non-convergence."""
 
 
 class ConditionNumberError(NumericalError):

@@ -2,14 +2,16 @@
 
 A Gram model pairs the functional set with itself through an inner product
 (kernel reproducing kernels, P1 finite element mass matrices, or the Green
-function of the 1d Dirichlet Laplacian). Dual coefficients invert the Gram
-matrix, frame bounds are its extreme eigenvalues, and the decay report
-measures how samplet coefficients of smooth data shrink with cluster size.
+function of the 1d Dirichlet Laplacian). The model is a frozen record whose
+matrix G is the array the frame layer inverts; a Tikhonov shift is already on
+its diagonal, and the model only records it. Dual coefficients are G^-1, the
+dual samplets its samplet transform, and the frame bounds G's extreme
+eigenvalues. The decay report measures how samplet coefficients of smooth data
+shrink with cluster size.
 
-Each model keeps one inverse of its effective matrix, from one Cholesky
-factorization. The dual coefficients are that inverse, the dual samplets are
-its samplet transform, and above a small size the frame bounds are Lanczos
-extremes of the matrix (the upper bound) and of that inverse (the lower).
+The frame functions hold no state: each call factors G once (Cholesky) into a
+fresh inverse. Above a small size the frame bounds are Lanczos extremes of G
+(the upper bound) and of that inverse (the lower).
 """
 
 import sys
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.spatial.distance import cdist
 
 from .errors import ConditionNumberError, EigenSolverError, InputError, NumericalError, finite_or_nan
@@ -61,43 +63,33 @@ class Green:
     description: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class GramModel:
     """Symmetric positive definite pairing of a functional set with itself.
 
-    matrix must be a finite, real, square and symmetric array; it is checked
-    whenever it is assigned. The inverse of the effective matrix (one
-    Cholesky factorization) and its extreme eigenvalues are computed once,
-    on first use, and kept until matrix or mu is reassigned (the inverse
-    also until take_dual_samplets takes it); changing matrix entries in
-    place is not detected.
+    matrix is the array the frame layer inverts: finite, real, square and
+    symmetric, checked and stored as float64 on construction. mu records the
+    Tikhonov shift that is already on matrix's diagonal (gram_kernel with
+    regularize); nothing adds it again. The record is frozen and the frame
+    functions only read matrix.
     """
 
     matrix: np.ndarray
     provenance: object
     mu: float = 0.0
 
-    def __setattr__(self, name, value):
-        if name == "matrix":
-            value = _gram_matrix(value)
-        elif name == "mu" and not finite_or_nan(value) >= 0.0:
-            raise InputError(f"regularization shift must be finite and nonnegative, not {value}")
-        super().__setattr__(name, value)
-        if name in ("matrix", "mu"):
-            super().__setattr__("_extremes", None)
-            super().__setattr__("_inverse", None)
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _gram_matrix(self.matrix))
+        if not finite_or_nan(self.mu) >= 0.0:
+            raise InputError(f"regularization shift must be finite and nonnegative, not {self.mu}")
 
     @property
     def n(self):
         return self.matrix.shape[0]
 
     def effective(self):
-        """The matrix actually inverted: Gram plus the recorded shift."""
-        if self.mu == 0.0:
-            return self.matrix
-        g = self.matrix.copy()
-        g.flat[:: self.n + 1] += self.mu
-        return g
+        """The matrix the frame layer inverts: matrix, shift included."""
+        return self.matrix
 
 
 def _gram_matrix(value):
@@ -121,11 +113,22 @@ def _matern32(r, ell):
     return t
 
 
+def gaussian_in_place(r, ell):
+    """exp(-(r**2) / (2 ell**2)) written over the distances r, with that formula's bits.
+
+    The square and the quotient may overflow to inf, whose exp is 0, the
+    correctly rounded value, so that overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        np.divide(np.square(r, out=r), -(2.0 * ell**2), out=r)
+    return np.exp(r, out=r)
+
+
 # each kernel overwrites the distances r, with the bits of exp(-r / ell),
 # exp(-(r**2) / (2 ell**2)) and (1 + sqrt3 r / ell) exp(-sqrt3 r / ell)
 _KERNELS = {
     "exponential": lambda r, ell: np.exp(np.divide(r, -ell, out=r), out=r),
-    "gaussian": lambda r, ell: np.exp(np.divide(np.square(r, out=r), -(2.0 * ell**2), out=r), out=r),
+    "gaussian": gaussian_in_place,
     "matern32": _matern32,
 }
 KERNEL_NAMES = tuple(_KERNELS)
@@ -144,10 +147,11 @@ def check_length_scale(length_scale):
 def gram_kernel(points, kernel="exponential", length_scale=1.0, regularize=False):
     """Kernel Gram matrix of Dirac functionals at pairwise distinct points.
 
-    kernel is one of KERNEL_NAMES. With regularize a Tikhonov shift
-    mu = 1e-12 * trace(G) / N is recorded on the model for nearly coincident points.
-    The kernel is evaluated in place on the distance matrix, so the model's
-    matrix is the one N x N array made.
+    kernel is one of KERNEL_NAMES. With regularize the Tikhonov shift
+    mu = 1e-12 * trace(G) / N, for nearly coincident points, is added to the
+    diagonal in place and recorded on the model. The kernel is evaluated in
+    place on the distance matrix, so the model's matrix is the one N x N
+    array made.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.ndim != 2 or points.size == 0:
@@ -162,6 +166,8 @@ def gram_kernel(points, kernel="exponential", length_scale=1.0, regularize=False
         raise InputError("kernel Gram matrix needs pairwise distinct points")
     g = _KERNELS[kernel](cdist(points, points), length_scale)
     mu = 1e-12 * float(np.trace(g)) / g.shape[0] if regularize else 0.0
+    if mu:
+        g.flat[:: g.shape[0] + 1] += mu
     return GramModel(g, Kernel(kernel, length_scale), mu)
 
 
@@ -219,60 +225,6 @@ def gram_green_1d(points):
     return GramModel(g, Green("dirichlet laplacian on (0, 1)"))
 
 
-def _spd_inverse(model):
-    """Inverse of the model's effective matrix, read-only, from one Cholesky factorization.
-
-    Raises NumericalError unless the factorization succeeds.
-    """
-    if model._inverse is None:
-        g = model.effective()
-        # g.T is g (symmetric) in Fortran order, so LAPACK takes it without a
-        # transposed copy; a shifted g is a fresh array that may be overwritten
-        c, info = lapack.dpotrf(g.T, lower=True, overwrite_a=g is not model.matrix)
-        if info > 0:
-            raise NumericalError(
-                f"Gram matrix is not positive definite (leading minor {info} of {model.n})"
-            )
-        c, info = lapack.dpotri(c, lower=True, overwrite_c=True)
-        if info != 0:
-            raise NumericalError(f"Gram inverse failed with info {info}")
-        inverse = c.T  # C order, the inverse in its upper triangle
-        mirror_upper(inverse)
-        inverse.flags.writeable = False
-        model._inverse = inverse
-    return model._inverse
-
-
-def _lanczos_max(a, v0):
-    try:
-        return float(eigsh(a, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
-    except ArpackError as exc:  # ArpackNoConvergence included
-        raise EigenSolverError(f"ARPACK failed on a frame bound: {exc}") from None
-
-
-def _spd_extremes(model):
-    """Smallest and largest eigenvalue of the model's effective matrix.
-
-    Raises NumericalError unless it is positive definite.
-    """
-    if model._extremes is None:
-        if model.n <= _DENSE_CUTOFF:
-            w = np.linalg.eigvalsh(model.effective())
-            if not w[0] > 0.0:
-                raise NumericalError(f"Gram matrix is not positive definite (lambda_min = {w[0]:.3e})")
-            model._extremes = (float(w[0]), float(w[-1]))
-        else:
-            inverse = _spd_inverse(model)
-            v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(model.n)
-            g, mu = model.matrix, model.mu
-            # G + mu I as an operator, so no shifted copy sits next to the inverse
-            shifted = g if mu == 0.0 else LinearOperator(g.shape, matvec=lambda x: g @ x + mu * x,
-                                                         dtype=np.float64)
-            # Ritz values lie inside the spectrum: both bounds err inward only
-            model._extremes = (1.0 / _lanczos_max(inverse, v0), _lanczos_max(shifted, v0))
-    return model._extremes
-
-
 @dataclass(frozen=True)
 class FrameBounds:
     """Extreme eigenvalues of a Gram matrix: lower and upper frame constants."""
@@ -285,60 +237,86 @@ class FrameBounds:
         return self.upper / self.lower
 
 
+def _lanczos_max(a, v0):
+    try:
+        return float(eigsh(a, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+    except ArpackError as exc:  # ArpackNoConvergence included
+        raise EigenSolverError(f"ARPACK failed on a frame bound: {exc}") from None
+
+
+def _factored(model, capped):
+    """A fresh G^-1 from one Cholesky factorization of G = model.matrix, and G's FrameBounds.
+
+    Up to _DENSE_CUTOFF the bounds are the ends of the dense spectrum, above
+    it Lanczos extremes of G^-1 (the lower) and of G (the upper). Raises
+    NumericalError unless G is positive definite and, if capped,
+    ConditionNumberError (with the estimate) when the bounds' ratio exceeds
+    1e12.
+    """
+    g, n = model.matrix, model.n
+    # g.T is g (symmetric) in Fortran order, so LAPACK takes it without a
+    # transposed copy; the factor goes into a fresh array
+    c, info = lapack.dpotrf(g.T, lower=True)
+    if info > 0:
+        raise NumericalError(f"Gram matrix is not positive definite (leading minor {info} of {n})")
+    c, info = lapack.dpotri(c, lower=True, overwrite_c=True)
+    if info != 0:
+        raise NumericalError(f"Gram inverse failed with info {info}")
+    inverse = c.T  # C order, the inverse in its upper triangle
+    mirror_upper(inverse)
+    if n <= _DENSE_CUTOFF:
+        w = np.linalg.eigvalsh(g)
+        if not w[0] > 0.0:
+            raise NumericalError(f"Gram matrix is not positive definite (lambda_min = {w[0]:.3e})")
+        bounds = FrameBounds(float(w[0]), float(w[-1]))
+    else:
+        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+        # Ritz values lie inside the spectrum: both bounds err inward only
+        bounds = FrameBounds(1.0 / _lanczos_max(inverse, v0), _lanczos_max(g, v0))
+    if capped and bounds.condition > _COND_CAP:
+        raise ConditionNumberError(
+            f"Gram condition estimate {bounds.condition:.3e} above cap {_COND_CAP:.1e}",
+            estimate=bounds.condition,
+        )
+    return inverse, bounds
+
+
 def frame_bounds(model):
     """Frame bounds of the Gram model; rejects non positive definite input."""
-    return FrameBounds(*_spd_extremes(model))
-
-
-def _capped_inverse(model):
-    lo, hi = _spd_extremes(model)
-    cond = hi / lo
-    if cond > _COND_CAP:
-        raise ConditionNumberError(
-            f"Gram condition estimate {cond:.3e} above cap {_COND_CAP:.1e}",
-            estimate=cond,
-        )
-    return _spd_inverse(model)
+    return _factored(model, capped=False)[1]
 
 
 def dual_coefficients(model):
-    """Coefficient matrix of the canonical dual basis: the Gram inverse.
+    """Coefficient matrix of the canonical dual basis: the Gram inverse, a fresh array.
 
     Column j expresses the j-th dual element in the original functional
     coordinates. Raises ConditionNumberError (with the estimate) when the
     eigenvalue ratio exceeds 1e12.
     """
-    return _capped_inverse(model).copy()
+    return _factored(model, capped=True)[0]
+
+
+def dual_samplets_and_bounds(basis, model):
+    """dual_samplet_coefficients and frame_bounds of one Cholesky factorization.
+
+    G^-1 is symmetric, so D = G^-1 U^T = (U G^-1)^T, and U G^-1 is formed in
+    the inverse's memory, one column panel at a time (kernels.Cascade): G and
+    D are the only N x N arrays alive once the transform is done.
+    """
+    if model.n != basis.n:
+        raise InputError("Gram model size does not match the basis")
+    inverse, bounds = _factored(model, capped=True)
+    return basis.cascade.forward(inverse, out=inverse).T, bounds
 
 
 def dual_samplet_coefficients(basis, model):
     """Dual samplet basis coefficients D solving G D = U^T.
 
     U is the samplet transform; column i of D expresses the dual of samplet
-    i in the original functional coordinates, so U G D = I. G^-1 is
-    symmetric, so D = G^-1 U^T = (U G^-1)^T: one transform of the inverse.
-    D is a fresh array and the model keeps its inverse, so three N x N
-    arrays are alive: G, G^-1 and D, besides one column panel of the
-    transform (kernels.Cascade).
+    i in the original functional coordinates, so U G D = I. Raises
+    ConditionNumberError as dual_coefficients does.
     """
-    if model.n != basis.n:
-        raise InputError("Gram model size does not match the basis")
-    return basis.forward(_capped_inverse(model)).T
-
-
-def take_dual_samplets(basis, model):
-    """dual_samplet_coefficients, formed in the memory of the model's Gram inverse.
-
-    The model gives that inverse up (a later use factors its matrix again),
-    and U G^-1 overwrites it one column panel at a time, so only G and D are
-    alive once the transform is done.
-    """
-    if model.n != basis.n:
-        raise InputError("Gram model size does not match the basis")
-    inverse = _capped_inverse(model)
-    model._inverse = None
-    inverse.flags.writeable = True
-    return basis.cascade.forward(inverse, out=inverse).T
+    return dual_samplets_and_bounds(basis, model)[0]
 
 
 @dataclass

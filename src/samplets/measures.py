@@ -224,8 +224,14 @@ def graded_exponents(dimension, degree):
     Graded order: total degree first, then within a degree the first
     coordinate dominates, so for d=2 the order is 1, t1, t2, t1^2, t1 t2, ...
     """
-    combos = itertools.product(range(degree + 1), repeat=dimension)
-    kept = [c for c in combos if sum(c) <= degree]
+    # a multiset of degree picks from 0..dimension is one monomial: pick i > 0
+    # raises coordinate i by one, pick 0 lowers the total degree
+    kept = []
+    for picks in itertools.combinations_with_replacement(range(dimension + 1), degree):
+        row = [0] * (dimension + 1)
+        for i in picks:
+            row[i] += 1
+        kept.append(tuple(row[1:]))
     kept.sort(key=lambda c: (sum(c), c[::-1]))
     return np.array(kept, dtype=np.int64).reshape(len(kept), dimension)
 

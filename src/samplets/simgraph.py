@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 from . import kernels
 from .errors import InputError, finite_or_nan
-from .frames import check_length_scale
+from .frames import check_length_scale, gaussian_in_place
 from .measures import as_functional_set
 
 _GAUSSIAN_LIMIT = 16384
@@ -145,8 +145,7 @@ class SimilarityGraph:
 
 
 def _build_gaussian(lo, hi, scheme):
-    dist = kernels.box_distance_matrix(lo, hi)
-    return np.exp(-(dist**2) / (2.0 * scheme.length_scale**2))
+    return gaussian_in_place(kernels.box_distance_matrix(lo, hi), scheme.length_scale)
 
 
 def _build_sparse_epsilon(lo, hi, centers, radii, scheme):

@@ -6,12 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
-from samplets import cli, load_basis
+from samplets import cli, frames, load_basis
 from samplets.basis import threshold_compress, transform_matrix
 from samplets.cli import RunConfig, run_pipeline
-from samplets.frames import GramModel, dual_samplet_coefficients, frame_bounds, gram_kernel
+from samplets.frames import dual_samplet_coefficients, frame_bounds, gram_kernel
 
 SIGMA = 1e-6
 _SQRT3 = np.sqrt(3.0)
@@ -55,15 +56,7 @@ def test_pipeline_matches_the_whole_array_formulas(tmp_path, monkeypatch, gram, 
             return seen[name]
         monkeypatch.setattr(cli, name, spy)
 
-    def gram_model(*args):
-        # run_pipeline shifts the model's matrix in place once it drops the
-        # model, so the Gram matrix is copied as it was made
-        made = real_gram_model(*args)
-        seen["_gram_model"] = GramModel(made.matrix.copy(), made.provenance, made.mu)
-        return made
-
-    real_gram_model = cli._gram_model
-    monkeypatch.setattr(cli, "_gram_model", gram_model)
+    keep("_gram_model", cli._gram_model)
     keep("threshold_compress", threshold_compress)
     summary = run_pipeline(_config(gram, regularize, tmp_path))
     model = seen["_gram_model"]
@@ -73,10 +66,12 @@ def test_pipeline_matches_the_whole_array_formulas(tmp_path, monkeypatch, gram, 
         assert model.mu == 0.0
         assert np.array_equal(model.matrix, np.minimum(x[:, None], x[None, :]) - x[:, None] * x[None, :])
     else:
+        # the shift, if any, is on the diagonal; run_pipeline only reads the matrix
         formula = _FORMULAS[gram](cdist(functionals.points, functionals.points), _LENGTH_SCALES[gram])
-        assert np.array_equal(model.matrix, formula)
         fresh = gram_kernel(functionals.points, gram, _LENGTH_SCALES[gram], regularize)
         assert model.mu == fresh.mu and (model.mu > 0.0) == regularize
+        formula[np.diag_indices(len(formula))] += model.mu
+        assert np.array_equal(model.matrix, formula)
 
     basis = load_basis(summary["basis_path"])
     g = model.effective()
@@ -106,12 +101,27 @@ def test_pipeline_matches_the_whole_array_formulas(tmp_path, monkeypatch, gram, 
     assert float(_row(summary["compression_path"])["reconstruction_error"]) == error
 
 
+def test_pipeline_factors_the_gram_matrix_once(tmp_path, monkeypatch):
+    # the frame bounds and the dual samplets come from one Cholesky factorization
+    calls = []
+    dpotrf = lapack.dpotrf
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return dpotrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dpotrf", counting)
+    summary = run_pipeline(_config("exponential", False, tmp_path))
+    assert summary["n"] > frames._DENSE_CUTOFF
+    assert calls == [(summary["n"], summary["n"])]
+
+
 @pytest.mark.parametrize("regularize", [False, True], ids=["plain", "regularized"])
 def test_pipeline_peak_memory(tmp_path, regularize):
     # about two N x N arrays (G and the inverse, G and the dual samplets, G and
     # the compression's one array), the biorthogonality buffer of 512 columns
     # and one column panel of a transform: its output and the cascade's work
-    # rows. A shift goes in place and costs nothing
+    # rows. A shift is on G's diagonal from the start and costs nothing
     n = 1024
     cfg = _config("exponential", regularize, tmp_path, n=n)
     tracemalloc.start()

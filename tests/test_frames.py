@@ -1,7 +1,9 @@
 """Gram models, dual bases, frame bounds, and coefficient decay."""
 
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from samplets import (
     verify_vanishing_moments,
 )
 from samplets import frames
-from samplets.frames import FrameBounds, GramModel, take_dual_samplets
+from samplets.frames import FrameBounds, GramModel, dual_samplets_and_bounds
 from samplets.measures import Polynomial, evaluate, primitive_basis
 
 
@@ -69,9 +71,25 @@ class TestGramKernel:
             gram_kernel(np.array([[0.3], [0.3]]), "exponential", 1.0)
 
     def test_regularization_shift_is_recorded(self):
-        model = gram_kernel(np.array([[0.0], [1.0]]), "exponential", 1.0, regularize=True)
-        assert model.mu > 0.0
-        assert np.allclose(model.effective(), model.matrix + model.mu * np.eye(2))
+        # the shift is on the diagonal of the matrix the model holds, bit for
+        # bit the plain matrix plus mu, and effective() is that matrix
+        points = np.random.default_rng(4).random((40, 2))
+        for kernel in ("exponential", "gaussian", "matern32"):
+            plain = gram_kernel(points, kernel, 0.3).matrix
+            model = gram_kernel(points, kernel, 0.3, regularize=True)
+            assert model.mu == 1e-12 * float(np.trace(plain)) / 40 > 0.0
+            shifted = plain.copy()
+            shifted[np.diag_indices(40)] += model.mu
+            assert np.array_equal(model.matrix, shifted)
+            assert not np.array_equal(model.matrix, plain)
+            assert model.effective() is model.matrix
+
+    def test_tiny_gaussian_length_scale_does_not_warn(self):
+        # r**2 / (2 ell**2) overflows to inf, and exp(-inf) = 0 is exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = gram_kernel(np.array([[0.0], [10.0]]), "gaussian", 1.1e-154)
+        assert model.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(InputError):
@@ -193,10 +211,6 @@ class TestGramModel:
     def test_non_numeric_shift_rejected(self):
         with pytest.raises(InputError, match="regularization shift"):
             GramModel(np.eye(2), "t", mu="x")
-        model = GramModel(np.eye(2), "t")
-        with pytest.raises(InputError, match="regularization shift"):
-            model.mu = None
-        assert model.mu == 0.0
 
     @pytest.mark.parametrize("shape", [(0, 0), (3,), (2, 3)])
     def test_empty_or_non_square_matrix_rejected(self, shape):
@@ -209,12 +223,13 @@ class TestGramModel:
         with pytest.raises(InputError, match="symmetric"):
             GramModel(g, "test")
 
-    def test_asymmetric_reassignment_rejected_and_model_kept(self):
+    @pytest.mark.parametrize("field", ["matrix", "provenance", "mu"])
+    def test_fields_are_frozen(self, field):
         model = GramModel(np.diag([2.0, 0.5]), "test")
-        assert frame_bounds(model) == FrameBounds(0.5, 2.0)
-        with pytest.raises(InputError, match="symmetric"):
-            model.matrix = np.array([[2.0, 0.1], [0.0, 0.5]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, field, np.eye(2) if field == "matrix" else 1.0)
         assert model.matrix.tolist() == [[2.0, 0.0], [0.0, 0.5]]
+        assert (model.provenance, model.mu) == ("test", 0.0)
         assert frame_bounds(model) == FrameBounds(0.5, 2.0)
 
     def test_rounding_level_asymmetry_accepted(self):
@@ -301,42 +316,6 @@ def kernel_basis_64():
     return functionals, model, basis
 
 
-class TestSpectrumCache:
-    def test_one_eigvalsh_for_bounds_and_dual_samplets(self, kernel_basis_64, monkeypatch):
-        _, model, basis = kernel_basis_64
-        model = GramModel(model.matrix, model.provenance)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        fb = frame_bounds(model)
-        d = dual_samplet_coefficients(basis, model)
-        assert calls == [(basis.n, basis.n)]
-        assert fb == frame_bounds(model)
-        assert np.abs(basis.forward(model.matrix @ d) - np.eye(basis.n)).max() <= 1e-8
-
-    def test_reassigned_matrix_or_shift_is_not_stale(self):
-        model = GramModel(np.diag([2.0, 0.5]), "test")
-        assert frame_bounds(model) == FrameBounds(0.5, 2.0)
-        model.mu = 1.0
-        assert frame_bounds(model) == FrameBounds(1.5, 3.0)
-        model.matrix = np.diag([4.0, 1.0])
-        assert frame_bounds(model) == FrameBounds(2.0, 5.0)
-        model.matrix = -np.eye(2)
-        with pytest.raises(NumericalError):
-            frame_bounds(model)
-
-    def test_failed_spectrum_is_not_cached(self):
-        model = GramModel(-np.eye(2), "test")
-        for _ in range(2):
-            with pytest.raises(NumericalError):
-                dual_coefficients(model)
-
-
 _LANCZOS_N = 240
 
 
@@ -368,11 +347,6 @@ def lanczos_case():
     return functionals.points, basis
 
 
-def _fresh(name, points):
-    model = _LARGE_MODELS[name](points)
-    return GramModel(model.matrix, model.provenance, model.mu)
-
-
 class TestAboveTheDenseCutoff:
     @pytest.fixture(autouse=True)
     def _no_eigvalsh(self, monkeypatch):
@@ -384,7 +358,7 @@ class TestAboveTheDenseCutoff:
     @pytest.mark.parametrize("name", sorted(_LARGE_MODELS))
     def test_bounds_match_the_dense_spectrum(self, lanczos_case, name, monkeypatch):
         points, _ = lanczos_case
-        model = _fresh(name, points)
+        model = _LARGE_MODELS[name](points)
         fb = frame_bounds(model)
         monkeypatch.undo()
         w = np.linalg.eigvalsh(model.matrix)
@@ -394,7 +368,7 @@ class TestAboveTheDenseCutoff:
     @pytest.mark.parametrize("name", sorted(_LARGE_MODELS))
     def test_rayleigh_sandwich(self, lanczos_case, name):
         points, _ = lanczos_case
-        model = _fresh(name, points)
+        model = _LARGE_MODELS[name](points)
         fb = frame_bounds(model)
         g = model.effective()
         x = np.random.default_rng(0x707).standard_normal((model.n, 1000))
@@ -407,7 +381,7 @@ class TestAboveTheDenseCutoff:
     @pytest.mark.parametrize("name", sorted(_LARGE_MODELS))
     def test_dual_identities(self, lanczos_case, name):
         points, basis = lanczos_case
-        model = _fresh(name, points)
+        model = _LARGE_MODELS[name](points)
         g = model.effective()
         c = dual_coefficients(model)
         assert np.abs(g @ c - np.eye(model.n)).max() <= DUAL_IDENTITY_TOL
@@ -418,7 +392,7 @@ class TestAboveTheDenseCutoff:
     @pytest.mark.parametrize("name", sorted(_LARGE_MODELS))
     def test_bounds_are_deterministic(self, lanczos_case, name):
         points, _ = lanczos_case
-        assert frame_bounds(_fresh(name, points)) == frame_bounds(_fresh(name, points))
+        assert frame_bounds(_LARGE_MODELS[name](points)) == frame_bounds(_LARGE_MODELS[name](points))
 
     def test_regularized_model(self, lanczos_case, monkeypatch):
         points, basis = lanczos_case
@@ -432,9 +406,10 @@ class TestAboveTheDenseCutoff:
         w = np.linalg.eigvalsh(g)
         assert (fb.lower, fb.upper) == pytest.approx((w[0], w[-1]), rel=1e-10)
 
-    def test_one_factorization_per_model_state(self, lanczos_case, monkeypatch):
+    def test_each_frame_call_factors_once(self, lanczos_case, monkeypatch):
         points, basis = lanczos_case
-        model = _fresh("exponential", points)
+        model = _LARGE_MODELS["exponential"](points)
+        before = model.matrix.copy()
         calls = []
         dpotrf = lapack.dpotrf
 
@@ -443,46 +418,20 @@ class TestAboveTheDenseCutoff:
             return dpotrf(a, *args, **kwargs)
 
         monkeypatch.setattr(lapack, "dpotrf", counting)
-        frame_bounds(model)
-        dual_samplet_coefficients(basis, model)
-        dual_coefficients(model)
-        assert calls == [(model.n, model.n)]
-        model.mu = 0.5
-        frame_bounds(model)
-        dual_coefficients(model)
-        assert len(calls) == 2
-
-    def test_reassigned_shift_or_matrix_drops_the_inverse(self, lanczos_case):
-        points, _ = lanczos_case
-        model = _fresh("exponential", points)
-        g = model.matrix
-        first = dual_coefficients(model)
-        assert model._inverse is not None
-        model.mu = 0.5
-        assert model._inverse is None and model._extremes is None
-        shifted = dual_coefficients(model)
-        assert np.abs((g + 0.5 * np.eye(model.n)) @ shifted - np.eye(model.n)).max() <= 1e-10
-        model.matrix = 2.0 * g
-        assert model._inverse is None and model._extremes is None
-        doubled = dual_coefficients(model)
-        assert np.abs((2.0 * g + 0.5 * np.eye(model.n)) @ doubled - np.eye(model.n)).max() <= 1e-10
-        assert not np.array_equal(first, doubled)
-
-    def test_taken_dual_samplets_equal_the_fresh_ones(self, lanczos_case):
-        points, basis = lanczos_case
-        model = _fresh("exponential", points)
+        fb = frame_bounds(model)
         d = dual_samplet_coefficients(basis, model)
-        inverse = dual_coefficients(model)
-        assert np.array_equal(model._inverse, inverse)  # left intact
-        taken = take_dual_samplets(basis, model)
-        assert np.array_equal(taken, d)
-        assert model._inverse is None
-        assert np.array_equal(dual_coefficients(model), inverse)
+        c = dual_coefficients(model)
+        assert calls == [(model.n, model.n)] * 3
+        both = dual_samplets_and_bounds(basis, model)
+        assert len(calls) == 4
+        assert both[1] == fb and np.array_equal(both[0], d)
+        assert np.array_equal(d, basis.forward(c).T)
+        assert np.array_equal(model.matrix, before)  # only read
 
     @pytest.mark.parametrize("regularize", [False, True], ids=["plain", "regularized"])
     def test_bounds_make_no_copy_of_the_matrix(self, lanczos_case, monkeypatch, regularize):
-        # the inverse is the one N x N array made: a shift goes into its
-        # memory, and the upper bound's operator applies G + mu I without a copy
+        # the inverse is the one N x N array made, and the upper bound's
+        # operator is the model's matrix itself, shift included
         points, _ = lanczos_case
         model = gram_kernel(points, "exponential", 0.5, regularize=regularize)
         operators = []
@@ -494,18 +443,15 @@ class TestAboveTheDenseCutoff:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * model.n**2
-        if regularize:
-            x = np.random.default_rng(2).standard_normal(model.n)
-            assert np.array_equal(operators[1] @ x, model.matrix @ x + model.mu * x)
-            monkeypatch.undo()
-            w = np.linalg.eigvalsh(model.effective())
-            assert (fb.lower, fb.upper) == pytest.approx((w[0], w[-1]), rel=1e-10)
-        else:
-            assert operators[1] is model.matrix
+        assert operators[1] is model.matrix
+        assert (model.mu > 0.0) == regularize
+        monkeypatch.undo()
+        w = np.linalg.eigvalsh(model.matrix)
+        assert (fb.lower, fb.upper) == pytest.approx((w[0], w[-1]), rel=1e-10)
 
     def test_dual_coefficients_are_a_copy(self, lanczos_case):
         points, _ = lanczos_case
-        model = _fresh("exponential", points)
+        model = _LARGE_MODELS["exponential"](points)
         c = dual_coefficients(model)
         c[:] = 0.0
         assert np.abs(model.matrix @ dual_coefficients(model) - np.eye(model.n)).max() <= 1e-8
@@ -514,7 +460,7 @@ class TestAboveTheDenseCutoff:
     @pytest.mark.parametrize("call", ["frame_bounds", "dual_coefficients", "dual_samplets"])
     def test_not_positive_definite_rejected(self, lanczos_case, kind, call):
         points, basis = lanczos_case
-        g = _fresh("exponential", points).matrix.copy()
+        g = _LARGE_MODELS["exponential"](points).matrix.copy()
         if kind == "indefinite":
             g -= 0.011 * np.eye(len(g))  # lambda_min is 0.0101 before the shift
         elif kind == "semidefinite":
@@ -530,11 +476,10 @@ class TestAboveTheDenseCutoff:
         for _ in range(2):
             with pytest.raises(NumericalError, match="not positive definite"):
                 run()
-            assert model._inverse is None and model._extremes is None
 
     def test_arpack_failure_is_an_eigensolver_error(self, lanczos_case, monkeypatch):
         points, _ = lanczos_case
-        model = _fresh("exponential", points)
+        model = _LARGE_MODELS["exponential"](points)
 
         def stalled(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((model.n, 0)))
@@ -542,7 +487,6 @@ class TestAboveTheDenseCutoff:
         monkeypatch.setattr(frames, "eigsh", stalled)
         with pytest.raises(EigenSolverError, match="ARPACK"):
             frame_bounds(model)
-        assert model._extremes is None
 
 
 class TestDualSamplets:

@@ -687,6 +687,14 @@ class TestCliVerbs:
         assert "length_scale must be positive and finite with 2 * length_scale**2" in \
             capsys.readouterr().err
 
+    def test_input_too_large_to_allocate_exits_two(self, tmp_path, capsys):
+        # 10**15 points need 7.11 PiB, so the first allocation fails at once
+        code = main(["build", "--example", "uniform-diracs", "--n", "1000000000000000",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "PiB" in err
+
     def test_missing_basis_is_an_input_error(self, tmp_path):
         code = main(["transform", "--example", "uniform-diracs", "--n", "16",
                      "--out", str(tmp_path)])

@@ -1,6 +1,8 @@
 """Functionals, support boxes, and the primitive polynomial space."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -155,6 +157,27 @@ class TestPrimitiveBasis:
         exps = graded_exponents(2, 2)
         expected = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
         assert [tuple(e) for e in exps] == expected
+
+    def test_graded_exponents_equal_the_product_filter(self):
+        def product_filter(dimension, degree):
+            # all of (degree + 1)^dimension exponent tuples, then the graded ones
+            combos = itertools.product(range(degree + 1), repeat=dimension)
+            kept = [c for c in combos if sum(c) <= degree]
+            kept.sort(key=lambda c: (sum(c), c[::-1]))
+            return np.array(kept, dtype=np.int64).reshape(len(kept), dimension)
+
+        for d in range(1, 7):
+            for q in range(0, 5):
+                got = graded_exponents(d, q)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, product_filter(d, q)), (d, q)
+
+    def test_graded_exponents_in_high_dimension_are_fast(self):
+        start = time.perf_counter()
+        exps = graded_exponents(40, 1)
+        assert time.perf_counter() - start < 0.1
+        assert exps.shape == (41, 40)
+        assert np.array_equal(exps[1:], np.eye(40, dtype=np.int64))
 
     def test_rescaled_to_reference_interval(self):
         box = SupportBox([2.0], [6.0])

@@ -1,6 +1,7 @@
 """Support distances, similarity schemes, and the graph Laplacian."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,22 @@ class TestBuildGraph:
         functionals = self._random_diracs(10, 1, 2)
         w = build_graph(functionals, GaussianSimilarity(0.1)).weights
         assert isinstance(w, np.ndarray) and w.shape == (10, 10)
+
+    def test_gaussian_weights_equal_the_whole_array_formula(self):
+        # the kernel is evaluated in place on the box distances, with the bits
+        # of the formula the graph build used before
+        functionals = as_functional_set(_wide_boxes(80, 2, 7))
+        lo, hi = functionals.boxes()
+        dist = box_distance_matrix(lo, hi)
+        w = build_graph(functionals, GaussianSimilarity(0.15)).weights
+        assert np.array_equal(w, np.exp(-(dist**2) / (2.0 * 0.15**2)))
+
+    def test_tiny_length_scale_does_not_warn(self):
+        # d**2 / (2 ell**2) overflows to inf, and exp(-inf) = 0 is exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = build_graph(_line_diracs([0.0, 10.0, 20.0]), GaussianSimilarity(1.1e-154)).weights
+        assert np.array_equal(w, np.eye(3))
 
     @pytest.mark.parametrize(
         "scheme", [EpsilonNeighborhood(0.12), MutualKNN(6)], ids=["epsilon", "knn"]
