@@ -58,18 +58,13 @@ from .io import (
     serialize_basis,
 )
 from .measures import (
-    Atom,
-    Functional,
     FunctionalSet,
     Polynomial,
     PrimitiveBasis,
     SupportBox,
     analysis_vector,
-    dirac,
-    evaluate,
     moment_dimension,
     primitive_basis,
-    support_box,
 )
 from .simgraph import (
     EpsilonNeighborhood,
@@ -78,19 +73,15 @@ from .simgraph import (
     SimilarityGraph,
     build_graph,
     laplacian_from_weights,
-    similarity,
-    support_distance,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "Functional", "FunctionalSet", "Polynomial", "PrimitiveBasis",
-    "SupportBox", "analysis_vector", "dirac", "evaluate", "moment_dimension",
-    "primitive_basis", "support_box",
+    "FunctionalSet", "Polynomial", "PrimitiveBasis", "SupportBox",
+    "analysis_vector", "moment_dimension", "primitive_basis",
     "EpsilonNeighborhood", "GaussianSimilarity", "MutualKNN",
-    "SimilarityGraph", "build_graph", "laplacian_from_weights", "similarity",
-    "support_distance",
+    "SimilarityGraph", "build_graph", "laplacian_from_weights",
     "ClusterNode", "ClusterTree", "build_cluster_tree", "fiedler_vector",
     "spectral_bisection",
     "ClusterFilters", "CompressionReport", "SampletBasis", "build_samplet_basis",

@@ -234,7 +234,7 @@ def build_samplet_basis(functionals, tree, degree):
 
     Parameters
     ----------
-    functionals : FunctionalSet or Functional list matching the tree indices
+    functionals : FunctionalSet matching the tree indices
     tree : ClusterTree over the same functionals
     degree : vanishing moment degree q; samplets annihilate all polynomials
         of total degree <= q
@@ -450,8 +450,8 @@ def verify_vanishing_moments(basis, functionals, primitives=None):
     clusters, samplets and primitives is returned; it is zero in exact
     arithmetic. The cost is one forward transform per tree level.
 
-    primitives defaults to the basis's own; their dimension must match the
-    basis.
+    functionals is the FunctionalSet the basis was built on. primitives
+    defaults to the basis's own; their dimension must match the basis.
     """
     return float(_vanishing_scan(basis, functionals, primitives)[2].max(initial=0.0))
 

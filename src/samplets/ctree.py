@@ -655,7 +655,7 @@ def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
 
     Parameters
     ----------
-    functionals : FunctionalSet or sequence of Functional
+    functionals : FunctionalSet
     scheme : similarity scheme used to build the graph (ignored when a
         prebuilt graph is passed)
     leaf_max : clusters at most this large stop splitting

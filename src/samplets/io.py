@@ -122,7 +122,7 @@ def ingest_functionals(path):
 
 
 def write_functionals_csv(path, functionals):
-    """Write functionals in the atom CSV format read by ingest_functionals."""
+    """Write a FunctionalSet in the atom CSV format read by ingest_functionals."""
     fs = as_functional_set(functionals)
     d = fs.dimension
     header = ["id"] + [f"x{k + 1}" for k in range(d)] + ["weight"]

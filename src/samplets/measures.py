@@ -4,11 +4,11 @@ A functional is a finite list of atoms (point, weight, derivative multi-index)
 and acts on a smooth function v as the sum of weight * (D^deriv v)(point).
 Dirac evaluations, divided differences and quadrature rules are all of this
 form. A FunctionalSet holds n functionals as flat, read-only atom arrays,
-validated once; every stage works on it. Functional and Atom build single
-functionals by hand and are the element views of a set; a list of them is
-packed into a set once, where it enters the library. The primitive space
-against which samplets gain vanishing moments is the space of polynomials
-up to a fixed total degree, in coordinates affinely rescaled to a box.
+validated once; it is the one representation every stage and every public
+entry point takes, and its constructor is how a set is built by hand. The
+primitive space against which samplets gain vanishing moments is the space
+of polynomials up to a fixed total degree, in coordinates affinely rescaled
+to a box.
 """
 
 import itertools
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError
-from .kernels import falling_factorial_table
 
 
 def moment_dimension(dimension, degree):
@@ -38,60 +37,29 @@ def _as_point(x, name="point"):
     return x
 
 
+# Element views that indexing and iterating a FunctionalSet give, made
+# without validation. No library stage reads them; perfbench reads
+# f.atoms[0].point and fs[0].dimension through them, and they can go once it
+# reads fs.points and fs.dimension.
 @dataclass(slots=True)
 class Atom:
-    """One summand of a functional: weight times a point derivative evaluation."""
+    """One atom of a functional: weight times a point derivative evaluation."""
 
     point: np.ndarray
     weight: float
-    deriv: np.ndarray = None
-
-    def __post_init__(self):
-        self.point = _as_point(self.point)
-        self.weight = float(self.weight)
-        if not np.isfinite(self.weight):
-            raise InputError("atom weight must be finite")
-        if self.deriv is None:
-            self.deriv = np.zeros(self.point.size, dtype=np.int64)
-        else:
-            self.deriv = np.atleast_1d(np.asarray(self.deriv, dtype=np.int64))
-        if self.deriv.shape != self.point.shape:
-            raise InputError("derivative multi-index must match the point dimension")
-        if np.any(self.deriv < 0):
-            raise InputError("derivative orders must be nonnegative")
-
-    @property
-    def dimension(self):
-        return self.point.size
+    deriv: np.ndarray
 
 
 @dataclass(slots=True)
 class Functional:
-    """A compactly supported functional given by finitely many atoms."""
+    """One functional of a FunctionalSet: its id and its atoms."""
 
     id: int
     atoms: tuple
 
-    def __post_init__(self):
-        self.id = int(self.id)
-        self.atoms = tuple(self.atoms)
-        if not self.atoms:
-            raise InputError(f"functional {self.id} has no atoms")
-        d = self.atoms[0].dimension
-        for a in self.atoms:
-            if not isinstance(a, Atom):
-                raise InputError("atoms must be Atom instances")
-            if a.dimension != d:
-                raise InputError(f"functional {self.id} mixes atom dimensions")
-
     @property
     def dimension(self):
-        return self.atoms[0].dimension
-
-
-def dirac(fid, point):
-    """Point evaluation functional."""
-    return Functional(fid, (Atom(point, 1.0),))
+        return self.atoms[0].point.size
 
 
 @dataclass(frozen=True)
@@ -123,14 +91,6 @@ class SupportBox:
     def halfwidth(self):
         return 0.5 * (self.upper - self.lower)
 
-    @property
-    def diameter(self):
-        return float(np.linalg.norm(self.upper - self.lower))
-
-    def contains(self, x, tol=0.0):
-        x = _as_point(x)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
 
 def box_affine(box):
     """Center and per-coordinate scale mapping the box onto [-1, 1]^d.
@@ -146,12 +106,6 @@ def corner_affine(lower, upper):
     """box_affine of boxes given by corner arrays of shape (..., d), e.g. one row per box."""
     half = 0.5 * (upper - lower)
     return 0.5 * (lower + upper), np.where(half > 0.0, half, 1.0)
-
-
-def support_box(functional):
-    """Smallest axis-aligned box containing all atom points of the functional."""
-    lo, hi = as_functional_set([functional]).boxes()
-    return SupportBox(lo[0], hi[0])
 
 
 @dataclass
@@ -180,42 +134,6 @@ class Polynomial:
     @property
     def dimension(self):
         return self.exponents.shape[1]
-
-    @property
-    def degree(self):
-        return int(self.exponents.sum(axis=1).max())
-
-    def _scaled(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        x = np.atleast_2d(x)
-        if x.shape[1] != self.dimension:
-            raise InputError(
-                f"point dimension {x.shape[1]} does not match polynomial dimension {self.dimension}"
-            )
-        return (x - self.center) / self.scale, single
-
-    def __call__(self, x):
-        u, single = self._scaled(x)
-        vals = (u[:, None, :] ** self.exponents[None, :, :]).prod(axis=-1) @ self.coefficients
-        return float(vals[0]) if single else vals
-
-    def deriv_eval(self, x, nu):
-        """Evaluate the mixed partial derivative D^nu of the polynomial at x."""
-        nu = np.atleast_1d(np.asarray(nu, dtype=np.int64))
-        if nu.size != self.dimension or np.any(nu < 0):
-            raise InputError("derivative multi-index must be nonnegative and match dimension")
-        if not nu.any():
-            return self(x)
-        u, single = self._scaled(x)
-        ff = falling_factorial_table(max(int(self.exponents.max()), int(nu.max())))
-        e = self.exponents
-        alive = (nu[None, :] <= e).all(axis=1)
-        red = np.maximum(e - nu[None, :], 0)
-        fac = ff[e, nu[None, :]].prod(axis=1) / np.prod(self.scale ** nu)
-        terms = (u[:, None, :] ** red[None, :, :]).prod(axis=-1)
-        vals = terms @ (self.coefficients * fac * alive)
-        return float(vals[0]) if single else vals
 
 
 def graded_exponents(dimension, degree):
@@ -278,20 +196,8 @@ def primitive_basis(dimension, degree, box=None):
     return basis
 
 
-def evaluate(functional, p):
-    """Apply the functional to a polynomial: sum of weight * (D^deriv p)(point)."""
-    if p.dimension != functional.dimension:
-        raise InputError(
-            f"functional dimension {functional.dimension} does not match polynomial dimension {p.dimension}"
-        )
-    total = 0.0
-    for a in functional.atoms:
-        total += a.weight * p.deriv_eval(a.point, a.deriv)
-    return float(total)
-
-
 def analysis_vector(functionals, v):
-    """Apply every functional to a test function v, returning one value each.
+    """Apply every functional of a FunctionalSet to a test function v, one value each.
 
     v may be a Polynomial (evaluated with one eval_table call), a plain
     callable of a coordinate array (enough when no atom carries
@@ -321,10 +227,22 @@ def analysis_vector(functionals, v):
 
 
 def _frozen(values, dtype, what):
+    """A read-only copy of values as dtype; int64 fields take integral numbers only."""
     try:
-        arr = np.array(values, dtype=dtype)
+        arr = np.array(values, dtype=None if dtype is np.int64 else dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what}: {exc}") from None
+    if dtype is np.int64 and arr.dtype != np.int64:
+        # no cast below sees a value it would wrap, truncate or warn about
+        if arr.dtype.kind not in "iuf":
+            raise InputError(f"{what} must be integers within int64, not {arr.dtype} values")
+        if arr.dtype.kind == "f":
+            bad = ~np.isfinite(arr) | (arr != np.trunc(arr)) | (arr < -2.0**63) | (arr >= 2.0**63)
+        else:
+            bad = arr > np.iinfo(np.int64).max
+        if bad.any():
+            raise InputError(f"{what} must be integers within int64, not {arr[bad].flat[0]}")
+        arr = arr.astype(np.int64)
     arr.flags.writeable = False
     return arr
 
@@ -334,10 +252,12 @@ class FunctionalSet:
 
     Rows offsets[i]:offsets[i+1] of points (A, d), weights (A,) and derivs
     (A, d) are the atoms of functional i, whose id is ids[i]. The arrays
-    are copied and validated once: finite points and weights, nonnegative
-    derivative orders, one dimension d >= 1 and at least one atom per
-    functional and one functional. fs[i] and iteration give Functional and
-    Atom views over the arrays, built without validating again.
+    are copied and validated once: finite points and weights, derivative
+    orders, offsets and ids that are integers within int64 (integral floats
+    are taken as such), nonnegative derivative orders, one dimension d >= 1
+    and at least one atom per functional and one functional. fs[i] and
+    iteration give Functional and Atom views over the arrays, built without
+    validating again.
     """
 
     def __init__(self, points, weights, derivs, offsets, ids):
@@ -383,7 +303,7 @@ class FunctionalSet:
         return self._views(0, len(self))
 
     def _views(self, start, stop):
-        """Functional and Atom views of positions start..stop-1, skipping __post_init__."""
+        """Functional and Atom views of positions start..stop-1, made without validation."""
         new = object.__new__
         bounds = self.offsets[start:stop + 1].tolist()
         s0, e0 = bounds[0], bounds[-1]
@@ -398,16 +318,6 @@ class FunctionalSet:
             f.id, f.atoms = fid, tuple(atoms[s - s0:e - s0])
             yield f
 
-    def index(self, f):
-        """First position of a functional equal to f: same id and the same atoms."""
-        size = np.diff(self.offsets)
-        for i in np.flatnonzero((self.ids == f.id) & (size == len(f.atoms))):
-            s = self.offsets[i]
-            if all(np.array_equal(self.points[s + t], a.point) and self.weights[s + t] == a.weight
-                   and np.array_equal(self.derivs[s + t], a.deriv) for t, a in enumerate(f.atoms)):
-                return int(i)
-        raise InputError(f"functional {f.id} does not belong to the set")
-
     def boxes(self):
         """Per-functional support box corners as (lo, hi) arrays of shape (n, d)."""
         starts = self.offsets[:-1]
@@ -421,16 +331,7 @@ class FunctionalSet:
 
 
 def as_functional_set(functionals):
-    """A FunctionalSet as it is, or a sequence of Functional packed once into one."""
-    if isinstance(functionals, FunctionalSet):
-        return functionals
-    flist = list(functionals)
-    if not all(isinstance(f, Functional) for f in flist):
-        raise InputError("functionals must be Functional instances")
-    atoms = [a for f in flist for a in f.atoms]
-    if len({a.point.size for a in atoms}) > 1:
-        raise InputError("functionals mix dimensions")
-    return FunctionalSet(
-        [a.point for a in atoms], [a.weight for a in atoms], [a.deriv for a in atoms],
-        np.cumsum([0] + [len(f.atoms) for f in flist]), [f.id for f in flist],
-    )
+    """The FunctionalSet itself; anything else is an InputError."""
+    if not isinstance(functionals, FunctionalSet):
+        raise InputError(f"functionals must be a FunctionalSet, not {type(functionals).__name__}")
+    return functionals

@@ -1,12 +1,14 @@
 """Similarity graphs on functional supports.
 
-Vertices are functionals, edge weights come from the Euclidean distance
-between their support boxes (zero once the boxes intersect). Three schemes
-are provided: a hard epsilon neighborhood, mutual k nearest neighbors
+Vertices are the functionals of a FunctionalSet, edge weights come from the
+Euclidean distance between their support boxes (zero once the boxes
+intersect). Three schemes are provided: a hard epsilon neighborhood (weight
+1 for a distance strictly below eps), mutual k nearest neighbors
 (symmetrized with OR, ties broken by ascending functional index), and a
-Gaussian weight. Epsilon and kNN graphs are sparse CSR matrices found by a
-KD tree candidate search with exact box distances; Gaussian weights are all
-positive, so that graph is a dense matrix. The graph Laplacian L = D - W
+Gaussian weight. build_graph is the only way to evaluate a scheme, for the
+whole set at once. Epsilon and kNN graphs are sparse CSR matrices found by
+a KD tree candidate search with exact box distances; Gaussian weights are
+all positive, so that graph is a dense matrix. The graph Laplacian L = D - W
 drives the spectral splits of the cluster tree; it never depends on
 self-similarity entries because the diagonal cancels in D - W.
 """
@@ -56,52 +58,6 @@ class GaussianSimilarity:
 
     def __post_init__(self):
         check_length_scale(self.length_scale)
-
-
-def support_distance(f, g):
-    """Euclidean distance between the support boxes of two functionals."""
-    lo, hi = as_functional_set([f, g]).boxes()
-    return float(kernels.box_gap_pairs(lo, hi, [0], [1])[0])
-
-
-def _knn_neighbor_sets(lo, hi, k, rows=None):
-    """k nearest neighbors by box distance of the given rows (all by default).
-
-    The functional itself is excluded, and ties are resolved toward the
-    smaller functional index by the stable sort.
-    """
-    n = lo.shape[0]
-    k = min(k, n - 1)
-    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-    every = np.tile(np.arange(n), rows.size)
-    dist = kernels.box_gap_pairs(lo, hi, np.repeat(rows, n), every).reshape(rows.size, n)
-    dist[np.arange(rows.size), rows] = np.inf
-    return np.argsort(dist, axis=1, kind="stable")[:, :k]
-
-
-def similarity(f, g, scheme, functionals=None):
-    """Similarity of two functionals under the given scheme.
-
-    MutualKNN needs the surrounding functional set to determine neighbor
-    membership; pass it via the functionals argument. f and g are found in
-    it by id and atoms (FunctionalSet.index), so views and copies work.
-    """
-    if isinstance(scheme, GaussianSimilarity):
-        d = support_distance(f, g)
-        return float(np.exp(-d * d / (2.0 * scheme.length_scale**2)))
-    if isinstance(scheme, EpsilonNeighborhood):
-        return 1.0 if support_distance(f, g) < scheme.eps else 0.0
-    if isinstance(scheme, MutualKNN):
-        if functionals is None:
-            raise InputError("MutualKNN similarity needs the full functional set")
-        fs = as_functional_set(functionals)
-        i, j = fs.index(f), fs.index(g)
-        if i == j:
-            return 0.0
-        lo, hi = fs.boxes()
-        nbr_i, nbr_j = _knn_neighbor_sets(lo, hi, scheme.k, rows=[i, j])
-        return 1.0 if (j in nbr_i) or (i in nbr_j) else 0.0
-    raise InputError(f"unknown similarity scheme {scheme!r}")
 
 
 def laplacian_from_weights(weights):
@@ -216,7 +172,7 @@ def _build_sparse_knn(lo, hi, centers, radii, scheme):
 
 
 def build_graph(functionals, scheme):
-    """Similarity graph over the functional set.
+    """Similarity graph over a FunctionalSet.
 
     Epsilon and kNN weights are sparse CSR matrices; Gaussian weights are a
     dense array, which limits that scheme to 16384 functionals.

@@ -15,6 +15,7 @@ from hypothesis import settings
 
 from samplets import (
     EpsilonNeighborhood,
+    FunctionalSet,
     GaussianSimilarity,
     MutualKNN,
     Polynomial,
@@ -24,6 +25,7 @@ from samplets import (
     gram_kernel,
     moment_dimension,
 )
+from samplets.kernels import falling_factorial_table
 
 # Property tests draw the same examples on every run, keep no example
 # database, and have no per-example deadline, which a busy host would trip.
@@ -92,6 +94,51 @@ def monomial(prim, k):
     return Polynomial(prim.exponents[k:k + 1], [1.0], prim.center, prim.scale)
 
 
+def pack(functionals):
+    """A FunctionalSet from (id, atoms) pairs, each atom (point, weight) or
+    (point, weight, deriv); derivative orders default to zero."""
+    atoms = [a for _, fa in functionals for a in fa]
+    return FunctionalSet(
+        [np.atleast_1d(np.asarray(a[0], dtype=np.float64)) for a in atoms],
+        [a[1] for a in atoms],
+        [a[2] if len(a) > 2 else np.zeros(np.size(a[0]), dtype=np.int64) for a in atoms],
+        np.cumsum([0] + [len(fa) for _, fa in functionals]),
+        [fid for fid, _ in functionals],
+    )
+
+
+def diracs_1d(xs):
+    """Unit point evaluations at the 1d points xs, ids 0..n-1."""
+    return FunctionalSet.diracs(np.reshape(np.asarray(xs, dtype=np.float64), (-1, 1)))
+
+
+def dirac(fid, point):
+    """The (id, atoms) pair of a unit point evaluation, for pack."""
+    return fid, [(point, 1.0)]
+
+
+def deriv_eval(p, x, nu):
+    """The mixed partial derivative D^nu of the Polynomial p at the point x."""
+    nu = np.asarray(nu, dtype=np.int64)
+    u = (np.asarray(x, dtype=np.float64) - p.center) / p.scale
+    e = p.exponents
+    ff = falling_factorial_table(max(int(e.max()), int(nu.max())))
+    alive = (nu <= e).all(axis=1)
+    fac = ff[e, nu].prod(axis=1) / np.prod(p.scale ** nu)
+    return float((u ** np.maximum(e - nu, 0)).prod(axis=1) @ (p.coefficients * fac * alive))
+
+
+def evaluate(fs, p):
+    """Every functional of the FunctionalSet fs applied to the Polynomial p,
+    atom by atom: the sum of weight * (D^deriv p)(point). The reference for
+    eval_table and analysis_vector."""
+    out = np.zeros(len(fs))
+    owner = np.repeat(np.arange(len(fs)), np.diff(fs.offsets))
+    for i, x, w, nu in zip(owner, fs.points, fs.weights, fs.derivs):
+        out[i] += w * deriv_eval(p, x, nu)
+    return out
+
+
 @dataclass
 class BasisCase:
     """One functional set with a shared cluster tree and per-degree bases."""
@@ -99,7 +146,7 @@ class BasisCase:
     key: str
     dimension: int
     n: int
-    functionals: list
+    functionals: FunctionalSet
     scheme: object
     leaf_max: int
     tree: object
@@ -165,8 +212,7 @@ def case_kernel_256():
     """Uniform Diracs N = 256 with an exponential-kernel Gram model."""
     case = _make_case("kernel256", "uniform-diracs", 256, 1, 0,
                       EpsilonNeighborhood(2.5 / 255), 16)
-    points = np.array([f.atoms[0].point for f in case.functionals])
-    case.gram = gram_kernel(points, "exponential", 1.0)
+    case.gram = gram_kernel(case.functionals.points, "exponential", 1.0)
     return case
 
 

@@ -17,8 +17,6 @@ from scipy.sparse import csgraph
 from samplets import (
     EpsilonNeighborhood,
     GaussianSimilarity,
-    Atom,
-    Functional,
     InputError,
     SampletBasis,
     SupportBox,
@@ -26,8 +24,6 @@ from samplets import (
     build_graph,
     build_samplet_basis,
     deserialize_basis,
-    dirac,
-    evaluate,
     generate_example,
     moment_dimension,
     primitive_basis,
@@ -37,7 +33,7 @@ from samplets import (
     vanishing_moment_table,
     verify_vanishing_moments,
 )
-from conftest import monomial
+from conftest import diracs_1d, evaluate, monomial, pack
 from samplets import kernels
 from samplets.basis import _assemble, _filter_layout, _stacked_filters
 from samplets.ctree import ClusterNode, ClusterTree
@@ -45,7 +41,6 @@ from samplets.kernels import eval_table
 from samplets.measures import (
     Polynomial,
     analysis_vector,
-    as_functional_set,
     box_affine,
     graded_exponents,
 )
@@ -60,9 +55,8 @@ def small_case():
     return functionals, tree, basis
 
 
-def _moment_matrix(functionals, prim):
+def _moment_matrix(fs, prim):
     """(m_P, n) table of every functional applied to every primitive monomial."""
-    fs = as_functional_set(functionals)
     return fs.eval_table(np.arange(len(fs)), prim.exponents, prim.center, prim.scale)
 
 
@@ -81,30 +75,25 @@ def _node_filters(basis, node_id):
 
 class TestMomentMatrix:
     def test_three_diracs_against_constant_and_linear(self):
-        functionals = [dirac(i, [x]) for i, x in enumerate([0.0, 0.5, 1.0])]
+        functionals = diracs_1d([0.0, 0.5, 1.0])
         prim = primitive_basis(1, 1)  # unscaled monomials 1, t
         mom = _moment_matrix(functionals, prim)
         assert mom.tolist() == [[1.0, 1.0, 1.0], [0.0, 0.5, 1.0]]
 
     def test_constant_row_is_all_ones_for_unit_diracs(self):
-        functionals = [dirac(i, [x]) for i, x in enumerate(np.linspace(0, 1, 7))]
+        functionals = diracs_1d(np.linspace(0, 1, 7))
         mom = _moment_matrix(functionals, primitive_basis(1, 2))
         assert np.array_equal(mom[0], np.ones(7))
 
     def test_weights_fill_the_constant_row(self):
-        from samplets import Atom, Functional
-
-        functionals = [
-            Functional(0, [Atom([0.1], 2.0, [0])]),
-            Functional(1, [Atom([0.9], -2.0, [0])]),
-        ]
+        functionals = pack([(0, [([0.1], 2.0, [0])]), (1, [([0.9], -2.0, [0])])])
         mom = _moment_matrix(functionals, primitive_basis(1, 0))
         assert mom.tolist() == [[2.0, -2.0]]
 
 
 class TestClusterFilters:
     def test_three_dirac_haar_filter(self):
-        functionals = [dirac(i, [x]) for i, x in enumerate([0.0, 0.5, 1.0])]
+        functionals = diracs_1d([0.0, 0.5, 1.0])
         q, r, m_phi = _cluster_filters(_moment_matrix(functionals, primitive_basis(1, 0)))
         assert np.allclose(q[:, :m_phi].ravel(), np.full(3, 1.0 / np.sqrt(3.0)))
         # every samplet column is orthogonal to constants: zero entry sum
@@ -113,7 +102,7 @@ class TestClusterFilters:
         assert np.allclose(r, [[np.sqrt(3.0)]])
 
     def test_square_case_yields_no_samplets(self):
-        functionals = [dirac(0, [0.0]), dirac(1, [1.0])]
+        functionals = diracs_1d([0.0, 1.0])
         q, _, m_phi = _cluster_filters(_moment_matrix(functionals, primitive_basis(1, 1)))
         assert q.shape[0] - m_phi == 0
         assert q[:, m_phi:].shape == (2, 0)
@@ -151,7 +140,7 @@ class TestBuildSampletBasis:
 
     def test_square_root_cluster_emits_only_scaling_rows(self):
         # N equal to the moment dimension: the whole basis is scaling rows
-        functionals = [dirac(i, [x]) for i, x in enumerate([0.0, 0.5, 1.0])]
+        functionals = diracs_1d([0.0, 0.5, 1.0])
         tree = ClusterTree(np.arange(3), [3], [0], [[0.0]], [[1.0]])
         basis = build_samplet_basis(functionals, tree, 2)  # m_P = 3 = N
         assert basis.n_samplets == 0
@@ -161,7 +150,7 @@ class TestBuildSampletBasis:
         assert verify_vanishing_moments(basis, functionals) == 0.0
 
     def test_leaf_smaller_than_moment_dimension_rejected(self):
-        functionals = [dirac(i, [x]) for i, x in enumerate([0.0, 0.5, 1.0])]
+        functionals = diracs_1d([0.0, 0.5, 1.0])
         tree = ClusterTree(np.arange(3), [3], [0], [[0.0]], [[1.0]])
         with pytest.raises(InputError):
             build_samplet_basis(functionals, tree, 3)  # m_P = 4 > 3
@@ -235,10 +224,9 @@ def _reference_transfer(exps, child_affine, parent_affine):
     return out
 
 
-def _per_node_build(functionals, tree, degree):
+def _per_node_build(fs, tree, degree):
     """Reference builder: one moment table, transfer pair and QR per cluster node,
     packed into the bucket stacks at the end."""
-    fs = as_functional_set(functionals)
     exps = graded_exponents(fs.dimension, degree)
     nodes = tree.nodes
     affine = [box_affine(nd.box) for nd in nodes]
@@ -332,13 +320,13 @@ def builder_inputs(draw, d, degree):
     functionals = []
     for i in range(n):
         if kind == "dirac":
-            atoms = [Atom(draw(point), 1.0, [0] * d)]
+            atoms = [(draw(point), 1.0, [0] * d)]
         elif kind == "weighted":
-            atoms = [Atom(draw(point), draw(st.floats(0.25, 2.0)), [0] * d) for _ in range(2)]
+            atoms = [(draw(point), draw(st.floats(0.25, 2.0)), [0] * d) for _ in range(2)]
         else:
-            atoms = [Atom(draw(point), 1.0, draw(order))]
-        functionals.append(Functional(i, atoms))
-    return functionals
+            atoms = [(draw(point), 1.0, draw(order))]
+        functionals.append((i, atoms))
+    return pack(functionals)
 
 
 class TestBuilderProperties:
@@ -420,7 +408,7 @@ class TestVanishingMoments:
             direct = np.zeros((prim.size, len(cols)))
             for a in range(prim.size):
                 p = monomial(prim, a)
-                pairings = np.array([evaluate(functionals[i], p) for i in range(len(functionals))])
+                pairings = evaluate(functionals, p)
                 for b, (idx, wts) in enumerate(cols):
                     direct[a, b] = wts @ pairings[idx]
             q, r, m_phi = _node_filters(basis, nd.node_id)
@@ -430,9 +418,8 @@ class TestVanishingMoments:
                 assert np.abs(direct @ q[:, m_phi:]).max() <= 1e-10 * scale
 
 
-def _per_cluster_scan(basis, functionals, primitives):
+def _per_cluster_scan(basis, fs, primitives):
     """Reference vanishing-moment rows: one full evaluation and forward per cluster."""
-    fs = as_functional_set(functionals)
     sel = np.arange(basis.n, dtype=np.int64)
     rows = []
     for nd in basis.tree.nodes:
@@ -457,14 +444,14 @@ def _derivative_functionals(n, seed):
     """Planar Diracs, d/dx and d/dy evaluations at random points, in turn."""
     pts = np.random.default_rng(seed).random((n, 2))
     derivs = ([0, 0], [1, 0], [0, 1])
-    return [Functional(i, (Atom(p, 1.0, derivs[i % 3]),)) for i, p in enumerate(pts)]
+    return pack([(i, [(p, 1.0, derivs[i % 3])]) for i, p in enumerate(pts)])
 
 
 def _coincident_diracs(n, seed):
     """Line Diracs of which half sit on four points, so some clusters have zero width."""
     pts = np.random.default_rng(seed).random(n)
     pts[: n // 2] = np.repeat([0.1, 0.35, 0.6, 0.85], n // 8)
-    return [dirac(i, [x]) for i, x in enumerate(pts)]
+    return diracs_1d(pts)
 
 
 def _scan_case(name):
@@ -480,7 +467,7 @@ def _scan_case(name):
     else:
         functionals = _coincident_diracs(160, 7)
         scheme, leaf_max, degree = EpsilonNeighborhood(0.01), 12, 2
-    d = functionals[0].dimension
+    d = functionals.dimension
     tree = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=moment_dimension(d, degree))
     return functionals, build_samplet_basis(functionals, tree, degree)
 
@@ -517,7 +504,7 @@ class TestVanishingScan:
         # the root-to-cluster transfer squares a scale ratio of ~3e199, which
         # overflows to inf (with numpy's overflow warning) instead of raising
         pts = np.concatenate([np.arange(4) * 1e-200, np.linspace(0.0, 1.0, 8)])
-        functionals = [dirac(i, [x]) for i, x in enumerate(pts)]
+        functionals = diracs_1d(pts)
 
         parts = [pts, pts[:4], pts[4:]]  # the root over leaves 0..3 and 4..11
         tree = ClusterTree(np.arange(12), [12, 4, 8], [0, 1, 1],
@@ -529,7 +516,8 @@ class TestVanishingScan:
     def test_coincident_case_has_zero_width_clusters(self):
         functionals, basis = _scan_case("coincident")
         flat = [nd for nd in basis.tree.nodes
-                if np.diff(basis.cluster_samplet_range(nd.node_id))[0] and nd.box.diameter == 0.0]
+                if np.diff(basis.cluster_samplet_range(nd.node_id))[0]
+                and np.array_equal(nd.box.lower, nd.box.upper)]
         assert flat
 
     @pytest.mark.parametrize("dimension", [1, 3], ids=["d-1", "d+1"])

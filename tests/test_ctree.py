@@ -16,12 +16,12 @@ from samplets import (
     MutualKNN,
     build_cluster_tree,
     build_graph,
-    dirac,
     fiedler_vector,
     generate_example,
     moment_dimension,
     spectral_bisection,
 )
+from conftest import diracs_1d
 from samplets import ctree
 from samplets.ctree import ClusterTree, _balanced_sides
 from samplets.simgraph import laplacian_from_weights
@@ -125,14 +125,14 @@ class TestSpectralBisection:
         # gap chosen so cross weights (~1e-4) stay well above eigensolver
         # resolution; exact disconnection is covered separately below
         pts = [0.0, 0.1, 2.0, 2.1]
-        functionals = [dirac(i, [x]) for i, x in enumerate(pts)]
+        functionals = diracs_1d(pts)
         graph = build_graph(functionals, GaussianSimilarity(0.5))
         left, right = spectral_bisection(np.arange(4), graph)
         groups = {frozenset(left.tolist()), frozenset(right.tolist())}
         assert groups == {frozenset({0, 1}), frozenset({2, 3})}
 
     def test_two_vertices_split_into_singletons(self):
-        functionals = [dirac(0, [0.0]), dirac(1, [1.0])]
+        functionals = diracs_1d([0.0, 1.0])
         graph = build_graph(functionals, GaussianSimilarity(1.0))
         left, right = spectral_bisection(np.arange(2), graph)
         assert sorted(left.tolist() + right.tolist()) == [0, 1]
@@ -142,7 +142,7 @@ class TestSpectralBisection:
         # two epsilon-connected pairs far apart: the graph is disconnected,
         # so the split must follow connected components
         pts = [0.0, 0.01, 5.0, 5.01]
-        functionals = [dirac(i, [x]) for i, x in enumerate(pts)]
+        functionals = diracs_1d(pts)
         graph = build_graph(functionals, EpsilonNeighborhood(0.1))
         left, right = spectral_bisection(np.arange(4), graph)
         groups = {frozenset(left.tolist()), frozenset(right.tolist())}
@@ -153,14 +153,14 @@ class TestSpectralBisection:
         for trial in range(15):
             n = int(rng.integers(2, 30))
             pts = rng.random((n, 2))
-            functionals = [dirac(i, p) for i, p in enumerate(pts)]
+            functionals = FunctionalSet.diracs(pts)
             graph = build_graph(functionals, GaussianSimilarity(0.5))
             left, right = spectral_bisection(np.arange(n), graph)
             assert len(left) > 0 and len(right) > 0
             assert sorted(left.tolist() + right.tolist()) == list(range(n))
 
     def test_singleton_cluster_rejected(self):
-        functionals = [dirac(0, [0.0]), dirac(1, [1.0])]
+        functionals = diracs_1d([0.0, 1.0])
         graph = build_graph(functionals, GaussianSimilarity(1.0))
         with pytest.raises(InputError):
             spectral_bisection(np.array([0]), graph)
@@ -178,7 +178,7 @@ class TestBuildClusterTree:
         assert_tree_invariants(tree, 1)
 
     def test_small_set_stays_a_single_leaf(self):
-        functionals = [dirac(i, [x]) for i, x in enumerate([0.0, 0.5, 1.0])]
+        functionals = diracs_1d([0.0, 0.5, 1.0])
         tree = build_cluster_tree(functionals, GaussianSimilarity(1.0), 3, moment_dim=1)
         assert tree.root.is_leaf
         assert tree.depth == 0
@@ -347,7 +347,7 @@ def _assert_matches_reference(tree, graph, leaf_max, moment_dim):
 def _coincident_knn_case():
     pts = np.random.default_rng(8).random((800, 2))
     pts[::5] = 0.5
-    return [dirac(i, p) for i, p in enumerate(pts)], MutualKNN(6), 24, 3
+    return FunctionalSet.diracs(pts), MutualKNN(6), 24, 3
 
 
 def _gaussian_blocks_case():
@@ -359,7 +359,7 @@ def _gaussian_blocks_case():
     pts = np.concatenate([[k, 0.0] + 0.05 * rng.standard_normal((m, 2))
                           for k, m in enumerate(sizes)])
     pts[-3:] = [[2.9, 1.0], [2.9, -1.0], [2.9, 2.0]]
-    return [dirac(i, p) for i, p in enumerate(pts)], GaussianSimilarity(0.02), 16, 3
+    return FunctionalSet.diracs(pts), GaussianSimilarity(0.02), 16, 3
 
 
 _REFERENCE_CASES = {
@@ -427,7 +427,7 @@ class TestLevelSolver:
         # ten isolated functionals: every component is a singleton, so no
         # component can be bisected and the 5 | 5 split is rolled back
         pts = np.random.default_rng(2).random((10, 2))
-        functionals = [dirac(i, p) for i, p in enumerate(pts)]
+        functionals = FunctionalSet.diracs(pts)
         graph = build_graph(functionals, scheme)
         mdim = moment_dimension(2, 2)
         tree = build_cluster_tree(functionals, scheme, 8, moment_dim=mdim, graph=graph)

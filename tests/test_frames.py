@@ -10,7 +10,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import lapack
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-from conftest import monomial
+from conftest import evaluate, monomial
 from test_acceptance import DUAL_IDENTITY_TOL, RAYLEIGH_PAD_FACTOR
 
 from samplets import (
@@ -24,7 +24,6 @@ from samplets import (
     build_cluster_tree,
     build_samplet_basis,
     decay_report,
-    dirac,
     dual_coefficients,
     dual_samplet_coefficients,
     frame_bounds,
@@ -36,7 +35,7 @@ from samplets import (
 )
 from samplets import frames
 from samplets.frames import FrameBounds, GramModel, dual_samplets_and_bounds
-from samplets.measures import Polynomial, evaluate, primitive_basis
+from samplets.measures import Polynomial, primitive_basis
 
 
 def _hat_moment(a, b, c, k):
@@ -128,24 +127,25 @@ class TestGramMassP1:
         mesh = np.linspace(0.0, 1.0, 7)
         _, functionals = gram_mass_p1(mesh)
         prim = primitive_basis(1, 2)
-        for i, f in enumerate(functionals):
-            for k in range(3):
-                got = evaluate(f, monomial(prim, k))
+        for k in range(3):
+            got = evaluate(functionals, monomial(prim, k))
+            for i in range(len(functionals)):
                 want = _hat_moment(mesh[i], mesh[i + 1], mesh[i + 2], k)
-                assert got == pytest.approx(want, abs=1e-14)
+                assert got[i] == pytest.approx(want, abs=1e-14)
 
     def test_atoms_equal_the_per_element_loop_bit_for_bit(self):
         mesh = np.array([0.0, 0.1, 0.25, 0.45, 0.7, 1.0])
         _, functionals = gram_mass_p1(mesh)
         half = 0.5 / math.sqrt(3.0)
-        for i, f in enumerate(functionals):
+        for i, (s, e) in enumerate(zip(functionals.offsets[:-1], functionals.offsets[1:])):
             expect = []
             for a, b, rising in ((mesh[i], mesh[i + 1], True), (mesh[i + 1], mesh[i + 2], False)):
                 width, mid = b - a, 0.5 * (a + b)
                 for gp in (mid - width * half, mid + width * half):
                     hat = (gp - a) / width if rising else (b - gp) / width
                     expect.append((gp, 0.5 * width * hat))
-            assert [(a.point[0], a.weight) for a in f.atoms] == expect
+            got = zip(functionals.points[s:e, 0].tolist(), functionals.weights[s:e].tolist())
+            assert list(got) == expect
 
     def test_non_monotone_mesh_rejected(self):
         with pytest.raises(InputError):
@@ -309,8 +309,7 @@ class TestFrameBounds:
 @pytest.fixture(scope="module")
 def kernel_basis_64():
     functionals, _ = generate_example("uniform-diracs", 64)
-    points = np.array([f.atoms[0].point for f in functionals])
-    model = gram_kernel(points, "exponential", 1.0)
+    model = gram_kernel(functionals.points, "exponential", 1.0)
     tree = build_cluster_tree(functionals, EpsilonNeighborhood(2.5 / 63), 8, moment_dim=3)
     basis = build_samplet_basis(functionals, tree, 2)
     return functionals, model, basis

@@ -13,14 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from samplets import (
-    Atom,
-    Functional,
     GaussianSimilarity,
     InputError,
     build_cluster_tree,
     build_samplet_basis,
     deserialize_basis,
-    dirac,
     generate_example,
     ingest_functionals,
     load_basis,
@@ -28,6 +25,7 @@ from samplets import (
     save_basis,
     serialize_basis,
 )
+from conftest import pack
 from samplets import cli, datasets, frames, simgraph
 from samplets.basis import _filter_layout
 from samplets.cli import RunConfig, _parser, main, make_config, parse_config_file, run_pipeline
@@ -94,15 +92,16 @@ class TestIngest:
         path.write_text("id,x1,weight,d1\n1,0.5,1.0,0\n2,0.9,1.0,0\n")
         functionals = ingest_functionals(path)
         assert len(functionals) == 2
-        assert functionals[0].atoms[0].point[0] == 0.5
-        assert functionals[1].atoms[0].weight == 1.0
+        assert functionals.points.tolist() == [[0.5], [0.9]]
+        assert functionals.weights.tolist() == [1.0, 1.0]
+        assert functionals.ids.tolist() == [1, 2]
 
     def test_rows_sharing_an_id_group_into_one_functional(self, tmp_path):
         path = tmp_path / "atoms.csv"
         path.write_text("id,x1,weight\n3,0.1,1.0\n3,0.2,-1.0\n")
         functionals = ingest_functionals(path)
         assert len(functionals) == 1
-        assert len(functionals[0].atoms) == 2
+        assert functionals.offsets.tolist() == [0, 2]
 
     def test_negative_derivative_reports_the_line(self, tmp_path):
         path = tmp_path / "atoms.csv"
@@ -143,22 +142,22 @@ class TestIngest:
         path.write_text("id,x1,weight\n5,0.1,1.0\n-3,0.2,1.0\n5,0.3,2.0\n\n"
                         "-3,0.4,3.0\n0,0.5,1.0\n-3,0.6,4.0\n")
         functionals = ingest_functionals(path)
-        assert [f.id for f in functionals] == [-3, 0, 5]
-        assert [[a.point[0] for a in f.atoms] for f in functionals] == [
-            [0.2, 0.4, 0.6], [0.5], [0.1, 0.3]]
-        assert [a.weight for a in functionals[0].atoms] == [1.0, 3.0, 4.0]
+        assert functionals.ids.tolist() == [-3, 0, 5]
+        assert functionals.offsets.tolist() == [0, 3, 4, 6]
+        assert functionals.points[:, 0].tolist() == [0.2, 0.4, 0.6, 0.5, 0.1, 0.3]
+        assert functionals.weights[:3].tolist() == [1.0, 3.0, 4.0]
 
     def test_writer_matches_the_per_atom_format(self, tmp_path):
         functionals = [
-            Functional(-4, [Atom([0.1, -0.0], 2.0 / 3.0, [1, 0]), Atom([1e-300, 4.0], -1.0)]),
-            Functional(2**40, [Atom([5e-324, 0.6], 0.5, [0, 2])]),
+            (-4, [([0.1, -0.0], 2.0 / 3.0, [1, 0]), ([1e-300, 4.0], -1.0, [0, 0])]),
+            (2**40, [([5e-324, 0.6], 0.5, [0, 2])]),
         ]
         path = tmp_path / "atoms.csv"
-        write_functionals_csv(path, functionals)
+        write_functionals_csv(path, pack(functionals))
         expect = ["id,x1,x2,weight,d1,d2"] + [
-            ",".join([str(f.id)] + [f"{x:.17g}" for x in a.point] + [f"{a.weight:.17g}"]
-                     + [str(int(v)) for v in a.deriv])
-            for f in functionals for a in f.atoms
+            ",".join([str(fid)] + [f"{x:.17g}" for x in point] + [f"{weight:.17g}"]
+                     + [str(v) for v in deriv])
+            for fid, atoms in functionals for point, weight, deriv in atoms
         ]
         assert path.read_text().splitlines() == expect
 
@@ -167,20 +166,16 @@ class TestIngest:
             write_functionals_csv(tmp_path / "atoms.csv", [])
 
     def test_round_trip_with_derivatives(self, tmp_path):
-        functionals = [
-            Functional(0, [Atom([0.1, 0.2], 2.0, [1, 0]), Atom([0.3, 0.4], -1.0, [0, 2])]),
-            Functional(1, [Atom([0.5, 0.6], 0.5, [0, 0])]),
-        ]
+        functionals = pack([
+            (0, [([0.1, 0.2], 2.0, [1, 0]), ([0.3, 0.4], -1.0, [0, 2])]),
+            (1, [([0.5, 0.6], 0.5, [0, 0])]),
+        ])
         path = tmp_path / "atoms.csv"
         write_functionals_csv(path, functionals)
         back = ingest_functionals(path)
         assert len(back) == 2
-        for f, g in zip(functionals, back):
-            assert len(f.atoms) == len(g.atoms)
-            for a, b in zip(f.atoms, g.atoms):
-                assert np.array_equal(a.point, b.point)
-                assert a.weight == b.weight
-                assert np.array_equal(a.deriv, b.deriv)
+        for name in ("points", "weights", "derivs", "offsets", "ids"):
+            assert np.array_equal(getattr(back, name), getattr(functionals, name)), name
 
 
 class TestValuesCsv:
@@ -383,18 +378,14 @@ class TestExamples:
     def test_uniform_diracs_sit_on_the_grid(self):
         functionals, model = generate_example("uniform-diracs", 8)
         assert model is None
-        pts = [f.atoms[0].point[0] for f in functionals]
-        assert pts == pytest.approx([k / 7.0 for k in range(8)])
+        assert functionals.points[:, 0] == pytest.approx([k / 7.0 for k in range(8)])
 
     def test_random_diracs_are_seed_deterministic(self):
         a, _ = generate_example("random-diracs", 16, 2, seed=4)
         b, _ = generate_example("random-diracs", 16, 2, seed=4)
         c, _ = generate_example("random-diracs", 16, 2, seed=5)
-        pa = np.array([f.atoms[0].point for f in a])
-        pb = np.array([f.atoms[0].point for f in b])
-        pc = np.array([f.atoms[0].point for f in c])
-        assert np.array_equal(pa, pb)
-        assert not np.array_equal(pa, pc)
+        assert np.array_equal(a.points, b.points)
+        assert not np.array_equal(a.points, c.points)
 
     def test_p1_mass_pairs_functionals_with_the_gram(self):
         functionals, model = generate_example("p1-mass", 5)
@@ -407,11 +398,11 @@ class TestExamples:
         pts = np.array([0.25, 0.5, 0.75])
         expect = np.minimum.outer(pts, pts) - np.outer(pts, pts)
         assert np.allclose(model.matrix, expect)
-        assert [f.atoms[0].point[0] for f in functionals] == pytest.approx(pts)
+        assert functionals.points[:, 0] == pytest.approx(pts)
 
     def test_two_dimensional_grid(self):
         functionals, _ = generate_example("uniform-diracs", 9, dimension=2)
-        pts = np.array([f.atoms[0].point for f in functionals])
+        pts = functionals.points
         assert pts.shape == (9, 2)
         assert len(np.unique(pts, axis=0)) == 9
 
@@ -714,6 +705,45 @@ class TestCliVerbs:
             "--out", str(tmp_path),
         ])
         assert code == 3
+
+
+# edge values of a numeric setting, as the text of a flag or a config value
+_EDGES = ["0", "-0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e300", "-1e300",
+          "1e-300", "-1e-300", "nan", "inf", "-inf", "100000000000000000000000",
+          "-100000000000000000000000", "9223372036854775808", "1.0", "3.5", "64.0", "1", "2"]
+_NUMERIC = ("n", "dimension", "seed", "scheme_param", "leaf_max", "degree", "length_scale",
+            "sigma")
+
+
+class TestNumericSettings:
+    # a field keeps its default three times in four, so most runs meet few edges at once
+    @given(values=st.fixed_dictionaries(
+               {k: st.one_of(st.none(), st.none(), st.none(), st.sampled_from(_EDGES))
+                for k in _NUMERIC}),
+           in_file=st.sets(st.sampled_from(_NUMERIC)),
+           scheme=st.sampled_from(["gaussian", "epsilon", "knn"]),
+           gram=st.sampled_from(["none", "exponential"]))
+    def test_edge_values_exit_cleanly(self, tmp_path_factory, values, in_file, scheme, gram):
+        # every numeric RunConfig field from edge values, each given as a
+        # flag or in the config file: the run ends in exit 0, 2 or 3 with no
+        # warning and no traceback
+        assert set(_NUMERIC) == {f.name for f in fields(RunConfig) if f.type in (int, float)}
+        work = tmp_path_factory.mktemp("edge")
+        values = {k: v for k, v in values.items() if v is not None}
+        values.setdefault("n", "64")
+        (work / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in values.items()
+                                              if k in in_file))
+        flags = [f for k, v in values.items() if k not in in_file
+                 for f in ("--" + k.replace("_", "-"), v)]
+        argv = ["build", "--example", "uniform-diracs", "--scheme", scheme, "--gram", gram,
+                "--config", str(work / "run.cfg"), "--out", str(work / "out"), *flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the flag's text
+                code = exc.code
+        assert code in (0, 2, 3), argv
 
 
 class TestRunPipeline:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import monomial
+from conftest import evaluate, monomial, pack
 from samplets import InputError, primitive_basis
 from samplets.kernels import (
     box_distance_matrix,
@@ -15,7 +15,7 @@ from samplets.kernels import (
     row_panels,
     transpose_square,
 )
-from samplets.measures import Atom, Functional, as_functional_set, evaluate
+
 
 def _random_functionals(rng, n, d, max_deriv=2):
     out = []
@@ -23,14 +23,10 @@ def _random_functionals(rng, n, d, max_deriv=2):
         atoms = []
         for _ in range(int(rng.integers(1, 4))):
             atoms.append(
-                Atom(
-                    rng.random(d),
-                    float(rng.normal()),
-                    rng.integers(0, max_deriv + 1, size=d),
-                )
+                (rng.random(d), float(rng.normal()), rng.integers(0, max_deriv + 1, size=d))
             )
-        out.append(Functional(i, atoms))
-    return out
+        out.append((i, atoms))
+    return pack(out)
 
 
 class TestFallingFactorial:
@@ -51,8 +47,7 @@ class TestFallingFactorial:
 class TestEvalTable:
     def test_matches_per_functional_evaluation(self):
         rng = np.random.default_rng(31)
-        functionals = _random_functionals(rng, 12, 2)
-        packed = as_functional_set(functionals)
+        packed = _random_functionals(rng, 12, 2)
         prim = primitive_basis(2, 3)
         sel = np.array([0, 3, 7, 11])
         table = eval_table(
@@ -61,14 +56,12 @@ class TestEvalTable:
         )
         assert table.shape == (prim.size, sel.size)
         for a in range(prim.size):
-            for j, fi in enumerate(sel):
-                assert table[a, j] == pytest.approx(
-                    evaluate(functionals[fi], monomial(prim, a)), abs=1e-12
-                )
+            expect = evaluate(packed, monomial(prim, a))[sel]
+            assert table[a] == pytest.approx(expect, abs=1e-12)
 
     def test_one_affine_map_per_functional(self):
         rng = np.random.default_rng(8)
-        packed = as_functional_set(_random_functionals(rng, 9, 2))
+        packed = _random_functionals(rng, 9, 2)
         exps = primitive_basis(2, 3).exponents
         sel = np.array([8, 0, 4, 5])
         center = rng.normal(size=(sel.size, 2))
@@ -87,7 +80,7 @@ class TestEvalTable:
     @pytest.mark.parametrize("shape", [(3,), (1,), (4, 2), (2, 2, 1), ()])
     def test_bad_affine_shape_rejected(self, shape):
         rng = np.random.default_rng(9)
-        packed = as_functional_set(_random_functionals(rng, 3, 2))
+        packed = _random_functionals(rng, 3, 2)
         prim = primitive_basis(2, 1)
         with pytest.raises(InputError, match="center"):
             eval_table(
@@ -102,7 +95,7 @@ class TestEvalTable:
 
     def test_empty_selection(self):
         rng = np.random.default_rng(5)
-        packed = as_functional_set(_random_functionals(rng, 3, 1))
+        packed = _random_functionals(rng, 3, 1)
         prim = primitive_basis(1, 2)
         table = eval_table(
             packed.points, packed.weights, packed.derivs, packed.offsets,

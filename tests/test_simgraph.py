@@ -8,101 +8,121 @@ import pytest
 from scipy import sparse
 from scipy.spatial import cKDTree
 
+from conftest import dirac, pack
 from samplets import (
-    Atom,
     EpsilonNeighborhood,
-    Functional,
+    FunctionalSet,
     GaussianSimilarity,
     InputError,
     MutualKNN,
     build_graph,
-    dirac,
-    similarity,
-    support_distance,
 )
 from samplets import simgraph
-from samplets.kernels import box_distance_matrix
-from samplets.measures import as_functional_set
-from samplets.simgraph import _knn_neighbor_sets, laplacian_from_weights
+from samplets.kernels import box_distance_matrix, box_gap_pairs
+from samplets.simgraph import laplacian_from_weights
 
 
 def _box_functional(fid, lower, upper):
-    """A two-atom functional whose support box is [lower, upper]."""
-    d = len(lower)
-    return Functional(fid, [Atom(lower, 1.0, [0] * d), Atom(upper, 1.0, [0] * d)])
+    """A two-atom functional whose support box is [lower, upper], for pack."""
+    return fid, [(lower, 1.0), (upper, 1.0)]
+
+
+def _knn_neighbor_sets(lo, hi, k):
+    """k nearest neighbors by box distance of every functional.
+
+    The functional itself is excluded, and ties are resolved toward the
+    smaller functional index by the stable sort.
+    """
+    n = lo.shape[0]
+    k = min(k, n - 1)
+    dist = box_gap_pairs(lo, hi, np.repeat(np.arange(n), n), np.tile(np.arange(n), n)).reshape(n, n)
+    dist[np.arange(n), np.arange(n)] = np.inf
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+def _gap(f, g):
+    """Box distance of two (id, atoms) functionals."""
+    lo, hi = pack([f, g]).boxes()
+    return float(box_gap_pairs(lo, hi, [0], [1])[0])
+
+
+def _weights(functionals, scheme):
+    return _dense(build_graph(pack(functionals), scheme).weights)
 
 
 class TestSupportDistance:
     def test_two_points_distance_one(self):
-        assert support_distance(dirac(0, [0.0]), dirac(1, [1.0])) == 1.0
+        assert _gap(dirac(0, [0.0]), dirac(1, [1.0])) == 1.0
 
     def test_overlapping_boxes_distance_zero(self):
         f = _box_functional(0, [0.0], [0.6])
         g = _box_functional(1, [0.5], [1.0])
-        assert support_distance(f, g) == 0.0
+        assert _gap(f, g) == 0.0
 
     def test_axis_gap_in_two_dimensions(self):
         # [0,1]^2 versus [2,4] x [0,1]: per-coordinate gaps (1, 0)
         f = _box_functional(0, [0.0, 0.0], [1.0, 1.0])
         g = _box_functional(1, [2.0, 0.0], [4.0, 1.0])
-        assert support_distance(f, g) == 1.0
+        assert _gap(f, g) == 1.0
 
     def test_interval_gap(self):
         f = _box_functional(0, [0.0], [0.25])
         g = _box_functional(1, [0.5], [1.0])
-        assert support_distance(f, g) == 0.25
+        assert _gap(f, g) == 0.25
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             f = _box_functional(0, *np.sort(rng.random((2, 3)), axis=0))
             g = _box_functional(1, *np.sort(rng.random((2, 3)), axis=0))
-            assert support_distance(f, g) == support_distance(g, f)
+            assert _gap(f, g) == _gap(g, f)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputError):
-            support_distance(dirac(0, [0.0]), dirac(1, [0.0, 0.0]))
+            pack([dirac(0, [0.0]), dirac(1, [0.0, 0.0])])
 
 
 class TestSimilarity:
     def test_gaussian_at_zero_distance(self):
-        f = dirac(0, [0.2])
-        assert similarity(f, f, GaussianSimilarity(1.0)) == 1.0
+        w = _weights([dirac(0, [0.2]), dirac(1, [0.2])], GaussianSimilarity(1.0))
+        assert w.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_gaussian_formula(self):
-        f, g = dirac(0, [0.0]), dirac(1, [math.sqrt(2.0)])
-        got = similarity(f, g, GaussianSimilarity(1.0))
-        assert got == pytest.approx(math.exp(-1.0), rel=1e-12)
+        w = _weights([dirac(0, [0.0]), dirac(1, [math.sqrt(2.0)])], GaussianSimilarity(1.0))
+        assert w[0, 1] == w[1, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_epsilon_indicator_inside(self):
-        f, g = dirac(0, [0.0]), dirac(1, [0.3])
-        assert similarity(f, g, EpsilonNeighborhood(0.5)) == 1.0
+        w = _weights([dirac(0, [0.0]), dirac(1, [0.3])], EpsilonNeighborhood(0.5))
+        assert w[0, 1] == w[1, 0] == 1.0
 
     def test_epsilon_indicator_is_strict(self):
-        f, g = dirac(0, [0.0]), dirac(1, [0.5])
-        assert similarity(f, g, EpsilonNeighborhood(0.5)) == 0.0
+        # the pair at distance exactly eps gets no edge, the closer pair does
+        w = _weights([dirac(0, [0.0]), dirac(1, [0.5]), dirac(2, [0.75])],
+                     EpsilonNeighborhood(0.5))
+        assert w[0, 1] == w[1, 0] == 0.0
+        assert w[1, 2] == w[2, 1] == 1.0
 
     def test_knn_or_semantics_on_a_line(self):
-        functionals = [dirac(i, [x]) for i, x in enumerate([0.0, 1.0, 2.0, 10.0])]
-        scheme = MutualKNN(1)
+        w = _weights([dirac(i, [x]) for i, x in enumerate([0.0, 1.0, 2.0, 10.0])], MutualKNN(1))
         # 0 and 2 both have exactly 1 as their nearest neighbour
-        assert similarity(functionals[0], functionals[1], scheme, functionals) == 1.0
-        assert similarity(functionals[1], functionals[2], scheme, functionals) == 1.0
+        assert w[0, 1] == 1.0
+        assert w[1, 2] == 1.0
         # 10 is nobody's nearest neighbour except via its own list (2)
-        assert similarity(functionals[2], functionals[3], scheme, functionals) == 1.0
-        assert similarity(functionals[0], functionals[2], scheme, functionals) == 0.0
-        assert similarity(functionals[0], functionals[3], scheme, functionals) == 0.0
-
-    def test_knn_needs_the_functional_set(self):
-        f, g = dirac(0, [0.0]), dirac(1, [1.0])
-        with pytest.raises(InputError):
-            similarity(f, g, MutualKNN(1))
+        assert w[2, 3] == 1.0
+        assert w[0, 2] == 0.0
+        assert w[0, 3] == 0.0
+        assert np.array_equal(w, w.T) and not w.diagonal().any()
 
     def test_knn_tie_broken_toward_lower_index(self):
         # the middle point is equidistant from both ends; the lower index wins
         pts = np.array([[0.0], [1.0], [2.0]])
-        nbrs = _knn_neighbor_sets(pts, pts, 1)
-        assert nbrs[1].tolist() == [0]
+        assert _knn_neighbor_sets(pts, pts, 1)[1].tolist() == [0]
+        # in the graph: the middle functional 2 is as far from 1 as from 3,
+        # whose own nearest neighbours are the outer functionals 0 and 4
+        for xs in ([-0.1, 0.0, 1.0, 2.0, 2.1], [2.1, 2.0, 1.0, 0.0, -0.1]):
+            w = _weights([dirac(i, [x]) for i, x in enumerate(xs)], MutualKNN(1))
+            assert w[2, 1] == w[1, 2] == 1.0
+            assert w[2, 3] == w[3, 2] == 0.0
 
     def test_scheme_parameter_validation(self):
         with pytest.raises(InputError):
@@ -176,7 +196,7 @@ def _dense(w):
 
 def _reference_weights(functionals, scheme):
     """Weights straight from the scheme definitions on all box distances."""
-    lo, hi = as_functional_set(functionals).boxes()
+    lo, hi = functionals.boxes()
     if isinstance(scheme, EpsilonNeighborhood):
         return (box_distance_matrix(lo, hi) < scheme.eps).astype(np.float64)
     n = len(functionals)
@@ -187,7 +207,7 @@ def _reference_weights(functionals, scheme):
 
 
 def _line_diracs(xs):
-    return [dirac(i, [x, 0.0]) for i, x in enumerate(xs)]
+    return FunctionalSet.diracs([[x, 0.0] for x in xs])
 
 
 def _wide_boxes(n, d, seed):
@@ -195,26 +215,30 @@ def _wide_boxes(n, d, seed):
     rng = np.random.default_rng(seed)
     centers = rng.random((n, d))
     half = 0.1 * rng.random((n, d))
-    return [_box_functional(i, c - h, c + h) for i, (c, h) in enumerate(zip(centers, half))]
+    return pack([_box_functional(i, c - h, c + h) for i, (c, h) in enumerate(zip(centers, half))])
+
+
+def _coincident_points(n, seed):
+    """Random 2d points where every fifth one is the same point."""
+    pts = np.random.default_rng(seed).random((n, 2))
+    pts[::5] = 0.5
+    return pts
 
 
 def _coincident_diracs(n, seed):
-    """Random 2d Diracs where every fifth one sits on the same point."""
-    pts = np.random.default_rng(seed).random((n, 2))
-    pts[::5] = 0.5
-    return [dirac(i, p) for i, p in enumerate(pts)]
+    return FunctionalSet.diracs(_coincident_points(n, seed))
 
 
 def _wide_outliers(n, wide, seed):
     """Random 2d Diracs, every fifth on one point, then wide functionals
     spanning the unit square or most of it."""
-    functionals = _coincident_diracs(n, seed)
+    functionals = [dirac(i, p) for i, p in enumerate(_coincident_points(n, seed))]
     rng = np.random.default_rng(seed)
     for t in range(wide):
         lower = 0.2 * rng.random(2) if t else np.zeros(2)
         upper = 1.0 - 0.2 * rng.random(2) if t else np.ones(2)
         functionals.append(_box_functional(n + t, lower, upper))
-    return functionals
+    return pack(functionals)
 
 
 def _multiscale_boxes(n, seed):
@@ -225,7 +249,7 @@ def _multiscale_boxes(n, seed):
     centers[::5] = 0.5
     half = 10.0 ** rng.uniform(-6.0, -0.5, size=(n, 2))
     half[::4] = 0.0
-    return [_box_functional(i, c - h, c + h) for i, (c, h) in enumerate(zip(centers, half))]
+    return pack([_box_functional(i, c - h, c + h) for i, (c, h) in enumerate(zip(centers, half))])
 
 
 class _CountingKDTree(cKDTree):
@@ -243,8 +267,7 @@ class _CountingKDTree(cKDTree):
 
 class TestBuildGraph:
     def _random_diracs(self, n, d, seed):
-        rng = np.random.default_rng(seed)
-        return [dirac(i, p) for i, p in enumerate(rng.random((n, d)))]
+        return FunctionalSet.diracs(np.random.default_rng(seed).random((n, d)))
 
     def test_graph_invariants(self):
         functionals = self._random_diracs(60, 2, 0)
@@ -258,23 +281,26 @@ class TestBuildGraph:
             assert np.allclose(graph.degrees, w.sum(axis=1))
 
     @pytest.mark.parametrize(
-        "scheme, packed",
-        [
-            pytest.param(GaussianSimilarity(0.3), False, id="gaussian"),
-            pytest.param(EpsilonNeighborhood(0.3), False, id="epsilon"),
-            pytest.param(MutualKNN(4), False, id="knn"),
-            pytest.param(MutualKNN(4), True, id="knn-set"),
-        ],
+        "scheme",
+        [GaussianSimilarity(0.3), EpsilonNeighborhood(0.3), MutualKNN(4)],
+        ids=["gaussian", "epsilon", "knn"],
     )
-    def test_weights_match_pairwise_similarity(self, scheme, packed):
+    def test_weights_match_pairwise_similarity(self, scheme):
+        # each weight against the scheme's definition on one pair's box gap
         functionals = self._random_diracs(25, 2, 1)
-        if packed:
-            # fs[i] is a fresh view each time, found in the set by content
-            functionals = as_functional_set(functionals)
+        lo, hi = functionals.boxes()
         w = _dense(build_graph(functionals, scheme).weights)
+        if isinstance(scheme, MutualKNN):
+            nbrs = _knn_neighbor_sets(lo, hi, scheme.k)
         for i in range(25):
             for j in range(25):
-                expect = similarity(functionals[i], functionals[j], scheme, functionals)
+                d = float(box_gap_pairs(lo, hi, [i], [j])[0])
+                if isinstance(scheme, GaussianSimilarity):
+                    expect = math.exp(-d * d / (2.0 * scheme.length_scale**2))
+                elif isinstance(scheme, EpsilonNeighborhood):
+                    expect = 1.0 if d < scheme.eps else 0.0
+                else:
+                    expect = 1.0 if i != j and (j in nbrs[i] or i in nbrs[j]) else 0.0
                 assert w[i, j] == pytest.approx(expect, rel=1e-14)
 
     def test_gaussian_weights_are_dense(self):
@@ -285,7 +311,7 @@ class TestBuildGraph:
     def test_gaussian_weights_equal_the_whole_array_formula(self):
         # the kernel is evaluated in place on the box distances, with the bits
         # of the formula the graph build used before
-        functionals = as_functional_set(_wide_boxes(80, 2, 7))
+        functionals = _wide_boxes(80, 2, 7)
         lo, hi = functionals.boxes()
         dist = box_distance_matrix(lo, hi)
         w = build_graph(functionals, GaussianSimilarity(0.15)).weights
@@ -357,7 +383,9 @@ class TestBuildGraph:
         monkeypatch.setattr(_CountingKDTree, "query_ks", [])
         monkeypatch.setattr(_CountingKDTree, "query_rows", [])
         monkeypatch.setattr(simgraph, "cKDTree", _CountingKDTree)
-        functionals = self._random_diracs(1500, 2, 9) + [_box_functional(1500, [0, 0], [1, 1])]
+        pts = np.random.default_rng(9).random((1500, 2))
+        functionals = pack([dirac(i, p) for i, p in enumerate(pts)]
+                           + [_box_functional(1500, [0, 0], [1, 1])])
         w = build_graph(functionals, MutualKNN(8)).weights
         assert _CountingKDTree.query_ks[0] == 25 and _CountingKDTree.query_rows[0] == 1501
         assert _CountingKDTree.query_rows[1:] == [1] * (len(_CountingKDTree.query_rows) - 1)
