@@ -375,7 +375,7 @@ def transform_matrix(basis, a):
 
     Two N x N arrays are alive: A and the result. Both passes run in column
     panels (kernels.Cascade), the second in place, so besides them a pass
-    holds one panel's output and work rows.
+    holds one panel's transform buffer and result rows.
     """
     a = np.asarray(a, dtype=np.float64)
     n = basis.n

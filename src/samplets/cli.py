@@ -190,7 +190,8 @@ def run_pipeline(cfg):
     """Ingest, build, verify, save, and report; returns a summary dict.
 
     The frame layer holds about two N x N arrays at once, besides one column
-    panel of a transform (kernels.Cascade). G is the model's matrix, shift
+    panel of a transform, the cascade's buffer and the N rows it returns
+    (kernels.Cascade). G is the model's matrix, shift
     included. One Cholesky factorization gives a fresh G^-1 and the frame
     bounds, and the dual samplets D overwrite G^-1 (dual_samplets_and_bounds);
     U G D - I is then formed in one reused buffer of max(512, N/4) columns
@@ -270,8 +271,8 @@ def _compress_stage(cfg, basis, g):
 
     g is a Gram model's matrix, shift included, and is only read. Two N x N
     arrays are alive at once, besides the CSR and one column panel of a
-    transform (kernels.Cascade): G and U G U^T, then G and the reconstruction
-    U^T C U, both of whose passes run in place.
+    transform, its buffer and result rows (kernels.Cascade): G and U G U^T,
+    then G and the reconstruction U^T C U, both of whose passes run in place.
     """
     coeff = transform_matrix(basis, g)
     compressed, rep = threshold_compress(coeff, cfg.sigma)

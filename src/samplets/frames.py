@@ -300,8 +300,9 @@ def dual_samplets_and_bounds(basis, model):
     """dual_samplet_coefficients and frame_bounds of one Cholesky factorization.
 
     G^-1 is symmetric, so D = G^-1 U^T = (U G^-1)^T, and U G^-1 is formed in
-    the inverse's memory, one column panel at a time (kernels.Cascade): G and
-    D are the only N x N arrays alive once the transform is done.
+    the inverse's memory, one column panel at a time, each with the cascade's
+    buffer and its result rows (kernels.Cascade): G and D are the only N x N
+    arrays alive once the transform is done.
     """
     if model.n != basis.n:
         raise InputError("Gram model size does not match the basis")

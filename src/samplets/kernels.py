@@ -167,29 +167,31 @@ def transpose_square(a):
 #
 # Nodes are grouped into buckets of equal (height, filter size n, m_phi); a
 # leaf has height 0 and a parent one more than its taller child, so a bucket
-# only reads outputs of lower ones. The forward cascade runs the buckets by
-# ascending height, each as one gather, one stacked matmul and one scatter;
-# the inverse runs them in reverse. The work buffer holds the m_phi scaling
-# rows of every node, bucket after bucket, so the root's come last.
+# only reads outputs of lower ones. A transform buffer gives every node n
+# consecutive rows, bucket after bucket, and a run of a bucket's nodes costs
+# one gather of their inputs and one stacked matmul into their rows. The
+# forward runs the buckets by ascending height and ends by gathering the
+# coefficient rows. The inverse fills the buffer from the coefficients and
+# runs them in reverse, a node reading its scaling inputs from its parent's
+# rows; each leaf's rows end holding its data rows, which are gathered last.
 
 # Doubles gathered per matmul (256 KiB): wide blocks are cut into runs of
 # nodes whose inputs and outputs stay in cache.
 _CHUNK = 1 << 15
-# Columns per panel of a transform written into out or wider than this. A
-# pass over the 1536 x 1536 kernel input then holds 0.28 N^2 doubles of panel
-# output and work rows (0.42 N^2 with 384 columns), and 64-column blocks
-# take the one-panel path
-_PANEL_COLS = 256
+# Columns per panel (a multiple of 8, see _panelled) of a transform written
+# into out or wider than this. A panel holds the buffer, N + W rows with W the
+# non-root scaling rows, and the N rows it returns: 0.27 N^2 doubles on the
+# 1536 x 1536 kernel input (0.42 N^2 with 256 columns)
+_PANEL_COLS = 160
 
 
 @dataclass(frozen=True)
 class _Bucket:
     q: np.ndarray  # (k, n, n) orthogonal factors of the bucket's k nodes
-    m_phi: int
-    leaf: bool  # src indexes data rows (leaves) or work rows (children's outputs)
-    src: np.ndarray  # (k, n) input rows of each node
-    phi: int  # first work row of the k * m_phi scaling outputs
-    psi: np.ndarray  # (k, n - m_phi) coefficient rows of the samplet outputs
+    leaf: bool  # src indexes data rows (leaves) or buffer rows (children's scaling outputs)
+    src: np.ndarray  # (k, n) input rows of each node in the forward cascade
+    inv_src: np.ndarray  # (k, n) buffer rows of each node's inputs in the inverse
+    start: int  # first buffer row of the k * n outputs
 
 
 class Cascade:
@@ -202,41 +204,49 @@ class Cascade:
     inputs are the data rows rows[row_start[i]:row_start[i] + n]; an internal
     node's are its first child's scaling outputs, then its second child's.
     Node i's samplet outputs fill coefficient rows psi_start[i] onwards, and
-    the root's scaling outputs the last rows. The caller checks consistency.
+    the root's scaling outputs the last rows. Coefficient row j is buffer row
+    coef[j], and buffer row i starts the inverse with coefficient row fill[i]
+    (0 for the non-root scaling rows, which it does not read); data row j
+    ends it in buffer row data[j]. The caller checks consistency.
     """
 
     def __init__(self, groups, q, m_phi, children, rows, row_start, psi_start):
         m_phi = np.asarray(m_phi, dtype=np.int64)
-        self.root_rows = int(m_phi[groups[-1][0]])
+        root, first = groups[-1][0], np.empty(m_phi.size, dtype=np.int64)
+        self.buffer_rows = sum(qb.shape[0] * qb.shape[1] for qb in q)
         # every node's samplets plus the root's scaling rows
-        self.n = sum(qb.shape[0] * qb.shape[1] for qb in q) - int(m_phi.sum()) + self.root_rows
-        slot = np.empty(m_phi.size, dtype=np.int64)
+        self.n = self.buffer_rows - int(m_phi.sum()) + int(m_phi[root])
+        self.coef, self.data = np.empty(self.n, dtype=np.int64), np.empty(self.n, dtype=np.int64)
+        inv_src = np.arange(self.buffer_rows)  # own rows, until a parent claims the scaling ones
         self.buckets = []
-        phi = 0
+        start = 0
         for ids, qb in zip(groups, q):
-            n, mp = qb.shape[1], int(m_phi[ids[0]])
-            leaf = bool(children[ids[0], 0] < 0)
-            slot[ids] = phi + mp * np.arange(ids.size)
-            r = np.arange(n)
+            k, n = qb.shape[:2]
+            mp, r = int(m_phi[ids[0]]), np.arange(n)
+            own = start + np.arange(k * n).reshape(k, n)  # the nodes' buffer rows
+            first[ids], leaf = own[:, 0], bool(children[ids[0], 0] < 0)
             if leaf:
                 src = rows[row_start[ids][:, None] + r]
+                self.data[src] = own
             else:
                 c1, c2 = children[ids, 0], children[ids, 1]
-                first = r < m_phi[c1][:, None]
-                src = np.where(first, slot[c1][:, None] + r,
-                               slot[c2][:, None] + r - m_phi[c1][:, None])
-            self.buckets.append(_Bucket(
-                q=qb, m_phi=mp, leaf=leaf, src=src, phi=phi,
-                psi=psi_start[ids][:, None] + np.arange(n - mp),
-            ))
-            phi += mp * ids.size
-        self.work_rows = phi
+                src = np.where(r < m_phi[c1][:, None], first[c1][:, None] + r,
+                               first[c2][:, None] + r - m_phi[c1][:, None])
+                inv_src[src] = own
+            self.coef[psi_start[ids][:, None] + r[:n - mp]] = own[:, mp:]
+            self.buckets.append(_Bucket(qb, leaf, src, inv_src[start:start + k * n].reshape(k, n), start))
+            start += k * n
+        self.coef[self.n - m_phi[root]:] = first[root] + np.arange(m_phi[root])
+        self.fill = np.zeros(self.buffer_rows, dtype=np.int64)
+        self.fill[self.coef] = np.arange(self.n)
 
-    def _chunks(self, b, cols):
-        k = b.q.shape[0]
-        step = max(1, _CHUNK // max(1, b.q.shape[1] * cols))
+    def _chunks(self, b, buf):
+        """Runs (s, e, rows) of bucket b: nodes s..e-1 and their rows of buf, a (e - s, n, cols) view."""
+        k, n, cols = *b.q.shape[:2], buf.shape[1]
+        step = max(1, _CHUNK // max(1, n * cols))
         for s in range(0, k, step):
-            yield s, min(k, s + step)
+            e = min(k, s + step)
+            yield s, e, buf[b.start + s * n:b.start + e * n].reshape(e - s, n, cols)
 
     def forward(self, x, out=None):
         """Apply the analysis cascade to a vector or to the columns of a matrix.
@@ -257,7 +267,7 @@ class Cascade:
     def _panelled(self, apply, x, out):
         """apply to the columns of x, _PANEL_COLS at a time when out is given or x is wide.
 
-        A pass then holds one panel's output and work rows, and each panel is
+        A pass then holds one panel's buffer and result, and each panel is
         written into its columns of out as soon as it is done. Every column
         goes through the same matmuls as in one pass over the whole block.
         With OpenBLAS that gives the same bits, except at times in the last
@@ -283,33 +293,23 @@ class Cascade:
         return out
 
     def _forward(self, xm):
-        cols = xm.shape[1]
-        out = np.empty((self.n, cols))
-        work = np.empty((self.work_rows, cols))
+        buf = np.empty((self.buffer_rows, xm.shape[1]))
         for b in self.buckets:
-            data = xm if b.leaf else work
-            mp = b.m_phi
-            for s, e in self._chunks(b, cols):
-                y = np.matmul(b.q[s:e].transpose(0, 2, 1), data[b.src[s:e]])
-                work[b.phi + s * mp:b.phi + e * mp].reshape(e - s, mp, cols)[...] = y[:, :mp]
-                out[b.psi[s:e]] = y[:, mp:]
-        out[self.n - self.root_rows:] = work[self.work_rows - self.root_rows:]
-        return out
+            for s, e, rows in self._chunks(b, buf):
+                np.matmul(b.q[s:e].transpose(0, 2, 1), _gather(xm if b.leaf else buf, b.src[s:e]), out=rows)
+        return buf.take(self.coef, axis=0)
 
     def _inverse(self, cm):
-        cols = cm.shape[1]
-        out = np.empty((self.n, cols))
-        work = np.empty((self.work_rows, cols))
-        work[self.work_rows - self.root_rows:] = cm[self.n - self.root_rows:]
+        buf = _gather(cm, self.fill)
         for b in reversed(self.buckets):
-            dest = out if b.leaf else work
-            mp = b.m_phi
-            for s, e in self._chunks(b, cols):
-                y = np.empty((e - s, b.q.shape[1], cols))
-                y[:, :mp] = work[b.phi + s * mp:b.phi + e * mp].reshape(e - s, mp, cols)
-                y[:, mp:] = cm[b.psi[s:e]]
-                dest[b.src[s:e]] = np.matmul(b.q[s:e], y)
-        return out
+            for s, e, rows in self._chunks(b, buf):
+                np.matmul(b.q[s:e], buf.take(b.inv_src[s:e], axis=0), out=rows)
+        return buf.take(self.data, axis=0)
+
+
+def _gather(a, idx):
+    """a[idx]; np.take is faster on a C-contiguous a, but first copies any other a whole."""
+    return a.take(idx, axis=0) if a.flags.c_contiguous else a[idx]
 
 
 def _as_matrix(x, n):

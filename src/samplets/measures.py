@@ -227,22 +227,29 @@ def analysis_vector(functionals, v):
 
 
 def _frozen(values, dtype, what):
-    """A read-only copy of values as dtype; int64 fields take integral numbers only."""
+    """A read-only copy of values as dtype: real numbers only, not booleans or
+    strings, and int64 fields take integral ones only."""
     try:
-        arr = np.array(values, dtype=None if dtype is np.int64 else dtype)
+        arr = np.array(values)
+        kind = arr.dtype.kind
+        # np.array reads a boolean among the numbers of a list as 0 or 1
+        if not isinstance(values, np.ndarray) and any(
+                isinstance(v, (bool, np.bool_)) for v in np.array(values, dtype=object).flat):
+            kind = "b"
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what}: {exc}") from None
+    if kind not in "iuf":
+        name = "integers within int64" if dtype is np.int64 else "real numbers"
+        raise InputError(f"{what} must be {name}, not {'bool' if kind == 'b' else arr.dtype} values")
     if dtype is np.int64 and arr.dtype != np.int64:
         # no cast below sees a value it would wrap, truncate or warn about
-        if arr.dtype.kind not in "iuf":
-            raise InputError(f"{what} must be integers within int64, not {arr.dtype} values")
         if arr.dtype.kind == "f":
             bad = ~np.isfinite(arr) | (arr != np.trunc(arr)) | (arr < -2.0**63) | (arr >= 2.0**63)
         else:
             bad = arr > np.iinfo(np.int64).max
         if bad.any():
             raise InputError(f"{what} must be integers within int64, not {arr[bad].flat[0]}")
-        arr = arr.astype(np.int64)
+    arr = arr.astype(dtype, copy=False)
     arr.flags.writeable = False
     return arr
 
@@ -252,12 +259,13 @@ class FunctionalSet:
 
     Rows offsets[i]:offsets[i+1] of points (A, d), weights (A,) and derivs
     (A, d) are the atoms of functional i, whose id is ids[i]. The arrays
-    are copied and validated once: finite points and weights, derivative
-    orders, offsets and ids that are integers within int64 (integral floats
-    are taken as such), nonnegative derivative orders, one dimension d >= 1
-    and at least one atom per functional and one functional. fs[i] and
-    iteration give Functional and Atom views over the arrays, built without
-    validating again.
+    are copied and validated once: points and weights that are finite real
+    numbers (not booleans or strings), derivative orders, offsets and ids
+    that are integers within int64 (integral floats are taken as such),
+    nonnegative derivative orders, one dimension d >= 1 and at least one
+    atom per functional and one functional. fs[i] and iteration give
+    Functional and Atom views over the arrays, built without validating
+    again.
     """
 
     def __init__(self, points, weights, derivs, offsets, ids):

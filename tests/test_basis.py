@@ -18,6 +18,7 @@ from samplets import (
     EpsilonNeighborhood,
     GaussianSimilarity,
     InputError,
+    MutualKNN,
     SampletBasis,
     SupportBox,
     build_cluster_tree,
@@ -882,6 +883,139 @@ class TestColumnPanels:
         for apply in (basis.cascade.forward, basis.cascade.inverse):
             with pytest.raises(InputError, match="out must be"):
                 apply(x, out=bad(x))
+
+
+class _BucketLoop:
+    """The cascade as it ran before the transform buffer: a work buffer of
+    every node's scaling rows, and per run of a bucket's nodes a gather, a
+    matmul into a temporary, a copy of the scaling rows into the work buffer
+    and a scatter of the samplet rows into the output (the inverse assembles
+    each run's inputs in a temporary first). The reference the buffer must
+    match bit for bit; one pass over the whole block, no panels."""
+
+    def __init__(self, basis):
+        _, m_phi, groups = _filter_layout(basis.tree, basis.moment_dim)
+        children, rows, row_start = basis.tree.child_ids, basis.tree.perm, basis.tree.start
+        self.root_rows = int(m_phi[groups[-1][0]])
+        self.n = basis.n
+        slot = np.empty(m_phi.size, dtype=np.int64)
+        self.buckets = []
+        phi = 0
+        for ids, (qb, _) in zip(groups, basis.stacks):
+            n, mp = qb.shape[1], int(m_phi[ids[0]])
+            leaf = bool(children[ids[0], 0] < 0)
+            slot[ids] = phi + mp * np.arange(ids.size)
+            r = np.arange(n)
+            if leaf:
+                src = rows[row_start[ids][:, None] + r]
+            else:
+                c1, c2 = children[ids, 0], children[ids, 1]
+                src = np.where(r < m_phi[c1][:, None], slot[c1][:, None] + r,
+                               slot[c2][:, None] + r - m_phi[c1][:, None])
+            psi = basis.node_out[ids][:, None] + np.arange(n - mp)
+            self.buckets.append((qb, mp, leaf, src, phi, psi))
+            phi += mp * ids.size
+        self.work_rows = phi
+
+    @staticmethod
+    def _chunks(q, cols):
+        step = max(1, kernels._CHUNK // max(1, q.shape[1] * cols))
+        return [(s, min(q.shape[0], s + step)) for s in range(0, q.shape[0], step)]
+
+    def forward(self, x):
+        xm = x[:, None] if x.ndim == 1 else x
+        cols = xm.shape[1]
+        out, work = np.empty((self.n, cols)), np.empty((self.work_rows, cols))
+        for q, mp, leaf, src, phi, psi in self.buckets:
+            data = xm if leaf else work
+            for s, e in self._chunks(q, cols):
+                y = np.matmul(q[s:e].transpose(0, 2, 1), data[src[s:e]])
+                work[phi + s * mp:phi + e * mp].reshape(e - s, mp, cols)[...] = y[:, :mp]
+                out[psi[s:e]] = y[:, mp:]
+        out[self.n - self.root_rows:] = work[self.work_rows - self.root_rows:]
+        return out[:, 0] if x.ndim == 1 else out
+
+    def inverse(self, c):
+        cm = c[:, None] if c.ndim == 1 else c
+        cols = cm.shape[1]
+        out, work = np.empty((self.n, cols)), np.empty((self.work_rows, cols))
+        work[self.work_rows - self.root_rows:] = cm[self.n - self.root_rows:]
+        for q, mp, leaf, src, phi, psi in reversed(self.buckets):
+            dest = out if leaf else work
+            for s, e in self._chunks(q, cols):
+                y = np.empty((e - s, q.shape[1], cols))
+                y[:, :mp] = work[phi + s * mp:phi + e * mp].reshape(e - s, mp, cols)
+                y[:, mp:] = cm[psi[s:e]]
+                dest[src[s:e]] = np.matmul(q[s:e], y)
+        return out[:, 0] if c.ndim == 1 else out
+
+
+@pytest.fixture(scope="module")
+def loop_cases():
+    """A 1-d case of many graph components and a 2-d kNN case like the kernel
+    benchmark's, each with the bucket loop over its filters."""
+    _, _, component = _component_case(1, 2)
+    functionals, _ = generate_example("random-diracs", 384, 2, seed=5)
+    tree = build_cluster_tree(functionals, MutualKNN(8), 32, moment_dim=6)
+    kernel = build_samplet_basis(functionals, tree, 2)
+    return {name: (b, _BucketLoop(b)) for name, b in (("1d-components", component), ("2d-knn", kernel))}
+
+
+class TestBucketMajorBuffer:
+    """Every node's outputs in consecutive rows of one buffer, one gather and
+    one matmul per run of nodes: the same bits as the bucket loop."""
+
+    _VIEWS = {
+        "columns 3:70": lambda x: x[:, 3:70],
+        "reversed rows": lambda x: x[::-1],
+        "F order": np.asfortranarray,
+        "transposed view": lambda x: x.T.copy().T,
+    }
+
+    @pytest.mark.parametrize("cols", [None, 1, 0, 64], ids=["vector", "1", "0", "64"])
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("case", ["1d-components", "2d-knn"])
+    def test_blocks_match_the_bucket_loop(self, loop_cases, case, direction, cols):
+        basis, loop = loop_cases[case]
+        shape = (basis.n,) if cols is None else (basis.n, cols)
+        x = np.random.default_rng(3).standard_normal(shape)
+        got = getattr(basis.cascade, direction)(x)
+        assert got.shape == shape
+        assert np.array_equal(got, getattr(loop, direction)(x))
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("case", ["1d-components", "2d-knn"])
+    def test_wide_blocks_in_place_match_the_bucket_loop(self, loop_cases, case, direction):
+        # whole panels and a last one of 40 columns, all multiples of 8 (see
+        # Cascade._panelled)
+        basis, loop = loop_cases[case]
+        x = np.random.default_rng(4).standard_normal((basis.n, 2 * kernels._PANEL_COLS + 40))
+        expect = getattr(loop, direction)(x)
+        assert getattr(basis.cascade, direction)(x, out=x) is x
+        assert np.array_equal(x, expect)
+
+    @pytest.mark.parametrize("view", sorted(_VIEWS))
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("case", ["1d-components", "2d-knn"])
+    def test_strided_inputs_match_contiguous_copies(self, loop_cases, case, direction, view):
+        basis, loop = loop_cases[case]
+        x = self._VIEWS[view](np.random.default_rng(6).standard_normal((basis.n, 96)))
+        assert not x.flags.c_contiguous
+        got = getattr(basis.cascade, direction)(x)
+        assert np.array_equal(got, getattr(basis.cascade, direction)(x.copy()))
+        assert np.array_equal(got, getattr(loop, direction)(x.copy()))
+
+    @pytest.mark.parametrize("case", ["1d-components", "2d-knn"])
+    def test_row_maps_are_injective_into_the_buffer(self, loop_cases, case):
+        basis = loop_cases[case][0]
+        cascade = basis.cascade
+        for rows in (cascade.coef, cascade.data):
+            assert rows.shape == (cascade.n,) and np.unique(rows).size == cascade.n
+            assert 0 <= rows.min() and rows.max() < cascade.buffer_rows
+        assert np.array_equal(cascade.fill[cascade.coef], np.arange(cascade.n))
+        # the rows no coefficient lands in are the scaling rows of the non-root nodes
+        _, m_phi, groups = _filter_layout(basis.tree, basis.moment_dim)
+        assert cascade.buffer_rows - cascade.n == m_phi.sum() - m_phi[groups[-1][0]]
 
 
 class TestEdgeShapes:

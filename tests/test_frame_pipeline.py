@@ -120,8 +120,9 @@ def test_pipeline_factors_the_gram_matrix_once(tmp_path, monkeypatch):
 def test_pipeline_peak_memory(tmp_path, regularize):
     # about two N x N arrays (G and the inverse, G and the dual samplets, G and
     # the compression's one array), the biorthogonality buffer of 512 columns
-    # and one column panel of a transform: its output and the cascade's work
-    # rows. A shift is on G's diagonal from the start and costs nothing
+    # and one column panel of a transform: the cascade's buffer (N + W rows, W
+    # the scaling rows of the non-root nodes) and the N rows it returns. A
+    # shift is on G's diagonal from the start and costs nothing
     n = 1024
     cfg = _config("exponential", regularize, tmp_path, n=n)
     tracemalloc.start()

@@ -108,7 +108,7 @@ class TestProperties:
             FunctionalSet(points, weights, derivs, offsets, ids)
 
 
-# two one-atom functionals in 1d, one of whose integer fields a case replaces
+# two one-atom functionals in 1d, one of whose fields a case replaces
 _VALID = {"points": [[0.0], [1.0]], "weights": [1.0, 1.0], "derivs": [[0], [0]],
           "offsets": [0, 1, 2], "ids": [0, 1]}
 
@@ -158,8 +158,10 @@ class TestFunctionalSet:
         ("ids", np.array([0, 1e19])),
         ("derivs", np.array([[0], [np.inf]])),
         ("ids", [0, "3"]),
+        ("ids", [0, True]),
+        ("derivs", np.array([[False], [True]])),
     ], ids=["fractional-id", "fractional-offset", "fractional-order", "nan-id", "huge-id",
-            "inf-order", "string-id"])
+            "inf-order", "string-id", "bool-among-ids", "bool-orders"])
     def test_integer_fields_reject_what_int64_cannot_hold(self, field, value):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -174,6 +176,34 @@ class TestFunctionalSet:
         assert floats.ids.tolist() == [-(2**63), 7] and floats.offsets.tolist() == [0, 1, 2]
         assert floats.derivs.dtype == np.int64 and floats.derivs.tolist() == [[0], [2]]
         assert _with(ids=np.array([3, 2**63 - 1], dtype=np.uint64)).ids.tolist() == [3, 2**63 - 1]
+
+    @pytest.mark.parametrize("field, value", [
+        ("points", [["0.5"], ["1e3"]]),
+        ("weights", ["1", "2"]),
+        ("points", [[True], [False]]),
+        ("weights", np.array([True, False])),
+        ("points", [[1j], [1.0]]),
+        ("weights", [1.0, None]),
+        ("points", [[0.5], [True]]),
+        ("weights", [1.0, np.True_]),
+    ], ids=["string-points", "string-weights", "bool-points", "bool-weights", "complex-points",
+            "none-weight", "bool-among-points", "bool-among-weights"])
+    def test_float_fields_take_real_numbers_only(self, field, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"atom {field} must be real numbers"):
+                _with(**{field: value})
+
+    def test_real_numbers_keep_their_bits(self):
+        points, weights = np.array([[0.1], [-0.0]]), np.array([5e-324, -1.7976931348623157e308])
+        floats = _with(points=points, weights=weights)
+        assert floats.points.tobytes() == points.tobytes()
+        assert floats.weights.tobytes() == weights.tobytes()
+        ints = _with(points=[[3], [-(2**53)]], weights=np.array([1, 255], dtype=np.uint8))
+        assert ints.points.dtype == ints.weights.dtype == np.float64
+        assert ints.points.tolist() == [[3.0], [-(2.0**53)]] and ints.weights.tolist() == [1.0, 255.0]
+        single = _with(points=np.array([[0.1], [2.5]], dtype=np.float32))
+        assert single.points.tolist() == [[float(np.float32(0.1))], [2.5]]
 
     def test_every_entry_point_rejects_a_list(self, tmp_path):
         fs, _ = generate_example("random-diracs", 40, 1, seed=2)
