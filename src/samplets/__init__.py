@@ -22,8 +22,6 @@ from .ctree import (
     ClusterNode,
     ClusterTree,
     build_cluster_tree,
-    fiedler_vector,
-    spectral_bisection,
 )
 from .datasets import generate_example, test_function
 from .errors import (
@@ -37,9 +35,6 @@ from .frames import (
     DecayReport,
     FrameBounds,
     GramModel,
-    Green,
-    Kernel,
-    Mass,
     decay_report,
     dual_coefficients,
     dual_samplet_coefficients,
@@ -82,12 +77,11 @@ __all__ = [
     "analysis_vector", "moment_dimension", "primitive_basis",
     "EpsilonNeighborhood", "GaussianSimilarity", "MutualKNN",
     "SimilarityGraph", "build_graph", "laplacian_from_weights",
-    "ClusterNode", "ClusterTree", "build_cluster_tree", "fiedler_vector",
-    "spectral_bisection",
+    "ClusterNode", "ClusterTree", "build_cluster_tree",
     "ClusterFilters", "CompressionReport", "SampletBasis", "build_samplet_basis",
     "threshold_compress", "transform_matrix", "vanishing_moment_table",
     "verify_vanishing_moments",
-    "DecayReport", "FrameBounds", "GramModel", "Green", "Kernel", "Mass",
+    "DecayReport", "FrameBounds", "GramModel",
     "decay_report", "dual_coefficients", "dual_samplet_coefficients",
     "frame_bounds", "gram_green_1d", "gram_kernel", "gram_mass_p1",
     "BasisContainer", "deserialize_basis", "ingest_functionals", "load_basis",

@@ -26,7 +26,7 @@ from scipy import sparse
 
 from . import kernels
 from .ctree import ClusterTree
-from .errors import InputError, finite_or_nan
+from .errors import InputError, checked_int, finite_or_nan
 from .measures import (
     PrimitiveBasis,
     SupportBox,
@@ -191,6 +191,7 @@ class SampletBasis:
 
     def cluster_samplet_range(self, node_id):
         """Coefficient rows [start, stop) owned by one cluster node."""
+        node_id = checked_int(node_id, "cluster node index out of range", 0, self.tree.sizes.size)
         q, m_phi = self._q(node_id)
         start = int(self.node_out[node_id])
         return start, start + q.shape[0] - m_phi
@@ -216,9 +217,7 @@ class SampletBasis:
 
         Positions are sorted ascending; all lie inside the owning cluster.
         """
-        i = int(i)
-        if not 0 <= i < self.n_samplets:
-            raise InputError("samplet index out of range")
+        i = checked_int(i, "samplet index out of range", 0, self.n_samplets)
         node_id = int(self.samplet_clusters[i])
         col = self._q(node_id)[1] + i - int(self.node_out[node_id])
         idx, rows = self._rows(node_id, [col])
@@ -226,6 +225,7 @@ class SampletBasis:
 
     def scaling_rows(self, node_id):
         """All scaling rows of a cluster as (positions, matrix m_phi x size)."""
+        node_id = checked_int(node_id, "cluster node index out of range", 0, self.tree.sizes.size)
         return self._rows(node_id, range(self._q(node_id)[1]))
 
 
@@ -254,9 +254,7 @@ def build_samplet_basis(functionals, tree, degree):
     is factored by one stacked QR, which the basis keeps as its filters. The
     bits equal those of a node-by-node build.
     """
-    degree = int(degree)
-    if degree < 0:
-        raise InputError("degree must be nonnegative")
+    degree = checked_int(degree, "degree must be a nonnegative integer")
     fs = as_functional_set(functionals)
     if not isinstance(tree, ClusterTree) or tree.n != len(fs):
         raise InputError("tree does not match the functional set")
@@ -498,7 +496,8 @@ def threshold_compress(coeffs, sigma):
 
     Returns the compressed container (sparse CSR for matrices, dense copy for
     vectors) and a CompressionReport. sigma must be finite and nonnegative;
-    sigma = 0 keeps everything and sigma > 1 drops everything.
+    sigma = 0 keeps everything and sigma > 1 drops everything. Every entry
+    must be finite.
 
     A matrix is read in row panels of at most 2^18 entries, with no array
     of its size besides the CSR; dropped_norm is summed panel by panel, so
@@ -510,7 +509,10 @@ def threshold_compress(coeffs, sigma):
         raise InputError("expected a coefficient vector or matrix")
     mat = np.atleast_2d(coeffs)  # a vector is one row
     n, m = mat.shape
-    threshold = sigma * (float(np.maximum(mat.max(), -mat.min())) if mat.size else 0.0)
+    peak = float(np.maximum(mat.max(), -mat.min())) if mat.size else 0.0
+    if not math.isfinite(peak):  # NaN or an infinite entry
+        raise InputError("coefficient entries must be finite")
+    threshold = sigma * peak
     kept, dropped_sq, parts = 0, 0.0, [sparse.csr_matrix((0, m))]
     for rows in kernels.row_panels(n, m):
         panel = mat[rows]

@@ -32,8 +32,7 @@ into its cluster's range of the permutation. For all clusters of a level:
   directly: their lambda_3, lambda_4, ... lie within a few percent of each
   other, so the subspace iteration would stall on them.
 Every Fiedler pair must pass the residual check ||L v - lambda v|| <= 1e-8
-times the cluster's Gershgorin bound. `spectral_bisection` and
-`fiedler_vector` are one-cluster calls of the same solver.
+times the cluster's Gershgorin bound.
 """
 
 from dataclasses import dataclass, field
@@ -45,7 +44,7 @@ from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
-from .errors import EigenSolverError, InputError
+from .errors import EigenSolverError, InputError, checked_int
 from .measures import SupportBox, as_functional_set
 from .simgraph import SimilarityGraph, build_graph, laplacian_from_weights
 
@@ -132,9 +131,9 @@ class ClusterTree:
     at level 0 and every box is finite with lower <= upper.
 
     stats counts how the splits were found (see `_new_stats`); it is empty
-    for trees that were not built by `build_cluster_tree`. `nodes`, `root`,
-    `leaves()` and `node(i)` give `ClusterNode` views; `nodes` is made on
-    first access and reads nothing but the node count.
+    for trees that were not built by `build_cluster_tree`. `nodes`, `root`
+    and `leaves()` give `ClusterNode` views; `nodes` is made on first access
+    and reads nothing but the node count.
     """
 
     def __init__(self, perm, sizes, levels, box_lo, box_hi, stats=None):
@@ -211,9 +210,6 @@ class ClusterTree:
 
     def leaves(self):
         return [self.nodes[i] for i in np.flatnonzero(self.child_ids[:, 0] < 0)]
-
-    def node(self, node_id):
-        return self.nodes[node_id]
 
 
 def _new_stats():
@@ -396,24 +392,6 @@ def _fiedler_vectors(dense, group, stats):
     return vecs
 
 
-def fiedler_vector(lap):
-    """Unit eigenvector of the second smallest eigenvalue of a Laplacian.
-
-    Accepts a dense or sparse symmetric Laplacian. The sign is normalized so
-    the entry of largest magnitude is positive (the first one, among entries
-    equal to it within 1e-9). Raises EigenSolverError when
-    the residual ||L v - lambda v|| exceeds 1e-8 times the Gershgorin bound.
-    """
-    n = lap.shape[0]
-    if n < 2:
-        raise InputError("Fiedler vector needs at least two vertices")
-    if sparse.issparse(lap) and n > _DENSE_CUTOFF:
-        x0 = np.random.default_rng(_FIEDLER_SEED).standard_normal((n, _BLOCK))
-        return _fiedler_vectors([], (lap.tocsr(), np.array([0, n]), x0), _new_stats())[0]
-    dense = lap.toarray() if sparse.issparse(lap) else np.asarray(lap, dtype=np.float64)
-    return _fiedler_vectors([dense], None, _new_stats())[0]
-
-
 def _sign_split(v):
     """Nonnegative Fiedler entries, or a median or order split if one-sided."""
     mask = v >= 0.0
@@ -485,8 +463,6 @@ class _LevelSplitter:
     """
 
     def __init__(self, graph, moment_dim, stats):
-        if not isinstance(graph, SimilarityGraph):
-            raise InputError("graph must be a SimilarityGraph")
         self.graph, self.moment_dim, self.stats = graph, moment_dim, stats
         self.x0 = self.edges = None
         self.label = np.arange(graph.n)
@@ -626,30 +602,6 @@ class _LevelSplitter:
         return verts[order], np.bincount(cid, weights=in_first, minlength=sizes.size).astype(np.int64)
 
 
-def spectral_bisection(cluster, graph):
-    """Split a cluster in two along the Fiedler vector of its induced subgraph.
-
-    Vertices with nonnegative Fiedler entries form the first part, the rest
-    the second. A disconnected subgraph is split into balanced groups of whole
-    components instead. Degenerate one-sided sign patterns fall back to a
-    median split of the Fiedler values (ties toward the first part), then to
-    halving the value-sorted order, so both parts are always nonempty. This
-    is the level solver of `build_cluster_tree` applied to one cluster.
-    """
-    if isinstance(cluster, ClusterNode):
-        idx = cluster.indices
-    else:
-        idx = np.sort(np.asarray(cluster, dtype=np.int64))
-    if idx.size < 2:
-        raise InputError("cannot bisect a cluster with fewer than two functionals")
-    if not isinstance(graph, SimilarityGraph):
-        raise InputError("graph must be a SimilarityGraph")
-    # the solver sees only the cluster's own subgraph
-    sub = SimilarityGraph(graph.scheme, graph.subgraph_weights(idx))
-    parts, n1 = _LevelSplitter(sub, 0, _new_stats()).split(np.arange(idx.size), np.array([idx.size]))
-    return idx[parts[:n1[0]]], idx[parts[n1[0]:]]
-
-
 def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
     """Cluster tree over the functionals by spectral bisection, level by level.
 
@@ -664,7 +616,9 @@ def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
         more functionals than moment_dim. A component split whose smaller
         side would not exceed it bisects the largest component instead, if
         that component has more than moment_dim + 1 functionals.
-    graph : optional prebuilt SimilarityGraph over the same functionals
+    graph : optional prebuilt SimilarityGraph over the same functionals, with
+        len(functionals) x len(functionals) weights (their symmetry and signs
+        are not checked)
 
     Returns
     -------
@@ -674,19 +628,19 @@ def build_cluster_tree(functionals, scheme, leaf_max, moment_dim=1, graph=None):
     """
     fs = as_functional_set(functionals)
     n = len(fs)
-    leaf_max, moment_dim = int(leaf_max), int(moment_dim)
-    if moment_dim < 1:
-        raise InputError("moment_dim must be at least 1")
+    moment_dim = checked_int(moment_dim, "moment_dim must be an integer of at least 1", 1)
     if n <= moment_dim:
         raise InputError(f"{n} functionals cannot carry samplets with moment dimension {moment_dim}")
-    if leaf_max <= moment_dim:
-        raise InputError("leaf_max must exceed the moment dimension")
+    leaf_max = checked_int(leaf_max, "leaf_max must be an integer exceeding the moment dimension",
+                           moment_dim + 1)
     lo, hi = fs.boxes()
     if graph is None:
         if n > leaf_max:
             graph = build_graph(fs, scheme)
-    elif graph.n != n:
-        raise InputError("prebuilt graph size does not match the functionals")
+    elif not isinstance(graph, SimilarityGraph):
+        raise InputError("graph must be a SimilarityGraph")
+    elif getattr(graph.weights, "shape", None) != (n, n):
+        raise InputError(f"prebuilt graph weights must be {n} x {n}, one row and column per functional")
 
     # nodes in the order they are made: the root, then per level the two
     # children of each split cluster (at most 2n - 1 nodes). A split writes

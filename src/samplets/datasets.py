@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, checked_int
 from .frames import gram_green_1d, gram_mass_p1
 from .measures import FunctionalSet
 
@@ -45,12 +45,9 @@ def generate_example(name, n, dimension=1, seed=0):
     matrix, "green-1d" pairs Diracs at k/(n+1) with the Green function Gram
     matrix of the 1d Dirichlet Laplacian.
     """
-    n = int(n)
-    dimension = int(dimension)
-    if n < 1:
-        raise InputError("n must be positive")
-    if dimension < 1:
-        raise InputError("dimension must be at least 1")
+    n = checked_int(n, "n must be a positive integer", 1)
+    dimension = checked_int(dimension, "dimension must be an integer of at least 1", 1)
+    seed = checked_int(seed, "seed must be a nonnegative integer")
     if n * dimension > np.iinfo(np.intp).max // 8:
         raise InputError(f"n = {n} times dimension = {dimension} coordinates are more than one array holds")
     if name == "uniform-diracs":

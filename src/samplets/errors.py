@@ -37,3 +37,16 @@ def finite_or_nan(value):
     except OverflowError:  # an int beyond the float range
         return math.nan
     return value if math.isfinite(value) else math.nan
+
+
+def checked_int(value, message, low=0, high=math.inf):
+    """value as an int; InputError(message) unless it is an integral real number
+    with low <= value < high. Integral floats such as 8.0 count, as in a
+    FunctionalSet's integer fields; booleans, strings, NaN and inf do not, nor
+    does an integer beyond the float range (finite_or_nan)."""
+    if isinstance(value, bool) or not finite_or_nan(value).is_integer() or int(value) != value:
+        raise InputError(message)
+    value = int(value)
+    if not low <= value < high:
+        raise InputError(message)
+    return value

@@ -42,40 +42,19 @@ _LANCZOS_SEED = 0xF4A3E
 
 
 @dataclass(frozen=True)
-class Kernel:
-    """Provenance tag: reproducing kernel Gram matrix."""
-
-    name: str
-    length_scale: float
-
-
-@dataclass(frozen=True)
-class Mass:
-    """Provenance tag: P1 finite element mass matrix."""
-
-    description: str
-
-
-@dataclass(frozen=True)
-class Green:
-    """Provenance tag: Green function of an invertible operator."""
-
-    description: str
-
-
-@dataclass(frozen=True)
 class GramModel:
     """Symmetric positive definite pairing of a functional set with itself.
 
     matrix is the array the frame layer inverts: finite, real, square and
-    symmetric, checked and stored as float64 on construction. mu records the
-    Tikhonov shift that is already on matrix's diagonal (gram_kernel with
-    regularize); nothing adds it again. The record is frozen and the frame
-    functions only read matrix.
+    symmetric, checked and stored as float64 on construction. provenance is
+    a description of where the matrix came from, for reading only. mu
+    records the Tikhonov shift that is already on matrix's diagonal
+    (gram_kernel with regularize); nothing adds it again. The record is
+    frozen and the frame functions only read matrix.
     """
 
     matrix: np.ndarray
-    provenance: object
+    provenance: str
     mu: float = 0.0
 
     def __post_init__(self):
@@ -168,7 +147,7 @@ def gram_kernel(points, kernel="exponential", length_scale=1.0, regularize=False
     mu = 1e-12 * float(np.trace(g)) / g.shape[0] if regularize else 0.0
     if mu:
         g.flat[:: g.shape[0] + 1] += mu
-    return GramModel(g, Kernel(kernel, length_scale), mu)
+    return GramModel(g, f"{kernel} kernel, length scale {length_scale}", mu)
 
 
 def gram_mass_p1(mesh):
@@ -206,7 +185,7 @@ def gram_mass_p1(mesh):
     weights = np.hstack((rise[:-1], fall[1:])).ravel()
     functionals = FunctionalSet(points, weights, np.zeros(points.shape, dtype=np.int64),
                                 np.arange(0, 4 * n + 1, 4), np.arange(n))
-    model = GramModel(g, Mass(f"p1 hats on {mesh.size} nodes in [{mesh[0]}, {mesh[-1]}]"))
+    model = GramModel(g, f"p1 mass matrix of the hats on {mesh.size} nodes in [{mesh[0]}, {mesh[-1]}]")
     return model, functionals
 
 
@@ -222,7 +201,7 @@ def gram_green_1d(points):
     if np.unique(points).size != points.size:
         raise InputError("Green Gram matrix needs pairwise distinct points")
     g = np.minimum(points[:, None], points[None, :]) - points[:, None] * points[None, :]
-    return GramModel(g, Green("dirichlet laplacian on (0, 1)"))
+    return GramModel(g, "green function of the dirichlet laplacian on (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -332,10 +311,6 @@ class DecayReport:
     level_count: np.ndarray
     slope: float
     annihilated: bool
-
-    @property
-    def peak(self):
-        return float(np.abs(self.coefficients[: self.levels.size]).max()) if self.levels.size else 0.0
 
 
 def decay_report(basis, functionals, v):

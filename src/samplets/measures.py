@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import InputError
+from .errors import InputError, checked_int
 
 
 def moment_dimension(dimension, degree):
     """Number of monomials of total degree <= degree in the given dimension."""
-    if dimension < 1 or degree < 0:
-        raise InputError("need dimension >= 1 and degree >= 0")
+    message = "need integers dimension >= 1 and degree >= 0"
+    dimension, degree = checked_int(dimension, message, 1), checked_int(degree, message)
     return math.comb(dimension + degree, degree)
 
 
@@ -177,12 +177,8 @@ def primitive_basis(dimension, degree, box=None):
     box maps onto [-1, 1]^d, which keeps evaluation tables well conditioned.
     Degenerate box coordinates are only shifted, not scaled.
     """
-    dimension = int(dimension)
-    degree = int(degree)
-    if dimension < 1:
-        raise InputError("dimension must be at least 1")
-    if degree < 0:
-        raise InputError("degree must be nonnegative")
+    dimension = checked_int(dimension, "dimension must be an integer of at least 1", 1)
+    degree = checked_int(degree, "degree must be a nonnegative integer")
     if box is None:
         center = np.zeros(dimension)
         scale = np.ones(dimension)

@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from . import kernels
-from .errors import InputError, finite_or_nan
+from .errors import InputError, checked_int, finite_or_nan
 from .frames import check_length_scale, gaussian_in_place
 from .measures import as_functional_set
 
@@ -45,9 +45,8 @@ class MutualKNN:
     k: int
 
     def __post_init__(self):
-        if not finite_or_nan(self.k) >= 1.0:
-            raise InputError(f"k must be at least 1 and finite, not {self.k}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", checked_int(
+            self.k, f"k must be at least 1 and a finite integer, not {self.k}", 1))
 
 
 @dataclass(frozen=True)
@@ -81,16 +80,6 @@ class SimilarityGraph:
     @property
     def n(self):
         return self.weights.shape[0]
-
-    @property
-    def degrees(self):
-        if sparse.issparse(self.weights):
-            return np.asarray(self.weights.sum(axis=1)).ravel()
-        return self.weights.sum(axis=1)
-
-    @property
-    def laplacian(self):
-        return laplacian_from_weights(self.weights)
 
     def subgraph_weights(self, idx):
         """Weight matrix of the induced subgraph on the given vertex positions."""

@@ -150,6 +150,13 @@ class TestBuildSampletBasis:
         assert np.abs(u @ u.T - np.eye(3)).max() <= 1e-12
         assert verify_vanishing_moments(basis, functionals) == 0.0
 
+    @pytest.mark.parametrize("degree", [math.nan, 1.9, True, "1", -1], ids=[
+        "nan", "fraction", "bool", "str", "negative"])
+    def test_non_integer_degree_rejected(self, small_case, degree):
+        functionals, tree, _ = small_case
+        with pytest.raises(InputError, match="degree must be a nonnegative integer"):
+            build_samplet_basis(functionals, tree, degree)
+
     def test_leaf_smaller_than_moment_dimension_rejected(self):
         functionals = diracs_1d([0.0, 0.5, 1.0])
         tree = ClusterTree(np.arange(3), [3], [0], [[0.0]], [[1.0]])
@@ -584,6 +591,22 @@ class TestRowAccessAndMetadata:
         with pytest.raises(InputError):
             basis.samplet_row(basis.n_samplets)
 
+    @pytest.mark.parametrize("bad", [-1, 10**6, 2**64, 1.5, math.nan, True, "0"])
+    def test_node_and_samplet_indices_checked(self, small_case, bad):
+        _, _, basis = small_case
+        with pytest.raises(InputError, match="samplet index out of range"):
+            basis.samplet_row(bad)
+        for access in (basis.scaling_rows, basis.cluster_samplet_range):
+            with pytest.raises(InputError, match="cluster node index out of range"):
+                access(bad)
+
+    def test_integral_float_and_numpy_indices_accepted(self, small_case):
+        _, tree, basis = small_case
+        last = len(tree.nodes) - 1
+        assert basis.cluster_samplet_range(np.int64(last)) == basis.cluster_samplet_range(float(last))
+        assert np.array_equal(basis.samplet_row(np.float64(0.0))[1], basis.samplet_row(0)[1])
+        assert np.array_equal(basis.scaling_rows(0.0)[1], basis.scaling_rows(np.uint8(0))[1])
+
 
 class TestTransformMatrix:
     def test_identity_is_preserved(self, small_case):
@@ -691,6 +714,8 @@ def _threshold_reference(coeffs, sigma):
     """The whole-array threshold that the row-panel one replaced: |C|, the
     full mask and one norm over a copy of every dropped entry."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
+    if not np.isfinite(coeffs).all():
+        raise InputError("coefficient entries must be finite")
     mag = np.abs(coeffs)
     peak = float(mag.max()) if coeffs.size else 0.0
     threshold = sigma * peak
@@ -736,17 +761,21 @@ def _threshold_case(name):
         return np.asfortranarray(rng.normal(size=(90, 70)))
     if name == "vector":
         return rng.normal(size=500) * np.exp(-9.0 * rng.random(500))
+    if name == "nan-vector":
+        return np.array([1.0, np.nan])
+    if name == "inf-vector":
+        return np.array([1.0, np.inf])
     raise KeyError(name)
 
 
 _THRESHOLD_CASES = ["decaying", "ties", "zeros", "one-row", "one-column", "no-rows",
-                    "no-columns", "nan", "inf", "fortran", "vector"]
+                    "no-columns", "nan", "inf", "fortran", "vector", "nan-vector", "inf-vector"]
 
 
 class TestRowPanelThreshold:
     """threshold_compress walks row panels; the whole-array reference gives
     the same threshold, kept count and CSR, and the same dropped norm up to
-    the order of its sum."""
+    the order of its sum. Both reject a NaN or an infinite entry."""
 
     @pytest.mark.parametrize("panel", [1 << 18, 40, 1], ids=["default", "40-entries", "1-entry"])
     @pytest.mark.parametrize("sigma", [0.0, 0.25, 1e-3, 1.5])
@@ -756,14 +785,16 @@ class TestRowPanelThreshold:
         # divide the row count (203 rows of 57 go one row at a time)
         monkeypatch.setattr(kernels, "_PANEL", panel)
         coeffs = _threshold_case(name)
+        if not np.isfinite(coeffs).all():
+            for compress in (threshold_compress, _threshold_reference):
+                with pytest.raises(InputError, match="coefficient entries must be finite"):
+                    compress(coeffs, sigma)
+            return
         out, report = threshold_compress(coeffs, sigma)
         ref, threshold, kept, dropped = _threshold_reference(coeffs, sigma)
-        assert np.array_equal(report.threshold, threshold, equal_nan=True)
+        assert report.threshold == threshold
         assert report.kept == kept and report.total == coeffs.size
-        if math.isnan(dropped) or math.isinf(dropped):
-            assert np.array_equal(report.dropped_norm, dropped, equal_nan=True)
-        else:
-            assert abs(report.dropped_norm - dropped) <= 1e-12 * dropped
+        assert abs(report.dropped_norm - dropped) <= 1e-12 * dropped
         if coeffs.ndim == 1:
             assert isinstance(out, np.ndarray)
             assert np.array_equal(out, ref) and np.array_equal(np.signbit(out), np.signbit(ref))

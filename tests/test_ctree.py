@@ -1,5 +1,7 @@
 """Fiedler vectors, spectral bisection, and cluster tree construction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,15 +18,13 @@ from samplets import (
     MutualKNN,
     build_cluster_tree,
     build_graph,
-    fiedler_vector,
     generate_example,
     moment_dimension,
-    spectral_bisection,
 )
 from conftest import diracs_1d
 from samplets import ctree
 from samplets.ctree import ClusterTree, _balanced_sides
-from samplets.simgraph import laplacian_from_weights
+from samplets.simgraph import SimilarityGraph, laplacian_from_weights
 from test_acceptance import _check_tree
 
 
@@ -34,6 +34,28 @@ def _path_laplacian(n, weights=None):
     for i in range(n - 1):
         w[i, i + 1] = w[i + 1, i] = vals[i]
     return laplacian_from_weights(w)
+
+
+def _fiedler(lap):
+    """The tree's Fiedler solver on one Laplacian: the dense path (dsyevr up
+    to 128 vertices, ARPACK above), or the level LU group for a sparse one
+    above 128 vertices, as a tree level routes a cluster."""
+    n = lap.shape[0]
+    if sparse.issparse(lap) and n > ctree._DENSE_CUTOFF:
+        x0 = np.random.default_rng(ctree._FIEDLER_SEED).standard_normal((n, ctree._BLOCK))
+        return ctree._fiedler_vectors([], (lap.tocsr(), np.array([0, n]), x0), ctree._new_stats())[0]
+    dense = lap.toarray() if sparse.issparse(lap) else np.asarray(lap, dtype=np.float64)
+    return ctree._fiedler_vectors([dense], None, ctree._new_stats())[0]
+
+
+def _bisect(cluster, graph):
+    """The level splitter on one cluster, alone on its induced subgraph:
+    (positions of the first part, positions of the second), each ascending."""
+    idx = np.sort(np.asarray(cluster, dtype=np.int64))
+    sub = SimilarityGraph(graph.scheme, graph.subgraph_weights(idx))
+    parts, n1 = ctree._LevelSplitter(sub, 0, ctree._new_stats()).split(
+        np.arange(idx.size), np.array([idx.size]))
+    return idx[parts[:n1[0]]], idx[parts[n1[0]:]]
 
 
 def _tree_nodes_equal(a, b):
@@ -74,12 +96,12 @@ def assert_tree_invariants(tree, moment_dim):
 class TestFiedlerVector:
     def test_two_vertex_path(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        v = fiedler_vector(lap)
+        v = _fiedler(lap)
         expect = np.array([1.0, -1.0]) / np.sqrt(2.0)
         assert np.allclose(v, expect, atol=1e-12)
 
     def test_four_vertex_path_sign_pattern(self):
-        v = fiedler_vector(_path_laplacian(4))
+        v = _fiedler(_path_laplacian(4))
         assert np.sign(v).tolist() == [1.0, 1.0, -1.0, -1.0]
 
     def test_complete_graph_eigenpair(self):
@@ -87,7 +109,7 @@ class TestFiedlerVector:
         # eigenspace; any unit vector orthogonal to the constants is valid
         w = np.ones((3, 3)) - np.eye(3)
         lap = laplacian_from_weights(w)
-        v = fiedler_vector(lap)
+        v = _fiedler(lap)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         assert abs(v.sum()) <= 1e-8
         assert np.allclose(lap @ v, 3.0 * v, atol=1e-8)
@@ -99,7 +121,7 @@ class TestFiedlerVector:
             w = rng.random((n, n))
             w = (w + w.T) / 2
             np.fill_diagonal(w, 0.0)
-            v = fiedler_vector(laplacian_from_weights(w))
+            v = _fiedler(laplacian_from_weights(w))
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
             assert v[np.argmax(np.abs(v))] > 0.0
 
@@ -112,12 +134,8 @@ class TestFiedlerVector:
         lap_dense = _path_laplacian(600, weights)
         expect = np.linalg.eigh(lap_dense)[1][:, 1]
         for lap in (lap_dense, sparse.csr_matrix(lap_dense)):
-            v = fiedler_vector(lap)
+            v = _fiedler(lap)
             assert min(np.abs(v - expect).max(), np.abs(v + expect).max()) <= 1e-6
-
-    def test_too_small_rejected(self):
-        with pytest.raises(InputError):
-            fiedler_vector(np.zeros((1, 1)))
 
 
 class TestSpectralBisection:
@@ -127,14 +145,14 @@ class TestSpectralBisection:
         pts = [0.0, 0.1, 2.0, 2.1]
         functionals = diracs_1d(pts)
         graph = build_graph(functionals, GaussianSimilarity(0.5))
-        left, right = spectral_bisection(np.arange(4), graph)
+        left, right = _bisect(np.arange(4), graph)
         groups = {frozenset(left.tolist()), frozenset(right.tolist())}
         assert groups == {frozenset({0, 1}), frozenset({2, 3})}
 
     def test_two_vertices_split_into_singletons(self):
         functionals = diracs_1d([0.0, 1.0])
         graph = build_graph(functionals, GaussianSimilarity(1.0))
-        left, right = spectral_bisection(np.arange(2), graph)
+        left, right = _bisect(np.arange(2), graph)
         assert sorted(left.tolist() + right.tolist()) == [0, 1]
         assert len(left) == len(right) == 1
 
@@ -144,7 +162,7 @@ class TestSpectralBisection:
         pts = [0.0, 0.01, 5.0, 5.01]
         functionals = diracs_1d(pts)
         graph = build_graph(functionals, EpsilonNeighborhood(0.1))
-        left, right = spectral_bisection(np.arange(4), graph)
+        left, right = _bisect(np.arange(4), graph)
         groups = {frozenset(left.tolist()), frozenset(right.tolist())}
         assert groups == {frozenset({0, 1}), frozenset({2, 3})}
 
@@ -155,15 +173,9 @@ class TestSpectralBisection:
             pts = rng.random((n, 2))
             functionals = FunctionalSet.diracs(pts)
             graph = build_graph(functionals, GaussianSimilarity(0.5))
-            left, right = spectral_bisection(np.arange(n), graph)
+            left, right = _bisect(np.arange(n), graph)
             assert len(left) > 0 and len(right) > 0
             assert sorted(left.tolist() + right.tolist()) == list(range(n))
-
-    def test_singleton_cluster_rejected(self):
-        functionals = diracs_1d([0.0, 1.0])
-        graph = build_graph(functionals, GaussianSimilarity(1.0))
-        with pytest.raises(InputError):
-            spectral_bisection(np.array([0]), graph)
 
 
 class TestBuildClusterTree:
@@ -200,6 +212,30 @@ class TestBuildClusterTree:
         functionals, _ = generate_example("uniform-diracs", 16)
         with pytest.raises(InputError):
             build_cluster_tree(functionals, GaussianSimilarity(0.5), 3, moment_dim=3)
+
+    @pytest.mark.parametrize("leaf_max, moment_dim", [
+        (math.nan, 1), (math.inf, 1), (8.7, 1), ("8", 1), (True, 1), (8, 1.5), (8, math.nan),
+        (8, True),
+    ], ids=["leaf-nan", "leaf-inf", "leaf-fraction", "leaf-str", "leaf-bool", "dim-fraction",
+            "dim-nan", "dim-bool"])
+    def test_non_integer_settings_rejected(self, leaf_max, moment_dim):
+        functionals, _ = generate_example("uniform-diracs", 64)
+        with pytest.raises(InputError, match="must be an integer"):
+            build_cluster_tree(functionals, GaussianSimilarity(0.5), leaf_max, moment_dim=moment_dim)
+
+    def test_integral_float_settings_count_as_integers(self):
+        functionals, _ = generate_example("uniform-diracs", 64)
+        a = build_cluster_tree(functionals, GaussianSimilarity(0.5), 8, moment_dim=2)
+        b = build_cluster_tree(functionals, GaussianSimilarity(0.5), 8.0, moment_dim=np.float64(2.0))
+        assert np.array_equal(a.perm, b.perm) and np.array_equal(a.sizes, b.sizes)
+
+    def test_prebuilt_graph_must_be_a_square_similarity_graph(self):
+        functionals, _ = generate_example("uniform-diracs", 64)
+        with pytest.raises(InputError, match="graph must be a SimilarityGraph"):
+            build_cluster_tree(functionals, None, 8, graph=np.eye(64))
+        for w in (np.ones((64, 10)), sparse.eye(63, format="csr"), np.ones((65, 65)), [[1.0]] * 64):
+            with pytest.raises(InputError, match="weights must be 64 x 64"):
+                build_cluster_tree(functionals, None, 8, graph=SimilarityGraph(None, w))
 
     def test_deterministic_rebuild(self):
         functionals, _ = generate_example("random-diracs", 200, 2, seed=13)
@@ -239,7 +275,7 @@ class TestBuildClusterTree:
         assert [nd.node_id for nd in tree.nodes] == [0, 1, 2]
         assert tree.n == 4 and tree.depth == 1
         assert [nd.indices.tolist() for nd in tree.root.children] == [[0, 1], [2, 3]]
-        assert tree.node(2).box.lower.tolist() == [0.5] and tree.node(2).is_leaf
+        assert tree.nodes[2].box.lower.tolist() == [0.5] and tree.nodes[2].is_leaf
 
 
 # -- the recursive per-cluster bisection that the level solver replaced ------
@@ -478,7 +514,7 @@ class TestLevelSolver:
         for nd in tree.nodes:
             if nd.is_leaf:
                 continue
-            parts = spectral_bisection(nd.indices, graph)
+            parts = _bisect(nd.indices, graph)
             assert {tuple(p) for p in parts} == {tuple(c.indices) for c in nd.children}
 
     def test_balanced_sides_match_the_greedy_loop(self):
@@ -594,7 +630,7 @@ class TestNodeViews:
         for name in ("child_ids", "start", "heights"):
             assert np.array_equal(getattr(tree, name), getattr(built, name)), name
         nodes, root, leaves = tree.nodes, tree.root, tree.leaves()
-        assert root is nodes[0] and tree.node(len(nodes) - 1) is nodes[-1]
+        assert root is nodes[0]
         assert [nd.node_id for nd in leaves] == np.flatnonzero(tree.child_ids[:, 0] < 0).tolist()
         assert not any("indices" in vars(nd) for nd in nodes)
         for i, nd in enumerate(nodes):

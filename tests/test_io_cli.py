@@ -410,6 +410,23 @@ class TestExamples:
         with pytest.raises(InputError):
             generate_example("fourier", 8)
 
+    @pytest.mark.parametrize("n, dimension", [
+        (math.nan, 1), (10.7, 1), (True, 1), ("8", 1), (8, math.inf), (8, 1.5), (8, 10**400),
+    ], ids=["n-nan", "n-fraction", "n-bool", "n-str", "dim-inf", "dim-fraction", "dim-beyond-float"])
+    def test_non_integer_sizes_rejected(self, n, dimension):
+        with pytest.raises(InputError, match="must be (a positive|an) integer"):
+            generate_example("random-diracs", n, dimension)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "4", math.nan, True])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+            generate_example("random-diracs", 8, seed=seed)
+
+    def test_integral_float_sizes_count_as_integers(self):
+        a, _ = generate_example("random-diracs", 16.0, np.float64(2.0))
+        b, _ = generate_example("random-diracs", 16, 2)
+        assert np.array_equal(a.points, b.points)
+
     def test_named_test_functions(self):
         assert named_function("exp")(np.array([0.0])) == 1.0
         assert named_function("kink")(np.array([math.pi / 8.0])) == 0.0
@@ -655,7 +672,7 @@ class TestCliVerbs:
         assert list(out.iterdir()) == []
         assert taken.read_text() == ""
 
-    @pytest.mark.parametrize("param", ["inf", "nan", "0"])
+    @pytest.mark.parametrize("param", ["inf", "nan", "0", "3.5"])
     def test_scheme_checked_before_the_input_is_read(self, tmp_path, capsys, param):
         code = main(["build", "--input", str(tmp_path / "missing.csv"), "--scheme", "knn",
                      "--scheme-param", param, "--out", str(tmp_path)])

@@ -209,6 +209,21 @@ class TestPrimitiveBasis:
         with pytest.raises(InputError):
             primitive_basis(1, -1)
 
+    @pytest.mark.parametrize("dimension, degree", [
+        (1, 1.5), (1, math.nan), (1, True), (1, "2"), (1.5, 1), (math.inf, 1), (True, 1),
+    ], ids=["degree-fraction", "degree-nan", "degree-bool", "degree-str", "dim-fraction",
+            "dim-inf", "dim-bool"])
+    def test_non_integer_parameters_rejected(self, dimension, degree):
+        with pytest.raises(InputError, match="integer"):
+            primitive_basis(dimension, degree)
+        with pytest.raises(InputError, match="integers"):
+            moment_dimension(dimension, degree)
+
+    def test_integral_float_parameters_count_as_integers(self):
+        assert moment_dimension(2.0, np.float64(3.0)) == moment_dimension(2, 3) == 10
+        prim = primitive_basis(np.float64(2.0), 3.0)
+        assert (prim.dimension, prim.degree) == (2, 3) and type(prim.degree) is int
+
 
 class TestPolynomial:
     def test_monomial_derivative_evaluation(self):

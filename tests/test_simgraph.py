@@ -134,17 +134,19 @@ class TestSimilarity:
 
     @pytest.mark.parametrize("make, bad", [
         (MutualKNN, math.inf), (MutualKNN, math.nan), (MutualKNN, "8"), (MutualKNN, 10**400),
-        (EpsilonNeighborhood, math.inf), (EpsilonNeighborhood, "a"), (EpsilonNeighborhood, None),
-        (GaussianSimilarity, math.inf), (GaussianSimilarity, "a"),
-    ], ids=["knn-inf", "knn-nan", "knn-str", "knn-huge-int", "eps-inf", "eps-str", "eps-none",
-            "gaussian-inf", "gaussian-str"])
+        (MutualKNN, True), (EpsilonNeighborhood, math.inf), (EpsilonNeighborhood, "a"),
+        (EpsilonNeighborhood, None), (GaussianSimilarity, math.inf), (GaussianSimilarity, "a"),
+    ], ids=["knn-inf", "knn-nan", "knn-str", "knn-huge-int", "knn-bool", "eps-inf", "eps-str",
+            "eps-none", "gaussian-inf", "gaussian-str"])
     def test_non_numeric_and_non_finite_parameters_rejected(self, make, bad):
         with pytest.raises(InputError, match="finite"):
             make(bad)
 
-    def test_fractional_k_truncates(self):
-        assert MutualKNN(3.7).k == 3
-        assert MutualKNN(np.float64(8.0)).k == 8
+    def test_fractional_k_rejected(self):
+        for k in (3.7, 2.5, np.float64(1.5)):
+            with pytest.raises(InputError, match="k must be at least 1 and a finite integer"):
+                MutualKNN(k)
+        assert MutualKNN(np.float64(8.0)).k == 8 and type(MutualKNN(8.0).k) is int
 
 
 class TestLaplacian:
@@ -276,9 +278,10 @@ class TestBuildGraph:
             w = _dense(graph.weights)
             assert np.array_equal(w, w.T)
             assert w.min() >= 0.0
-            lap = _dense(graph.laplacian)
+            lap = _dense(laplacian_from_weights(graph.weights))
             assert np.abs(lap.sum(axis=1)).max() <= 1e-10
-            assert np.allclose(graph.degrees, w.sum(axis=1))
+            # the diagonal is the degree without the self-similarity entry
+            assert np.allclose(np.diag(lap), w.sum(axis=1) - np.diag(w))
 
     @pytest.mark.parametrize(
         "scheme",
@@ -390,12 +393,6 @@ class TestBuildGraph:
         assert _CountingKDTree.query_ks[0] == 25 and _CountingKDTree.query_rows[0] == 1501
         assert _CountingKDTree.query_rows[1:] == [1] * (len(_CountingKDTree.query_rows) - 1)
         assert np.array_equal(w.toarray(), _reference_weights(functionals, MutualKNN(8)))
-
-    def test_laplacian_follows_reassigned_weights(self):
-        graph = build_graph(self._random_diracs(50, 1, 4), GaussianSimilarity(0.2))
-        assert graph.laplacian.shape == (50, 50)
-        graph.weights = graph.subgraph_weights(np.arange(10))
-        assert np.array_equal(graph.laplacian, laplacian_from_weights(graph.weights))
 
     def test_subgraph_weights_restrict_rows_and_columns(self):
         functionals = self._random_diracs(40, 1, 3)
