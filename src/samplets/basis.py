@@ -153,20 +153,13 @@ class SampletBasis:
         return self.tree.levels[self.samplet_clusters]
 
     @property
-    def samplet_box_lo(self):
-        return self.tree.box_lo[self.samplet_clusters]
-
-    @property
-    def samplet_box_hi(self):
-        return self.tree.box_hi[self.samplet_clusters]
-
-    @property
     def n_scaling(self):
         return self.n - self.n_samplets
 
     @property
     def samplet_diameters(self):
-        return np.linalg.norm(self.samplet_box_hi - self.samplet_box_lo, axis=1)
+        owners = self.samplet_clusters
+        return np.linalg.norm(self.tree.box_hi[owners] - self.tree.box_lo[owners], axis=1)
 
     @property
     def filters(self):
@@ -184,49 +177,18 @@ class SampletBasis:
         """The full orthogonal matrix, rows ordered as the coefficients."""
         return self.forward(np.eye(self.n))
 
-    def _q(self, node_id):
-        """Node node_id's orthogonal factor q and its number m_phi of scaling outputs."""
-        q, r = self.stacks[self.node_bucket[node_id]]
-        return q[self.node_slot[node_id]], r.shape[1]
-
-    def cluster_samplet_range(self, node_id):
-        """Coefficient rows [start, stop) owned by one cluster node."""
-        node_id = checked_int(node_id, "cluster node index out of range", 0, self.tree.sizes.size)
-        q, m_phi = self._q(node_id)
-        start = int(self.node_out[node_id])
-        return start, start + q.shape[0] - m_phi
-
-    def _values(self, node_id, coeff):
-        """Values on node node_id's range of perm of a combination of its inputs."""
-        c1, c2 = self.tree.child_ids[node_id]
-        if c1 < 0:
-            return coeff
-        (q1, m1), (q2, m2) = self._q(c1), self._q(c2)
-        return np.concatenate((self._values(c1, q1[:, :m1] @ coeff[:m1]),
-                               self._values(c2, q2[:, :m2] @ coeff[m1:])))
-
-    def _rows(self, node_id, cols):
-        """Positions of a node, ascending, and the rows of its filter columns cols there."""
-        idx = self.tree.positions([node_id])
-        order = np.argsort(idx)
-        q = self._q(node_id)[0]
-        return idx[order], np.array([self._values(node_id, q[:, k])[order] for k in cols])
-
     def samplet_row(self, i):
         """Nonzero pattern of samplet row i: (functional positions, values).
 
-        Positions are sorted ascending; all lie inside the owning cluster.
+        The row is read as the inverse cascade of the unit coefficient e_i,
+        which is exactly zero outside the owning cluster. Positions are that
+        cluster's, sorted ascending; the call costs one O(N) inverse.
         """
         i = checked_int(i, "samplet index out of range", 0, self.n_samplets)
-        node_id = int(self.samplet_clusters[i])
-        col = self._q(node_id)[1] + i - int(self.node_out[node_id])
-        idx, rows = self._rows(node_id, [col])
-        return idx, rows[0]
-
-    def scaling_rows(self, node_id):
-        """All scaling rows of a cluster as (positions, matrix m_phi x size)."""
-        node_id = checked_int(node_id, "cluster node index out of range", 0, self.tree.sizes.size)
-        return self._rows(node_id, range(self._q(node_id)[1]))
+        idx = np.sort(self.tree.positions([int(self.samplet_clusters[i])]))
+        unit = np.zeros(self.n)
+        unit[i] = 1.0
+        return idx, self.inverse(unit)[idx]
 
 
 def build_samplet_basis(functionals, tree, degree):

@@ -1,7 +1,8 @@
 """Command line driver: the verbs are the rows of `_VERBS`, the settings the
 fields of `RunConfig`. Settings come from flags or a key=value config file;
 flags win. Exit codes: 0 success, 2 invalid input (an input too large to
-allocate included), 3 numerical failure.
+allocate, a path that cannot be read or written included), 3 numerical
+failure.
 """
 
 import argparse
@@ -91,21 +92,21 @@ def _coerce(key, raw):
 def parse_config_file(path):
     """Read key = value lines; '#' starts a comment, blank lines are skipped."""
     try:
-        fh = open(path)
-    except OSError as exc:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from None
     out = {}
-    with fh:
-        for ln, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise InputError(f"{path} line {ln}: expected key = value")
-            key, raw = (s.strip() for s in text.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise InputError(f"{path} line {ln}: unknown key {key!r}")
-            out[key] = _coerce(key, raw)
+    for ln, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise InputError(f"{path} line {ln}: expected key = value")
+        key, raw = (s.strip() for s in text.split("=", 1))
+        if key not in _FIELD_TYPES:
+            raise InputError(f"{path} line {ln}: unknown key {key!r}")
+        out[key] = _coerce(key, raw)
     return out
 
 
@@ -116,14 +117,32 @@ def make_config(args):
 
 
 def _load_functionals(cfg, basis=None):
+    """The functional set and example Gram model of cfg.
+
+    With a basis, the set must be the one the basis was built on: of its
+    size and dimension, and with the support boxes of its functionals
+    reducing over each leaf's positions to the leaf box the tree stores.
+    """
     if cfg.input:
         functionals, model = ingest_functionals(cfg.input), None
     elif cfg.example:
         functionals, model = generate_example(cfg.example, cfg.n, cfg.dimension, cfg.seed)
     else:
         raise InputError("functionals required: pass --input atoms.csv or --example name")
-    if basis is not None and len(functionals) != basis.n:
-        raise InputError("functional set does not match the basis size")
+    if basis is None:
+        return functionals, model
+    if len(functionals) != basis.n or functionals.dimension != basis.dimension:
+        raise InputError("functional set does not match the basis size or dimension")
+    tree = basis.tree
+    leaves = np.flatnonzero(tree.child_ids[:, 0] < 0)
+    rows, sizes = tree.positions(leaves), tree.sizes[leaves]
+    starts = np.cumsum(sizes) - sizes
+    lo, hi = functionals.boxes()
+    same = ((np.minimum.reduceat(lo[rows], starts) == tree.box_lo[leaves])
+            & (np.maximum.reduceat(hi[rows], starts) == tree.box_hi[leaves])).all(axis=1)
+    if not same.all():
+        raise InputError(f"functional set does not match the basis: its supports in leaf node "
+                         f"{leaves[np.argmin(same)]} differ from the stored leaf box")
     return functionals, model
 
 
@@ -464,7 +483,7 @@ def main(argv=None):
         cfg = make_config(args)
         _check_settings(cfg)
         return args.run(cfg, args)
-    except (InputError, MemoryError) as exc:
+    except (InputError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SampletError as exc:

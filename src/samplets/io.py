@@ -69,13 +69,12 @@ def _column(texts, lines, what, integer):
 def _read_csv(path):
     """Stripped header, and line numbers and columns of the nonblank rows."""
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader, [])]
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        rows = list(reader)
     if not header:
         raise InputError(f"{path} is empty")
     lines = [line for line, row in enumerate(rows, start=2) if "".join(row).strip()]

@@ -78,17 +78,19 @@ def eval_table(points, weights, derivs, offsets, sel, exps, center, scale):
 
 
 def box_distance_matrix(lo, hi):
-    """Dense matrix of Euclidean distances between boxes [lo[i], hi[i]]."""
+    """Dense matrix of Euclidean distances between boxes [lo[i], hi[i]].
+
+    The gaps of one row panel (`row_panels` of the n x n*d gap array) are
+    formed at a time, so besides the result it holds a few panels.
+    """
     lo = np.ascontiguousarray(lo, dtype=np.float64)
     hi = np.ascontiguousarray(hi, dtype=np.float64)
-    n = lo.shape[0]
+    n, d = lo.shape
     out = np.empty((n, n))
-    step = max(1, (1 << 22) // max(1, n))
-    for s in range(0, n, step):
-        e = min(n, s + step)
-        g = np.maximum(lo[s:e, None, :] - hi[None, :, :], lo[None, :, :] - hi[s:e, None, :])
+    for rows in row_panels(n, n * d):
+        g = np.maximum(lo[rows, None, :] - hi[None, :, :], lo[None, :, :] - hi[rows, None, :])
         np.maximum(g, 0.0, out=g)
-        out[s:e] = np.sqrt(np.einsum("ijk,ijk->ij", g, g))
+        out[rows] = np.sqrt(np.einsum("ijk,ijk->ij", g, g))
     return out
 
 

@@ -92,18 +92,12 @@ class SupportBox:
         return 0.5 * (self.upper - self.lower)
 
 
-def box_affine(box):
-    """Center and per-coordinate scale mapping the box onto [-1, 1]^d.
+def corner_affine(lower, upper):
+    """Center and per-coordinate scale mapping each box [lower, upper] onto [-1, 1]^d.
 
+    The corners are arrays of shape (..., d), e.g. one row per box.
     Degenerate coordinates (zero width) keep scale 1 so the map stays a shift.
     """
-    if box is None:
-        raise InputError("box required")
-    return corner_affine(box.lower, box.upper)
-
-
-def corner_affine(lower, upper):
-    """box_affine of boxes given by corner arrays of shape (..., d), e.g. one row per box."""
     half = 0.5 * (upper - lower)
     return 0.5 * (lower + upper), np.where(half > 0.0, half, 1.0)
 
@@ -160,7 +154,6 @@ class PrimitiveBasis:
 
     dimension: int
     degree: int
-    box: object
     exponents: np.ndarray = field(repr=False)
     center: np.ndarray = field(repr=False)
     scale: np.ndarray = field(repr=False)
@@ -185,9 +178,9 @@ def primitive_basis(dimension, degree, box=None):
     else:
         if box.dimension != dimension:
             raise InputError("box dimension does not match")
-        center, scale = box_affine(box)
+        center, scale = corner_affine(box.lower, box.upper)
     exps = graded_exponents(dimension, degree)
-    basis = PrimitiveBasis(dimension, degree, box, exps, center, scale)
+    basis = PrimitiveBasis(dimension, degree, exps, center, scale)
     assert basis.size == moment_dimension(dimension, degree)
     return basis
 

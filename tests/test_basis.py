@@ -42,7 +42,7 @@ from samplets.kernels import eval_table
 from samplets.measures import (
     Polynomial,
     analysis_vector,
-    box_affine,
+    corner_affine,
     graded_exponents,
 )
 
@@ -72,6 +72,32 @@ def _node_filters(basis, node_id):
     q, r = basis.stacks[basis.node_bucket[node_id]]
     j = basis.node_slot[node_id]
     return q[j], r[j], r.shape[1]
+
+
+def _expand(basis, node_id, coeff):
+    """Values on node node_id's range of perm of a combination coeff of its
+    inputs, expanded recursively through the children's scaling filters."""
+    c1, c2 = basis.tree.child_ids[node_id]
+    if c1 < 0:
+        return coeff
+    (q1, _, m1), (q2, _, m2) = _node_filters(basis, c1), _node_filters(basis, c2)
+    return np.concatenate((_expand(basis, c1, q1[:, :m1] @ coeff[:m1]),
+                           _expand(basis, c2, q2[:, :m2] @ coeff[m1:])))
+
+
+def _filter_rows(basis, node_id, cols):
+    """Positions of a node, ascending, and the rows of its filter columns cols there
+    (the recursive reference of the cascade's synthesis)."""
+    idx = basis.tree.positions([node_id])
+    order = np.argsort(idx)
+    q = _node_filters(basis, node_id)[0]
+    return idx[order], np.array([_expand(basis, node_id, q[:, k])[order] for k in cols])
+
+
+def _samplet_ranges(basis):
+    """Coefficient rows [start, stop) owned by each node, from node_out and the owners."""
+    counts = np.bincount(basis.samplet_clusters, minlength=basis.tree.sizes.size)
+    return np.stack((basis.node_out, basis.node_out + counts), axis=1)
 
 
 class TestMomentMatrix:
@@ -165,9 +191,12 @@ class TestBuildSampletBasis:
 
     def test_telescoping_row_count(self, small_case):
         functionals, tree, basis = small_case
-        per_node = sum(stop - start for start, stop in map(basis.cluster_samplet_range,
-                                                              range(len(tree.nodes))))
-        assert per_node == basis.n_samplets
+        # each node emits its inputs minus its scaling outputs as samplets
+        per_node = [q.shape[0] - m_phi for q, _, m_phi in
+                    (_node_filters(basis, i) for i in range(len(tree.nodes)))]
+        assert np.array_equal(per_node, np.bincount(basis.samplet_clusters,
+                                                    minlength=len(tree.nodes)))
+        assert sum(per_node) == basis.n_samplets
         assert basis.n_samplets + basis.n_scaling == len(functionals)
         assert basis.n_scaling == moment_dimension(2, 1)
 
@@ -237,7 +266,7 @@ def _per_node_build(fs, tree, degree):
     packed into the bucket stacks at the end."""
     exps = graded_exponents(fs.dimension, degree)
     nodes = tree.nodes
-    affine = [box_affine(nd.box) for nd in nodes]
+    affine = [corner_affine(nd.box.lower, nd.box.upper) for nd in nodes]
     filters = [None] * len(nodes)
     mom_phi = [None] * len(nodes)
     for i in sorted(range(len(nodes)), key=lambda i: (-nodes[i].level, i)):
@@ -411,7 +440,8 @@ class TestVanishingMoments:
             else:
                 cols = []
                 for ch in nd.children:
-                    idx, rows = basis.scaling_rows(ch.node_id)
+                    m_phi = _node_filters(basis, ch.node_id)[2]
+                    idx, rows = _filter_rows(basis, ch.node_id, range(m_phi))
                     cols.extend((idx, rows[k]) for k in range(rows.shape[0]))
             direct = np.zeros((prim.size, len(cols)))
             for a in range(prim.size):
@@ -430,11 +460,10 @@ def _per_cluster_scan(basis, fs, primitives):
     """Reference vanishing-moment rows: one full evaluation and forward per cluster."""
     sel = np.arange(basis.n, dtype=np.int64)
     rows = []
-    for nd in basis.tree.nodes:
-        start, stop = basis.cluster_samplet_range(nd.node_id)
+    for nd, (start, stop) in zip(basis.tree.nodes, _samplet_ranges(basis).tolist()):
         if stop == start:
             continue
-        center, scale = box_affine(nd.box)
+        center, scale = corner_affine(nd.box.lower, nd.box.upper)
         table = eval_table(
             fs.points, fs.weights, fs.derivs, fs.offsets,
             sel, primitives.exponents, center, scale,
@@ -523,9 +552,9 @@ class TestVanishingScan:
 
     def test_coincident_case_has_zero_width_clusters(self):
         functionals, basis = _scan_case("coincident")
+        owners = np.bincount(basis.samplet_clusters, minlength=len(basis.tree.nodes))
         flat = [nd for nd in basis.tree.nodes
-                if np.diff(basis.cluster_samplet_range(nd.node_id))[0]
-                and np.array_equal(nd.box.lower, nd.box.upper)]
+                if owners[nd.node_id] and np.array_equal(nd.box.lower, nd.box.upper)]
         assert flat
 
     @pytest.mark.parametrize("dimension", [1, 3], ids=["d-1", "d+1"])
@@ -548,6 +577,23 @@ class TestRowAccessAndMetadata:
             row[idx] = vals
             assert np.allclose(row, u[i], atol=1e-12)
 
+    def test_samplet_rows_are_the_inverse_of_unit_coefficients(self, small_case):
+        # bit for bit on the owning cluster and exactly zero outside it, and
+        # equal to the recursive expansion of the owner's filter column
+        _, tree, basis = small_case
+        for i in range(basis.n_samplets):
+            idx, vals = basis.samplet_row(i)
+            unit = np.zeros(basis.n)
+            unit[i] = 1.0
+            full = basis.inverse(unit)
+            assert np.array_equal(vals, full[idx])
+            assert not np.delete(full, idx).any()
+            owner = int(basis.samplet_clusters[i])
+            col = _node_filters(basis, owner)[2] + i - int(basis.node_out[owner])
+            ref_idx, ref = _filter_rows(basis, owner, [col])
+            assert np.array_equal(idx, ref_idx)
+            assert np.abs(vals - ref[0]).max() <= 1e-14
+
     def test_rows_are_localized_to_their_cluster(self, small_case):
         _, tree, basis = small_case
         for i in range(basis.n_samplets):
@@ -564,27 +610,29 @@ class TestRowAccessAndMetadata:
 
     def test_metadata_boxes_are_the_cluster_boxes(self, small_case):
         _, tree, basis = small_case
+        lo, hi = tree.box_lo[basis.samplet_clusters], tree.box_hi[basis.samplet_clusters]
         for i in range(basis.n_samplets):
             owner = tree.nodes[int(basis.samplet_clusters[i])]
-            assert np.array_equal(basis.samplet_box_lo[i], owner.box.lower)
-            assert np.array_equal(basis.samplet_box_hi[i], owner.box.upper)
+            assert np.array_equal(lo[i], owner.box.lower)
+            assert np.array_equal(hi[i], owner.box.upper)
+        assert np.array_equal(basis.samplet_diameters, np.linalg.norm(hi - lo, axis=1))
 
     def test_cluster_ranges_partition_the_samplets(self, small_case):
         _, tree, basis = small_case
         covered = np.zeros(basis.n_samplets, dtype=bool)
-        for nd in tree.nodes:
-            start, stop = basis.cluster_samplet_range(nd.node_id)
+        for nd, (start, stop) in zip(tree.nodes, _samplet_ranges(basis).tolist()):
             assert not covered[start:stop].any()
             covered[start:stop] = True
+            assert (basis.samplet_clusters[start:stop] == nd.node_id).all()
         assert covered.all()
 
     def test_scaling_rows_are_orthonormal(self, small_case):
         _, tree, basis = small_case
-        idx, rows = basis.scaling_rows(tree.root.node_id)
+        rows = basis.to_dense()[basis.n_samplets:]
         assert rows.shape == (basis.n_scaling, basis.n)
         assert np.allclose(rows @ rows.T, np.eye(basis.n_scaling), atol=1e-12)
-        u = basis.to_dense()
-        assert np.allclose(rows, u[basis.n_samplets:][:, idx], atol=1e-12)
+        idx, ref = _filter_rows(basis, tree.root.node_id, range(basis.n_scaling))
+        assert np.allclose(rows[:, idx], ref, atol=1e-12)
 
     def test_row_index_out_of_range(self, small_case):
         _, _, basis = small_case
@@ -596,16 +644,14 @@ class TestRowAccessAndMetadata:
         _, _, basis = small_case
         with pytest.raises(InputError, match="samplet index out of range"):
             basis.samplet_row(bad)
-        for access in (basis.scaling_rows, basis.cluster_samplet_range):
-            with pytest.raises(InputError, match="cluster node index out of range"):
-                access(bad)
 
     def test_integral_float_and_numpy_indices_accepted(self, small_case):
-        _, tree, basis = small_case
-        last = len(tree.nodes) - 1
-        assert basis.cluster_samplet_range(np.int64(last)) == basis.cluster_samplet_range(float(last))
+        _, _, basis = small_case
+        last = basis.n_samplets - 1
         assert np.array_equal(basis.samplet_row(np.float64(0.0))[1], basis.samplet_row(0)[1])
-        assert np.array_equal(basis.scaling_rows(0.0)[1], basis.scaling_rows(np.uint8(0))[1])
+        assert np.array_equal(basis.samplet_row(np.int64(last))[1],
+                              basis.samplet_row(float(last))[1])
+        assert np.array_equal(basis.samplet_row(np.uint8(1))[0], basis.samplet_row(1)[0])
 
 
 class TestTransformMatrix:
@@ -824,13 +870,15 @@ class TestRowPanelThreshold:
 
 
 def _dense_from_rows(basis):
-    """The transform assembled row by row from the recursive expansion."""
+    """The transform assembled node by node from the recursive expansion: each
+    node's samplet filter columns, then the root's scaling columns."""
     dense = np.zeros((basis.n, basis.n))
-    for i in range(basis.n_samplets):
-        idx, vals = basis.samplet_row(i)
-        dense[i, idx] = vals
-    idx, rows = basis.scaling_rows(basis.tree.root.node_id)
-    dense[basis.n_samplets:, idx] = rows
+    for node_id, (start, stop) in enumerate(_samplet_ranges(basis).tolist()):
+        m_phi = _node_filters(basis, node_id)[2]
+        idx, rows = _filter_rows(basis, node_id, range(m_phi, m_phi + stop - start))
+        dense[np.ix_(range(start, stop), idx)] = rows.reshape(stop - start, idx.size)
+    idx, rows = _filter_rows(basis, 0, range(basis.n_scaling))
+    dense[np.ix_(range(basis.n_samplets, basis.n), idx)] = rows
     return dense
 
 

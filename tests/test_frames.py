@@ -538,7 +538,8 @@ class TestDecayReport:
         fine = basis.samplet_levels == basis.samplet_levels.max()
         mags = np.abs(rep.coefficients[:ns])
         top = np.flatnonzero(fine)[np.argmax(mags[fine])]
-        assert basis.samplet_box_lo[top][0] <= kink <= basis.samplet_box_hi[top][0]
+        owner = basis.samplet_clusters[top]
+        assert tree.box_lo[owner, 0] <= kink <= tree.box_hi[owner, 0]
 
     def test_level_tables_are_consistent(self, kernel_basis_64):
         functionals, _, basis = kernel_basis_64

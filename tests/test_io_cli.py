@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import math
+import re
 import struct
 import warnings
 from dataclasses import fields
@@ -722,6 +723,90 @@ class TestCliVerbs:
             "--out", str(tmp_path),
         ])
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def paired_run(tmp_path_factory):
+    """A saved basis of 64 random Diracs (seed 5) and the same set as an atom CSV."""
+    out = tmp_path_factory.mktemp("paired")
+    source = ["--example", "random-diracs", "--n", "64", "--seed", "5"]
+    assert main(["build", *source, "--degree", "1", "--leaf-max", "8", "--out", str(out)]) == 0
+    assert main(["example", *source, "--out", str(out)]) == 0
+    return out
+
+
+# the flags each verb needs besides the basis and the functional source
+_VERB_FLAGS = {
+    "transform": ["--test-function", "exp"],
+    "compress": ["--gram", "exponential", "--length-scale", "0.5", "--sigma", "1e-6"],
+    "report": [],
+}
+
+
+class TestBasisPairing:
+    def _run(self, verb, run, source, out):
+        return main([verb, "--basis", str(run / "basis.bin"), *source, *_VERB_FLAGS[verb],
+                     "--out", str(out)])
+
+    @pytest.mark.parametrize("verb", list(_VERB_FLAGS))
+    @pytest.mark.parametrize("source", ["example", "csv"])
+    def test_the_functionals_of_the_basis_are_accepted(self, paired_run, tmp_path, capsys,
+                                                       verb, source):
+        flags = (["--example", "random-diracs", "--n", "64", "--seed", "5"] if source == "example"
+                 else ["--input", str(paired_run / "atoms.csv")])
+        assert self._run(verb, paired_run, flags, tmp_path) == 0
+        assert not capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", list(_VERB_FLAGS))
+    @pytest.mark.parametrize("flags", [
+        ["--example", "random-diracs", "--seed", "6"],
+        ["--example", "uniform-diracs"],
+        ["--example", "green-1d"],
+    ], ids=["other-seed", "uniform-diracs", "green-1d"])
+    def test_another_set_of_the_same_size_exits_two(self, paired_run, tmp_path, capsys,
+                                                    verb, flags):
+        assert self._run(verb, paired_run, [*flags, "--n", "64"], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert re.match(r"error: functional set does not match the basis: "
+                        r"its supports in leaf node \d+ differ", err)
+        assert not any(tmp_path.iterdir())  # nothing is written
+
+    def test_another_dimension_exits_two(self, paired_run, tmp_path, capsys):
+        flags = ["--example", "random-diracs", "--n", "64", "--dimension", "2"]
+        assert self._run("report", paired_run, flags, tmp_path) == 2
+        assert "does not match the basis size or dimension" in capsys.readouterr().err
+
+
+class TestUnusablePaths:
+    def test_unwritable_matrix_path_exits_two(self, paired_run, tmp_path, capsys):
+        target = tmp_path / "missing" / "m.npz"
+        code = main(["compress", "--basis", str(paired_run / "basis.bin"), "--example",
+                     "random-diracs", "--n", "64", "--seed", "5", *_VERB_FLAGS["compress"],
+                     "--out", str(tmp_path), "--save-matrix", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+
+    def test_output_below_a_regular_file_exits_two(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        code = main(["build", "--example", "uniform-diracs", "--n", "32", "--degree", "1",
+                     "--leaf-max", "8", "--out", str(tmp_path / "afile" / "sub")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "afile" in err
+
+    def test_binary_input_exits_two(self, paired_run, tmp_path, capsys):
+        code = main(["build", "--input", str(paired_run / "basis.bin"), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: cannot read {paired_run / 'basis.bin'}" in capsys.readouterr().err
+        with pytest.raises(InputError, match="cannot read"):
+            ingest_functionals(paired_run / "basis.bin")
+
+    def test_binary_config_exits_two(self, paired_run, tmp_path, capsys):
+        code = main(["build", "--config", str(paired_run / "basis.bin"), "--example",
+                     "uniform-diracs", "--n", "32", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: cannot read config {paired_run / 'basis.bin'}" in capsys.readouterr().err
 
 
 # edge values of a numeric setting, as the text of a flag or a config value

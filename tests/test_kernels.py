@@ -1,11 +1,14 @@
 """Numeric kernels must agree with slow reference computations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import evaluate, monomial, pack
 from samplets import InputError, primitive_basis
 from samplets.kernels import (
+    _PANEL,
     box_distance_matrix,
     box_gap_pairs,
     check_symmetric,
@@ -123,6 +126,29 @@ class TestBoxDistance:
         lo = np.array([[0.0, 0.0], [0.5, 0.5]])
         hi = np.array([[1.0, 1.0], [2.0, 2.0]])
         assert not box_distance_matrix(lo, hi).any()
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (5, 1), (300, 3), (600, 2), (1100, 1), (700, 5)])
+    def test_panels_match_the_whole_array_formula(self, n, d):
+        # the larger cases span several row panels, the last one partial
+        rng = np.random.default_rng(n + d)
+        lo = rng.random((n, d))
+        hi = lo + 0.1 * rng.random((n, d))
+        g = np.maximum(lo[:, None, :] - hi[None, :, :], lo[None, :, :] - hi[:, None, :])
+        np.maximum(g, 0.0, out=g)
+        assert np.array_equal(box_distance_matrix(lo, hi), np.sqrt(np.einsum("ijk,ijk->ij", g, g)))
+
+    def test_peak_memory_is_the_result_and_a_few_panels(self):
+        rng = np.random.default_rng(29)
+        lo = rng.random((1024, 3))
+        hi = lo + 0.01 * rng.random((1024, 3))
+        tracemalloc.start()
+        try:
+            dist = box_distance_matrix(lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole 1024 x 1024 x 3 gap array alone would be 25 MB
+        assert peak <= dist.nbytes + 5 * _PANEL * 8
 
 
 def test_box_gap_pairs_matches_the_dense_matrix():

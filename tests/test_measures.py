@@ -23,7 +23,7 @@ from samplets import (
 from samplets.measures import (
     Polynomial,
     analysis_vector,
-    box_affine,
+    corner_affine,
     graded_exponents,
 )
 
@@ -153,9 +153,11 @@ class TestSupportBox:
             SupportBox([1.0], [0.0])
 
     def test_degenerate_box_affine_uses_unit_scale(self):
-        center, scale = box_affine(SupportBox([0.4], [0.4]))
-        assert center[0] == 0.4
-        assert scale[0] == 1.0
+        prim = primitive_basis(1, 2, SupportBox([0.4], [0.4]))
+        assert prim.center[0] == 0.4
+        assert prim.scale[0] == 1.0
+        center, scale = corner_affine(np.array([[0.4, 0.0]]), np.array([[0.4, 2.0]]))
+        assert center.tolist() == [[0.4, 1.0]] and scale.tolist() == [[1.0, 1.0]]
 
 
 class TestPrimitiveBasis:
