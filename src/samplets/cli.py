@@ -165,17 +165,34 @@ def _dirac_points(fs):
     return fs.points
 
 
-def _check_settings(cfg):
-    """Reject a bad seed, output directory, sigma, gram, length scale, test function or scheme.
+def _check_writable(name, path, directory, made):
+    """InputError naming path unless files can be written into directory: it
+    must be a writable directory, or, when os.makedirs makes it (made), its
+    first existing ancestor must be."""
+    where = os.path.abspath(directory)
+    while made and not os.path.exists(where):
+        where = os.path.dirname(where)
+    if not os.path.isdir(where):
+        state = "is not a directory" if os.path.exists(where) else "does not exist"
+        raise InputError(f"{name} {path!r} cannot be written: {where!r} {state}")
+    if not os.access(where, os.W_OK | os.X_OK):
+        raise InputError(f"{name} {path!r} cannot be written: {where!r} is not writable")
 
-    Runs before any input is read or output written.
+
+def _check_settings(cfg, save_matrix=None):
+    """Reject a bad seed, output path, sigma, gram, length scale, test function or scheme.
+
+    Runs before any input is read or output written. The output directory
+    is made when missing; the directory of save_matrix (compress's
+    --save-matrix) must exist.
     """
     if cfg.seed < 0:
         raise InputError(f"seed must be nonnegative, not {cfg.seed}")
     if not cfg.out:
         raise InputError("out must name an output directory")
-    if os.path.exists(cfg.out) and not os.path.isdir(cfg.out):
-        raise InputError(f"out {cfg.out!r} exists and is not a directory")
+    _check_writable("out", cfg.out, cfg.out, made=True)
+    if save_matrix:
+        _check_writable("save_matrix", save_matrix, os.path.dirname(save_matrix) or ".", made=False)
     if cfg.sigma is not None:
         check_sigma(cfg.sigma)
     if cfg.gram in KERNEL_NAMES:
@@ -481,7 +498,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         cfg = make_config(args)
-        _check_settings(cfg)
+        _check_settings(cfg, getattr(args, "save_matrix", None))
         return args.run(cfg, args)
     except (InputError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,11 +26,9 @@ into its cluster's range of the permutation. For all clusters of a level:
   block-diagonal Laplacian, shifted by 1e-10 times each cluster's
   Gershgorin bound, and a block inverse subspace iteration with one
   Rayleigh-Ritz step per cluster and iteration, started from the previous
-  level's last iterate; a cluster it cannot resolve falls back to
-  shift-invert ARPACK;
-- larger clusters of a dense (Gaussian) graph go to shift-invert ARPACK
-  directly: their lambda_3, lambda_4, ... lie within a few percent of each
-  other, so the subspace iteration would stall on them.
+  level's last iterate;
+- larger clusters of a dense graph, and those the iteration cannot
+  resolve, take ARPACK Lanczos, which needs matrix-vector products only.
 Every Fiedler pair must pass the residual check ||L v - lambda v|| <= 1e-8
 times the cluster's Gershgorin bound.
 """
@@ -42,7 +40,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .errors import EigenSolverError, InputError, checked_int
 from .measures import SupportBox, as_functional_set
@@ -55,7 +53,7 @@ _BLOCK = 4  # vectors of the subspace iteration
 _MAX_ITER = 60
 _CONVERGED = 1e-10  # change of the unit Fiedler vector between iterations
 _FIEDLER_SEED = 0x5EED
-# shift-invert solves use L - sigma I with sigma = -_SHIFT times the
+# the level LU factors L - sigma I with sigma = -_SHIFT times the
 # Gershgorin bound: definite, and far below lambda_2 (~2e-8 times the bound
 # at the root of a 2^16-point chain, where a shift of 1e-8 slowed the root
 # level's iteration from a ratio of 0.04 to 0.16, 17 solves instead of 8)
@@ -217,11 +215,11 @@ def _new_stats():
     return {
         "dense": 0,  # Fiedler pair from the dense subset solve
         "level_lu": 0,  # Fiedler pair from the level LU iteration
-        "arpack": 0,  # Fiedler pair from per-cluster shift-invert ARPACK
+        "arpack": 0,  # Fiedler pair from per-cluster ARPACK Lanczos
         "components": 0,  # split into groups of whole components
         "component_bisections": 0,  # component splits that bisected the largest component
         "rolled_back": 0,
-        "lu_factorizations": 0,
+        "lu_factorizations": 0,  # sparse LUs of the level iteration
         "max_fiedler_residual": 0.0,  # ||L v - lambda v|| over the Gershgorin bound
     }
 
@@ -254,20 +252,6 @@ def _dense_vector(lap, stats):
     if info != 0:
         raise EigenSolverError(f"dsyevr failed with info {info}")
     return _checked(lap, float(w[1]), z[:, 1], stats)
-
-
-def _arpack_pair(lap, scale):
-    v0 = np.random.default_rng(_FIEDLER_SEED).standard_normal(lap.shape[0])
-    last = None
-    for ncv in (None, 64, 128):
-        try:
-            vals, vecs = eigsh(lap, k=2, sigma=-_SHIFT * scale, which="LM", v0=v0, ncv=ncv, tol=0)
-        except (ArpackNoConvergence, RuntimeError) as exc:
-            last = exc
-            continue
-        order = np.argsort(vals)
-        return float(vals[order[1]]), vecs[:, order[1]]
-    raise EigenSolverError(f"ARPACK did not converge: {last}")
 
 
 def _checked(lap, lam, v, stats):
@@ -359,32 +343,44 @@ def _subspace_pairs(lap, starts, x0):
     return vec, rel, ~active
 
 
-def _arpack_vector(lap, stats):
-    """Fiedler vector of one Laplacian by shift-invert ARPACK (one LU)."""
+def _lanczos_vector(lap, stats):
+    """Fiedler vector of one Laplacian by ARPACK Lanczos: with the mean removed, the
+    largest eigenvalue of c I - L (c the Gershgorin bound) is c - lambda_2."""
     stats["arpack"] += 1
-    stats["lu_factorizations"] += 1
-    scale = max(float(_row_abs_sums(lap).max()), 1e-30)
-    return _checked(lap, *_arpack_pair(lap, scale), stats)
+    c = max(float(_row_abs_sums(lap).max()), 1e-30)
+
+    def matvec(x):
+        x = x - x.mean()
+        y = c * x - lap @ x
+        return y - y.mean()
+
+    v0 = np.random.default_rng(_FIEDLER_SEED).standard_normal(lap.shape[0])
+    try:
+        theta, v = eigsh(LinearOperator(lap.shape, matvec=matvec, dtype=np.float64), k=1,
+                         which="LA", v0=v0 - v0.mean(), tol=0)
+    except ArpackError as exc:  # ArpackNoConvergence included
+        raise EigenSolverError(f"ARPACK did not converge: {exc}") from None
+    return _checked(lap, c - float(theta[0]), v[:, 0], stats)
 
 
 def _fiedler_vectors(dense, group, stats):
     """Unit Fiedler vectors (canonical sign) of a batch of Laplacians.
 
     dense: dense Laplacians; one of at most _DENSE_CUTOFF vertices is solved
-    by dsyevr, a larger one by shift-invert ARPACK. group: None or (lap,
-    starts, x0); lap is sparse and block diagonal over starts and gets one
-    LU and one subspace iteration, and a block it leaves unresolved goes to
-    ARPACK. Returns the vectors of dense, then of every block of group.
+    by dsyevr, a larger one by Lanczos. group: None or (lap, starts, x0);
+    lap is sparse and block diagonal over starts and gets one LU and one
+    subspace iteration, and a block it leaves unresolved goes to Lanczos.
+    Returns the vectors of dense, then of every block of group.
     """
     vecs = [_dense_vector(lap, stats) if lap.shape[0] <= _DENSE_CUTOFF
-            else _arpack_vector(lap, stats) for lap in dense]
+            else _lanczos_vector(lap, stats) for lap in dense]
     if group is not None:
         lap, starts, x0 = group
         stats["lu_factorizations"] += 1
         vec, rel, done = _subspace_pairs(lap, starts, x0)
         for c, (s, e) in enumerate(zip(starts[:-1], starts[1:])):
             if not done[c]:
-                vecs.append(_arpack_vector(lap[s:e, s:e], stats))
+                vecs.append(_lanczos_vector(lap[s:e, s:e], stats))
                 continue
             stats["level_lu"] += 1
             stats["max_fiedler_residual"] = max(stats["max_fiedler_residual"], rel[c])

@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from samplets import (
+    EigenSolverError,
     EpsilonNeighborhood,
     FunctionalSet,
     GaussianSimilarity,
@@ -38,7 +39,7 @@ def _path_laplacian(n, weights=None):
 
 def _fiedler(lap):
     """The tree's Fiedler solver on one Laplacian: the dense path (dsyevr up
-    to 128 vertices, ARPACK above), or the level LU group for a sparse one
+    to 128 vertices, Lanczos above), or the level LU group for a sparse one
     above 128 vertices, as a tree level routes a cluster."""
     n = lap.shape[0]
     if sparse.issparse(lap) and n > ctree._DENSE_CUTOFF:
@@ -254,7 +255,7 @@ class TestBuildClusterTree:
             assert_tree_invariants(tree, 3)
 
     def test_sparse_graph_input(self):
-        # epsilon scheme on a fine 1d grid: a sparse graph with ARPACK splits
+        # epsilon scheme on a fine 1d grid: a sparse graph with level LU splits
         functionals, _ = generate_example("uniform-diracs", 1200)
         tree = build_cluster_tree(functionals, EpsilonNeighborhood(2.5 / 1199), 32,
                                   moment_dim=4)
@@ -473,21 +474,35 @@ class TestLevelSolver:
         assert tree.stats["component_bisections"] == 0
 
     def test_dense_weights_take_arpack_above_the_cutoff(self):
+        # Lanczos needs matrix-vector products only: a dense graph factors nothing
         functionals, scheme, leaf_max, mdim = _REFERENCE_CASES["gaussian"]()
         tree = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=mdim)
         assert tree.stats["arpack"] > 0 and tree.stats["level_lu"] == 0
-        assert tree.stats["lu_factorizations"] == tree.stats["arpack"]
+        assert tree.stats["lu_factorizations"] == 0
 
     def test_unconverged_clusters_fall_back_to_arpack(self, monkeypatch):
         # one iteration never settles a cluster, so every large cluster
-        # takes the counted per-cluster fallback and the tree is unchanged
-        monkeypatch.setattr(ctree, "_MAX_ITER", 1)
+        # takes the counted per-cluster fallback, which factors nothing
+        # beyond the level LUs, and the tree is unchanged
         functionals, scheme, leaf_max, mdim = _REFERENCE_CASES["build-1d"]()
         graph = build_graph(functionals, scheme)
+        settled = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=mdim, graph=graph)
+        monkeypatch.setattr(ctree, "_MAX_ITER", 1)
         tree = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=mdim, graph=graph)
         assert _assert_matches_reference(tree, graph, leaf_max, mdim) == []
-        assert tree.stats["level_lu"] == 0 and tree.stats["arpack"] > 0
+        assert np.array_equal(tree.perm, settled.perm)
+        assert tree.stats["level_lu"] == 0 and tree.stats["arpack"] == settled.stats["level_lu"]
+        assert tree.stats["lu_factorizations"] == settled.stats["lu_factorizations"]
         assert tree.stats["max_fiedler_residual"] <= 1e-8
+
+    def test_solver_failure_is_an_eigensolver_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(ctree, "eigsh", stalled)
+        functionals, scheme, leaf_max, mdim = _REFERENCE_CASES["gaussian"]()
+        with pytest.raises(EigenSolverError, match="ARPACK did not converge"):
+            build_cluster_tree(functionals, scheme, leaf_max, moment_dim=mdim)
 
     def test_stats_count_every_split_attempt(self):
         functionals, _ = generate_example("random-diracs", 3000, 2, 4)

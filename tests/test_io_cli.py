@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from samplets import (
     GaussianSimilarity,
@@ -27,7 +28,7 @@ from samplets import (
     serialize_basis,
 )
 from conftest import pack
-from samplets import cli, datasets, frames, simgraph
+from samplets import cli, ctree, datasets, frames, simgraph
 from samplets.basis import _filter_layout
 from samplets.cli import RunConfig, _parser, main, make_config, parse_config_file, run_pipeline
 from samplets.datasets import test_function as named_function
@@ -724,6 +725,18 @@ class TestCliVerbs:
         ])
         assert code == 3
 
+    def test_tree_solver_failure_exits_three(self, tmp_path, capsys, monkeypatch):
+        # the default Gaussian scheme sends the 256-point root to Lanczos
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(ctree, "eigsh", stalled)
+        out = tmp_path / "o"
+        code = main(["build", "--example", "uniform-diracs", "--n", "256", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ARPACK did not converge")
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def paired_run(tmp_path_factory):
@@ -777,23 +790,54 @@ class TestBasisPairing:
         assert "does not match the basis size or dimension" in capsys.readouterr().err
 
 
-class TestUnusablePaths:
-    def test_unwritable_matrix_path_exits_two(self, paired_run, tmp_path, capsys):
-        target = tmp_path / "missing" / "m.npz"
-        code = main(["compress", "--basis", str(paired_run / "basis.bin"), "--example",
-                     "random-diracs", "--n", "64", "--seed", "5", *_VERB_FLAGS["compress"],
-                     "--out", str(tmp_path), "--save-matrix", str(target)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(target) in err
+def _fail_if_called(monkeypatch, *names):
+    def called(*args, **kwargs):
+        raise AssertionError("called before the output path was checked")
 
-    def test_output_below_a_regular_file_exits_two(self, tmp_path, capsys):
+    for name in names:
+        monkeypatch.setattr(cli, name, called)
+
+
+class TestUnusablePaths:
+    def _compress(self, paired_run, out, target):
+        return main(["compress", "--basis", str(paired_run / "basis.bin"), "--example",
+                     "random-diracs", "--n", "64", "--seed", "5", *_VERB_FLAGS["compress"],
+                     "--out", str(out), "--save-matrix", str(target)])
+
+    def test_unwritable_matrix_path_exits_two(self, paired_run, tmp_path, capsys, monkeypatch):
+        # nothing is read or computed, and compression.csv is not written
+        _fail_if_called(monkeypatch, "build_cluster_tree", "load_basis")
+        target = tmp_path / "missing" / "m.npz"
+        assert self._compress(paired_run, tmp_path / "o", target) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err and "does not exist" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_matrix_path_below_a_regular_file_exits_two(self, paired_run, tmp_path, capsys,
+                                                        monkeypatch):
+        _fail_if_called(monkeypatch, "build_cluster_tree", "load_basis")
         (tmp_path / "afile").write_text("")
-        code = main(["build", "--example", "uniform-diracs", "--n", "32", "--degree", "1",
-                     "--leaf-max", "8", "--out", str(tmp_path / "afile" / "sub")])
+        target = tmp_path / "afile" / "m.npz"
+        assert self._compress(paired_run, tmp_path / "o", target) == 2
+        err = capsys.readouterr().err
+        assert str(target) in err and "is not a directory" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+    def test_matrix_path_in_the_working_directory(self, paired_run, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert self._compress(paired_run, "o", "m.npz") == 0
+        assert (tmp_path / "m.npz").is_file() and (tmp_path / "o" / "compression.csv").is_file()
+
+    def test_output_below_a_regular_file_exits_two(self, tmp_path, capsys, monkeypatch):
+        _fail_if_called(monkeypatch, "build_cluster_tree", "generate_example")
+        (tmp_path / "afile").write_text("")
+        code = main(["build", "--example", "uniform-diracs", "--n", "16384", "--scheme",
+                     "epsilon", "--scheme-param", "0.00016",
+                     "--out", str(tmp_path / "afile" / "sub")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "afile" in err
+        assert err.startswith("error: ") and str(tmp_path / "afile") in err
+        assert "is not a directory" in err
 
     def test_binary_input_exits_two(self, paired_run, tmp_path, capsys):
         code = main(["build", "--input", str(paired_run / "basis.bin"), "--out", str(tmp_path)])
