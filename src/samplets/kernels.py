@@ -6,8 +6,6 @@ measures.FunctionalSet, box corners, stacked filters), so the loops over
 functionals, boxes and cluster nodes run inside numpy rather than in Python.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
@@ -170,30 +168,25 @@ def transpose_square(a):
 # Nodes are grouped into buckets of equal (height, filter size n, m_phi); a
 # leaf has height 0 and a parent one more than its taller child, so a bucket
 # only reads outputs of lower ones. A transform buffer gives every node n
-# consecutive rows, bucket after bucket, and a run of a bucket's nodes costs
-# one gather of their inputs and one stacked matmul into their rows. The
-# forward runs the buckets by ascending height and ends by gathering the
-# coefficient rows. The inverse fills the buffer from the coefficients and
-# runs them in reverse, a node reading its scaling inputs from its parent's
-# rows; each leaf's rows end holding its data rows, which are gathered last.
+# consecutive rows, bucket after bucket. Cascade.__init__ fixes in two plans
+# all of a bucket that does not depend on the input, so a transform is one
+# loop (_run) over a plan: a bucket whose outputs fit in _CHUNK doubles costs
+# one take of its inputs and one stacked matmul into its rows, a wider one
+# one of each per run of nodes that fit. The forward runs the buckets by
+# ascending height and ends by gathering the coefficient rows. The inverse
+# fills the buffer from the coefficients and runs them in reverse, a node
+# reading its scaling inputs from its parent's rows; each leaf's rows end
+# holding its data rows, which are gathered last. The plans are read-only and
+# every pass makes its own buffer, so threads may share a cascade.
 
-# Doubles gathered per matmul (256 KiB): wide blocks are cut into runs of
-# nodes whose inputs and outputs stay in cache.
+# Doubles per matmul (256 KiB): wide blocks are cut into runs of nodes whose
+# inputs and outputs stay in cache.
 _CHUNK = 1 << 15
 # Columns per panel (a multiple of 8, see _panelled) of a transform written
 # into out or wider than this. A panel holds the buffer, N + W rows with W the
 # non-root scaling rows, and the N rows it returns: 0.27 N^2 doubles on the
 # 1536 x 1536 kernel input (0.42 N^2 with 256 columns)
 _PANEL_COLS = 160
-
-
-@dataclass(frozen=True)
-class _Bucket:
-    q: np.ndarray  # (k, n, n) orthogonal factors of the bucket's k nodes
-    leaf: bool  # src indexes data rows (leaves) or buffer rows (children's scaling outputs)
-    src: np.ndarray  # (k, n) input rows of each node in the forward cascade
-    inv_src: np.ndarray  # (k, n) buffer rows of each node's inputs in the inverse
-    start: int  # first buffer row of the k * n outputs
 
 
 class Cascade:
@@ -210,6 +203,12 @@ class Cascade:
     coef[j], and buffer row i starts the inverse with coefficient row fill[i]
     (0 for the non-root scaling rows, which it does not read); data row j
     ends it in buffer row data[j]. The caller checks consistency.
+
+    plan[j] = (f, leaf, src, rows, k, n) runs bucket j in the forward: its
+    k nodes' outputs, buffer rows `rows`, are f[i] @ (rows src[i] of the data
+    if leaf, else of the buffer), f the transposed view of q[j].
+    inverse_plan is the same for the inverse, by descending height, with
+    f = q[j] and inputs from the buffer.
     """
 
     def __init__(self, groups, q, m_phi, children, rows, row_start, psi_start):
@@ -220,11 +219,10 @@ class Cascade:
         self.n = self.buffer_rows - int(m_phi.sum()) + int(m_phi[root])
         self.coef, self.data = np.empty(self.n, dtype=np.int64), np.empty(self.n, dtype=np.int64)
         inv_src = np.arange(self.buffer_rows)  # own rows, until a parent claims the scaling ones
-        self.buckets = []
-        start = 0
+        plan, inverse_plan, start = [], [], 0
         for ids, qb in zip(groups, q):
             k, n = qb.shape[:2]
-            mp, r = int(m_phi[ids[0]]), np.arange(n)
+            mp, r, own_rows = int(m_phi[ids[0]]), np.arange(n), slice(start, start + k * n)
             own = start + np.arange(k * n).reshape(k, n)  # the nodes' buffer rows
             first[ids], leaf = own[:, 0], bool(children[ids[0], 0] < 0)
             if leaf:
@@ -236,26 +234,21 @@ class Cascade:
                                first[c2][:, None] + r - m_phi[c1][:, None])
                 inv_src[src] = own
             self.coef[psi_start[ids][:, None] + r[:n - mp]] = own[:, mp:]
-            self.buckets.append(_Bucket(qb, leaf, src, inv_src[start:start + k * n].reshape(k, n), start))
+            plan.append((qb.transpose(0, 2, 1), leaf, src, own_rows, k, n))
+            inverse_plan.append((qb, False, inv_src[own_rows].reshape(k, n), own_rows, k, n))
             start += k * n
+        self.plan, self.inverse_plan = tuple(plan), tuple(reversed(inverse_plan))
         self.coef[self.n - m_phi[root]:] = first[root] + np.arange(m_phi[root])
         self.fill = np.zeros(self.buffer_rows, dtype=np.int64)
         self.fill[self.coef] = np.arange(self.n)
-
-    def _chunks(self, b, buf):
-        """Runs (s, e, rows) of bucket b: nodes s..e-1 and their rows of buf, a (e - s, n, cols) view."""
-        k, n, cols = *b.q.shape[:2], buf.shape[1]
-        step = max(1, _CHUNK // max(1, n * cols))
-        for s in range(0, k, step):
-            e = min(k, s + step)
-            yield s, e, buf[b.start + s * n:b.start + e * n].reshape(e - s, n, cols)
 
     def forward(self, x, out=None):
         """Apply the analysis cascade to a vector or to the columns of a matrix.
 
         out, if given, is a float64 array of x's shape that receives the
-        result and is returned; it may be x itself, but must not otherwise
-        overlap it. See _panelled for how wide blocks are cut.
+        result and is returned; it may be x itself (or a view of x's memory
+        with x's shape and strides), but must not otherwise overlap it. See
+        _panelled for how wide blocks are cut.
         """
         return self._panelled(self._forward, x, out)
 
@@ -287,6 +280,9 @@ class Cascade:
         elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == np.shape(x)):
             raise InputError(f"out must be a float64 array of shape {np.shape(x)}")
         om = out[:, None] if was_vec else out
+        if (np.shares_memory(om, xm) and not
+                (om.ctypes.data == xm.ctypes.data and om.strides == xm.strides)):
+            raise InputError("out must be x itself or must not overlap it")
         cuts = list(range(0, cols, _PANEL_COLS)) + [cols]
         if len(cuts) > 2 and cols - cuts[-2] == 1:
             del cuts[-2]
@@ -295,23 +291,27 @@ class Cascade:
         return out
 
     def _forward(self, xm):
-        buf = np.empty((self.buffer_rows, xm.shape[1]))
-        for b in self.buckets:
-            for s, e, rows in self._chunks(b, buf):
-                np.matmul(b.q[s:e].transpose(0, 2, 1), _gather(xm if b.leaf else buf, b.src[s:e]), out=rows)
-        return buf.take(self.coef, axis=0)
+        return _run(self.plan, np.empty((self.buffer_rows, xm.shape[1])), xm).take(self.coef, axis=0)
 
     def _inverse(self, cm):
-        buf = _gather(cm, self.fill)
-        for b in reversed(self.buckets):
-            for s, e, rows in self._chunks(b, buf):
-                np.matmul(b.q[s:e], buf.take(b.inv_src[s:e], axis=0), out=rows)
-        return buf.take(self.data, axis=0)
+        buf = cm.take(self.fill, axis=0) if cm.flags.c_contiguous else cm[self.fill]
+        return _run(self.inverse_plan, buf, buf).take(self.data, axis=0)
 
 
-def _gather(a, idx):
-    """a[idx]; np.take is faster on a C-contiguous a, but first copies any other a whole."""
-    return a.take(idx, axis=0) if a.flags.c_contiguous else a[idx]
+def _run(plan, buf, x):
+    """Run the plan's buckets on the transform buffer buf, reading data rows from x; return buf."""
+    cols, xc = buf.shape[1], x.flags.c_contiguous  # np.take is faster there, but first copies any other x whole
+    for f, leaf, src, rows, k, n in plan:
+        a, take = (x, xc) if leaf else (buf, True)
+        out = buf[rows].reshape(k, n, cols)
+        if k * n * cols <= _CHUNK:
+            np.matmul(f, a.take(src, axis=0) if take else a[src], out=out)
+            continue
+        step = max(1, _CHUNK // (n * cols))
+        for s in range(0, k, step):
+            idx = src[s:s + step]
+            np.matmul(f[s:s + step], a.take(idx, axis=0) if take else a[idx], out=out[s:s + step])
+    return buf
 
 
 def _as_matrix(x, n):

@@ -6,6 +6,9 @@ build, on fixed inputs and on random functional sets drawn by hypothesis.
 
 import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -313,7 +316,7 @@ class TestBatchedBuild:
         basis = build_samplet_basis(functionals, tree, degree)
         assert serialize_basis(basis) == expect
         # one stacked QR per cascade bucket, not one per node
-        assert len(calls) == len(basis.cascade.buckets) < len(tree.nodes)
+        assert len(calls) == len(basis.cascade.plan) < len(tree.nodes)
         assert sum(shape[0] for shape in calls) == len(tree.nodes)
 
     def test_grid_has_leaves_without_samplets(self):
@@ -900,7 +903,7 @@ class TestCascadeReference:
         graph, tree, basis = _component_case(dimension, degree)
         assert csgraph.connected_components(graph.weights, directed=False)[0] >= 20
         assert len({nd.size for nd in tree.leaves()}) >= 4
-        assert len(basis.cascade.buckets) >= 10
+        assert len(basis.cascade.plan) >= 10
         dense = _dense_from_rows(basis)
         eye = np.eye(basis.n)
         assert np.abs(basis.forward(eye) - dense).max() <= 1e-13
@@ -950,6 +953,26 @@ class TestColumnPanels:
         expect = basis.forward(x)
         assert np.array_equal(basis.cascade.forward(x, out=x), expect)
         assert np.array_equal(x, expect)
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_out_overlapping_x_is_an_input_error(self, loop_cases, direction):
+        basis = loop_cases["2d-knn"][0]
+        apply = getattr(basis.cascade, direction)
+        y = np.random.default_rng(9).standard_normal((basis.n, 400))
+        before = y.copy()
+        for x, out in ((y, y[:, ::-1]), (y, y[::-1]), (y[:, 0], y[::-1, 0]), (y[:, :200], y[:, 100:300])):
+            with pytest.raises(InputError, match="overlap"):
+                apply(x, out=out)
+        assert np.array_equal(y, before)
+        # a second view of x's memory with its shape and strides is x itself
+        expect = apply(y.copy())
+        view = y[:, :]
+        assert apply(y, out=view) is view
+        assert np.array_equal(y, expect)
+        # interleaved columns of one array do not overlap
+        z = np.random.default_rng(10).standard_normal((basis.n, 2 * 170))
+        expect = apply(z[:, ::2].copy())
+        assert np.array_equal(apply(z[:, ::2], out=z[:, 1::2]), expect)
 
     @pytest.mark.parametrize("bad", [
         lambda x: np.empty(x.shape[:1]),
@@ -1095,6 +1118,34 @@ class TestBucketMajorBuffer:
         # the rows no coefficient lands in are the scaling rows of the non-root nodes
         _, m_phi, groups = _filter_layout(basis.tree, basis.moment_dim)
         assert cascade.buffer_rows - cascade.n == m_phi.sum() - m_phi[groups[-1][0]]
+
+
+def test_threads_share_one_cascade(loop_cases):
+    # the plan is read-only and every pass makes its own buffer: threads
+    # transforming their own inputs with one basis at once get the bits of
+    # sequential calls
+    basis = loop_cases["2d-knn"][0]
+    rng = np.random.default_rng(11)
+    threads = 3
+    jobs = [[(direction, x) for x in (rng.standard_normal(basis.n), rng.standard_normal((basis.n, 64)))
+             for direction in ("forward", "inverse")] for _ in range(threads)]
+    expect = [[getattr(basis, direction)(x) for direction, x in own] for own in jobs]
+    start = threading.Barrier(threads, timeout=60)
+
+    def work(own):
+        start.wait()
+        return [[getattr(basis, direction)(x) for direction, x in own] for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter over between threads often
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            runs = list(pool.map(work, jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(runs, expect, strict=True):
+        for rnd in got:
+            assert all(np.array_equal(y, e) for y, e in zip(rnd, want))
 
 
 class TestEdgeShapes:
@@ -1256,13 +1307,17 @@ class TestOneFilterCopy:
         basis = small_case[2]
         if loaded:
             basis = deserialize_basis(serialize_basis(basis))
-        buckets = basis.cascade.buckets
+        cascade = basis.cascade
         _, _, ids = _filter_layout(basis.tree, basis.moment_dim)
-        assert len(ids) == len(buckets) >= 3
-        for b, bucket in zip(ids, buckets):
+        assert len(ids) == len(cascade.plan) == len(cascade.inverse_plan) >= 3
+        # the plans hold each stack and a transposed view of it, no copy
+        for b, (qt, *_), (q, *_), (stack, _) in zip(ids, cascade.plan, cascade.inverse_plan[::-1], basis.stacks):
+            assert q is stack and np.shares_memory(qt, stack)
+            assert np.array_equal(qt, stack.transpose(0, 2, 1))
             for j, i in enumerate(b.tolist()):
-                assert np.shares_memory(basis.filters[i].q, bucket.q[j])
-        assert sum(bk.q.nbytes for bk in buckets) == sum(f.q.nbytes for f in basis.filters)
+                assert np.shares_memory(basis.filters[i].q, q[j])
+                assert np.shares_memory(basis.filters[i].q, qt[j])
+        assert sum(q.nbytes for q, *_ in cascade.inverse_plan) == sum(f.q.nbytes for f in basis.filters)
 
     def test_tree_arrays_match_the_nodes(self, small_case):
         _, tree, _ = small_case

@@ -355,9 +355,11 @@ class TestContainer:
         blob = serialize_basis(small_basis)
         loaded = deserialize_basis(blob)
         raw = np.frombuffer(blob, np.uint8)
-        for (q, r), bucket in zip(loaded.stacks, loaded.cascade.buckets, strict=True):
-            assert bucket.q is q
-            for a in (q, r):
+        cascade = loaded.cascade
+        plans = zip(loaded.stacks, cascade.plan, cascade.inverse_plan[::-1], strict=True)
+        for (q, r), (qt, *_), (plan_q, *_) in plans:
+            assert plan_q is q and np.array_equal(qt, q.transpose(0, 2, 1))
+            for a in (q, r, qt):
                 assert a.flags.aligned and a.ctypes.data % 8 == 0 and not a.flags.writeable
                 assert np.shares_memory(a, raw)
 
