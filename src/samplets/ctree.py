@@ -20,6 +20,8 @@ into its cluster's range of the permutation. For all clusters of a level:
 - the balanced component assignment runs as array operations; a component
   split whose smaller side could carry no samplet bisects the largest
   component instead, when it has more than moment_dim + 1 functionals;
+- on a dense graph, each cluster's Laplacian is made in place of its one
+  copy of the weights, which the zero test and the solve both read;
 - clusters of at most 128 functionals get their Fiedler pair from a LAPACK
   subset solve (`dsyevr`) of their dense Laplacian;
 - larger clusters of a sparse graph share one sparse LU of their
@@ -43,8 +45,9 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .errors import EigenSolverError, InputError, checked_int
+from .kernels import row_panels
 from .measures import SupportBox, as_functional_set
-from .simgraph import SimilarityGraph, build_graph, laplacian_from_weights
+from .simgraph import SimilarityGraph, build_graph
 
 # clusters up to this size take the dense subset solve; measured crossover
 # against the level LU iteration on the bench trees
@@ -240,30 +243,24 @@ def _bounds(sizes):
 
 
 def _row_abs_sums(lap):
+    """Row sums of |L|; a dense L above one row panel is read panel by panel,
+    so no second N x N array is made (the small solves keep one call)."""
     if sparse.issparse(lap):
         return np.asarray(abs(lap).sum(axis=1)).ravel()
-    return np.abs(lap).sum(axis=1)
+    panels = row_panels(*lap.shape)
+    if len(panels) == 1:
+        return np.abs(lap).sum(axis=1)
+    return np.concatenate([np.abs(lap[p]).sum(axis=1) for p in panels])
 
 
-def _dense_vector(lap, stats):
-    """Fiedler vector of one small dense Laplacian by a LAPACK dsyevr subset solve."""
-    stats["dense"] += 1
-    w, z, _, _, info = lapack.dsyevr(lap, compute_v=1, range="I", il=1, iu=2)
-    if info != 0:
-        raise EigenSolverError(f"dsyevr failed with info {info}")
-    return _checked(lap, float(w[1]), z[:, 1], stats)
-
-
-def _checked(lap, lam, v, stats):
-    """Unit Fiedler vector with canonical sign, after the residual check."""
-    scale = max(float(_row_abs_sums(lap).max()), 1e-30)
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    v /= np.linalg.norm(v)
-    res = np.linalg.norm(lap @ v - lam * v)
-    if not res <= _RTOL * scale:
-        raise EigenSolverError(f"Fiedler residual {res:.3e} above {_RTOL:.1e} * {scale:.3e}")
-    stats["max_fiedler_residual"] = max(stats["max_fiedler_residual"], res / scale)
-    return _canonical_sign(v)
+def _laplacian(weights, v):
+    """D - W of the block of dense weights on positions v, in the block's one
+    copy: the bits of `simgraph.laplacian_from_weights` on float64 weights."""
+    w = np.asarray(weights[np.ix_(v, v)], dtype=np.float64)
+    deg = w.sum(axis=1) - w.diagonal()
+    np.negative(w, out=w)
+    np.fill_diagonal(w, deg)
+    return w
 
 
 def _subspace_pairs(lap, starts, x0):
@@ -343,49 +340,40 @@ def _subspace_pairs(lap, starts, x0):
     return vec, rel, ~active
 
 
-def _lanczos_vector(lap, stats):
-    """Fiedler vector of one Laplacian by ARPACK Lanczos: with the mean removed, the
-    largest eigenvalue of c I - L (c the Gershgorin bound) is c - lambda_2."""
-    stats["arpack"] += 1
+def _fiedler_vector(lap, stats):
+    """Unit Fiedler vector (canonical sign) of one Laplacian, residual checked:
+    dsyevr's subset solve of a dense one of at most _DENSE_CUTOFF vertices,
+    else Lanczos for the top eigenvalue c - lambda_2 of the mean-free c I - L
+    (c the Gershgorin bound), which needs matrix-vector products only."""
     c = max(float(_row_abs_sums(lap).max()), 1e-30)
+    if lap.shape[0] <= _DENSE_CUTOFF:
+        stats["dense"] += 1
+        w, z, _, _, info = lapack.dsyevr(lap, compute_v=1, range="I", il=1, iu=2)
+        if info != 0:
+            raise EigenSolverError(f"dsyevr failed with info {info}")
+        lam, v = float(w[1]), z[:, 1]
+    else:
+        stats["arpack"] += 1
 
-    def matvec(x):
-        x = x - x.mean()
-        y = c * x - lap @ x
-        return y - y.mean()
+        def matvec(x):
+            x = x - x.mean()
+            y = c * x - lap @ x
+            return y - y.mean()
 
-    v0 = np.random.default_rng(_FIEDLER_SEED).standard_normal(lap.shape[0])
-    try:
-        theta, v = eigsh(LinearOperator(lap.shape, matvec=matvec, dtype=np.float64), k=1,
-                         which="LA", v0=v0 - v0.mean(), tol=0)
-    except ArpackError as exc:  # ArpackNoConvergence included
-        raise EigenSolverError(f"ARPACK did not converge: {exc}") from None
-    return _checked(lap, c - float(theta[0]), v[:, 0], stats)
-
-
-def _fiedler_vectors(dense, group, stats):
-    """Unit Fiedler vectors (canonical sign) of a batch of Laplacians.
-
-    dense: dense Laplacians; one of at most _DENSE_CUTOFF vertices is solved
-    by dsyevr, a larger one by Lanczos. group: None or (lap, starts, x0);
-    lap is sparse and block diagonal over starts and gets one LU and one
-    subspace iteration, and a block it leaves unresolved goes to Lanczos.
-    Returns the vectors of dense, then of every block of group.
-    """
-    vecs = [_dense_vector(lap, stats) if lap.shape[0] <= _DENSE_CUTOFF
-            else _lanczos_vector(lap, stats) for lap in dense]
-    if group is not None:
-        lap, starts, x0 = group
-        stats["lu_factorizations"] += 1
-        vec, rel, done = _subspace_pairs(lap, starts, x0)
-        for c, (s, e) in enumerate(zip(starts[:-1], starts[1:])):
-            if not done[c]:
-                vecs.append(_lanczos_vector(lap[s:e, s:e], stats))
-                continue
-            stats["level_lu"] += 1
-            stats["max_fiedler_residual"] = max(stats["max_fiedler_residual"], rel[c])
-            vecs.append(_canonical_sign(vec[s:e]))
-    return vecs
+        v0 = np.random.default_rng(_FIEDLER_SEED).standard_normal(lap.shape[0])
+        try:
+            theta, z = eigsh(LinearOperator(lap.shape, matvec=matvec, dtype=np.float64), k=1,
+                             which="LA", v0=v0 - v0.mean(), tol=0)
+        except ArpackError as exc:  # ArpackNoConvergence included
+            raise EigenSolverError(f"ARPACK did not converge: {exc}") from None
+        lam, v = c - float(theta[0]), z[:, 0]
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    v /= np.linalg.norm(v)
+    res = np.linalg.norm(lap @ v - lam * v)
+    if not res <= _RTOL * c:
+        raise EigenSolverError(f"Fiedler residual {res:.3e} above {_RTOL:.1e} * {c:.3e}")
+    stats["max_fiedler_residual"] = max(stats["max_fiedler_residual"], res / c)
+    return _canonical_sign(v)
 
 
 def _sign_split(v):
@@ -471,16 +459,18 @@ class _LevelSplitter:
                           coo.data[keep].astype(np.float64))
 
     def _labels(self, verts, cid, starts):
-        """Component label of each position in verts; components never cross
-        clusters."""
+        """Component label of each position in verts (components never cross
+        clusters), and on a dense graph each connected cluster's Laplacian (else None)."""
         if self.edges is None:
+            laps = []
             for s, e in zip(starts[:-1], starts[1:]):
-                w = self.graph.subgraph_weights(verts[s:e])
-                # a weight block without zeros is connected; scanning it
-                # would cost more than its Fiedler solve
-                lab = connected_components(w, directed=False)[1] if w.min() == 0.0 else 0
-                self.label[verts[s:e]] = verts[s:e][np.unique(lab, return_index=True)[1]][lab]
-            return self.label[verts]
+                v = verts[s:e]
+                lap = _laplacian(self.graph.weights, v)
+                # no zeros: connected, and a scan would cost more than the solve
+                k, lab = (1, 0) if lap.all() else connected_components(lap, directed=False)
+                self.label[v] = v[np.unique(lab, return_index=True)[1]][lab]
+                laps.append(lap if k == 1 else None)
+            return self.label[verts], laps
         where = np.full(self.graph.n, -1, dtype=np.int64)
         where[verts] = cid
         rows, cols, vals = self.edges
@@ -496,18 +486,17 @@ class _LevelSplitter:
         np.minimum.at(first, lab, fresh)
         self.label[fresh] = first[lab]
         self.stale[fresh] = False
-        return self.label[verts]
+        return self.label[verts], None
 
-    def _laplacians(self, jverts, jstarts):
-        """Dense Laplacians of the small jobs, then of the large jobs if the
-        weights are dense, else one (lap, starts, x0) group of all large jobs
-        (None if there are none)."""
+    def _job_laplacians(self, laps, jverts, jstarts):
+        """Each job's dense Laplacian, or None for a job above _DENSE_CUTOFF
+        vertices of a sparse graph, and the block-diagonal Laplacian of those
+        (or None). On a dense graph laps[j] is None for a collapse's component."""
+        if self.edges is None:
+            return [_laplacian(self.graph.weights, jverts[s:e]) if lap is None else lap
+                    for lap, s, e in zip(laps, jstarts[:-1], jstarts[1:])], None
         jsizes = np.diff(jstarts)
         small = jsizes <= _DENSE_CUTOFF
-        if self.edges is None:
-            laps = [laplacian_from_weights(self.graph.subgraph_weights(jverts[s:e]))
-                    for s, e in zip(jstarts[:-1], jstarts[1:])]
-            return [laps[j] for j in np.argsort(~small, kind="stable")], None
         rows, cols, vals = self.edges
         jloc = np.full(self.graph.n, -1, dtype=np.int64)
         jloc[jverts] = np.arange(jverts.size)
@@ -517,33 +506,57 @@ class _LevelSplitter:
         deg = np.bincount(r, weights=w, minlength=jverts.size)
         deg += np.bincount(c, weights=w, minlength=jverts.size)
         job = np.repeat(np.arange(jsizes.size), jsizes)
-        laps = []
-        if small.any():
-            off = _bounds(np.where(small, jsizes * jsizes, 0))
-            buf = np.zeros(off[-1])
-            e = small[job[r]]
-            je, re, ce = job[r[e]], r[e] - jstarts[job[r[e]]], c[e] - jstarts[job[r[e]]]
-            buf[off[je] + re * jsizes[je] + ce] = -w[e]
-            buf[off[je] + ce * jsizes[je] + re] = -w[e]
-            dv = np.flatnonzero(small[job])
-            jd = job[dv]
-            buf[off[jd] + (dv - jstarts[jd]) * (jsizes[jd] + 1)] = deg[dv]
-            laps = [buf[off[j]:off[j + 1]].reshape(jsizes[j], jsizes[j])
-                    for j in np.flatnonzero(small)]
-        group = None
-        if not small.all():
-            big = ~small[job]
-            renum = np.cumsum(big) - 1
-            e = big[r]
-            re, ce, nb = renum[r[e]], renum[c[e]], int(big.sum())
-            diag = np.arange(nb)
-            lap = sparse.csr_matrix(
-                (np.concatenate((-w[e], -w[e], deg[big])),
-                 (np.concatenate((re, ce, diag)), np.concatenate((ce, re, diag)))),
-                shape=(nb, nb),
-            )
-            group = (lap, _bounds(jsizes[~small]), self.x0[jverts[big]])
-        return laps, group
+        off = _bounds(np.where(small, jsizes * jsizes, 0))
+        buf = np.zeros(off[-1])
+        e = small[job[r]]
+        je, re, ce = job[r[e]], r[e] - jstarts[job[r[e]]], c[e] - jstarts[job[r[e]]]
+        buf[off[je] + re * jsizes[je] + ce] = -w[e]
+        buf[off[je] + ce * jsizes[je] + re] = -w[e]
+        dv = np.flatnonzero(small[job])
+        jd = job[dv]
+        buf[off[jd] + (dv - jstarts[jd]) * (jsizes[jd] + 1)] = deg[dv]
+        laps = [buf[off[j]:off[j + 1]].reshape(n, n) if small[j] else None
+                for j, n in enumerate(jsizes)]
+        if small.all():
+            return laps, None
+        big = ~small[job]
+        renum = np.cumsum(big) - 1
+        e = big[r]
+        re, ce, nb = renum[r[e]], renum[c[e]], int(big.sum())
+        diag = np.arange(nb)
+        return laps, sparse.csr_matrix(
+            (np.concatenate((-w[e], -w[e], deg[big])),
+             (np.concatenate((re, ce, diag)), np.concatenate((ce, re, diag)))),
+            shape=(nb, nb),
+        )
+
+    def _vectors(self, laps, jverts, jstarts):
+        """Unit Fiedler vectors (canonical sign) of the jobs in job order; job j
+        bisects jverts[jstarts[j]:jstarts[j + 1]]. Jobs without a dense
+        Laplacian share one LU and a subspace iteration from x0, which gets the
+        last iterate back; Lanczos takes those it leaves unresolved."""
+        laps, lap = self._job_laplacians(laps, jverts, jstarts)
+        jsizes = np.diff(jstarts)
+        large = jsizes > _DENSE_CUTOFF
+        if lap is not None:
+            gstarts = _bounds(jsizes[large])
+            pos = jverts[np.repeat(large, jsizes)]
+            x0 = self.x0[pos]
+            self.stats["lu_factorizations"] += 1
+            vec, rel, done = _subspace_pairs(lap, gstarts, x0)
+            self.x0[pos] = x0  # the last iterates restricted to the children start the next level
+        vecs = []
+        for j, g in enumerate(np.cumsum(large) - 1):
+            if laps[j] is not None:
+                vecs.append(_fiedler_vector(laps[j], self.stats))
+            elif done[g]:
+                self.stats["level_lu"] += 1
+                self.stats["max_fiedler_residual"] = max(self.stats["max_fiedler_residual"], rel[g])
+                vecs.append(_canonical_sign(vec[gstarts[g]:gstarts[g + 1]]))
+            else:
+                b = slice(gstarts[g], gstarts[g + 1])
+                vecs.append(_fiedler_vector(lap[b, b], self.stats))
+        return vecs
 
     def split(self, verts, sizes):
         """Split each cluster in two; verts concatenates the clusters' sorted
@@ -552,7 +565,7 @@ class _LevelSplitter:
         second, each ascending, and the first parts' sizes."""
         starts = _bounds(sizes)
         cid = np.repeat(np.arange(sizes.size), sizes)
-        lab = self._labels(verts, cid, starts)
+        lab, laps = self._labels(verts, cid, starts)
         # a component's label is its first position, so the components come
         # out in order of their first positions
         first = np.flatnonzero(lab == verts)
@@ -573,15 +586,8 @@ class _LevelSplitter:
         in_job = ~multi[cid] | (collapse[cid] & (inv == lead[cid]))
         jclusters = np.flatnonzero(~multi | collapse)
         jstarts = _bounds(np.bincount(cid[in_job], minlength=sizes.size)[jclusters])
-        dense, group = self._laplacians(verts[in_job], jstarts)
-        jsizes = np.diff(jstarts)
-        order = np.argsort(jsizes > _DENSE_CUTOFF, kind="stable")  # small jobs first
-        job_vec = dict(zip(jclusters[order].tolist(),
-                           _fiedler_vectors(dense, group, self.stats)))
-        if group is not None:
-            # the last iterates restricted to the children start the next level
-            big = np.flatnonzero(np.repeat(jsizes > _DENSE_CUTOFF, jsizes))
-            self.x0[verts[in_job][big]] = group[2]
+        vecs = self._vectors(None if laps is None else [laps[c] for c in jclusters],
+                             verts[in_job], jstarts)
         self.stale[verts[in_job]] = True  # the components a Fiedler vector bisects
         self.stats["components"] += int((multi & ~collapse).sum())
         self.stats["component_bisections"] += int(collapse.sum())
@@ -589,7 +595,7 @@ class _LevelSplitter:
         # nonnegative Fiedler side, which a collapse's small components
         # join when it is the smaller half
         in_first = side == 0
-        for c, vec in job_vec.items():
+        for c, vec in zip(jclusters, vecs):
             s, e = starts[c], starts[c + 1]
             mask, inside = _sign_split(vec), in_job[s:e]
             in_first[s:e][inside] = mask

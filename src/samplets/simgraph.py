@@ -65,7 +65,7 @@ def laplacian_from_weights(weights):
         deg = np.asarray(weights.sum(axis=1)).ravel()
         return (sparse.diags(deg) - weights).tocsr()
     deg = weights.sum(axis=1)
-    lap = -np.asarray(weights, dtype=np.float64).copy()
+    lap = np.negative(weights, dtype=np.float64)
     np.fill_diagonal(lap, deg - np.diag(weights))
     return lap
 
@@ -80,13 +80,6 @@ class SimilarityGraph:
     @property
     def n(self):
         return self.weights.shape[0]
-
-    def subgraph_weights(self, idx):
-        """Weight matrix of the induced subgraph on the given vertex positions."""
-        idx = np.asarray(idx, dtype=np.int64)
-        if sparse.issparse(self.weights):
-            return self.weights[idx][:, idx].tocsr()
-        return self.weights[np.ix_(idx, idx)]
 
 
 def _build_gaussian(lo, hi, scheme):

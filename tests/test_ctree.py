@@ -23,8 +23,8 @@ from samplets import (
     moment_dimension,
 )
 from conftest import diracs_1d
-from samplets import ctree
-from samplets.ctree import ClusterTree, _balanced_sides
+from samplets import ctree, kernels
+from samplets.ctree import ClusterTree, _balanced_sides, _bounds
 from samplets.simgraph import SimilarityGraph, laplacian_from_weights
 from test_acceptance import _check_tree
 
@@ -37,23 +37,31 @@ def _path_laplacian(n, weights=None):
     return laplacian_from_weights(w)
 
 
+def _induced(graph, idx):
+    """Weights of the subgraph that graph induces on the positions idx."""
+    w = graph.weights
+    return w[idx][:, idx] if sparse.issparse(w) else w[np.ix_(idx, idx)]
+
+
 def _fiedler(lap):
-    """The tree's Fiedler solver on one Laplacian: the dense path (dsyevr up
-    to 128 vertices, Lanczos above), or the level LU group for a sparse one
-    above 128 vertices, as a tree level routes a cluster."""
+    """The tree's Fiedler solver on one Laplacian, as a tree level routes a
+    cluster: a dense one takes dsyevr up to 128 vertices and Lanczos above,
+    and a sparse one above 128 vertices takes the level LU of a splitter over
+    its weights (its off-diagonal entries, negated)."""
     n = lap.shape[0]
     if sparse.issparse(lap) and n > ctree._DENSE_CUTOFF:
-        x0 = np.random.default_rng(ctree._FIEDLER_SEED).standard_normal((n, ctree._BLOCK))
-        return ctree._fiedler_vectors([], (lap.tocsr(), np.array([0, n]), x0), ctree._new_stats())[0]
+        w = sparse.diags(lap.diagonal()) - lap.tocsr()
+        splitter = ctree._LevelSplitter(SimilarityGraph(None, w), 0, ctree._new_stats())
+        return splitter._vectors(None, np.arange(n), np.array([0, n]))[0]
     dense = lap.toarray() if sparse.issparse(lap) else np.asarray(lap, dtype=np.float64)
-    return ctree._fiedler_vectors([dense], None, ctree._new_stats())[0]
+    return ctree._fiedler_vector(dense, ctree._new_stats())
 
 
 def _bisect(cluster, graph):
     """The level splitter on one cluster, alone on its induced subgraph:
     (positions of the first part, positions of the second), each ascending."""
     idx = np.sort(np.asarray(cluster, dtype=np.int64))
-    sub = SimilarityGraph(graph.scheme, graph.subgraph_weights(idx))
+    sub = SimilarityGraph(graph.scheme, _induced(graph, idx))
     parts, n1 = ctree._LevelSplitter(sub, 0, ctree._new_stats()).split(
         np.arange(idx.size), np.array([idx.size]))
     return idx[parts[:n1[0]]], idx[parts[n1[0]:]]
@@ -331,7 +339,7 @@ def _reference_tree(graph, leaf_max, moment_dim):
         children[key] = ()
         if idx.size <= leaf_max:
             continue
-        w = graph.subgraph_weights(idx)
+        w = _induced(graph, idx)
         ncomp = 1
         if sparse.issparse(w) or w.min() == 0.0:
             ncomp, labels = connected_components(w, directed=False)
@@ -351,7 +359,7 @@ def _reference_tree(graph, leaf_max, moment_dim):
 
 def _fiedler_gap(graph, idx):
     """(lambda_3 - lambda_2) over the Gershgorin bound of a cluster's Laplacian."""
-    lap = laplacian_from_weights(graph.subgraph_weights(idx))
+    lap = laplacian_from_weights(_induced(graph, idx))
     lap = lap.toarray() if sparse.issparse(lap) else lap
     w = np.linalg.eigvalsh(lap)
     return (w[2] - w[1]) / np.abs(lap).sum(axis=1).max()
@@ -413,6 +421,40 @@ _REFERENCE_CASES = {
     "knn-coincident": _coincident_knn_case,
     "gaussian-zero-blocks": _gaussian_blocks_case,
 }
+
+
+def _ref_split(graph, idx, moment_dim):
+    """The two parts the level splitter must make of cluster idx (as a set of
+    position tuples), from the reference solvers, and the positions its
+    Fiedler vector bisects (None for a component split). A component split
+    whose smaller side could carry no samplet bisects the largest component
+    instead, and the other components join its smaller half (the
+    nonnegative one on a tie)."""
+    ncomp, labels = connected_components(_induced(graph, idx), directed=False)
+    if ncomp > 1:
+        part1, part2 = _ref_component_split(labels, ncomp, idx)
+        giant = labels == np.argmax(np.bincount(labels))
+        if min(part1.size, part2.size) > moment_dim or giant.sum() <= moment_dim + 1:
+            return {tuple(part1), tuple(part2)}, None
+    else:
+        giant = np.ones(idx.size, dtype=bool)
+    v = _ref_fiedler(laplacian_from_weights(_induced(graph, idx[giant])))
+    first, second = idx[giant][v >= 0.0], idx[giant][v < 0.0]
+    if 2 * first.size <= v.size:
+        first = np.union1d(first, idx[~giant])
+    else:
+        second = np.union1d(second, idx[~giant])
+    return {tuple(first), tuple(second)}, idx[giant]
+
+
+class _CountingWeights(np.ndarray):
+    """Dense weights that count the reads of blocks from them."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return np.asarray(super().__getitem__(key))
 
 
 def _internal(tree):
@@ -532,6 +574,113 @@ class TestLevelSolver:
             parts = _bisect(nd.indices, graph)
             assert {tuple(p) for p in parts} == {tuple(c.indices) for c in nd.children}
 
+    def test_interleaved_jobs_match_each_job_solved_alone(self):
+        # small jobs (dsyevr) and large ones (the level LU) alternate in job
+        # order, each a chain over positions scattered across the graph. A
+        # small job gets the vector it gets alone, and the large ones the
+        # vectors and warm starts of a level of the large jobs only; the LU
+        # of their block-diagonal Laplacian is not bitwise that of each block
+        # alone, so against a job alone they agree to rounding only
+        rng = np.random.default_rng(12)
+        sizes = [60, 300, 40, 200, 128, 129]
+        n = sum(sizes)
+        jobs = [np.sort(p) for p in np.split(rng.permutation(n), np.cumsum(sizes)[:-1])]
+        rows = np.concatenate([p[:-k] for p in jobs for k in (1, 2)])
+        cols = np.concatenate([p[k:] for p in jobs for k in (1, 2)])
+        vals = 1.0 + rng.random(rows.size)
+        w = sparse.csr_matrix((np.concatenate((vals, vals)),
+                               (np.concatenate((rows, cols)), np.concatenate((cols, rows)))),
+                              shape=(n, n))
+        graph = SimilarityGraph(None, w)
+        stats = ctree._new_stats()
+        level = ctree._LevelSplitter(graph, 0, stats)
+        vecs = level._vectors(None, np.concatenate(jobs), _bounds(sizes))
+        assert stats["dense"] == 3 and stats["level_lu"] + stats["arpack"] == 3
+        assert stats["lu_factorizations"] == 1
+        seed = np.random.default_rng(ctree._FIEDLER_SEED).standard_normal((n, ctree._BLOCK))
+        large = [job for job in jobs if job.size > ctree._DENSE_CUTOFF]
+        group = ctree._LevelSplitter(graph, 0, ctree._new_stats())
+        group_vecs = iter(group._vectors(None, np.concatenate(large),
+                                         _bounds([job.size for job in large])))
+        for job, vec in zip(jobs, vecs):
+            alone = ctree._LevelSplitter(graph, 0, ctree._new_stats())._vectors(
+                None, job, np.array([0, job.size]))[0]
+            if job.size <= ctree._DENSE_CUTOFF:
+                assert np.array_equal(vec, alone) and np.array_equal(level.x0[job], seed[job])
+                continue
+            assert np.array_equal(vec, next(group_vecs))
+            assert np.array_equal(level.x0[job], group.x0[job])
+            assert not np.array_equal(level.x0[job], seed[job])
+            assert np.abs(vec - alone).max() <= 1e-12
+
+    def test_prebuilt_dense_graph_with_zero_blocks_collapses_like_the_reference(self, monkeypatch):
+        # Gaussian weights over 195 points and exact zeros from five
+        # stragglers at random positions (one pair among them) to all others:
+        # a 195 | 5 component split could carry no samplet, so the root, and
+        # each cluster the stragglers follow, bisects its largest component
+        # instead, on that component's own Laplacian (Lanczos at the root,
+        # dsyevr below)
+        rng = np.random.default_rng(21)
+        pts = rng.random((200, 2)) * [2.0, 1.0]
+        w = np.exp(-np.linalg.norm(pts[:, None] - pts[None], axis=2) ** 2 / (2 * 0.3**2))
+        out = rng.choice(200, 5, replace=False)
+        w[out] = w[:, out] = 0.0
+        w[out[0], out[1]] = w[out[1], out[0]] = 0.5
+        solved = []
+
+        def recording(lap, stats):
+            solved.append(lap.copy())
+            return fiedler_vector(lap, stats)
+
+        fiedler_vector = ctree._fiedler_vector
+        monkeypatch.setattr(ctree, "_fiedler_vector", recording)
+        graph = SimilarityGraph(None, w)
+        mdim = moment_dimension(2, 2)
+        tree = build_cluster_tree(FunctionalSet.diracs(pts), None, 16, moment_dim=mdim,
+                                  graph=graph)
+        collapsed = 0
+        for nd in tree.nodes:
+            if not nd.is_leaf:
+                parts, giant = _ref_split(graph, nd.indices, mdim)
+                assert {tuple(c.indices) for c in nd.children} == parts and giant is not None
+                # the solve reads the bits of the Laplacian of its own weights
+                lap = laplacian_from_weights(_induced(graph, giant))
+                assert any(np.array_equal(s, lap) for s in solved if s.shape == lap.shape)
+                collapsed += giant.size < nd.size
+        assert collapsed == tree.stats["component_bisections"] >= 3
+        assert tree.stats["arpack"] == 1
+        assert_tree_invariants(tree, mdim)
+
+    def test_one_laplacian_per_cluster_and_level_on_a_dense_graph(self, monkeypatch):
+        # each cluster's weight block is read once per level and becomes its
+        # Laplacian in place: one read and one Laplacian per split attempt
+        made = []
+
+        def counting(weights, v):
+            made.append(v.size)
+            return laplacian(weights, v)
+
+        laplacian = ctree._laplacian
+        monkeypatch.setattr(ctree, "_laplacian", counting)
+        functionals, scheme, leaf_max, mdim = _REFERENCE_CASES["gaussian"]()
+        weights = build_graph(functionals, scheme).weights
+        counted = weights.view(_CountingWeights)
+        tree = build_cluster_tree(functionals, None, leaf_max, moment_dim=mdim,
+                                  graph=SimilarityGraph(scheme, counted))
+        attempts = sorted(nd.size for nd in tree.nodes if not nd.is_leaf or nd.size > leaf_max)
+        assert sorted(made) == attempts and counted.reads == len(attempts)
+        assert tree.stats["dense"] > 0 and tree.stats["arpack"] > 0
+        plain = build_cluster_tree(functionals, None, leaf_max, moment_dim=mdim,
+                                   graph=SimilarityGraph(scheme, weights))
+        assert np.array_equal(tree.perm, plain.perm) and np.array_equal(tree.sizes, plain.sizes)
+
+    def test_panelled_abs_row_sums_equal_one_call(self):
+        rng = np.random.default_rng(3)
+        w = rng.random((700, 700))
+        lap = laplacian_from_weights(w + w.T)
+        assert lap.size > kernels._PANEL
+        assert np.array_equal(ctree._row_abs_sums(lap), np.abs(lap).sum(axis=1))
+
     def test_balanced_sides_match_the_greedy_loop(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
@@ -569,7 +718,7 @@ def _divided_counts(tree, graph, leaf_max):
     for nd in tree.nodes:
         if nd.is_leaf:
             continue
-        _, labels = connected_components(graph.subgraph_weights(nd.indices), directed=False)
+        _, labels = connected_components(_induced(graph, nd.indices), directed=False)
         in_first = np.isin(nd.indices, nd.children[0].indices)
         divided = np.intersect1d(labels[in_first], labels[~in_first])
         for child, mask in zip(nd.children, (in_first, ~in_first)):

@@ -393,10 +393,3 @@ class TestBuildGraph:
         assert _CountingKDTree.query_ks[0] == 25 and _CountingKDTree.query_rows[0] == 1501
         assert _CountingKDTree.query_rows[1:] == [1] * (len(_CountingKDTree.query_rows) - 1)
         assert np.array_equal(w.toarray(), _reference_weights(functionals, MutualKNN(8)))
-
-    def test_subgraph_weights_restrict_rows_and_columns(self):
-        functionals = self._random_diracs(40, 1, 3)
-        graph = build_graph(functionals, GaussianSimilarity(0.2))
-        idx = np.array([3, 7, 11, 20])
-        sub = graph.subgraph_weights(idx)
-        assert np.array_equal(np.asarray(sub), np.asarray(graph.weights)[np.ix_(idx, idx)])
