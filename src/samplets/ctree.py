@@ -24,13 +24,14 @@ into its cluster's range of the permutation. For all clusters of a level:
   copy of the weights, which the zero test and the solve both read;
 - clusters of at most 128 functionals get their Fiedler pair from a LAPACK
   subset solve (`dsyevr`) of their dense Laplacian;
-- larger clusters of a sparse graph share one sparse LU of their
-  block-diagonal Laplacian, shifted by 1e-10 times each cluster's
-  Gershgorin bound, and a block inverse subspace iteration with one
-  Rayleigh-Ritz step per cluster and iteration, started from the previous
-  level's last iterate;
+- each larger cluster of a sparse graph gets one sparse LU of its own
+  Laplacian, shifted by 1e-10 times its Gershgorin bound, and an inverse
+  subspace iteration with one Rayleigh-Ritz step per iteration, started
+  from its rows of the previous level's last iterate;
 - larger clusters of a dense graph, and those the iteration cannot
   resolve, take ARPACK Lanczos, which needs matrix-vector products only.
+A cluster's split thus depends on the cluster alone, not on the rest of
+its level.
 Every Fiedler pair must pass the residual check ||L v - lambda v|| <= 1e-8
 times the cluster's Gershgorin bound.
 """
@@ -47,19 +48,19 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 from .errors import EigenSolverError, InputError, checked_int
 from .kernels import row_panels
 from .measures import SupportBox, as_functional_set
-from .simgraph import SimilarityGraph, build_graph
+from .simgraph import SimilarityGraph, build_graph, laplacian_in_place
 
 # clusters up to this size take the dense subset solve; measured crossover
-# against the level LU iteration on the bench trees
+# against the LU iteration on the bench trees
 _DENSE_CUTOFF = 128
 _BLOCK = 4  # vectors of the subspace iteration
 _MAX_ITER = 60
 _CONVERGED = 1e-10  # change of the unit Fiedler vector between iterations
 _FIEDLER_SEED = 0x5EED
-# the level LU factors L - sigma I with sigma = -_SHIFT times the
+# the LU iteration factors L - sigma I with sigma = -_SHIFT times the
 # Gershgorin bound: definite, and far below lambda_2 (~2e-8 times the bound
 # at the root of a 2^16-point chain, where a shift of 1e-8 slowed the root
-# level's iteration from a ratio of 0.04 to 0.16, 17 solves instead of 8)
+# cluster's iteration from a ratio of 0.04 to 0.16, 17 solves instead of 8)
 _SHIFT = 1e-10
 _RTOL = 1e-8  # residual bound of a Fiedler pair, relative to the Gershgorin bound
 
@@ -217,12 +218,12 @@ def _new_stats():
     """Split counts by path; the four path counts add up to the split attempts."""
     return {
         "dense": 0,  # Fiedler pair from the dense subset solve
-        "level_lu": 0,  # Fiedler pair from the level LU iteration
+        "lu": 0,  # Fiedler pair from the LU iteration
         "arpack": 0,  # Fiedler pair from per-cluster ARPACK Lanczos
         "components": 0,  # split into groups of whole components
         "component_bisections": 0,  # component splits that bisected the largest component
         "rolled_back": 0,
-        "lu_factorizations": 0,  # sparse LUs of the level iteration
+        "lu_factorizations": 0,  # sparse LUs, one per cluster the iteration tries
         "max_fiedler_residual": 0.0,  # ||L v - lambda v|| over the Gershgorin bound
     }
 
@@ -243,10 +244,11 @@ def _bounds(sizes):
 
 
 def _row_abs_sums(lap):
-    """Row sums of |L|; a dense L above one row panel is read panel by panel,
-    so no second N x N array is made (the small solves keep one call)."""
+    """Row sums of |L|, dense or CSR with every row storing its diagonal; a
+    dense L above one row panel is read panel by panel, so no second N x N
+    array is made (the small solves keep one call)."""
     if sparse.issparse(lap):
-        return np.asarray(abs(lap).sum(axis=1)).ravel()
+        return np.add.reduceat(np.abs(lap.data), lap.indptr[:-1])
     panels = row_panels(*lap.shape)
     if len(panels) == 1:
         return np.abs(lap).sum(axis=1)
@@ -254,105 +256,78 @@ def _row_abs_sums(lap):
 
 
 def _laplacian(weights, v):
-    """D - W of the block of dense weights on positions v, in the block's one
-    copy: the bits of `simgraph.laplacian_from_weights` on float64 weights."""
-    w = np.asarray(weights[np.ix_(v, v)], dtype=np.float64)
-    deg = w.sum(axis=1) - w.diagonal()
-    np.negative(w, out=w)
-    np.fill_diagonal(w, deg)
-    return w
+    """D - W of the block of dense weights on positions v, made in the block's one copy."""
+    return laplacian_in_place(np.asarray(weights[np.ix_(v, v)], dtype=np.float64))
 
 
-def _subspace_pairs(lap, starts, x0):
-    """Fiedler pairs of the diagonal blocks of a sparse block-diagonal Laplacian.
+def _inverse_iteration(lap, c, x0):
+    """Fiedler pair of a sparse Laplacian by inverse subspace iteration, or None.
 
-    One LU of A = L + _SHIFT diag(scale) serves every block (scale is the
-    block's Gershgorin bound). Each iteration solves A Y = X for the whole
-    (n, K) block at once, removes each block's constant, and replaces each
-    block's X by its Ritz vectors from a K x K Rayleigh-Ritz step on Y. A
-    block is done once its lowest Ritz pair passes the residual check and
-    its unit vector moved by at most _CONVERGED in the last iteration.
-    Returns the concatenated unit vectors, the residuals over scale and the
-    done mask; the caller handles blocks not done. x0 is overwritten with
-    the last iterate.
+    lap is a canonical CSR matrix holding every diagonal entry; being
+    symmetric, its arrays are also those of its CSC form. One LU of
+    A = L + _SHIFT c I (c the Gershgorin bound) serves every iteration,
+    which solves A Y = X for the (n, K) block X, removes Y's column means and
+    replaces X by the Ritz vectors of a K x K Rayleigh-Ritz step on Y. The
+    lowest Ritz pair is returned once it passes the residual check and its
+    unit vector moved by at most _CONVERGED in the last iteration; None
+    after _MAX_ITER iterations. x0 starts the iteration and is overwritten
+    with the last iterate.
     """
-    sizes = np.diff(starts)
-    first = starts[:-1]
-    seg = np.repeat(np.arange(sizes.size), sizes)
-    scale = np.maximum(np.maximum.reduceat(_row_abs_sums(lap), first), 1e-30)
+    rows = np.repeat(np.arange(lap.shape[0]), np.diff(lap.indptr))
+    data = lap.data.copy()
+    data[lap.indices == rows] += _SHIFT * c
     # L + shift is symmetric positive definite: a symmetric fill-reducing
     # order and no pivoting
-    solve = splu((lap + sparse.diags(_SHIFT * scale[seg])).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                 diag_pivot_thresh=0.0, options={"SymmetricMode": True}).solve
-
-    def blocksum(a):
-        return np.add.reduceat(a, first, axis=0)
-
-    def deflate(a):
-        return a - (blocksum(a) / sizes[:, None])[seg]
-
-    k = x0.shape[1]
-    lam = np.zeros(sizes.size)
-    vec = np.zeros(seg.size)
-    rel = np.full(sizes.size, np.inf)
-    active = np.ones(sizes.size, dtype=bool)
-    gram = np.empty((sizes.size, k, k))
-    proj = np.empty((sizes.size, k, k))
-    prev_v = None
-    x = deflate(x0)
+    solve = splu(sparse.csc_matrix((data, lap.indices, lap.indptr), shape=lap.shape),
+                 permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                 options={"SymmetricMode": True}).solve
+    x = x0 - x0.mean(axis=0)
+    pair = prev = None
     for _ in range(_MAX_ITER):
-        y = deflate(solve(x))
+        y = solve(x)
+        y -= y.mean(axis=0)
         ly = lap @ y
-        blocks = np.flatnonzero(active)
-        for c in blocks:
-            s, e = starts[c], starts[c + 1]
-            gram[c] = y[s:e].T @ y[s:e]
-            proj[c] = y[s:e].T @ ly[s:e]
-        # Ritz pairs of (proj, gram): whiten by gram's eigendecomposition;
-        # a direction the solve has all but removed keeps a tiny weight
-        sg, ug = np.linalg.eigh(gram[blocks])
-        b = ug / np.sqrt(np.maximum(sg, 1e-15 * sg[:, -1:]))[:, None, :]
-        h = b.transpose(0, 2, 1) @ proj[blocks] @ b
-        theta, z = np.linalg.eigh(0.5 * (h + h.transpose(0, 2, 1)))
+        # Ritz pairs of (Y^T L Y, Y^T Y): whiten by the Gram matrix's
+        # eigendecomposition; a direction the solve has all but removed
+        # keeps a tiny weight
+        sg, ug = np.linalg.eigh(y.T @ y)
+        b = ug / np.sqrt(np.maximum(sg, 1e-15 * sg[-1]))
+        h = b.T @ (y.T @ ly) @ b
+        theta, z = np.linalg.eigh(0.5 * (h + h.T))
         coef = b @ z
-        lx0 = np.zeros(seg.size)
-        for c, cf in zip(blocks, coef):
-            s, e = starts[c], starts[c + 1]
-            x[s:e] = y[s:e] @ cf
-            lx0[s:e] = ly[s:e] @ cf[:, 0]
-        lam[blocks] = theta[:, 0]
-        norm = np.sqrt(blocksum(x[:, 0] ** 2))[seg]
+        x = y @ coef
+        norm = np.linalg.norm(x[:, 0])
         v = x[:, 0] / norm
-        res = np.sqrt(blocksum((lx0 / norm - lam[seg] * v) ** 2)) / scale
-        step = np.full(sizes.size, np.inf)
-        if prev_v is not None:
-            flip = np.where(blocksum(v * prev_v) < 0.0, -1.0, 1.0)[seg]
-            step = np.sqrt(blocksum((v - flip * prev_v) ** 2))
-        finished = active & (res <= _RTOL) & (step <= _CONVERGED)
-        rows = finished[seg]
-        vec[rows] = v[rows]
-        rel[finished] = res[finished]
-        active &= ~finished
-        if not active.any():
+        if (prev is not None
+                and np.linalg.norm(v - prev if v @ prev >= 0.0 else v + prev) <= _CONVERGED
+                and np.linalg.norm(ly @ coef[:, 0] / norm - theta[0] * v) <= _RTOL * c):
+            pair = theta[0], v
             break
-        prev_v = v
+        prev = v
     x0[:] = x
-    return vec, rel, ~active
+    return pair
 
 
-def _fiedler_vector(lap, stats):
+def _fiedler_vector(lap, stats, x0=None):
     """Unit Fiedler vector (canonical sign) of one Laplacian, residual checked:
-    dsyevr's subset solve of a dense one of at most _DENSE_CUTOFF vertices,
-    else Lanczos for the top eigenvalue c - lambda_2 of the mean-free c I - L
-    (c the Gershgorin bound), which needs matrix-vector products only."""
+    dsyevr's subset solve of a dense one of at most _DENSE_CUTOFF vertices;
+    for a sparse one the LU iteration from the warm start x0 (see
+    `_inverse_iteration`); else, or if that leaves it unresolved, Lanczos for
+    the top eigenvalue c - lambda_2 of the mean-free c I - L (c the
+    Gershgorin bound), which needs matrix-vector products only."""
     c = max(float(_row_abs_sums(lap).max()), 1e-30)
+    pair = None
     if lap.shape[0] <= _DENSE_CUTOFF:
         stats["dense"] += 1
         w, z, _, _, info = lapack.dsyevr(lap, compute_v=1, range="I", il=1, iu=2)
         if info != 0:
             raise EigenSolverError(f"dsyevr failed with info {info}")
-        lam, v = float(w[1]), z[:, 1]
-    else:
+        pair = float(w[1]), z[:, 1]
+    elif sparse.issparse(lap):
+        stats["lu_factorizations"] += 1
+        pair = _inverse_iteration(lap, c, x0)
+        stats["lu"] += pair is not None
+    if pair is None:
         stats["arpack"] += 1
 
         def matvec(x):
@@ -366,7 +341,8 @@ def _fiedler_vector(lap, stats):
                              which="LA", v0=v0 - v0.mean(), tol=0)
         except ArpackError as exc:  # ArpackNoConvergence included
             raise EigenSolverError(f"ARPACK did not converge: {exc}") from None
-        lam, v = c - float(theta[0]), z[:, 0]
+        pair = c - float(theta[0]), z[:, 0]
+    lam, v = pair
     v = np.ascontiguousarray(v, dtype=np.float64)
     v /= np.linalg.norm(v)
     res = np.linalg.norm(lap @ v - lam * v)
@@ -436,11 +412,12 @@ def _balanced_sides(cluster, size, low, nclusters):
 
 
 class _LevelSplitter:
-    """Bisects all clusters of one tree level with one pass of each solver.
+    """Bisects all clusters of one tree level, each split a function of its cluster.
 
-    Sparse weights are kept as a list of intra-cluster edges (i < j), and
-    each level filters only the edges that survived the level above; the
-    clusters of successive `split` calls must therefore refine each other.
+    Sparse weights are kept as a list of intra-cluster edges (i < j), one
+    per pair, and each level filters only the edges that survived the level
+    above; the clusters of successive `split` calls must therefore refine
+    each other.
     Each position carries a component label, the position of the first
     functional of its component within its cluster; positions of a
     component a Fiedler vector bisects turn stale until the next level.
@@ -453,7 +430,11 @@ class _LevelSplitter:
         self.stale = np.ones(graph.n, dtype=bool)
         if sparse.issparse(graph.weights):
             self.x0 = np.random.default_rng(_FIEDLER_SEED).standard_normal((graph.n, _BLOCK))
-            coo = graph.weights.tocoo()
+            w = graph.weights.tocsr()
+            if not w.has_canonical_format:  # one entry per pair
+                w = w.copy()
+                w.sum_duplicates()
+            coo = w.tocoo()
             keep = (coo.row < coo.col) & (coo.data != 0.0)
             self.edges = (coo.row[keep].astype(np.int64), coo.col[keep].astype(np.int64),
                           coo.data[keep].astype(np.float64))
@@ -489,12 +470,12 @@ class _LevelSplitter:
         return self.label[verts], None
 
     def _job_laplacians(self, laps, jverts, jstarts):
-        """Each job's dense Laplacian, or None for a job above _DENSE_CUTOFF
-        vertices of a sparse graph, and the block-diagonal Laplacian of those
-        (or None). On a dense graph laps[j] is None for a collapse's component."""
+        """Each job's Laplacian: dense up to _DENSE_CUTOFF vertices or on a
+        dense graph, else canonical CSR. On a dense graph laps[j] is None
+        for a collapse's component."""
         if self.edges is None:
             return [_laplacian(self.graph.weights, jverts[s:e]) if lap is None else lap
-                    for lap, s, e in zip(laps, jstarts[:-1], jstarts[1:])], None
+                    for lap, s, e in zip(laps, jstarts[:-1], jstarts[1:])]
         jsizes = np.diff(jstarts)
         small = jsizes <= _DENSE_CUTOFF
         rows, cols, vals = self.edges
@@ -515,47 +496,30 @@ class _LevelSplitter:
         dv = np.flatnonzero(small[job])
         jd = job[dv]
         buf[off[jd] + (dv - jstarts[jd]) * (jsizes[jd] + 1)] = deg[dv]
-        laps = [buf[off[j]:off[j + 1]].reshape(n, n) if small[j] else None
-                for j, n in enumerate(jsizes)]
-        if small.all():
-            return laps, None
-        big = ~small[job]
-        renum = np.cumsum(big) - 1
-        e = big[r]
-        re, ce, nb = renum[r[e]], renum[c[e]], int(big.sum())
-        diag = np.arange(nb)
-        return laps, sparse.csr_matrix(
-            (np.concatenate((-w[e], -w[e], deg[big])),
-             (np.concatenate((re, ce, diag)), np.concatenate((ce, re, diag)))),
-            shape=(nb, nb),
-        )
+        # the large jobs' entries in row-major order: each job's rows are
+        # consecutive, so its CSR arrays are slices
+        e, dv = ~e, np.flatnonzero(~small[job])
+        i = np.concatenate((r[e], c[e], dv))
+        k = np.concatenate((c[e], r[e], dv))
+        order = np.argsort(i * jverts.size + k)
+        k, x = k[order], np.concatenate((-w[e], -w[e], deg[dv]))[order]
+        ptr = _bounds(np.bincount(i, minlength=jverts.size))
+        return [buf[off[j]:off[j + 1]].reshape(n, n) if small[j] else sparse.csr_matrix(
+                    (x[ptr[s]:ptr[s + n]], k[ptr[s]:ptr[s + n]] - s, ptr[s:s + n + 1] - ptr[s]),
+                    shape=(n, n))
+                for j, (s, n) in enumerate(zip(jstarts, jsizes))]
 
     def _vectors(self, laps, jverts, jstarts):
         """Unit Fiedler vectors (canonical sign) of the jobs in job order; job j
-        bisects jverts[jstarts[j]:jstarts[j + 1]]. Jobs without a dense
-        Laplacian share one LU and a subspace iteration from x0, which gets the
-        last iterate back; Lanczos takes those it leaves unresolved."""
-        laps, lap = self._job_laplacians(laps, jverts, jstarts)
-        jsizes = np.diff(jstarts)
-        large = jsizes > _DENSE_CUTOFF
-        if lap is not None:
-            gstarts = _bounds(jsizes[large])
-            pos = jverts[np.repeat(large, jsizes)]
-            x0 = self.x0[pos]
-            self.stats["lu_factorizations"] += 1
-            vec, rel, done = _subspace_pairs(lap, gstarts, x0)
-            self.x0[pos] = x0  # the last iterates restricted to the children start the next level
+        bisects jverts[jstarts[j]:jstarts[j + 1]]. A job with a sparse
+        Laplacian starts its LU iteration from its rows of x0, which get its
+        last iterate back."""
         vecs = []
-        for j, g in enumerate(np.cumsum(large) - 1):
-            if laps[j] is not None:
-                vecs.append(_fiedler_vector(laps[j], self.stats))
-            elif done[g]:
-                self.stats["level_lu"] += 1
-                self.stats["max_fiedler_residual"] = max(self.stats["max_fiedler_residual"], rel[g])
-                vecs.append(_canonical_sign(vec[gstarts[g]:gstarts[g + 1]]))
-            else:
-                b = slice(gstarts[g], gstarts[g + 1])
-                vecs.append(_fiedler_vector(lap[b, b], self.stats))
+        for lap, s, e in zip(self._job_laplacians(laps, jverts, jstarts), jstarts[:-1], jstarts[1:]):
+            x0 = self.x0[jverts[s:e]] if sparse.issparse(lap) else None
+            vecs.append(_fiedler_vector(lap, self.stats, x0))
+            if x0 is not None:
+                self.x0[jverts[s:e]] = x0  # restricted to the children, it starts the next level
         return vecs
 
     def split(self, verts, sizes):

@@ -124,14 +124,13 @@ def check_symmetric(a):
     if not (np.isfinite(hi) and np.isfinite(lo)):
         raise InputError("matrix entries must be finite")
     atol = 1e-8 * max(hi, -lo, 1.0)
-    n, step = a.shape[0], _SQUARE_TILE
-    for s in range(0, n, step):
-        for t in range(s, n, step):
-            x, y = a[s:s + step, t:t + step], a[t:t + step, s:s + step].T
-            if np.array_equal(x, y):
-                continue
-            if not (np.abs(x - y) <= atol + 1e-5 * np.minimum(np.abs(x), np.abs(y))).all():
-                raise InputError("matrix must be symmetric")
+    w = _SQUARE_TILE
+    for s, t in _tile_pairs(a.shape[0], w):
+        x, y = a[s:s + w, t:t + w], a[t:t + w, s:s + w].T
+        if np.array_equal(x, y):
+            continue
+        if not (np.abs(x - y) <= atol + 1e-5 * np.minimum(np.abs(x), np.abs(y))).all():
+            raise InputError("matrix must be symmetric")
 
 
 def _tile_pairs(n, w):

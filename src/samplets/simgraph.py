@@ -64,10 +64,15 @@ def laplacian_from_weights(weights):
     if sparse.issparse(weights):
         deg = np.asarray(weights.sum(axis=1)).ravel()
         return (sparse.diags(deg) - weights).tocsr()
-    deg = weights.sum(axis=1)
-    lap = np.negative(weights, dtype=np.float64)
-    np.fill_diagonal(lap, deg - np.diag(weights))
-    return lap
+    return laplacian_in_place(np.array(weights, dtype=np.float64))
+
+
+def laplacian_in_place(w):
+    """Turn the dense float64 weights w into D - W in place and return it."""
+    deg = w.sum(axis=1) - w.diagonal()
+    np.negative(w, out=w)
+    np.fill_diagonal(w, deg)
+    return w
 
 
 @dataclass

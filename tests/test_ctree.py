@@ -46,8 +46,8 @@ def _induced(graph, idx):
 def _fiedler(lap):
     """The tree's Fiedler solver on one Laplacian, as a tree level routes a
     cluster: a dense one takes dsyevr up to 128 vertices and Lanczos above,
-    and a sparse one above 128 vertices takes the level LU of a splitter over
-    its weights (its off-diagonal entries, negated)."""
+    and a sparse one above 128 vertices takes the LU iteration of a splitter
+    over its weights (its off-diagonal entries, negated)."""
     n = lap.shape[0]
     if sparse.issparse(lap) and n > ctree._DENSE_CUTOFF:
         w = sparse.diags(lap.diagonal()) - lap.tocsr()
@@ -462,7 +462,7 @@ def _internal(tree):
 
 
 def _path_total(stats):
-    return stats["dense"] + stats["level_lu"] + stats["arpack"] + stats["components"]
+    return stats["dense"] + stats["lu"] + stats["arpack"] + stats["components"]
 
 
 class TestLevelSolver:
@@ -519,13 +519,13 @@ class TestLevelSolver:
         # Lanczos needs matrix-vector products only: a dense graph factors nothing
         functionals, scheme, leaf_max, mdim = _REFERENCE_CASES["gaussian"]()
         tree = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=mdim)
-        assert tree.stats["arpack"] > 0 and tree.stats["level_lu"] == 0
+        assert tree.stats["arpack"] > 0 and tree.stats["lu"] == 0
         assert tree.stats["lu_factorizations"] == 0
 
     def test_unconverged_clusters_fall_back_to_arpack(self, monkeypatch):
         # one iteration never settles a cluster, so every large cluster
-        # takes the counted per-cluster fallback, which factors nothing
-        # beyond the level LUs, and the tree is unchanged
+        # takes the counted Lanczos fallback, which factors nothing beyond
+        # the cluster's one LU, and the tree is unchanged
         functionals, scheme, leaf_max, mdim = _REFERENCE_CASES["build-1d"]()
         graph = build_graph(functionals, scheme)
         settled = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=mdim, graph=graph)
@@ -533,7 +533,7 @@ class TestLevelSolver:
         tree = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=mdim, graph=graph)
         assert _assert_matches_reference(tree, graph, leaf_max, mdim) == []
         assert np.array_equal(tree.perm, settled.perm)
-        assert tree.stats["level_lu"] == 0 and tree.stats["arpack"] == settled.stats["level_lu"]
+        assert tree.stats["lu"] == 0 and tree.stats["arpack"] == settled.stats["lu"]
         assert tree.stats["lu_factorizations"] == settled.stats["lu_factorizations"]
         assert tree.stats["max_fiedler_residual"] <= 1e-8
 
@@ -550,11 +550,11 @@ class TestLevelSolver:
         functionals, _ = generate_example("random-diracs", 3000, 2, 4)
         tree = build_cluster_tree(functionals, EpsilonNeighborhood(0.03), 32, moment_dim=6)
         stats = tree.stats
-        assert set(stats) == {"dense", "level_lu", "arpack", "components",
+        assert set(stats) == {"dense", "lu", "arpack", "components",
                               "component_bisections", "rolled_back", "lu_factorizations",
                               "max_fiedler_residual"}
         assert _path_total(stats) == _internal(tree) + stats["rolled_back"]
-        assert stats["dense"] > 0 and stats["level_lu"] > 0 and stats["lu_factorizations"] > 0
+        assert stats["dense"] > 0 and stats["lu"] > 0 and stats["lu_factorizations"] > 0
         assert 0.0 < stats["max_fiedler_residual"] <= 1e-8
 
     def test_single_leaf_tree_has_zero_counts(self):
@@ -575,12 +575,11 @@ class TestLevelSolver:
             assert {tuple(p) for p in parts} == {tuple(c.indices) for c in nd.children}
 
     def test_interleaved_jobs_match_each_job_solved_alone(self):
-        # small jobs (dsyevr) and large ones (the level LU) alternate in job
-        # order, each a chain over positions scattered across the graph. A
-        # small job gets the vector it gets alone, and the large ones the
-        # vectors and warm starts of a level of the large jobs only; the LU
-        # of their block-diagonal Laplacian is not bitwise that of each block
-        # alone, so against a job alone they agree to rounding only
+        # small jobs (dsyevr) and large ones (one LU each) alternate in job
+        # order, each a chain over positions scattered across the graph.
+        # Every job's vector, and the last iterate a large job writes back
+        # to x0 (the next level's warm start), are bitwise those of the job
+        # alone: a split depends on its cluster only
         rng = np.random.default_rng(12)
         sizes = [60, 300, 40, 200, 128, 129]
         n = sum(sizes)
@@ -595,23 +594,35 @@ class TestLevelSolver:
         stats = ctree._new_stats()
         level = ctree._LevelSplitter(graph, 0, stats)
         vecs = level._vectors(None, np.concatenate(jobs), _bounds(sizes))
-        assert stats["dense"] == 3 and stats["level_lu"] + stats["arpack"] == 3
-        assert stats["lu_factorizations"] == 1
+        assert stats["dense"] == 3 and stats["lu"] + stats["arpack"] == 3
+        assert stats["lu_factorizations"] == 3
         seed = np.random.default_rng(ctree._FIEDLER_SEED).standard_normal((n, ctree._BLOCK))
-        large = [job for job in jobs if job.size > ctree._DENSE_CUTOFF]
-        group = ctree._LevelSplitter(graph, 0, ctree._new_stats())
-        group_vecs = iter(group._vectors(None, np.concatenate(large),
-                                         _bounds([job.size for job in large])))
         for job, vec in zip(jobs, vecs):
-            alone = ctree._LevelSplitter(graph, 0, ctree._new_stats())._vectors(
-                None, job, np.array([0, job.size]))[0]
-            if job.size <= ctree._DENSE_CUTOFF:
-                assert np.array_equal(vec, alone) and np.array_equal(level.x0[job], seed[job])
-                continue
-            assert np.array_equal(vec, next(group_vecs))
-            assert np.array_equal(level.x0[job], group.x0[job])
-            assert not np.array_equal(level.x0[job], seed[job])
-            assert np.abs(vec - alone).max() <= 1e-12
+            alone = ctree._LevelSplitter(graph, 0, ctree._new_stats())
+            assert np.array_equal(vec, alone._vectors(None, job, np.array([0, job.size]))[0])
+            assert np.array_equal(level.x0[job], alone.x0[job])
+            moved = not np.array_equal(level.x0[job], seed[job])
+            assert moved == (job.size > ctree._DENSE_CUTOFF)
+
+    def test_prebuilt_sparse_graph_in_any_format_gives_the_same_tree(self):
+        # an LU job's CSR arrays must be canonical, one entry per pair: CSC,
+        # COO and a CSR with unsorted, split duplicate entries build the tree
+        # of the canonical CSR
+        functionals, scheme, leaf_max, mdim = _REFERENCE_CASES["build-1d"]()
+        w = build_graph(functionals, scheme).weights
+        tree = build_cluster_tree(functionals, None, leaf_max, moment_dim=mdim,
+                                  graph=SimilarityGraph(scheme, w))
+        assert tree.stats["lu"] > 0
+        coo = w.tocoo()
+        rows, cols = np.tile(coo.row, 2), np.tile(coo.col, 2)
+        order = np.lexsort((np.random.default_rng(4).random(rows.size), rows))
+        split = sparse.csr_matrix((np.tile(coo.data / 2, 2)[order], cols[order],
+                                   _bounds(np.bincount(rows, minlength=w.shape[0]))), shape=w.shape)
+        assert not split.has_canonical_format
+        for other in (w.tocsc(), coo, split):
+            got = build_cluster_tree(functionals, None, leaf_max, moment_dim=mdim,
+                                     graph=SimilarityGraph(scheme, other))
+            assert np.array_equal(got.perm, tree.perm) and np.array_equal(got.sizes, tree.sizes)
 
     def test_prebuilt_dense_graph_with_zero_blocks_collapses_like_the_reference(self, monkeypatch):
         # Gaussian weights over 195 points and exact zeros from five
@@ -628,9 +639,9 @@ class TestLevelSolver:
         w[out[0], out[1]] = w[out[1], out[0]] = 0.5
         solved = []
 
-        def recording(lap, stats):
+        def recording(lap, stats, x0=None):
             solved.append(lap.copy())
-            return fiedler_vector(lap, stats)
+            return fiedler_vector(lap, stats, x0)
 
         fiedler_vector = ctree._fiedler_vector
         monkeypatch.setattr(ctree, "_fiedler_vector", recording)

@@ -17,9 +17,9 @@ from samplets import (
     MutualKNN,
     build_graph,
 )
-from samplets import simgraph
+from samplets import ctree, simgraph
 from samplets.kernels import box_distance_matrix, box_gap_pairs
-from samplets.simgraph import laplacian_from_weights
+from samplets.simgraph import laplacian_from_weights, laplacian_in_place
 
 
 def _box_functional(fid, lower, upper):
@@ -169,6 +169,22 @@ class TestLaplacian:
         with_loops = w + np.diag(rng.random(12))
         assert np.allclose(laplacian_from_weights(w), laplacian_from_weights(with_loops),
                            atol=1e-15)
+
+    def test_dense_laplacian_is_one_in_place_formula(self):
+        # laplacian_from_weights, the tree's per-cluster Laplacian and the
+        # in-place step agree bit for bit; the weights are left as they were
+        rng = np.random.default_rng(11)
+        w = rng.random((40, 40))
+        w = (w + w.T) / 2
+        kept = w.copy()
+        lap = laplacian_from_weights(w)
+        expect = -w
+        np.fill_diagonal(expect, w.sum(axis=1) - np.diag(w))
+        assert np.array_equal(lap, expect) and np.array_equal(w, kept)
+        assert np.array_equal(ctree._laplacian(w, np.arange(40)), lap)
+        inplace = w.copy()
+        assert laplacian_in_place(inplace) is inplace and np.array_equal(inplace, lap)
+        assert laplacian_from_weights(w.astype(np.float32)).dtype == np.float64
 
     def test_two_disjoint_edges_have_null_space_of_dimension_two(self):
         w = np.zeros((4, 4))
