@@ -25,11 +25,12 @@ into its cluster's range of the permutation. For all clusters of a level:
 - clusters of at most 128 functionals get their Fiedler pair from a LAPACK
   subset solve (`dsyevr`) of their dense Laplacian;
 - each larger cluster of a sparse graph gets one sparse LU of its own
-  Laplacian, shifted by 1e-10 times its Gershgorin bound, and an inverse
-  subspace iteration with one Rayleigh-Ritz step per iteration, started
-  from its rows of the previous level's last iterate;
-- larger clusters of a dense graph, and those the iteration cannot
-  resolve, take ARPACK Lanczos, which needs matrix-vector products only.
+  Laplacian, shifted by 1e-10 times its Gershgorin bound, and ARPACK
+  Lanczos on the inverse through that LU (shift-invert), started from its
+  rows of the previous level's Fiedler vectors;
+- larger clusters of a dense graph, and those the shift-inverted solve
+  cannot resolve, take ARPACK Lanczos on c I - L, which needs
+  matrix-vector products only; both go through one Lanczos call.
 A cluster's split thus depends on the cluster alone, not on the rest of
 its level.
 Every Fiedler pair must pass the residual check ||L v - lambda v|| <= 1e-8
@@ -51,16 +52,16 @@ from .measures import SupportBox, as_functional_set
 from .simgraph import SimilarityGraph, build_graph, laplacian_in_place
 
 # clusters up to this size take the dense subset solve; measured crossover
-# against the LU iteration on the bench trees
+# against the LU path on the bench trees
 _DENSE_CUTOFF = 128
-_BLOCK = 4  # vectors of the subspace iteration
-_MAX_ITER = 60
-_CONVERGED = 1e-10  # change of the unit Fiedler vector between iterations
+# Krylov dimension of the shift-inverted Lanczos: fewest LU solves on the
+# bench trees in a sweep of 4, 6, 8, 12 and 20 (ARPACK's default, which
+# nearly doubles them)
+_NCV = 6
 _FIEDLER_SEED = 0x5EED
-# the LU iteration factors L - sigma I with sigma = -_SHIFT times the
-# Gershgorin bound: definite, and far below lambda_2 (~2e-8 times the bound
-# at the root of a 2^16-point chain, where a shift of 1e-8 slowed the root
-# cluster's iteration from a ratio of 0.04 to 0.16, 17 solves instead of 8)
+# the LU path factors L + sigma I with sigma = _SHIFT times the Gershgorin
+# bound: definite, and far below lambda_2 (~2e-8 times the bound at the root
+# of a 2^16-point chain), so it barely narrows the inverse's spectral gap
 _SHIFT = 1e-10
 _RTOL = 1e-8  # residual bound of a Fiedler pair, relative to the Gershgorin bound
 
@@ -218,12 +219,12 @@ def _new_stats():
     """Split counts by path; the four path counts add up to the split attempts."""
     return {
         "dense": 0,  # Fiedler pair from the dense subset solve
-        "lu": 0,  # Fiedler pair from the LU iteration
+        "lu": 0,  # Fiedler pair from shift-inverted Lanczos through the cluster's LU
         "arpack": 0,  # Fiedler pair from per-cluster ARPACK Lanczos
         "components": 0,  # split into groups of whole components
         "component_bisections": 0,  # component splits that bisected the largest component
         "rolled_back": 0,
-        "lu_factorizations": 0,  # sparse LUs, one per cluster the iteration tries
+        "lu_factorizations": 0,  # sparse LUs, one per large cluster of a sparse graph
         "max_fiedler_residual": 0.0,  # ||L v - lambda v|| over the Gershgorin bound
     }
 
@@ -260,94 +261,84 @@ def _laplacian(weights, v):
     return laplacian_in_place(np.asarray(weights[np.ix_(v, v)], dtype=np.float64))
 
 
+def _lanczos(op, v0, ncv=None):
+    """Top eigenpair (theta, z) of the symmetric operator op on mean-free
+    vectors, by ARPACK Lanczos from v0: the mean is removed before and after
+    op, and ncv is the Krylov dimension (None: ARPACK's default)."""
+    def matvec(x):
+        y = op(x - x.mean())
+        return y - y.mean()
+
+    n = v0.size
+    theta, z = eigsh(LinearOperator((n, n), matvec=matvec, dtype=np.float64), k=1, which="LA",
+                     v0=v0 - v0.mean(), ncv=ncv, tol=0)
+    return float(theta[0]), z[:, 0]
+
+
 def _inverse_iteration(lap, c, x0):
-    """Fiedler pair of a sparse Laplacian by inverse subspace iteration, or None.
+    """Fiedler pair of a sparse Laplacian by shift-inverted Lanczos, or None.
 
     lap is a canonical CSR matrix holding every diagonal entry; being
     symmetric, its arrays are also those of its CSC form. One LU of
-    A = L + _SHIFT c I (c the Gershgorin bound) serves every iteration,
-    which solves A Y = X for the (n, K) block X, removes Y's column means and
-    replaces X by the Ritz vectors of a K x K Rayleigh-Ritz step on Y. The
-    lowest Ritz pair is returned once it passes the residual check and its
-    unit vector moved by at most _CONVERGED in the last iteration; None
-    after _MAX_ITER iterations. x0 starts the iteration and is overwritten
-    with the last iterate.
+    A = L + sigma I (sigma = _SHIFT c, c the Gershgorin bound) serves every
+    solve; Lanczos from the warm start x0 finds the top eigenvalue theta =
+    1 / (lambda_2 + sigma) of A^-1 on mean-free vectors. None if ARPACK fails.
     """
     rows = np.repeat(np.arange(lap.shape[0]), np.diff(lap.indptr))
     data = lap.data.copy()
-    data[lap.indices == rows] += _SHIFT * c
+    shift = _SHIFT * c
+    data[lap.indices == rows] += shift
     # L + shift is symmetric positive definite: a symmetric fill-reducing
     # order and no pivoting
     solve = splu(sparse.csc_matrix((data, lap.indices, lap.indptr), shape=lap.shape),
                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                  options={"SymmetricMode": True}).solve
-    x = x0 - x0.mean(axis=0)
-    pair = prev = None
-    for _ in range(_MAX_ITER):
-        y = solve(x)
-        y -= y.mean(axis=0)
-        ly = lap @ y
-        # Ritz pairs of (Y^T L Y, Y^T Y): whiten by the Gram matrix's
-        # eigendecomposition; a direction the solve has all but removed
-        # keeps a tiny weight
-        sg, ug = np.linalg.eigh(y.T @ y)
-        b = ug / np.sqrt(np.maximum(sg, 1e-15 * sg[-1]))
-        h = b.T @ (y.T @ ly) @ b
-        theta, z = np.linalg.eigh(0.5 * (h + h.T))
-        coef = b @ z
-        x = y @ coef
-        norm = np.linalg.norm(x[:, 0])
-        v = x[:, 0] / norm
-        if (prev is not None
-                and np.linalg.norm(v - prev if v @ prev >= 0.0 else v + prev) <= _CONVERGED
-                and np.linalg.norm(ly @ coef[:, 0] / norm - theta[0] * v) <= _RTOL * c):
-            pair = theta[0], v
-            break
-        prev = v
-    x0[:] = x
-    return pair
+    try:
+        theta, z = _lanczos(solve, x0, _NCV)
+    except ArpackError:  # ArpackNoConvergence included
+        return None
+    return 1.0 / theta - shift, z
+
+
+def _unit_residual(lap, lam, v):
+    """v scaled to unit norm, and its residual ||L v - lam v||."""
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    v /= np.linalg.norm(v)
+    return v, np.linalg.norm(lap @ v - lam * v)
 
 
 def _fiedler_vector(lap, stats, x0=None):
     """Unit Fiedler vector (canonical sign) of one Laplacian, residual checked:
     dsyevr's subset solve of a dense one of at most _DENSE_CUTOFF vertices;
-    for a sparse one the LU iteration from the warm start x0 (see
-    `_inverse_iteration`); else, or if that leaves it unresolved, Lanczos for
-    the top eigenvalue c - lambda_2 of the mean-free c I - L (c the
-    Gershgorin bound), which needs matrix-vector products only."""
+    for a sparse one shift-inverted Lanczos through its LU from the warm
+    start x0 (see `_inverse_iteration`); else, or if that fails or its pair
+    misses the residual bound, Lanczos for the top eigenvalue c - lambda_2
+    of c I - L (c the Gershgorin bound), which needs matrix-vector products
+    only."""
+    n = lap.shape[0]
     c = max(float(_row_abs_sums(lap).max()), 1e-30)
     pair = None
-    if lap.shape[0] <= _DENSE_CUTOFF:
-        stats["dense"] += 1
+    if n <= _DENSE_CUTOFF:
         w, z, _, _, info = lapack.dsyevr(lap, compute_v=1, range="I", il=1, iu=2)
         if info != 0:
             raise EigenSolverError(f"dsyevr failed with info {info}")
-        pair = float(w[1]), z[:, 1]
+        path, pair = "dense", (float(w[1]), z[:, 1])
     elif sparse.issparse(lap):
         stats["lu_factorizations"] += 1
-        pair = _inverse_iteration(lap, c, x0)
-        stats["lu"] += pair is not None
-    if pair is None:
-        stats["arpack"] += 1
-
-        def matvec(x):
-            x = x - x.mean()
-            y = c * x - lap @ x
-            return y - y.mean()
-
-        v0 = np.random.default_rng(_FIEDLER_SEED).standard_normal(lap.shape[0])
+        path, pair = "lu", _inverse_iteration(lap, c, x0)
+    if pair is not None:
+        v, res = _unit_residual(lap, *pair)
+    if pair is None or (path == "lu" and not res <= _RTOL * c):
+        path = "arpack"
+        v0 = np.random.default_rng(_FIEDLER_SEED).standard_normal(n)
         try:
-            theta, z = eigsh(LinearOperator(lap.shape, matvec=matvec, dtype=np.float64), k=1,
-                             which="LA", v0=v0 - v0.mean(), tol=0)
+            theta, z = _lanczos(lambda x: c * x - lap @ x, v0)
         except ArpackError as exc:  # ArpackNoConvergence included
             raise EigenSolverError(f"ARPACK did not converge: {exc}") from None
-        pair = c - float(theta[0]), z[:, 0]
-    lam, v = pair
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    v /= np.linalg.norm(v)
-    res = np.linalg.norm(lap @ v - lam * v)
+        v, res = _unit_residual(lap, c - theta, z)
     if not res <= _RTOL * c:
         raise EigenSolverError(f"Fiedler residual {res:.3e} above {_RTOL:.1e} * {c:.3e}")
+    stats[path] += 1
     stats["max_fiedler_residual"] = max(stats["max_fiedler_residual"], res / c)
     return _canonical_sign(v)
 
@@ -429,7 +420,7 @@ class _LevelSplitter:
         self.label = np.arange(graph.n)
         self.stale = np.ones(graph.n, dtype=bool)
         if sparse.issparse(graph.weights):
-            self.x0 = np.random.default_rng(_FIEDLER_SEED).standard_normal((graph.n, _BLOCK))
+            self.x0 = np.random.default_rng(_FIEDLER_SEED).standard_normal(graph.n)
             w = graph.weights.tocsr()
             if not w.has_canonical_format:  # one entry per pair
                 w = w.copy()
@@ -512,14 +503,14 @@ class _LevelSplitter:
     def _vectors(self, laps, jverts, jstarts):
         """Unit Fiedler vectors (canonical sign) of the jobs in job order; job j
         bisects jverts[jstarts[j]:jstarts[j + 1]]. A job with a sparse
-        Laplacian starts its LU iteration from its rows of x0, which get its
-        last iterate back."""
+        Laplacian starts its shift-inverted Lanczos from its rows of x0,
+        which get its Fiedler vector back."""
         vecs = []
         for lap, s, e in zip(self._job_laplacians(laps, jverts, jstarts), jstarts[:-1], jstarts[1:]):
             x0 = self.x0[jverts[s:e]] if sparse.issparse(lap) else None
             vecs.append(_fiedler_vector(lap, self.stats, x0))
             if x0 is not None:
-                self.x0[jverts[s:e]] = x0  # restricted to the children, it starts the next level
+                self.x0[jverts[s:e]] = vecs[-1]  # restricted to the children, it starts the next level
         return vecs
 
     def split(self, verts, sizes):

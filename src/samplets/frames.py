@@ -126,13 +126,14 @@ def check_length_scale(length_scale):
 def gram_kernel(points, kernel="exponential", length_scale=1.0, regularize=False):
     """Kernel Gram matrix of Dirac functionals at pairwise distinct points.
 
-    kernel is one of KERNEL_NAMES. With regularize the Tikhonov shift
+    points is an (n, d) array; a 1-d array is rejected, not read as one
+    point. kernel is one of KERNEL_NAMES. With regularize the Tikhonov shift
     mu = 1e-12 * trace(G) / N, for nearly coincident points, is added to the
     diagonal in place and recorded on the model. The kernel is evaluated in
     place on the distance matrix, so the model's matrix is the one N x N
     array made.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.size == 0:
         raise InputError("points must form an (n, d) array")
     if not np.all(np.isfinite(points)):

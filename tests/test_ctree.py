@@ -46,8 +46,8 @@ def _induced(graph, idx):
 def _fiedler(lap):
     """The tree's Fiedler solver on one Laplacian, as a tree level routes a
     cluster: a dense one takes dsyevr up to 128 vertices and Lanczos above,
-    and a sparse one above 128 vertices takes the LU iteration of a splitter
-    over its weights (its off-diagonal entries, negated)."""
+    and a sparse one above 128 vertices takes the shift-inverted Lanczos of
+    a splitter over its weights (its off-diagonal entries, negated)."""
     n = lap.shape[0]
     if sparse.issparse(lap) and n > ctree._DENSE_CUTOFF:
         w = sparse.diags(lap.diagonal()) - lap.tocsr()
@@ -522,20 +522,45 @@ class TestLevelSolver:
         assert tree.stats["arpack"] > 0 and tree.stats["lu"] == 0
         assert tree.stats["lu_factorizations"] == 0
 
-    def test_unconverged_clusters_fall_back_to_arpack(self, monkeypatch):
-        # one iteration never settles a cluster, so every large cluster
-        # takes the counted Lanczos fallback, which factors nothing beyond
-        # the cluster's one LU, and the tree is unchanged
+    @staticmethod
+    def _assert_every_lu_pair_falls_back(monkeypatch, name, broken):
+        # with ctree.<name> replaced by broken, which breaks the
+        # shift-inverted solve, every large cluster takes the counted
+        # Lanczos fallback, which factors nothing beyond the cluster's one
+        # LU, and the tree is unchanged
         functionals, scheme, leaf_max, mdim = _REFERENCE_CASES["build-1d"]()
         graph = build_graph(functionals, scheme)
         settled = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=mdim, graph=graph)
-        monkeypatch.setattr(ctree, "_MAX_ITER", 1)
+        monkeypatch.setattr(ctree, name, broken)
         tree = build_cluster_tree(functionals, scheme, leaf_max, moment_dim=mdim, graph=graph)
         assert _assert_matches_reference(tree, graph, leaf_max, mdim) == []
         assert np.array_equal(tree.perm, settled.perm)
+        assert settled.stats["lu"] > 0
         assert tree.stats["lu"] == 0 and tree.stats["arpack"] == settled.stats["lu"]
         assert tree.stats["lu_factorizations"] == settled.stats["lu_factorizations"]
         assert tree.stats["max_fiedler_residual"] <= 1e-8
+
+    def test_unconverged_clusters_fall_back_to_arpack(self, monkeypatch):
+        # an LU whose solve returns its input: Lanczos on the identity
+        # yields a pair that fails the residual check
+        class Identity:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def solve(self, x):
+                return x
+
+        self._assert_every_lu_pair_falls_back(monkeypatch, "splu", Identity)
+
+    def test_arpack_error_on_the_lu_path_falls_back_to_arpack(self, monkeypatch):
+        # ARPACK raises on the shift-inverted operator only, the one call
+        # with the Krylov dimension _NCV; the plain Lanczos runs as usual
+        def stalled_with_lu(*args, **kwargs):
+            if kwargs.get("ncv") == ctree._NCV:
+                raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+            return eigsh(*args, **kwargs)
+
+        self._assert_every_lu_pair_falls_back(monkeypatch, "eigsh", stalled_with_lu)
 
     def test_solver_failure_is_an_eigensolver_error(self, monkeypatch):
         def stalled(*args, **kwargs):
@@ -577,7 +602,7 @@ class TestLevelSolver:
     def test_interleaved_jobs_match_each_job_solved_alone(self):
         # small jobs (dsyevr) and large ones (one LU each) alternate in job
         # order, each a chain over positions scattered across the graph.
-        # Every job's vector, and the last iterate a large job writes back
+        # Every job's vector, and the Fiedler vector a large job writes back
         # to x0 (the next level's warm start), are bitwise those of the job
         # alone: a split depends on its cluster only
         rng = np.random.default_rng(12)
@@ -596,7 +621,7 @@ class TestLevelSolver:
         vecs = level._vectors(None, np.concatenate(jobs), _bounds(sizes))
         assert stats["dense"] == 3 and stats["lu"] + stats["arpack"] == 3
         assert stats["lu_factorizations"] == 3
-        seed = np.random.default_rng(ctree._FIEDLER_SEED).standard_normal((n, ctree._BLOCK))
+        seed = np.random.default_rng(ctree._FIEDLER_SEED).standard_normal(n)
         for job, vec in zip(jobs, vecs):
             alone = ctree._LevelSplitter(graph, 0, ctree._new_stats())
             assert np.array_equal(vec, alone._vectors(None, job, np.array([0, job.size]))[0])

@@ -69,6 +69,13 @@ class TestGramKernel:
         with pytest.raises(InputError):
             gram_kernel(np.array([[0.3], [0.3]]), "exponential", 1.0)
 
+    @pytest.mark.parametrize("points", [np.linspace(0.1, 0.9, 10), 0.5, np.zeros((2, 1, 1))],
+                             ids=["1d", "scalar", "3d"])
+    def test_points_that_are_not_an_n_by_d_array_are_rejected(self, points):
+        # a 1-d array is n coordinates, not one n-dimensional point
+        with pytest.raises(InputError, match=r"points must form an \(n, d\) array"):
+            gram_kernel(points, "exponential", 1.0)
+
     def test_regularization_shift_is_recorded(self):
         # the shift is on the diagonal of the matrix the model holds, bit for
         # bit the plain matrix plus mu, and effective() is that matrix
